@@ -14,7 +14,7 @@ from . import bench as bench_mod
 from .costmodel import JoinMethod, JoinStrategy, default_strategies
 from .executor import execute, uniform_plan
 from .model import DobError
-from .optimizer import exhaustive_orderings, explain_plan, optimize
+from .optimizer import explain_plan, optimize, plan_for_order
 from .parsing import (
     ParseError,
     parse_dob,
@@ -90,10 +90,8 @@ def _cmd_query(args) -> int:
         else:
             # keep the written ordering, pick per-step strategies by cost
             catalog = load_catalog(args.catalog)
-            order = tuple(range(len(query.body)))
-            plan = next(
-                p for p, _e in exhaustive_orderings(query, catalog, strategies)
-                if p.order == order
+            plan = plan_for_order(
+                query, catalog, range(len(query.body)), strategies
             )
     else:
         catalog = load_catalog(args.catalog)

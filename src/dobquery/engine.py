@@ -2,24 +2,38 @@
 
 Every intensional call is canonicalized into a call pattern (constants
 plus positional placeholders for free arguments) and answered from a
-per-pattern table. Recursive patterns are evaluated to a fixpoint:
-a call whose rules consumed another active (incomplete) table stays
-active itself, and the outermost active call re-expands the whole
-active group until no table grows, then marks the group completed.
-This terminates on cyclic subclass/import graphs and never returns an
-incomplete answer set.
+per-pattern table. A call whose rules read only complete tables is
+complete after one pass over its rules. A call that read an active
+(incomplete) table, itself included, is re-expanded until its table
+stops growing, and it stays active while a table it read is active; the
+outermost active call then re-expands the whole active group until no
+table grows and marks the group completed (SLG-style completion, Chen &
+Warren, JACM 1996). This terminates on cyclic subclass/import graphs and
+never returns an incomplete answer set.
+
+Rule bodies are compiled once per call shape (which arguments are
+constants and which free arguments repeat) into steps over substitution
+tuples: a substitution holds the values bound so far in binding order,
+so a step reads bound variables by position and appends the ones it
+binds. The canonical call pattern encodes constants and repeated
+variables, so every answer of a tabled sub-call is bound by position
+without a check.
 
 Two work counters are carried through evaluation:
   * inferred facts  - one per distinct answer added to a table; a memo
     hit contributes nothing,
   * EOB accesses    - one per extensional fact returned by a match.
-Their sum is the actual evaluation cost used by the experiments.
+Their sum is the actual evaluation cost used by the experiments. Each
+call pattern is expanded once unless it is part of a recursive group, so
+the counters carry no re-evaluation of complete tables.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import Callable
 
 from .model import Atom, DobError, PredicateKind, SchemaError, schema_for
 from .store import OntologyBase
@@ -64,19 +78,121 @@ class _CompiledRule:
     body: tuple[tuple[str, tuple[int | str, ...], bool], ...]  # (pred, args, is_eob)
 
 
+def _getter(indices) -> Callable[[tuple], tuple]:
+    """Function returning the items of a tuple at `indices`, as a tuple."""
+    if len(indices) == 1:
+        (i,) = indices
+        return itemgetter(slice(i, i + 1))
+    return itemgetter(*indices) if indices else itemgetter(slice(0))
+
+
+@dataclass(frozen=True, slots=True)
+class _Step:
+    """One body atom, evaluated on substitutions of a fixed length n.
+
+    `args(s + extras)` is the atom's argument tuple: constants and bound
+    variables as ids, free variables as None for an EOB match or as their
+    canonical placeholders for an IOB call. `new(row)` holds the values of
+    the variables the atom binds, in slot order. `same` pairs the row
+    positions of an EOB atom's repeated free variables.
+    """
+
+    pred: str
+    eob: bool
+    extras: tuple
+    args: Callable[[tuple], tuple]
+    new: Callable[[tuple], tuple]
+    same: tuple[tuple[int, int], ...]
+    shape: tuple  # IOB: the call shape of `args`
+
+
+def _compile_body(body, var_slot: dict[str, int]) -> tuple[_Step, ...]:
+    """Compile (pred, args, is_eob) atoms for left-to-right evaluation.
+
+    `var_slot` maps the variables bound before the first atom to their
+    slots; it is extended in place with each variable the body binds.
+    """
+    steps = []
+    for pred, args, eob in body:
+        n = len(var_slot)
+        extras: list = []
+        index: list[int] = []
+        shape: list = []
+        new: list[int] = []
+        same: list[tuple[int, int]] = []
+        first: dict[str, int] = {}  # free variable -> first position here
+        for pos, a in enumerate(args):
+            if isinstance(a, int):
+                index.append(n + len(extras))
+                extras.append(a)
+                shape.append(None)
+            elif a in first:
+                index.append(index[first[a]])
+                shape.append(shape[first[a]])
+                same.append((first[a], pos))
+            elif a in var_slot:
+                index.append(var_slot[a])
+                shape.append(None)
+            else:
+                first[a] = pos
+                var_slot[a] = len(var_slot)
+                new.append(pos)
+                index.append(n + len(extras))
+                placeholder = None if eob else f"?{len(first) - 1}"
+                extras.append(placeholder)
+                shape.append(placeholder)
+        steps.append(
+            _Step(
+                pred, eob, tuple(extras), _getter(index), _getter(new),
+                tuple(same) if eob else (), tuple(shape),
+            )
+        )
+    return tuple(steps)
+
+
+def _projection(args, var_slot: dict[str, int]) -> Callable[[tuple], tuple]:
+    """Function instantiating `args` from a complete substitution."""
+    consts = tuple(a for a in args if isinstance(a, int))
+    n = len(var_slot)
+    index = []
+    for a in args:
+        if isinstance(a, int):
+            index.append(n + consts.index(a))
+        else:
+            index.append(var_slot[a])
+    get = _getter(index)
+    if not consts:
+        return get
+    return lambda s: get(s + consts)
+
+
+@dataclass(frozen=True, slots=True)
+class _Plan:
+    """The rules of one call shape, compiled to slot steps.
+
+    `bound(args)` is the initial substitution of a call: its constants,
+    in argument order. Each rule pairs its steps with the projection of a
+    complete substitution onto the call's answer tuple.
+    """
+
+    bound: Callable[[tuple], tuple]
+    rules: tuple[tuple[tuple[_Step, ...], Callable[[tuple], tuple]], ...]
+
+
 class MemoTable:
     """Answer tables keyed by canonical call pattern, tied to one base."""
 
     def __init__(self, max_entries: int = DEFAULT_MAX_TABLE_ENTRIES):
         self.max_entries = max_entries
         self.tables: dict[tuple, dict[tuple[int, ...], None]] = {}
-        self.completed: set[tuple] = set()
-        self._active: dict[tuple, None] = {}
+        self.completed: dict[tuple, dict[tuple[int, ...], None]] = {}
+        self._active: dict[tuple, _Plan] = {}
         self._dep_stack: list[set[tuple]] = []
         self._revision = 0
         self._entries = 0
         self._base: OntologyBase | None = None
         self._rules: dict[str, list[_CompiledRule]] = {}
+        self._plans: dict[tuple, _Plan] = {}
         self._unseen: dict[str, int] = {}
 
     def bind(self, base: OntologyBase):
@@ -109,6 +225,46 @@ class MemoTable:
                 _CompiledRule(tuple(head_vars), tuple(body))
             )
 
+    def _plan(self, pred: str, shape: tuple) -> _Plan:
+        """Rules of `pred` compiled for calls of one shape.
+
+        A shape marks each constant argument None and each free argument
+        with its placeholder. Constant arguments are the first slots; a
+        head variable at a free argument is renamed to its placeholder, so
+        head variables sharing a placeholder become one variable.
+        """
+        plan = self._plans.get((pred, shape))
+        if plan is not None:
+            return plan
+        rules = []
+        for rule in self._rules.get(pred, []):
+            var_slot: dict[str, int] = {}
+            alias: dict[str, str] = {}
+            for var, placeholder in zip(rule.head_vars, shape):
+                if placeholder is None:
+                    var_slot[var] = len(var_slot)
+                else:
+                    alias[var] = placeholder
+            body = [
+                (
+                    b_pred,
+                    tuple(
+                        alias.get(a, a) if isinstance(a, str) else a
+                        for a in b_args
+                    ),
+                    b_eob,
+                )
+                for b_pred, b_args, b_eob in rule.body
+            ]
+            steps = _compile_body(body, var_slot)
+            head = [alias.get(v, v) for v in rule.head_vars]
+            rules.append((steps, _projection(head, var_slot)))
+        plan = _Plan(
+            _getter([i for i, p in enumerate(shape) if p is None]), tuple(rules)
+        )
+        self._plans[(pred, shape)] = plan
+        return plan
+
     def intern_const(self, text: str) -> int:
         """Id of a constant without mutating the shared symbol table.
 
@@ -128,188 +284,122 @@ class MemoTable:
         if self._dep_stack:
             self._dep_stack[-1].add(key)
 
-    def _record(self, key: tuple, answer: tuple[int, ...], counters: Counters) -> bool:
-        table = self.tables[key]
-        if answer in table:
-            return False
-        table[answer] = None
-        self._entries += 1
+    def _added(self, count: int, counters: Counters):
+        """Account for `count` new answers just added to a table."""
+        self._entries += count
         if self._entries > self.max_entries:
             raise EngineLimitError(
                 f"tabling store exceeded {self.max_entries} entries"
             )
-        self._revision += 1
-        counters.inferred_facts += 1
-        return True
+        self._revision += count
+        counters.inferred_facts += count
 
 
-def _match_template(base, memo, counters, pred, args):
-    """Ground rows matching a partially instantiated template.
+def _run(base, memo, counters, steps, substs):
+    """Extensions of `substs` satisfying `steps`, left to right.
 
-    `args` holds constant ids and free variable names; the returned list
-    pairs each matching row with the variable bindings it induces.
+    Each step is applied to every substitution before the next step runs
+    (sideways information passing over the whole batch).
     """
-    pattern = tuple(a if isinstance(a, int) else None for a in args)
-    if any(isinstance(a, int) and a < 0 for a in args):
-        rows: list[tuple[int, ...]] = []
-    else:
-        rows = base.match_rows(pred, pattern)
-    out = []
-    for row in rows:
-        ext: dict[str, int] = {}
-        ok = True
-        for a, v in zip(args, row):
-            if isinstance(a, str):
-                prev = ext.setdefault(a, v)
-                if prev != v:
-                    ok = False
-                    break
-        if ok:
-            out.append((row, ext))
-    counters.eob_accesses += len(out)
-    return out
-
-
-def _unify_answers(answers, args):
-    """Bindings induced by table answers against a call-site template."""
-    out = []
-    for row in answers:
-        ext: dict[str, int] = {}
-        ok = True
-        for a, v in zip(args, row):
-            if isinstance(a, str):
-                prev = ext.setdefault(a, v)
-                if prev != v:
-                    ok = False
-                    break
-            elif a != v:
-                ok = False
-                break
-        if ok:
-            out.append(ext)
-    return out
-
-
-def _canonical_call(pred, args):
-    """Rewrite a template into its canonical call pattern."""
-    mapping: dict[str, str] = {}
-    canon: list[int | str] = []
-    for a in args:
-        if isinstance(a, int):
-            canon.append(a)
-        else:
-            canon.append(mapping.setdefault(a, f"?{len(mapping)}"))
-    return (pred, tuple(canon)), mapping
-
-
-def _eval_body(base, memo, counters, body, init_subst):
-    """Left-to-right sideways-passing evaluation of a rule body."""
-    substs = [init_subst]
-    for pred, args, eob in body:
+    for step in steps:
         if not substs:
             break
         out = []
-        for s in substs:
-            inst = tuple(
-                s.get(a, a) if isinstance(a, str) else a for a in args
-            )
-            if eob:
-                for _row, ext in _match_template(base, memo, counters, pred, inst):
-                    out.append({**s, **ext})
-            else:
-                key, mapping = _canonical_call(pred, inst)
-                answers = _solve_call(base, memo, counters, key)
-                template = tuple(
-                    mapping.get(a, a) if isinstance(a, str) else a for a in inst
+        extras, args, new = step.extras, step.args, step.new
+        if step.eob:
+            match_rows, pred, same = base.match_rows, step.pred, step.same
+            for s in substs:
+                rows = match_rows(pred, args(s + extras))
+                if same:
+                    rows = [
+                        row for row in rows
+                        if all(row[i] == row[j] for i, j in same)
+                    ]
+                out.extend(map(s.__add__, map(new, rows)))
+            counters.eob_accesses += len(out)
+        else:
+            pred, shape = step.pred, step.shape
+            for s in substs:
+                answers = _solve_call(
+                    base, memo, counters, (pred, args(s + extras)), shape
                 )
-                for ext in _unify_answers(answers, template):
-                    merged = dict(s)
-                    for var, ph in mapping.items():
-                        merged[var] = ext[ph]
-                    out.append(merged)
+                out.extend(map(s.__add__, map(new, answers)))
         substs = out
     return substs
 
 
-def _expand(base, memo, counters, key):
-    """Run every rule of a call pattern once, adding new answers.
+def _expand(base, memo, counters, key, plan: _Plan):
+    """Run every rule of a call pattern once, adding new answers."""
+    table = memo.tables[key]
+    init = [plan.bound(key[1])]
+    for steps, head in plan.rules:
+        size = len(table)
+        answers = map(head, _run(base, memo, counters, steps, init))
+        table.update(dict.fromkeys(answers))
+        memo._added(len(table) - size, counters)
 
-    The call's arguments are substituted into the rule body up front, so
-    body evaluation only ever binds variables to constants (a variable
-    bound earlier in the body is a constant by the time it is read again).
+
+def _solve_call(base, memo, counters, key, shape):
+    """Answers of a canonical call pattern of the given shape.
+
+    A complete table is returned itself; an active one as a snapshot
+    list, since evaluation may still add to it.
     """
-    pred, cargs = key
-    for rule in memo._rules.get(pred, []):
-        head_map = dict(zip(rule.head_vars, cargs))
-        body = tuple(
-            (
-                b_pred,
-                tuple(
-                    head_map.get(a, a) if isinstance(a, str) else a
-                    for a in b_args
-                ),
-                b_eob,
-            )
-            for b_pred, b_args, b_eob in rule.body
-        )
-        for subst in _eval_body(base, memo, counters, body, {}):
-            answer = tuple(
-                subst[a] if isinstance(a, str) else a for a in cargs
-            )
-            memo._record(key, answer, counters)
-
-
-def _solve_call(base, memo, counters, key):
-    """Answers of a canonical call pattern as a snapshot list."""
-    if key in memo.completed:
-        return list(memo.tables[key])
+    table = memo.completed.get(key)
+    if table is not None:
+        return table
     if key in memo._active:
         memo._note_dependency(key)
         return list(memo.tables[key])
 
+    plan = memo._plan(key[0], shape)
     memo.tables[key] = {}
-    memo._active[key] = None
+    memo._active[key] = plan
     deps: set[tuple] = set()
     memo._dep_stack.append(deps)
     try:
         while True:
             rev = memo._revision
-            _expand(base, memo, counters, key)
-            if memo._revision == rev:
+            _expand(base, memo, counters, key, plan)
+            # One pass suffices when every table read was complete.
+            if memo._revision == rev or all(d in memo.completed for d in deps):
                 break
     finally:
         memo._dep_stack.pop()
 
-    deps.discard(key)
-    deps -= memo.completed
+    deps = {d for d in deps if d != key and d not in memo.completed}
     if not deps:
-        memo.completed.add(key)
+        memo.completed[key] = memo.tables[key]
         del memo._active[key]
     elif next(iter(memo._active)) == key:
         # Outermost call of a recursive group: saturate the whole group,
         # re-running members whose inputs grew after they stabilized.
         while True:
             rev = memo._revision
-            for other in list(memo._active):
+            for other, other_plan in list(memo._active.items()):
                 memo._dep_stack.append(set())
                 try:
-                    _expand(base, memo, counters, other)
+                    _expand(base, memo, counters, other, other_plan)
                 finally:
                     memo._dep_stack.pop()
             if memo._revision == rev:
                 break
         for other in memo._active:
-            memo.completed.add(other)
+            memo.completed[other] = memo.tables[other]
         memo._active.clear()
     else:
         memo._note_dependency(key)
-    return list(memo.tables[key])
+        return list(memo.tables[key])
+    return memo.tables[key]
 
 
-def _atom_template(memo, atom: Atom):
-    return tuple(
+def _body_atom(memo, atom: Atom):
+    """(pred, args, is_eob) of a query atom, its constants interned."""
+    schema = schema_for(atom.predicate, len(atom.args))
+    args = tuple(
         t.value if t.is_var else memo.intern_const(t.value) for t in atom.args
     )
+    return atom.predicate, args, schema.kind is PredicateKind.EOB
 
 
 def solve(
@@ -320,25 +410,16 @@ def solve(
     The memo may be shared across calls against the same base; repeated
     calls answered from completed tables add no inferred facts.
     """
-    schema = schema_for(atom.predicate, len(atom.args))
     if memo is None:
         memo = MemoTable()
     memo.bind(base)
     counters = Counters()
-    template = _atom_template(memo, atom)
-
-    if schema.kind is PredicateKind.EOB:
-        matches = _match_template(
-            base, memo, counters, atom.predicate, template
-        )
-        rows = [row for row, _ext in matches]
-    else:
-        key, _mapping = _canonical_call(atom.predicate, template)
-        # Constants and repeated variables are part of the call pattern, so
-        # every table answer instantiates the original atom.
-        rows = _solve_call(base, memo, counters, key)
-
-    rows = sorted(set(rows))
+    body = [_body_atom(memo, atom)]
+    var_slot: dict[str, int] = {}
+    steps = _compile_body(body, var_slot)
+    instantiate = _projection(body[0][1], var_slot)
+    substs = _run(base, memo, counters, steps, [()])
+    rows = sorted(set(map(instantiate, substs)))
     answers_out = [base.to_atom(atom.predicate, row) for row in rows]
     return EvaluationResult(
         answers_out, counters.inferred_facts, counters.eob_accesses
@@ -364,32 +445,24 @@ def solve_sequence(
     memo.bind(base)
     counters = Counters()
 
-    substs = [dict(b) for b in (input_bindings if input_bindings is not None else [{}])]
-    internal = []
-    for s in substs:
-        internal.append({v: memo.intern_const(c) for v, c in s.items()})
-
-    body = []
-    for atom in atoms:
-        schema = schema_for(atom.predicate, len(atom.args))
-        body.append(
-            (
-                atom.predicate,
-                _atom_template(memo, atom),
-                schema.kind is PredicateKind.EOB,
-            )
-        )
-
-    results: dict[tuple, dict[str, int]] = {}
-    for s in internal:
-        for full in _eval_body(base, memo, counters, body, s):
-            key = tuple(sorted(full.items()))
-            results.setdefault(key, full)
-
-    out = []
-    for full in results.values():
-        out.append({v: base.symbols.text(c) for v, c in full.items()})
-    return out, counters
+    body = [_body_atom(memo, atom) for atom in atoms]
+    # One compilation per set of input variables, in binding order.
+    compiled: dict[tuple[str, ...], tuple[tuple[_Step, ...], list[str]]] = {}
+    results: dict[tuple, dict[str, str]] = {}
+    for binding in input_bindings if input_bindings is not None else [{}]:
+        inputs = tuple(binding)
+        if inputs not in compiled:
+            var_slot = {v: i for i, v in enumerate(inputs)}
+            steps = _compile_body(body, var_slot)
+            compiled[inputs] = (steps, list(var_slot)[len(inputs):])
+        steps, bound_vars = compiled[inputs]
+        init = tuple(memo.intern_const(binding[v]) for v in inputs)
+        for s in _run(base, memo, counters, steps, [init]):
+            full = dict(binding)
+            values = s[len(inputs):]
+            full.update(zip(bound_vars, map(base.symbols.text, values)))
+            results.setdefault(tuple(sorted(full.items())), full)
+    return list(results.values()), counters
 
 
 def bottom_up_oracle(base: OntologyBase) -> set[Atom]:

@@ -80,8 +80,8 @@ def _prune(subplans: list[SubPlan]) -> list[SubPlan]:
     return kept
 
 
-def _best_extension(catalog, query, sp: SubPlan, idx: int, strategies):
-    """Cheapest enabled strategy for joining one more subgoal."""
+def _extend(catalog, query, sp: SubPlan, idx: int, strategies) -> SubPlan:
+    """`sp` joined with one more subgoal by its cheapest enabled strategy."""
     left_atoms = [query.body[i] for i in sp.order]
     right = query.body[idx]
     best = None
@@ -91,7 +91,19 @@ def _best_extension(catalog, query, sp: SubPlan, idx: int, strategies):
         if best is None or est.cost < best.cost:
             best = est
             best_strategy = strategy
-    return best, best_strategy
+    return SubPlan(
+        sp.atom_set | {idx},
+        sp.order + (idx,),
+        sp.strategies + (best_strategy,),
+        best,
+    )
+
+
+def _strategies(enabled_strategies) -> tuple[JoinStrategy, ...]:
+    return tuple(
+        enabled_strategies if enabled_strategies is not None
+        else default_strategies()
+    )
 
 
 def optimize(
@@ -110,10 +122,7 @@ def optimize(
     """
     if not query.body:
         raise OptimizerError("cannot optimize an empty query body")
-    strategies = tuple(
-        enabled_strategies if enabled_strategies is not None
-        else default_strategies()
-    )
+    strategies = _strategies(enabled_strategies)
     if not strategies:
         raise OptimizerError("at least one join strategy must be enabled")
     n = len(query.body)
@@ -132,15 +141,7 @@ def optimize(
                 for idx in range(n):
                     if idx in sp.atom_set:
                         continue
-                    est, strategy = _best_extension(
-                        catalog, query, sp, idx, strategies
-                    )
-                    new = SubPlan(
-                        sp.atom_set | {idx},
-                        sp.order + (idx,),
-                        sp.strategies + (strategy,),
-                        est,
-                    )
+                    new = _extend(catalog, query, sp, idx, strategies)
                     extended.setdefault(new.atom_set, []).append(new)
         if prune:
             frontier = {k: _prune(v) for k, v in extended.items()}
@@ -150,6 +151,27 @@ def optimize(
     complete = [sp for plans in frontier.values() for sp in plans]
     best = min(complete, key=lambda sp: (sp.estimate.cost, sp.order))
     return Plan(query, best.order, best.strategies, best.estimate)
+
+
+def plan_for_order(
+    query: Query,
+    catalog: StatisticsCatalog,
+    order,
+    enabled_strategies=None,
+) -> Plan:
+    """The plan joining the body in `order`, each step by its cheapest
+    enabled strategy."""
+    order = tuple(order)
+    strategies = _strategies(enabled_strategies)
+    sp = SubPlan(
+        frozenset(order[:1]),
+        order[:1],
+        (),
+        predicate_estimate(catalog, query.body[order[0]]),
+    )
+    for idx in order[1:]:
+        sp = _extend(catalog, query, sp, idx, strategies)
+    return Plan(query, sp.order, sp.strategies, sp.estimate)
 
 
 def exhaustive_orderings(
@@ -169,28 +191,10 @@ def exhaustive_orderings(
         raise OptimizerError(
             f"exhaustive enumeration is capped at {max_subgoals} subgoals"
         )
-    strategies = tuple(
-        enabled_strategies if enabled_strategies is not None
-        else default_strategies()
-    )
     out = []
     for perm in itertools.permutations(range(n)):
-        sp = SubPlan(
-            frozenset([perm[0]]),
-            (perm[0],),
-            (),
-            predicate_estimate(catalog, query.body[perm[0]]),
-        )
-        for idx in perm[1:]:
-            est, strategy = _best_extension(catalog, query, sp, idx, strategies)
-            sp = SubPlan(
-                sp.atom_set | {idx},
-                sp.order + (idx,),
-                sp.strategies + (strategy,),
-                est,
-            )
-        plan = Plan(query, sp.order, sp.strategies, sp.estimate)
-        out.append((plan, sp.estimate))
+        plan = plan_for_order(query, catalog, perm, enabled_strategies)
+        out.append((plan, plan.estimate))
     return out
 
 

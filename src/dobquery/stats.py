@@ -514,6 +514,28 @@ def catalog_to_text(catalog: StatisticsCatalog) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_config(text: str) -> SamplingConfig:
+    """The sampling settings of a `# config key=value ...` header."""
+    fields = {}
+    for part in text.split():
+        key, sep, value = part.partition("=")
+        if not sep:
+            raise AnalyzerError(f"config field without '=': {part!r}")
+        fields[key] = value
+    missing = [k for k in ("d", "p", "k", "seed") if k not in fields]
+    if missing:
+        raise AnalyzerError(f"config is missing {', '.join(missing)}")
+    return SamplingConfig(
+        d=float(fields["d"]),
+        p=float(fields["p"]),
+        k=int(fields["k"]),
+        m_max=None if fields.get("mmax", "auto") == "auto"
+        else int(fields["mmax"]),
+        seed=int(fields["seed"]),
+        clt_factor=bool(int(fields.get("clt", "0"))),
+    )
+
+
 def catalog_from_text(text: str) -> StatisticsCatalog:
     config = SamplingConfig()
     created = ""
@@ -525,43 +547,33 @@ def catalog_from_text(text: str) -> StatisticsCatalog:
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("#"):
-            body = line.lstrip("#").strip()
-            if body.startswith("config "):
-                fields = dict(
-                    part.split("=", 1) for part in body[len("config "):].split()
-                )
-                config = SamplingConfig(
-                    d=float(fields["d"]),
-                    p=float(fields["p"]),
-                    k=int(fields["k"]),
-                    m_max=None if fields.get("mmax", "auto") == "auto"
-                    else int(fields["mmax"]),
-                    seed=int(fields["seed"]),
-                    clt_factor=bool(int(fields.get("clt", "0"))),
-                )
-            elif body.startswith("created "):
-                created = body[len("created "):]
-            continue
-        parts = [p.strip() for p in line.split("|")]
-        if len(parts) != 6:
-            raise AnalyzerError(f"catalog line {line_no}: expected 6 columns")
-        name, kind, pattern_s, card_s, cost_s, tail = parts
-        schema = schema_for(name)
-        if kind == "EOB":
-            n_keys = tuple(int(x) for x in tail.split()) if tail else ()
-            if len(n_keys) != schema.arity:
-                raise AnalyzerError(
-                    f"catalog line {line_no}: nKeys arity mismatch for {name}"
-                )
-            entries[name] = EobStats(int(float(card_s)), n_keys)
-        elif kind == "IOB":
-            pattern = BindingPattern.parse(pattern_s)
-            rows = iob_rows.setdefault(name, {})
-            rows[pattern] = (float(card_s), float(cost_s))
-            iob_distinct[name] = tuple(float(x) for x in tail.split())
-        else:
-            raise AnalyzerError(f"catalog line {line_no}: bad kind {kind!r}")
+        try:
+            if line.startswith("#"):
+                body = line.lstrip("#").strip()
+                if body.startswith("config "):
+                    config = _parse_config(body[len("config "):])
+                elif body.startswith("created "):
+                    created = body[len("created "):]
+                continue
+            parts = [p.strip() for p in line.split("|")]
+            if len(parts) != 6:
+                raise AnalyzerError("expected 6 columns")
+            name, kind, pattern_s, card_s, cost_s, tail = parts
+            schema = schema_for(name)
+            if kind == "EOB":
+                n_keys = tuple(int(x) for x in tail.split()) if tail else ()
+                if len(n_keys) != schema.arity:
+                    raise AnalyzerError(f"nKeys arity mismatch for {name}")
+                entries[name] = EobStats(int(float(card_s)), n_keys)
+            elif kind == "IOB":
+                pattern = BindingPattern.parse(pattern_s)
+                rows = iob_rows.setdefault(name, {})
+                rows[pattern] = (float(card_s), float(cost_s))
+                iob_distinct[name] = tuple(float(x) for x in tail.split())
+            else:
+                raise AnalyzerError(f"bad kind {kind!r}")
+        except (DobError, ValueError) as exc:
+            raise AnalyzerError(f"catalog line {line_no}: {exc}") from None
 
     eob = {n: st for n, st in entries.items() if isinstance(st, EobStats)}
     for name, rows in iob_rows.items():

@@ -2,6 +2,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from dobquery import OntologyBase, build_exact_catalog, parse_atom, parse_dob
 
@@ -69,3 +70,11 @@ def random_base(rng: random.Random, max_facts: int = 200) -> OntologyBase:
             f"{rng.choice(vals)})"
         )
     return OntologyBase.from_facts(parse_atom(f) for f in facts[:max_facts])
+
+
+# Property tests draw the same examples on every run and stay within the
+# tier-1 time budget.
+settings.register_profile(
+    "tier1", derandomize=True, max_examples=60, deadline=None, database=None
+)
+settings.load_profile("tier1")

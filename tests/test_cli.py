@@ -100,6 +100,27 @@ def test_query_no_optimize_keeps_written_order(workspace, capsys):
     assert costs["q"] > costs["q_prime"]  # written orderings really ran
 
 
+def test_query_no_optimize_costs_only_the_written_order(workspace, capsys):
+    # 7 subgoals: past the 6-subgoal cap on enumerating every ordering
+    dob, catalog = workspace
+    text = (
+        "q(O):-isDProperty(traction,C),areClasses(C,O),isClass(C,P),"
+        "isOntology(O),isOntology(P),areImpOntologies(O,P),"
+        "areSubClasses(C,D)."
+    )
+    answers = {}
+    for flags in (["--no-optimize"], []):
+        code, out, err = run(
+            capsys,
+            "query", str(dob), "--catalog", str(catalog), "-q", text,
+            "--strategy", "auto", "--explain", *flags,
+        )
+        assert code == 0, err
+        answers[bool(flags)] = sorted(out.splitlines())
+    assert answers[True] == answers[False]
+    assert answers[True] == ["q(source1)", "q(source2)"]
+
+
 @pytest.mark.parametrize("strategy", ["nlj", "bnlj", "hash", "auto"])
 def test_query_strategy_flag(workspace, capsys, strategy):
     dob, catalog = workspace
@@ -130,6 +151,26 @@ def test_data_error_exit_codes(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", str(bad), "-o", str(tmp_path / "c"))
     assert code == 2
     assert "variable in fact" in err
+
+
+@pytest.mark.parametrize("header, detail", [
+    ("# config d=0.2", "config is missing p, k, seed"),
+    ("# config d=0.2 p=x k=7 seed=0", "could not convert string to float"),
+    ("# config d=0.2 p=0.7 k=7 seed", "config field without '='"),
+])
+def test_bad_catalog_header_is_data_error(workspace, capsys, header, detail):
+    dob, catalog = workspace
+    lines = catalog.read_text().splitlines()
+    assert lines[1].startswith("# config ")
+    lines[1] = header
+    catalog.write_text("\n".join(lines) + "\n")
+    code, _, err = run(
+        capsys,
+        "query", str(dob), "--catalog", str(catalog),
+        "-q", "q(C):-areClasses(C,carsOnt).",
+    )
+    assert code == 2
+    assert f"catalog line 2: {detail}" in err
 
 
 def test_query_parse_error_is_data_error(workspace, capsys):

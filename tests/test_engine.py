@@ -2,17 +2,26 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dobquery import (
+    Atom,
     EngineLimitError,
     MemoTable,
     OntologyBase,
+    Term,
     bottom_up_oracle,
     parse_atom,
     solve,
     solve_sequence,
 )
-from dobquery.model import BUILTIN_SCHEMA, IOB_PREDICATES
+from dobquery.model import (
+    BUILTIN_SCHEMA,
+    EOB_PREDICATES,
+    IOB_PREDICATES,
+    ArgDomain,
+)
 from conftest import random_base
 
 
@@ -228,3 +237,154 @@ def test_counters_monotone_across_shared_memo(cars_base):
         result = solve(cars_base, atom, memo)
         assert result.inferred_fact_count >= 0
         assert result.eob_access_count >= 0
+
+
+def _counts(result):
+    return result.inferred_fact_count, result.eob_access_count
+
+
+def test_nonrecursive_call_is_expanded_once():
+    base = OntologyBase.from_facts(
+        parse_atom(f"isStatement(i{k},p,v{k})") for k in range(3)
+    )
+    result = solve(base, parse_atom("areStatements(I,P,J)"))
+    assert len(result.answers) == 3
+    # no isTransitive fact: three answers from three isStatement rows
+    assert _counts(result) == (3, 3)
+
+
+def test_chain_tables_are_expanded_once():
+    base = OntologyBase.from_facts(
+        parse_atom(f"subClassOf(c{i},c{i + 1})") for i in range(10)
+    )
+    result = solve(base, parse_atom("areSubClasses(c0,X)"))
+    assert len(result.answers) == 10
+    # one table per node c0..c10 holding its 10-i ancestors; each of the
+    # ten nodes with an edge reads it once per rule
+    assert _counts(result) == (55, 20)
+
+
+_CYCLE = ["subClassOf(a,b)", "subClassOf(b,c)", "subClassOf(c,a)"]
+
+
+def test_cyclic_group_is_reexpanded_to_fixpoint():
+    base = OntologyBase.from_facts(parse_atom(f) for f in _CYCLE)
+    result = solve(base, parse_atom("areSubClasses(a,X)"))
+    assert {str(a) for a in result.answers} == {
+        "areSubClasses(a,a)", "areSubClasses(a,b)", "areSubClasses(a,c)",
+    }
+    # three tables of three answers. Each call reads 2 rows per pass and
+    # makes two passes (the second finds nothing new): 12. Then the group
+    # leader saturates the group in two rounds over its three calls: 12.
+    assert _counts(result) == (9, 24)
+
+
+def test_repeated_variable_call_on_cycle():
+    base = OntologyBase.from_facts(
+        parse_atom(f) for f in _CYCLE + ["subClassOf(d,d)"]
+    )
+    result = solve(base, parse_atom("areSubClasses(X,X)"))
+    assert {str(a) for a in result.answers} == {
+        "areSubClasses(a,a)", "areSubClasses(b,b)",
+        "areSubClasses(c,c)", "areSubClasses(d,d)",
+    }
+    renamed = solve(base, parse_atom("areSubClasses(Y,Y)"))
+    assert renamed.answers == result.answers
+    # a recursive group, so re-expanded; of the rows read for
+    # subClassOf(X,X) only d's self-loop counts as an access
+    assert _counts(renamed) == _counts(result) == (14, 69)
+
+
+# --- property tests over random small bases --------------------------------
+
+_POOLS = {
+    ArgDomain.CLASS: ("c0", "c1", "c2", "c3"),
+    ArgDomain.ONTOLOGY: ("o0", "o1", "o2"),
+    ArgDomain.INDIVIDUAL: ("i0", "i1", "i2"),
+    ArgDomain.PROPERTY: ("p0", "p1"),
+    ArgDomain.VALUE: ("i0", "i1", "i2", "v0"),
+}
+
+
+def _facts_of(pred):
+    domains = BUILTIN_SCHEMA[pred].arg_domains
+    return st.tuples(*(st.sampled_from(_POOLS[d]) for d in domains)).map(
+        lambda args: Atom(pred, tuple(Term.const(a) for a in args))
+    )
+
+
+# The recursive predicates' facts are drawn twice as often, so subclass,
+# import and transitive-statement cycles are common.
+_bases = st.lists(
+    st.sampled_from(
+        EOB_PREDICATES + ("subClassOf", "impOntology", "isStatement")
+    ).flatmap(_facts_of),
+    max_size=30,
+).map(OntologyBase.from_facts)
+
+
+def _call_atoms(pred, data, variables=("X", "Y")):
+    """One atom per binding pattern of `pred`; free positions draw their
+    variable from `variables`, so some calls repeat a variable."""
+    schema = BUILTIN_SCHEMA[pred]
+    for bound in itertools.product((False, True), repeat=schema.arity):
+        yield Atom(pred, tuple(
+            Term.const(data.draw(st.sampled_from(_POOLS[d]))) if b
+            else Term.var(data.draw(st.sampled_from(variables)))
+            for b, d in zip(bound, schema.arg_domains)
+        ))
+
+
+def _instances(atom, facts):
+    """Facts that instantiate `atom`."""
+
+    def matches(fact):
+        binding = {}
+        for t, f in zip(atom.args, fact.args):
+            value = binding.setdefault(t.value, f.value) if t.is_var else t.value
+            if value != f.value:
+                return False
+        return True
+
+    return {f for f in facts if f.predicate == atom.predicate and matches(f)}
+
+
+@given(_bases, st.data())
+def test_engine_matches_oracle_for_every_binding_pattern(base, data):
+    oracle = bottom_up_oracle(base)
+    for pred in IOB_PREDICATES:
+        for atom in _call_atoms(pred, data):
+            assert set(solve(base, atom).answers) == _instances(atom, oracle), atom
+
+
+@given(_bases, st.data())
+def test_counters_invariant_under_variable_renaming(base, data):
+    for pred in IOB_PREDICATES:
+        for atom in _call_atoms(pred, data):
+            renamed = Atom(pred, tuple(
+                Term.var("R" + t.value) if t.is_var else t for t in atom.args
+            ))
+            first, second = solve(base, atom), solve(base, renamed)
+            assert _counts(first) == _counts(second), atom
+            assert len(first.answers) == len(second.answers)
+
+    atoms = [
+        next(iter(_call_atoms(pred, data, ("X", "Y", "Z"))))
+        for pred in data.draw(st.lists(
+            st.sampled_from(IOB_PREDICATES + EOB_PREDICATES),
+            min_size=2, max_size=3,
+        ))
+    ]
+    renaming = dict(zip("XYZ", data.draw(st.permutations("ABC"))))
+    renamed = [
+        Atom(a.predicate, tuple(
+            Term.var(renaming[t.value]) if t.is_var else t for t in a.args
+        ))
+        for a in atoms
+    ]
+    subs, counters = solve_sequence(base, atoms)
+    renamed_subs, renamed_counters = solve_sequence(base, renamed)
+    assert counters == renamed_counters
+    assert {
+        tuple(sorted((renaming[v], c) for v, c in s.items())) for s in subs
+    } == {tuple(sorted(s.items())) for s in renamed_subs}

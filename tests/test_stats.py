@@ -204,6 +204,22 @@ def test_catalog_roundtrip(cars_base):
     assert catalog_to_text(reparsed) == text
 
 
+@pytest.mark.parametrize("bad, message", [
+    ("isClass | EOB | ff | four | 4 | 4 1", "catalog line 4: could not convert"),
+    ("isClass | EOB | ff | 4 | 4 | 4 x", "catalog line 4: invalid literal"),
+    ("isClass | EOB | ff | 4 | 4", "catalog line 4: expected 6 columns"),
+    ("isClass | EOB | ff | 4 | 4 | 4", "catalog line 4: nKeys arity mismatch"),
+    ("noSuchPred | EOB | f | 4 | 4 | 4", "catalog line 4: unknown predicate"),
+    ("areClasses | IOB | bx | 4 | 4 | 4 1", "catalog line 4: bad binding"),
+    ("isClass | XYZ | ff | 4 | 4 | 4 1", "catalog line 4: bad kind"),
+])
+def test_catalog_parse_errors_name_the_line(cars_base, bad, message):
+    lines = catalog_to_text(build_exact_catalog(cars_base)).splitlines()
+    lines.insert(3, bad)
+    with pytest.raises(AnalyzerError, match=message):
+        catalog_from_text("\n".join(lines))
+
+
 def test_cars_free_cardinality_accurate_over_seeds(cars_base):
     hits = 0
     for seed in range(100):

@@ -11,9 +11,9 @@ table grows and marks the group completed (SLG-style completion, Chen &
 Warren, JACM 1996). This terminates on cyclic subclass/import graphs and
 never returns an incomplete answer set.
 
-Rule bodies are compiled once per call shape (which arguments are
-constants and which free arguments repeat) into steps over substitution
-tuples: a substitution holds the values bound so far in binding order,
+Rule bodies are compiled once per base and call shape (which arguments
+are constants and which free arguments repeat), shared by every memo on
+the base, into steps over substitution tuples: a substitution holds the values bound so far in binding order,
 so a step reads bound variables by position and appends the ones it
 binds. The canonical call pattern encodes constants and repeated
 variables, so every answer of a tabled sub-call is bound by position
@@ -31,6 +31,7 @@ the counters carry no re-evaluation of complete tables.
 from __future__ import annotations
 
 import sys
+import weakref
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable
@@ -179,30 +180,20 @@ class _Plan:
     rules: tuple[tuple[tuple[_Step, ...], Callable[[tuple], tuple]], ...]
 
 
-class MemoTable:
-    """Answer tables keyed by canonical call pattern, tied to one base."""
+class _Program:
+    """The rule program of one base, compiled to slot steps.
 
-    def __init__(self, max_entries: int = DEFAULT_MAX_TABLE_ENTRIES):
-        self.max_entries = max_entries
-        self.tables: dict[tuple, dict[tuple[int, ...], None]] = {}
-        self.completed: dict[tuple, dict[tuple[int, ...], None]] = {}
-        self._active: dict[tuple, _Plan] = {}
-        self._dep_stack: list[set[tuple]] = []
-        self._revision = 0
-        self._entries = 0
-        self._base: OntologyBase | None = None
-        self._rules: dict[str, list[_CompiledRule]] = {}
-        self._plans: dict[tuple, _Plan] = {}
-        self._unseen: dict[str, int] = {}
+    Shared by every memo on the base; only the answer tables are per
+    memo. Rule constants are looked up in the base's symbol table, not
+    interned: one the base never saw gets a negative id here, and each
+    memo numbers its own unseen constants after these.
+    """
 
-    def bind(self, base: OntologyBase):
-        if self._base is None:
-            self._base = base
-            self._compile(base)
-        elif self._base is not base:
-            raise SchemaError("a MemoTable cannot be shared across bases")
-
-    def _compile(self, base: OntologyBase):
+    def __init__(self, base: OntologyBase):
+        self.symbol_count = len(base.symbols)
+        self.unseen: dict[str, int] = {}
+        self.rules: dict[str, list[_CompiledRule]] = {}
+        self.plans: dict[tuple, _Plan] = {}
         for rule in base.iob_program:
             head_vars = []
             for t in rule.head.args:
@@ -215,17 +206,23 @@ class MemoTable:
             for atom in rule.body:
                 schema = schema_for(atom.predicate, len(atom.args))
                 args: list[int | str] = [
-                    t.value if t.is_var else self.intern_const(t.value)
+                    t.value if t.is_var else self._const(base, t.value)
                     for t in atom.args
                 ]
                 body.append(
                     (atom.predicate, tuple(args), schema.kind is PredicateKind.EOB)
                 )
-            self._rules.setdefault(rule.head.predicate, []).append(
+            self.rules.setdefault(rule.head.predicate, []).append(
                 _CompiledRule(tuple(head_vars), tuple(body))
             )
 
-    def _plan(self, pred: str, shape: tuple) -> _Plan:
+    def _const(self, base: OntologyBase, text: str) -> int:
+        cid = base.symbols.lookup(text)
+        if cid is None:
+            cid = self.unseen.setdefault(text, -(len(self.unseen) + 1))
+        return cid
+
+    def plan(self, pred: str, shape: tuple) -> _Plan:
         """Rules of `pred` compiled for calls of one shape.
 
         A shape marks each constant argument None and each free argument
@@ -233,11 +230,11 @@ class MemoTable:
         head variable at a free argument is renamed to its placeholder, so
         head variables sharing a placeholder become one variable.
         """
-        plan = self._plans.get((pred, shape))
+        plan = self.plans.get((pred, shape))
         if plan is not None:
             return plan
         rules = []
-        for rule in self._rules.get(pred, []):
+        for rule in self.rules.get(pred, []):
             var_slot: dict[str, int] = {}
             alias: dict[str, str] = {}
             for var, placeholder in zip(rule.head_vars, shape):
@@ -262,8 +259,45 @@ class MemoTable:
         plan = _Plan(
             _getter([i for i, p in enumerate(shape) if p is None]), tuple(rules)
         )
-        self._plans[(pred, shape)] = plan
+        self.plans[(pred, shape)] = plan
         return plan
+
+
+_PROGRAMS: weakref.WeakKeyDictionary[OntologyBase, _Program] = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _program_of(base: OntologyBase) -> _Program:
+    """The compiled program of `base`, rebuilt if its symbols grew."""
+    program = _PROGRAMS.get(base)
+    if program is None or program.symbol_count != len(base.symbols):
+        program = _PROGRAMS[base] = _Program(base)
+    return program
+
+
+class MemoTable:
+    """Answer tables keyed by canonical call pattern, tied to one base."""
+
+    def __init__(self, max_entries: int = DEFAULT_MAX_TABLE_ENTRIES):
+        self.max_entries = max_entries
+        self.tables: dict[tuple, dict[tuple[int, ...], None]] = {}
+        self.completed: dict[tuple, dict[tuple[int, ...], None]] = {}
+        self._active: dict[tuple, _Plan] = {}
+        self._dep_stack: list[set[tuple]] = []
+        self._revision = 0
+        self._entries = 0
+        self._base: OntologyBase | None = None
+        self._program: _Program | None = None
+        self._unseen: dict[str, int] = {}
+
+    def bind(self, base: OntologyBase):
+        if self._base is None:
+            self._base = base
+            self._program = _program_of(base)
+            self._unseen = dict(self._program.unseen)
+        elif self._base is not base:
+            raise SchemaError("a MemoTable cannot be shared across bases")
 
     def intern_const(self, text: str) -> int:
         """Id of a constant without mutating the shared symbol table.
@@ -279,6 +313,17 @@ class MemoTable:
             local = -(len(self._unseen) + 1)
             self._unseen[text] = local
         return local
+
+    def _drop_active(self):
+        """Forget the tables an aborted evaluation left active.
+
+        Completed tables stay: each was saturated before it completed.
+        An active table may lack answers, so reusing it would be wrong.
+        """
+        for key in self._active:
+            self._entries -= len(self.tables.pop(key))
+        self._active.clear()
+        self._dep_stack.clear()
 
     def _note_dependency(self, key: tuple):
         if self._dep_stack:
@@ -328,6 +373,19 @@ def _run(base, memo, counters, steps, substs):
     return substs
 
 
+def _evaluate(base, memo, counters, steps, substs):
+    """`_run` from outside any tabled call.
+
+    If evaluation raises (say, at the entry cap), the tables it left
+    active are dropped, so the memo can still be used.
+    """
+    try:
+        return _run(base, memo, counters, steps, substs)
+    except BaseException:
+        memo._drop_active()
+        raise
+
+
 def _expand(base, memo, counters, key, plan: _Plan):
     """Run every rule of a call pattern once, adding new answers."""
     table = memo.tables[key]
@@ -352,7 +410,7 @@ def _solve_call(base, memo, counters, key, shape):
         memo._note_dependency(key)
         return list(memo.tables[key])
 
-    plan = memo._plan(key[0], shape)
+    plan = memo._program.plan(key[0], shape)
     memo.tables[key] = {}
     memo._active[key] = plan
     deps: set[tuple] = set()
@@ -418,7 +476,7 @@ def solve(
     var_slot: dict[str, int] = {}
     steps = _compile_body(body, var_slot)
     instantiate = _projection(body[0][1], var_slot)
-    substs = _run(base, memo, counters, steps, [()])
+    substs = _evaluate(base, memo, counters, steps, [()])
     rows = sorted(set(map(instantiate, substs)))
     answers_out = [base.to_atom(atom.predicate, row) for row in rows]
     return EvaluationResult(
@@ -457,7 +515,7 @@ def solve_sequence(
             compiled[inputs] = (steps, list(var_slot)[len(inputs):])
         steps, bound_vars = compiled[inputs]
         init = tuple(memo.intern_const(binding[v]) for v in inputs)
-        for s in _run(base, memo, counters, steps, [init]):
+        for s in _evaluate(base, memo, counters, steps, [init]):
             full = dict(binding)
             values = s[len(inputs):]
             full.update(zip(bound_vars, map(base.symbols.text, values)))

@@ -1,11 +1,15 @@
 """Physical evaluation of a plan over the base, step by step.
 
 A fresh memo table backs each execution so the reported counters reflect
-the chosen strategies honestly. Nested loop solves the next subgoal once
-per incoming substitution with sideways variables bound; block nested
-loop solves it once per block with only query constants bound and joins
-in memory; hash join solves it once and joins both sides on the shared
-variables (a cross product if there are none).
+the chosen strategies honestly. The batch of partial answers holds the
+engine's substitution tuples: interned ids, one slot per variable in
+binding order. Every strategy runs its subgoal as a compiled engine
+step. Nested loop applies the step to the whole batch with sideways
+variables bound, as `solve_sequence` does; block nested loop runs the
+subgoal with only its own constants bound once per block, and hash join
+once in total, and both equi-join the result with the batch on the
+shared slots (a cross product if there are none). Ids become text once,
+for the distinct head instantiations.
 """
 
 from __future__ import annotations
@@ -13,7 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .costmodel import JoinMethod, JoinStrategy
-from .engine import Counters, MemoTable, solve
+from .engine import (
+    Counters, MemoTable, _body_atom, _compile_body, _evaluate, _getter,
+)
 from .model import Atom, Query, Term
 from .optimizer import Plan
 
@@ -40,121 +46,60 @@ class ExecutionReport:
         return self.inferred_fact_count + self.eob_access_count
 
 
-def _bind_atom(atom: Atom, subst: dict[str, str]) -> Atom:
-    args = tuple(
-        Term.const(subst[t.value]) if t.is_var and t.value in subst else t
-        for t in atom.args
-    )
-    return Atom(atom.predicate, args)
-
-
-def _extensions(atom: Atom, answer: Atom) -> dict[str, str] | None:
-    """Bindings a ground answer induces on an atom's variables."""
-    ext: dict[str, str] = {}
-    for t, g in zip(atom.args, answer.args):
-        if t.is_var:
-            prev = ext.setdefault(t.value, g.value)
-            if prev != g.value:
-                return None
-        elif t.value != g.value:
-            return None
-    return ext
-
-
-def _dedupe(substs):
-    seen = set()
-    out = []
-    for s in substs:
-        key = tuple(sorted(s.items()))
-        if key not in seen:
-            seen.add(key)
-            out.append(s)
-    return out
-
-
-def _merge_join(batch, atom, answers, shared):
-    """In-memory equi-join of a substitution batch with solved answers."""
-    out = []
-    if not shared:
-        for s in batch:
-            for ans in answers:
-                ext = _extensions(atom, ans)
-                if ext is not None:
-                    out.append({**s, **ext})
-        return out
-    table: dict[tuple, list[dict[str, str]]] = {}
-    for ans in answers:
-        ext = _extensions(atom, ans)
-        if ext is None:
-            continue
-        table.setdefault(tuple(ext[v] for v in shared), []).append(ext)
-    for s in batch:
-        key = tuple(s[v] for v in shared)
-        for ext in table.get(key, ()):
-            out.append({**s, **ext})
+def _equi_join(base, memo, counters, atom, block_size, batch, var_slot):
+    """Join `batch` with the atom's answers, solving it once per block."""
+    own: dict[str, int] = {}
+    steps = _compile_body([atom], own)
+    shared = [v for v in own if v in var_slot]
+    row_key = _getter([own[v] for v in shared])
+    row_ext = _getter([i for v, i in own.items() if v not in var_slot])
+    subst_key = _getter([var_slot[v] for v in shared])
+    for v in own:
+        var_slot.setdefault(v, len(var_slot))
+    table: dict[tuple, list[tuple]] | None = None
+    out: list[tuple] = []
+    for start in range(0, len(batch), block_size):
+        rows = _evaluate(base, memo, counters, steps, [()])
+        if table is None:  # every block reads the same rows
+            table = {}
+            for row in rows:
+                table.setdefault(row_key(row), []).append(row_ext(row))
+        for s in batch[start : start + block_size]:
+            out.extend(map(s.__add__, table.get(subst_key(s), ())))
     return out
 
 
 def execute(base, plan: Plan) -> ExecutionReport:
     """Evaluate the plan's ordering with its per-step strategies."""
     memo = MemoTable()
-    atoms = plan.atoms
+    memo.bind(base)
     total = Counters()
     per_step: list[StepCounters] = []
-
-    def track(result) -> None:
-        total.inferred_facts += result.inferred_fact_count
-        total.eob_accesses += result.eob_access_count
-        per_step.append(
-            StepCounters(result.inferred_fact_count, result.eob_access_count)
-        )
-
-    first = solve(base, atoms[0], memo)
-    track(first)
-    batch = []
-    for ans in first.answers:
-        ext = _extensions(atoms[0], ans)
-        if ext is not None:
-            batch.append(ext)
-    batch = _dedupe(batch)
-
-    for step, atom in enumerate(atoms[1:]):
-        strategy = plan.strategies[step]
-        bound_vars = set().union(*(set(a.variables) for a in atoms[: step + 1]))
-        shared = tuple(v for v in atom.variables if v in bound_vars)
-        inferred0, eob0 = total.inferred_facts, total.eob_accesses
-
+    var_slot: dict[str, int] = {}
+    batch: list[tuple] = [()]
+    first = JoinStrategy(JoinMethod.NESTED_LOOP)
+    for atom, strategy in zip(plan.atoms, (first, *plan.strategies)):
         if not batch:
             per_step.append(StepCounters(0, 0))
             continue
-
+        inferred0, eob0 = total.inferred_facts, total.eob_accesses
+        body_atom = _body_atom(memo, atom)
         if strategy.method is JoinMethod.NESTED_LOOP:
-            out = []
-            for s in batch:
-                result = solve(base, _bind_atom(atom, s), memo)
-                total.inferred_facts += result.inferred_fact_count
-                total.eob_accesses += result.eob_access_count
-                for ans in result.answers:
-                    ext = _extensions(_bind_atom(atom, s), ans)
-                    if ext is not None:
-                        out.append({**s, **ext})
-            batch = _dedupe(out)
-        elif strategy.method is JoinMethod.BLOCK_NESTED_LOOP:
-            out = []
-            size = strategy.block_size
-            for start in range(0, len(batch), size):
-                block = batch[start : start + size]
-                result = solve(base, atom, memo)
-                total.inferred_facts += result.inferred_fact_count
-                total.eob_accesses += result.eob_access_count
-                out.extend(_merge_join(block, atom, result.answers, shared))
-            batch = _dedupe(out)
-        else:  # hash join
-            result = solve(base, atom, memo)
-            total.inferred_facts += result.inferred_fact_count
-            total.eob_accesses += result.eob_access_count
-            batch = _dedupe(_merge_join(batch, atom, result.answers, shared))
-
+            steps = _compile_body([body_atom], var_slot)
+            out = _evaluate(base, memo, total, steps, batch)
+        else:
+            size = (
+                strategy.block_size
+                if strategy.method is JoinMethod.BLOCK_NESTED_LOOP
+                else len(batch)
+            )
+            out = _equi_join(
+                base, memo, total, body_atom, size, batch, var_slot
+            )
+        # The batch is kept sorted: each substitution's extensions follow
+        # it in ascending id order, so later steps call the memo in a fixed
+        # order. Rows are distinct, so no duplicates arise.
+        batch = sorted(out)
         per_step.append(
             StepCounters(
                 total.inferred_facts - inferred0, total.eob_accesses - eob0
@@ -162,13 +107,22 @@ def execute(base, plan: Plan) -> ExecutionReport:
         )
 
     head = plan.query.head
-    answers = {}
-    for s in batch:
-        ground = _bind_atom(head, s)
-        answers.setdefault(str(ground), ground)
-    ordered = [answers[k] for k in sorted(answers)]
+    instances: set[tuple] = set()
+    if batch:
+        slots = [var_slot[t.value] for t in head.args if t.is_var]
+        instances = set(map(_getter(slots), batch))
+    text = base.symbols.text
+    ids = {v for values in instances for v in values}
+    term = {v: Term.const(text(v)) for v in ids}
+    answers = []
+    for values in instances:
+        consts = map(term.__getitem__, values)
+        answers.append(Atom(head.predicate, tuple(
+            next(consts) if t.is_var else t for t in head.args
+        )))
+    answers.sort(key=str)
     return ExecutionReport(
-        ordered, total.inferred_facts, total.eob_accesses, per_step
+        answers, total.inferred_facts, total.eob_accesses, per_step
     )
 
 

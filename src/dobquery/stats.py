@@ -575,6 +575,11 @@ def catalog_from_text(text: str) -> StatisticsCatalog:
         except (DobError, ValueError) as exc:
             raise AnalyzerError(f"catalog line {line_no}: {exc}") from None
 
+    missing = [
+        n for n in BUILTIN_SCHEMA if n not in entries and n not in iob_rows
+    ]
+    if missing:
+        raise AnalyzerError(f"catalog has no entry for {', '.join(missing)}")
     eob = {n: st for n, st in entries.items() if isinstance(st, EobStats)}
     for name, rows in iob_rows.items():
         schema = schema_for(name)

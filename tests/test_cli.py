@@ -173,6 +173,22 @@ def test_bad_catalog_header_is_data_error(workspace, capsys, header, detail):
     assert f"catalog line 2: {detail}" in err
 
 
+def test_incomplete_catalog_is_data_error(workspace, capsys):
+    dob, catalog = workspace
+    lines = catalog.read_text().splitlines()
+    catalog.write_text("\n".join(
+        ln for ln in lines if ln.startswith(("#", "isClass "))
+    ) + "\n")
+    code, _, err = run(
+        capsys,
+        "query", str(dob), "--catalog", str(catalog),
+        "-q", "q(C):-areClasses(C,carsOnt).",
+    )
+    assert code == 2
+    assert "catalog has no entry for isOntology," in err
+    assert "areClasses" in err
+
+
 def test_query_parse_error_is_data_error(workspace, capsys):
     dob, catalog = workspace
     code, _, err = run(

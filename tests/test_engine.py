@@ -182,6 +182,43 @@ def test_table_entry_cap_enforced():
         solve(base, parse_atom("areSubClasses(X,Y)"), memo)
 
 
+def test_memo_usable_after_table_entry_cap_error():
+    base = OntologyBase.from_facts(
+        parse_atom(f"subClassOf(c{i},c{i + 1})") for i in range(30)
+    )
+    memo = MemoTable(max_entries=40)
+    with pytest.raises(EngineLimitError):
+        solve(base, parse_atom("areSubClasses(c0,X)"), memo)
+    # the partial tables of the aborted group are gone; complete ones stay
+    assert not memo._active
+    assert memo._entries == sum(len(t) for t in memo.tables.values())
+    memo.max_entries = 1_000_000
+    for start, ancestors in (("c20", 10), ("c0", 30)):
+        atom = parse_atom(f"areSubClasses({start},X)")
+        assert len(solve(base, atom, memo).answers) == ancestors
+    atom = parse_atom("areSubClasses(c10,X)")
+    assert len(solve_sequence(base, [atom], memo=memo)[0]) == 20
+
+
+def test_rule_program_is_compiled_once_per_base(cars_base):
+    first, second = MemoTable(), MemoTable()
+    atom = parse_atom("areClasses(C,O)")
+    # tables stay per memo: the second memo pays the whole derivation again
+    assert _counts(solve(cars_base, atom, first)) == _counts(
+        solve(cars_base, atom, second)
+    )
+    assert first._program is second._program
+
+    base = OntologyBase.from_facts([parse_atom("isClass(a,o)")])
+    before = MemoTable()
+    before.bind(base)
+    base.assert_fact(parse_atom("isClass(b,o)"))
+    after = MemoTable()
+    after.bind(base)
+    assert after._program is not before._program
+    assert len(solve(base, atom, after).answers) == 2
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_topdown_equals_oracle_free_patterns(seed):
     rng = random.Random(seed)

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dobquery import (
     JoinMethod,
@@ -15,7 +17,9 @@ from dobquery import (
     solve_sequence,
     uniform_plan,
 )
-from dobquery.model import Atom, Query, Term
+from dobquery.model import (
+    BUILTIN_SCHEMA, IOB_PREDICATES, ArgDomain, Atom, Query, Term,
+)
 from conftest import random_base
 
 CARS_Q = "q(O):-areClasses(C,O),isDProperty(traction,C)."
@@ -113,7 +117,6 @@ def _random_query(rng, base):
     n = rng.randint(2, 3)
     var_pool = ["X", "Y", "Z", "W"]
     body = []
-    from dobquery.model import BUILTIN_SCHEMA
     for _ in range(n):
         name = rng.choice(populated)
         arity = BUILTIN_SCHEMA[name].arity
@@ -166,3 +169,104 @@ def test_ordering_soundness_random(seed):
         if reference is None:
             reference = answers
         assert answers == reference
+
+
+_CROSS_Q = "q(P,O):-isDProperty(P,vehicle),isOntology(O)."
+_NLJ = JoinStrategy(JoinMethod.NESTED_LOOP)
+_HASH = JoinStrategy(JoinMethod.HASH_JOIN)
+
+
+def _bnlj(size):
+    return JoinStrategy(JoinMethod.BLOCK_NESTED_LOOP, size)
+
+
+@pytest.mark.parametrize("text, strategy, cost, steps", [
+    (CARS_Q, _NLJ, 29, [(14, 12), (0, 3)]),
+    (CARS_Q, _bnlj(1), 38, [(14, 12), (0, 12)]),
+    (CARS_Q, _bnlj(2), 32, [(14, 12), (0, 6)]),
+    (CARS_Q, _HASH, 27, [(14, 12), (0, 1)]),
+    (CARS_Q_PRIME, _NLJ, 12, [(0, 1), (5, 6)]),
+    (_CROSS_Q, _bnlj(1), 8, [(0, 2), (0, 6)]),
+    (_CROSS_Q, _HASH, 5, [(0, 2), (0, 3)]),
+])
+def test_pinned_step_counters_on_cars(cars_base, text, strategy, cost, steps):
+    """(inferred facts, EOB accesses) per step: nested loop probes once per
+    incoming substitution, block nested loop once per block, hash once."""
+    report = execute(cars_base, uniform_plan(parse_query(text), strategy))
+    assert report.actual_cost == cost
+    assert [
+        (s.inferred_facts, s.eob_accesses) for s in report.per_step
+    ] == steps
+
+
+_ALL_STRATEGIES = [_NLJ, _bnlj(1), _bnlj(2), _bnlj(32), _HASH]
+
+# Variables per argument domain; a value can be an individual, so value
+# positions share the individual variables and join with them.
+_DOMAIN_VARS = {
+    ArgDomain.CLASS: ("C", "D"),
+    ArgDomain.ONTOLOGY: ("O", "P"),
+    ArgDomain.INDIVIDUAL: ("I", "J"),
+    ArgDomain.PROPERTY: ("R",),
+    ArgDomain.VALUE: ("I", "J", "V"),
+}
+
+
+def _random_atom(data, pred, constants):
+    """Mostly variables of the argument's domain, so atoms join and repeat
+    variables; otherwise a constant of that domain or, rarely, a constant
+    the base never saw."""
+    args = []
+    for domain in BUILTIN_SCHEMA[pred].arg_domains:
+        kind = data.draw(st.integers(0, 9))
+        if kind < 7:
+            variables = _DOMAIN_VARS[domain]
+            args.append(Term.var(data.draw(st.sampled_from(variables))))
+        elif kind < 9 and constants[domain]:
+            pool = constants[domain]
+            args.append(Term.const(data.draw(st.sampled_from(pool))))
+        else:
+            args.append(Term.const("absent"))
+    return Atom(pred, tuple(args))
+
+
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_strategies_agree_with_solve_sequence(seed, data):
+    """Every strategy returns the answers of the written order's
+    nested-loop evaluation, in text order, on random (often cyclic) bases.
+    Atoms repeat variables and use constants absent from the base, and the
+    head carries a constant."""
+    base = random_base(random.Random(seed), max_facts=60)
+    constants = {d: set() for d in ArgDomain}
+    for fact in base.facts():
+        for d, t in zip(BUILTIN_SCHEMA[fact.predicate].arg_domains, fact.args):
+            constants[d].add(t.value)
+    constants = {d: sorted(values) for d, values in constants.items()}
+    preds = sorted(
+        p for p in BUILTIN_SCHEMA if base.rows(p) or p in IOB_PREDICATES
+    )
+    body = [
+        _random_atom(data, pred, constants)
+        for pred in data.draw(
+            st.lists(st.sampled_from(preds), min_size=1, max_size=3)
+        )
+    ]
+    variables = sorted({v for a in body for v in a.variables})
+    head_const = data.draw(
+        st.sampled_from(["hc", "absent", *constants[ArgDomain.CLASS]])
+    )
+    query = Query(Atom("q", tuple(
+        [Term.var(v) for v in variables] + [Term.const(head_const)]
+    )), tuple(body))
+    order = tuple(data.draw(st.permutations(range(len(body)))))
+
+    substs, counters = solve_sequence(base, [body[i] for i in order])
+    want = sorted({
+        str(Atom("q", tuple(
+            Term.const(s[t.value]) if t.is_var else t for t in query.head.args
+        )))
+        for s in substs
+    })
+    for strategy in _ALL_STRATEGIES:
+        report = execute(base, uniform_plan(query, strategy, order))
+        assert [str(a) for a in report.answers] == want, strategy

@@ -220,6 +220,18 @@ def test_catalog_parse_errors_name_the_line(cars_base, bad, message):
         catalog_from_text("\n".join(lines))
 
 
+def test_incomplete_catalog_is_refused_at_load(cars_base):
+    lines = catalog_to_text(build_exact_catalog(cars_base)).splitlines()
+    kept = [
+        ln for ln in lines if ln.startswith(("#", "isClass ", "areClasses "))
+    ]
+    with pytest.raises(AnalyzerError, match="no entry for isOntology, "
+                       "impOntology, .*, areStatements$") as info:
+        catalog_from_text("\n".join(kept))
+    assert "isClass," not in str(info.value)
+    assert "areClasses," not in str(info.value)
+
+
 def test_cars_free_cardinality_accurate_over_seeds(cars_base):
     hits = 0
     for seed in range(100):

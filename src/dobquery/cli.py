@@ -84,20 +84,19 @@ def _cmd_query(args) -> int:
     base = _load_base(args.dob)
     query = parse_query(args.query)
     strategies = _enabled_strategies(args.strategy, args.block_size)
-    if args.no_optimize:
-        if len(strategies) == 1:
-            plan = uniform_plan(query, strategies[0])
-        else:
+    if args.no_optimize and len(strategies) == 1:
+        plan = uniform_plan(query, strategies[0])
+        catalog = load_catalog(args.catalog) if args.explain else None
+    else:
+        catalog = load_catalog(args.catalog)
+        if args.no_optimize:
             # keep the written ordering, pick per-step strategies by cost
-            catalog = load_catalog(args.catalog)
             plan = plan_for_order(
                 query, catalog, range(len(query.body)), strategies
             )
-    else:
-        catalog = load_catalog(args.catalog)
-        plan = optimize(query, catalog, strategies)
+        else:
+            plan = optimize(query, catalog, strategies)
     if args.explain:
-        catalog = load_catalog(args.catalog)
         print(explain_plan(plan, catalog), file=sys.stderr)
     report = execute(base, plan)
     for answer in report.answers:

@@ -88,21 +88,105 @@ def _distinct_at(catalog: StatisticsCatalog, atom: Atom, pos: int) -> float:
     return max(1.0, entry.distinct_values[pos])
 
 
-def _min_distinct(catalog, atoms, var: str) -> float:
-    """Distinct-value estimate of a variable over a set of atoms: the
-    tightest count among its occurrences."""
-    best = None
-    for atom in atoms:
-        for i, t in enumerate(atom.args):
-            if t.is_var and t.value == var:
-                d = _distinct_at(catalog, atom, i)
-                best = d if best is None else min(best, d)
-    return best if best is not None else 1.0
+def _atom_distinct(catalog: StatisticsCatalog, atom: Atom) -> dict[str, float]:
+    """Distinct-value estimate of each variable of an atom, in
+    `Atom.variables` order: the tightest count among its occurrences."""
+    distinct: dict[str, float] = {}
+    for i, t in enumerate(atom.args):
+        if t.is_var:
+            d = _distinct_at(catalog, atom, i)
+            best = distinct.get(t.value)
+            distinct[t.value] = d if best is None else min(best, d)
+    return distinct
 
 
-def shared_variables(left_atoms, right_atom: Atom) -> tuple[str, ...]:
-    left_vars = {v for a in left_atoms for v in a.variables}
-    return tuple(v for v in right_atom.variables if v in left_vars)
+class JoinTable:
+    """Join inputs of one query body under one catalog, computed once.
+
+    Subgoals are numbered by their position in `atoms`, and a left prefix
+    is the int bitmask of the subgoals it covers. The constant-only
+    estimate and per-variable distinct counts of each subgoal are read
+    once from the catalog; the reduction factor and the sideways-
+    instantiated cost of each (left set, right subgoal) pair are computed
+    on first use. Neither depends on the join strategy or on the order
+    within the left set, so every strategy and ordering shares them.
+    """
+
+    def __init__(self, catalog: StatisticsCatalog, atoms):
+        self.catalog = catalog
+        self.atoms = tuple(atoms)
+        self.estimates = tuple(predicate_estimate(catalog, a) for a in self.atoms)
+        self._distinct = tuple(_atom_distinct(catalog, a) for a in self.atoms)
+        # variable -> bitmask of the subgoals it occurs in
+        self._holders: dict[str, int] = {}
+        for i, distinct in enumerate(self._distinct):
+            for var in distinct:
+                self._holders[var] = self._holders.get(var, 0) | 1 << i
+        self._inputs: dict[tuple[int, int], tuple[float, float]] = {}
+        self._inst_costs: dict[tuple[int, frozenset], float] = {}
+
+    def inputs(self, left: int, right: int) -> tuple[float, float]:
+        """(reduction factor, cost of subgoal `right` with the variables it
+        shares with the left set bound) for the subgoal set `left`.
+
+        The reduction factor is the product over shared variables of
+        1/max(distinct left, distinct right), under independence and
+        uniformity; 1.0 with no shared variables.
+        """
+        key = (left, right)
+        found = self._inputs.get(key)
+        if found is not None:
+            return found
+        rf = 1.0
+        shared = []
+        for var, d_right in self._distinct[right].items():
+            holders = self._holders[var] & left
+            if holders:
+                d_left = min(
+                    self._distinct[i][var]
+                    for i in range(holders.bit_length()) if holders >> i & 1
+                )
+                rf /= max(d_left, d_right)
+                shared.append(var)
+        inst_key = (right, frozenset(shared))
+        inst_cost = self._inst_costs.get(inst_key)
+        if inst_cost is None:
+            inst_cost = self._inst_costs[inst_key] = predicate_estimate(
+                self.catalog, self.atoms[right], inst_key[1]
+            ).cost
+        found = self._inputs[key] = (rf, inst_cost)
+        return found
+
+    def join(
+        self, left_estimate: Estimate, left: int, right: int, strategies
+    ) -> tuple[Estimate, JoinStrategy]:
+        """Estimate of extending a left-deep prefix that covers the subgoal
+        set `left` with subgoal `right`, by the cheapest of `strategies`
+        (ties keep the first).
+
+        Cardinality is strategy-independent: card(L) * card(R under query
+        constants only) * reduction factor. Cost per strategy: nested loop
+        charges the instantiated right side once per left row; block
+        nested loop charges the right side once per block, unscaled; hash
+        join charges each side once.
+        """
+        rf, inst_cost = self.inputs(left, right)
+        r_const = self.estimates[right]
+        left_cost, left_card = left_estimate.cost, left_estimate.cardinality
+        best_cost = best_strategy = None
+        for strategy in strategies:
+            if strategy.method is JoinMethod.NESTED_LOOP:
+                cost = nested_loop_cost(left_cost, left_card, inst_cost)
+            elif strategy.method is JoinMethod.BLOCK_NESTED_LOOP:
+                cost = block_nested_loop_cost(
+                    left_cost, left_card, r_const.cost, strategy.block_size
+                )
+            else:
+                cost = hash_join_cost(left_cost, r_const.cost)
+            if best_cost is None or cost < best_cost:
+                best_cost, best_strategy = cost, strategy
+        card = join_cardinality(left_card, r_const.cardinality, rf)
+        return Estimate(cost=best_cost, cardinality=card), best_strategy
 
 
 def reduction_factor(
@@ -110,12 +194,10 @@ def reduction_factor(
 ) -> float:
     """Product over shared variables of 1/max(distinct left, distinct right),
     under independence and uniformity; 1.0 with no shared variables."""
-    rf = 1.0
-    for var in shared_variables(left_atoms, right_atom):
-        d_left = _min_distinct(catalog, left_atoms, var)
-        d_right = _min_distinct(catalog, [right_atom], var)
-        rf /= max(d_left, d_right)
-    return rf
+    left_atoms = list(left_atoms)
+    table = JoinTable(catalog, [*left_atoms, right_atom])
+    n = len(left_atoms)
+    return table.inputs((1 << n) - 1, n)[0]
 
 
 def join_cardinality(left_card: float, right_card: float, rf: float) -> float:
@@ -143,33 +225,12 @@ def join_estimate(
     right_atom: Atom,
     strategy: JoinStrategy,
 ) -> Estimate:
-    """Estimate of extending a left-deep prefix with one more subgoal.
-
-    Cardinality is strategy-independent: card(L) * card(R under query
-    constants only) * reduction factor. Cost per strategy: nested loop
-    charges the instantiated right side once per left row; block nested
-    loop charges the right side once per block, unscaled; hash join
-    charges each side once.
-    """
-    r_const = predicate_estimate(catalog, right_atom)
-    rf = reduction_factor(catalog, left_atoms, right_atom)
-    card = join_cardinality(left_estimate.cardinality, r_const.cardinality, rf)
-    if strategy.method is JoinMethod.NESTED_LOOP:
-        sideways = set(shared_variables(left_atoms, right_atom))
-        r_inst = predicate_estimate(catalog, right_atom, sideways)
-        cost = nested_loop_cost(
-            left_estimate.cost, left_estimate.cardinality, r_inst.cost
-        )
-    elif strategy.method is JoinMethod.BLOCK_NESTED_LOOP:
-        cost = block_nested_loop_cost(
-            left_estimate.cost,
-            left_estimate.cardinality,
-            r_const.cost,
-            strategy.block_size,
-        )
-    else:
-        cost = hash_join_cost(left_estimate.cost, r_const.cost)
-    return Estimate(cost=cost, cardinality=card)
+    """Estimate of extending a left-deep prefix with one more subgoal by
+    `strategy`; see `JoinTable.join`."""
+    left_atoms = list(left_atoms)
+    table = JoinTable(catalog, [*left_atoms, right_atom])
+    n = len(left_atoms)
+    return table.join(left_estimate, (1 << n) - 1, n, (strategy,))[0]
 
 
 def plan_estimate(
@@ -184,9 +245,8 @@ def plan_estimate(
         raise SchemaError(
             f"expected {len(atoms) - 1} join strategies, got {len(strategies)}"
         )
-    estimate = predicate_estimate(catalog, atoms[0])
-    for i, atom in enumerate(atoms[1:]):
-        estimate = join_estimate(
-            catalog, estimate, atoms[: i + 1], atom, strategies[i]
-        )
+    table = JoinTable(catalog, atoms)
+    estimate = table.estimates[0]
+    for i, strategy in enumerate(strategies, start=1):
+        estimate, _ = table.join(estimate, (1 << i) - 1, i, (strategy,))
     return estimate

@@ -354,12 +354,7 @@ def _run(base, memo, counters, steps, substs):
         if step.eob:
             match_rows, pred, same = base.match_rows, step.pred, step.same
             for s in substs:
-                rows = match_rows(pred, args(s + extras))
-                if same:
-                    rows = [
-                        row for row in rows
-                        if all(row[i] == row[j] for i, j in same)
-                    ]
+                rows = match_rows(pred, args(s + extras), same)
                 out.extend(map(s.__add__, map(new, rows)))
             counters.eob_accesses += len(out)
         else:

@@ -114,13 +114,29 @@ def execute(base, plan: Plan) -> ExecutionReport:
     text = base.symbols.text
     ids = {v for values in instances for v in values}
     term = {v: Term.const(text(v)) for v in ids}
-    answers = []
-    for values in instances:
-        consts = map(term.__getitem__, values)
-        answers.append(Atom(head.predicate, tuple(
-            next(consts) if t.is_var else t for t in head.args
-        )))
-    answers.sort(key=str)
+    shown = {v: str(t) for v, t in term.items()}
+    # `arrange(values + head constants)` is in head argument order.
+    head_consts = tuple(t for t in head.args if not t.is_var)
+    shown_consts = tuple(map(str, head_consts))
+    n_vars = len(head.args) - len(head_consts)
+    var_at = iter(range(n_vars))
+    const_at = iter(range(n_vars, len(head.args)))
+    arrange = _getter([
+        next(var_at) if t.is_var else next(const_at) for t in head.args
+    ])
+
+    def text_key(values):
+        """str() of the answer, from each term's text rendered once."""
+        shown_values = tuple(map(shown.__getitem__, values))
+        args = ",".join(arrange(shown_values + shown_consts))
+        return f"{head.predicate}({args})"
+
+    answers = [
+        Atom(head.predicate, arrange(
+            tuple(map(term.__getitem__, values)) + head_consts
+        ))
+        for values in sorted(instances, key=text_key)
+    ]
     return ExecutionReport(
         answers, total.inferred_facts, total.eob_accesses, per_step
     )

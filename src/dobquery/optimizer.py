@@ -10,16 +10,9 @@ enumeration under the same cost model.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .costmodel import (
-    Estimate,
-    JoinStrategy,
-    default_strategies,
-    join_estimate,
-    plan_estimate,
-    predicate_estimate,
-)
+from .costmodel import Estimate, JoinStrategy, JoinTable, default_strategies
 from .model import Atom, DobError, Query
 from .stats import StatisticsCatalog
 
@@ -28,9 +21,16 @@ class OptimizerError(DobError):
     pass
 
 
+# Largest body `optimize` accepts. The DP extends every subgoal set by
+# every subgoal outside it, so its work more than doubles per extra
+# subgoal; 12 is the largest body that optimizes in under 2 s on the
+# timings in README "Optimizer".
+MAX_OPTIMIZE_SUBGOALS = 12
+
+
 @dataclass(frozen=True)
 class SubPlan:
-    atom_set: frozenset[int]
+    atom_set: int  # bitmask of the body positions the subplan covers
     order: tuple[int, ...]
     strategies: tuple[JoinStrategy, ...]
     estimate: Estimate
@@ -42,6 +42,8 @@ class Plan:
     order: tuple[int, ...]
     strategies: tuple[JoinStrategy, ...]
     estimate: Estimate
+    # The join table the plan was costed on, if any; `explain_plan` reads it.
+    joins: JoinTable | None = field(default=None, compare=False, repr=False)
 
     @property
     def atoms(self) -> tuple[Atom, ...]:
@@ -80,23 +82,19 @@ def _prune(subplans: list[SubPlan]) -> list[SubPlan]:
     return kept
 
 
-def _extend(catalog, query, sp: SubPlan, idx: int, strategies) -> SubPlan:
+def _extend(joins: JoinTable, sp: SubPlan, idx: int, strategies) -> SubPlan:
     """`sp` joined with one more subgoal by its cheapest enabled strategy."""
-    left_atoms = [query.body[i] for i in sp.order]
-    right = query.body[idx]
-    best = None
-    best_strategy = None
-    for strategy in strategies:
-        est = join_estimate(catalog, sp.estimate, left_atoms, right, strategy)
-        if best is None or est.cost < best.cost:
-            best = est
-            best_strategy = strategy
+    estimate, strategy = joins.join(sp.estimate, sp.atom_set, idx, strategies)
     return SubPlan(
-        sp.atom_set | {idx},
+        sp.atom_set | 1 << idx,
         sp.order + (idx,),
-        sp.strategies + (best_strategy,),
-        best,
+        sp.strategies + (strategy,),
+        estimate,
     )
+
+
+def _members(atom_set: int) -> list[int]:
+    return [i for i in range(atom_set.bit_length()) if atom_set >> i & 1]
 
 
 def _strategies(enabled_strategies) -> tuple[JoinStrategy, ...]:
@@ -117,31 +115,37 @@ def optimize(
 
     Every extension of every subplan is considered (subgoals sharing no
     variable join as a cross product with reduction factor 1), so the
-    result is exact with respect to the cost model; equal-cost complete
-    plans tie-break to the lexicographically smallest ordering.
+    result's cost is exact with respect to the cost model. Equal-cost
+    complete plans tie-break to the lexicographically smallest ordering
+    among those pruning kept; pruning may drop an equal-cost ordering of
+    higher cardinality. Bodies of more than `MAX_OPTIMIZE_SUBGOALS`
+    subgoals are refused.
     """
     if not query.body:
         raise OptimizerError("cannot optimize an empty query body")
+    n = len(query.body)
+    if n > MAX_OPTIMIZE_SUBGOALS:
+        raise OptimizerError(
+            f"optimization is capped at {MAX_OPTIMIZE_SUBGOALS} subgoals, "
+            f"the query has {n}"
+        )
     strategies = _strategies(enabled_strategies)
     if not strategies:
         raise OptimizerError("at least one join strategy must be enabled")
-    n = len(query.body)
+    joins = JoinTable(catalog, query.body)
 
-    frontier: dict[frozenset[int], list[SubPlan]] = {}
-    for i, atom in enumerate(query.body):
-        sp = SubPlan(
-            frozenset([i]), (i,), (), predicate_estimate(catalog, atom)
-        )
-        frontier[sp.atom_set] = [sp]
-
+    frontier: dict[int, list[SubPlan]] = {
+        1 << i: [SubPlan(1 << i, (i,), (), est)]
+        for i, est in enumerate(joins.estimates)
+    }
     for _round in range(n - 1):
-        extended: dict[frozenset[int], list[SubPlan]] = {}
-        for key in sorted(frontier, key=sorted):
+        extended: dict[int, list[SubPlan]] = {}
+        for key in sorted(frontier, key=_members):
             for sp in frontier[key]:
                 for idx in range(n):
-                    if idx in sp.atom_set:
+                    if key >> idx & 1:
                         continue
-                    new = _extend(catalog, query, sp, idx, strategies)
+                    new = _extend(joins, sp, idx, strategies)
                     extended.setdefault(new.atom_set, []).append(new)
         if prune:
             frontier = {k: _prune(v) for k, v in extended.items()}
@@ -150,7 +154,14 @@ def optimize(
 
     complete = [sp for plans in frontier.values() for sp in plans]
     best = min(complete, key=lambda sp: (sp.estimate.cost, sp.order))
-    return Plan(query, best.order, best.strategies, best.estimate)
+    return Plan(query, best.order, best.strategies, best.estimate, joins)
+
+
+def _plan_for_order(joins: JoinTable, query: Query, order, strategies) -> Plan:
+    sp = SubPlan(1 << order[0], order[:1], (), joins.estimates[order[0]])
+    for idx in order[1:]:
+        sp = _extend(joins, sp, idx, strategies)
+    return Plan(query, sp.order, sp.strategies, sp.estimate, joins)
 
 
 def plan_for_order(
@@ -161,17 +172,10 @@ def plan_for_order(
 ) -> Plan:
     """The plan joining the body in `order`, each step by its cheapest
     enabled strategy."""
-    order = tuple(order)
-    strategies = _strategies(enabled_strategies)
-    sp = SubPlan(
-        frozenset(order[:1]),
-        order[:1],
-        (),
-        predicate_estimate(catalog, query.body[order[0]]),
+    return _plan_for_order(
+        JoinTable(catalog, query.body), query, tuple(order),
+        _strategies(enabled_strategies),
     )
-    for idx in order[1:]:
-        sp = _extend(catalog, query, sp, idx, strategies)
-    return Plan(query, sp.order, sp.strategies, sp.estimate)
 
 
 def exhaustive_orderings(
@@ -191,30 +195,38 @@ def exhaustive_orderings(
         raise OptimizerError(
             f"exhaustive enumeration is capped at {max_subgoals} subgoals"
         )
+    joins = JoinTable(catalog, query.body)
+    strategies = _strategies(enabled_strategies)
     out = []
     for perm in itertools.permutations(range(n)):
-        plan = plan_for_order(query, catalog, perm, enabled_strategies)
+        plan = _plan_for_order(joins, query, perm, strategies)
         out.append((plan, plan.estimate))
     return out
 
 
 def explain_plan(plan: Plan, catalog: StatisticsCatalog) -> str:
-    """Indented step listing with per-prefix estimates."""
+    """Indented step listing with per-prefix estimates, read from the join
+    table the plan was costed on when it was costed on `catalog`."""
+    joins = plan.joins
+    if joins is None or joins.catalog is not catalog:
+        joins = JoinTable(catalog, plan.query.body)
     lines = [f"plan for {plan.query.head}  "
              f"(cost={plan.estimate.cost:.3f}, card={plan.estimate.cardinality:.3f})"]
     atoms = plan.atoms
-    running = predicate_estimate(catalog, atoms[0])
+    first = plan.order[0]
+    running = joins.estimates[first]
     lines.append(
         f"  1. {atoms[0]}  "
         f"[cost={running.cost:.3f}, card={running.cardinality:.3f}]"
     )
-    for i, atom in enumerate(atoms[1:], start=2):
-        strategy = plan.strategies[i - 2]
-        running = join_estimate(
-            catalog, running, list(atoms[: i - 1]), atom, strategy
-        )
+    left = 1 << first
+    for i, (idx, strategy) in enumerate(
+        zip(plan.order[1:], plan.strategies), start=2
+    ):
+        running, _ = joins.join(running, left, idx, (strategy,))
+        left |= 1 << idx
         lines.append(
-            f"  {i}. {atom}  via {strategy}  "
+            f"  {i}. {atoms[i - 1]}  via {strategy}  "
             f"[cost={running.cost:.3f}, card={running.cardinality:.3f}]"
         )
     return "\n".join(lines)

@@ -90,27 +90,34 @@ class OntologyBase:
         """All interned rows of a predicate, insertion order. Do not mutate."""
         return self._rows.get(predicate, [])
 
-    def match_rows(self, predicate: str, pattern) -> list[tuple[int, ...]]:
-        """Rows matching a tuple of constant ids (None = free position)."""
+    def match_rows(
+        self, predicate: str, pattern, same=()
+    ) -> list[tuple[int, ...]]:
+        """Rows matching a tuple of constant ids (None = free position)
+        whose positions agree for every (i, j) pair in `same`."""
         rows = self._rows.get(predicate)
         if not rows:
             return []
         bound = [(i, c) for i, c in enumerate(pattern) if c is not None]
-        if not bound:
-            return rows
-        postings = None
-        for i, c in bound:
-            p = self._index.get((predicate, i, c))
-            if not p:
-                return []
-            if postings is None or len(p) < len(postings):
-                postings = p
-        out = []
-        for pos in postings:
-            row = rows[pos]
-            if all(row[i] == c for i, c in bound):
-                out.append(row)
-        return out
+        if bound:
+            postings = None
+            for i, c in bound:
+                p = self._index.get((predicate, i, c))
+                if not p:
+                    return []
+                if postings is None or len(p) < len(postings):
+                    postings = p
+            out = []
+            for pos in postings:
+                row = rows[pos]
+                if all(row[i] == c for i, c in bound):
+                    out.append(row)
+            rows = out
+        if same:
+            rows = [
+                row for row in rows if all(row[i] == row[j] for i, j in same)
+            ]
+        return rows
 
     def match_eob(self, pattern: Atom) -> list[Atom]:
         """All facts unifying with `pattern`, in insertion order."""
@@ -118,30 +125,22 @@ class OntologyBase:
         if schema.kind is not PredicateKind.EOB:
             raise SchemaError(f"match_eob requires an EOB predicate: {pattern}")
         ids: list[int | None] = []
-        for t in pattern.args:
+        same: list[tuple[int, int]] = []
+        first: dict[str, int] = {}  # variable -> its first position
+        for pos, t in enumerate(pattern.args):
             if t.is_var:
                 ids.append(None)
+                if t.value in first:
+                    same.append((first[t.value], pos))
+                else:
+                    first[t.value] = pos
             else:
                 cid = self.symbols.lookup(t.value)
                 if cid is None:
                     return []
                 ids.append(cid)
-        # Index lookup covers constants; repeated variables still need the
-        # equality check a unification scan would perform.
-        var_slots: dict[str, int] = {}
-        out = []
-        for row in self.match_rows(pattern.predicate, tuple(ids)):
-            ok = True
-            var_slots.clear()
-            for i, t in enumerate(pattern.args):
-                if t.is_var:
-                    first = var_slots.setdefault(t.value, row[i])
-                    if first != row[i]:
-                        ok = False
-                        break
-            if ok:
-                out.append(self.to_atom(pattern.predicate, row))
-        return out
+        rows = self.match_rows(pattern.predicate, tuple(ids), same)
+        return [self.to_atom(pattern.predicate, row) for row in rows]
 
     def to_atom(self, predicate: str, row: tuple[int, ...]) -> Atom:
         return Atom(

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from dobquery.cli import cli_main
+from dobquery.optimizer import MAX_OPTIMIZE_SUBGOALS
 
 DATA = Path(__file__).parent / "data"
 
@@ -233,3 +234,40 @@ def test_gen_and_bench_pipeline(tmp_path, capsys):
     )
     assert code == 0
     assert len(ratio_report.read_text().strip().splitlines()) == 1 + 2 * 6
+
+
+def test_query_deep_chain_hits_table_cap_cleanly(workspace, tmp_path, capsys):
+    # The right-recursive areSubClasses program tables one call per chain
+    # node, so a 3000-deep chain derives about 4.5M answers.
+    _dob, catalog = workspace
+    chain = tmp_path / "chain.dob"
+    chain.write_text("".join(
+        f"subClassOf(c{i},c{i + 1}).\n" for i in range(3000)
+    ))
+    code, out, err = run(
+        capsys,
+        "query", str(chain), "--catalog", str(catalog),
+        "-q", "q(X):-areSubClasses(c0,X).",
+        "--no-optimize", "--strategy", "nlj",
+    )
+    assert code == 2
+    assert out == ""
+    assert "tabling store exceeded 1000000 entries" in err
+    assert "Traceback" not in err
+
+
+def test_query_past_the_optimizer_cap_is_a_data_error(workspace, capsys):
+    dob, catalog = workspace
+    n = MAX_OPTIMIZE_SUBGOALS + 1
+    body = ",".join(f"subClassOf(C{i},C{i + 1})" for i in range(n))
+    code, out, err = run(
+        capsys,
+        "query", str(dob), "--catalog", str(catalog),
+        "-q", f"q(C0):-{body}.",
+    )
+    assert code == 2
+    assert out == ""
+    assert (
+        f"optimization is capped at {n - 1} subgoals, the query has {n}"
+    ) in err
+    assert "Traceback" not in err

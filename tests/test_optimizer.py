@@ -1,20 +1,28 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dobquery import (
     Estimate,
     JoinMethod,
     JoinStrategy,
     SamplingConfig,
+    SynthConfig,
+    build_catalog,
     dominates,
     exhaustive_orderings,
     explain_plan,
+    generate_synthetic,
     optimize,
     parse_query,
+    plan_estimate,
 )
 from dobquery.model import Atom, BUILTIN_SCHEMA, PredicateKind, Query, Term
-from dobquery.optimizer import OptimizerError, SubPlan
+from dobquery.optimizer import MAX_OPTIMIZE_SUBGOALS, OptimizerError, SubPlan
 from dobquery.stats import (
     BindingPattern,
     EobStats,
@@ -24,8 +32,8 @@ from dobquery.stats import (
 )
 
 
-def _sub(cost, card, atoms=frozenset({0})):
-    return SubPlan(atoms, tuple(sorted(atoms)), (), Estimate(cost, card))
+def _sub(cost, card, atoms=0b1):
+    return SubPlan(atoms, (), (), Estimate(cost, card))
 
 
 def test_dominates_strict():
@@ -43,7 +51,7 @@ def test_dominates_equal_is_false():
 
 def test_dominates_requires_equivalence():
     with pytest.raises(OptimizerError):
-        dominates(_sub(1, 1, frozenset({0})), _sub(1, 1, frozenset({1})))
+        dominates(_sub(1, 1, 0b01), _sub(1, 1, 0b10))
 
 
 def test_optimize_cars_golden(cars_exact_catalog):
@@ -59,6 +67,19 @@ def test_optimize_single_atom(cars_exact_catalog):
     q = parse_query("q(C):-areClasses(C,carsOnt).")
     plan = optimize(q, cars_exact_catalog)
     assert plan.order == (0,) and plan.strategies == ()
+
+
+def test_optimize_caps_the_body_size(cars_exact_catalog):
+    body = ",".join(
+        f"subClassOf(C{i},C{i + 1})"
+        for i in range(MAX_OPTIMIZE_SUBGOALS + 1)
+    )
+    q = parse_query(f"q(C0):-{body}.")
+    with pytest.raises(OptimizerError, match=(
+        f"capped at {MAX_OPTIMIZE_SUBGOALS} subgoals, "
+        f"the query has {MAX_OPTIMIZE_SUBGOALS + 1}"
+    )):
+        optimize(q, cars_exact_catalog)
 
 
 def test_optimize_rejects_empty_strategy_set(cars_exact_catalog):
@@ -182,3 +203,83 @@ def test_explain_plan_lists_steps(cars_exact_catalog):
     assert "isDProperty(traction,C)" in text
     assert "cost=" in text and "card=" in text
     assert text.splitlines()[1].startswith("  1.")
+
+
+PLAN_PINS = Path(__file__).parent / "data" / "serve_plan_pins.json"
+
+
+def test_serve_style_plans_are_pinned():
+    """Order, strategies and exact estimate of the optimized plan for the
+    synthetic chain and star queries of 3-7 subgoals (scale 1, corpus
+    seed 0, default sampling)."""
+    base, _ = generate_synthetic(SynthConfig(seed=0))
+    catalog = build_catalog(base, SamplingConfig())
+    got = []
+    for n in range(3, 8):
+        _, queries = generate_synthetic(SynthConfig(
+            seed=0, chain_queries=4, star_queries=4, query_subgoals=n
+        ))
+        for q in queries:
+            plan = optimize(q, catalog)
+            got.append([
+                str(q), list(plan.order),
+                [str(s) for s in plan.strategies], repr(plan.estimate),
+            ])
+    assert got == json.loads(PLAN_PINS.read_text())
+
+
+def _drawn_query(data):
+    """Up to five subgoals whose arguments are variables of a small shared
+    pool (so they repeat within and across atoms), variables private to
+    one atom (so subgoals can be disconnected) or constants."""
+    body = []
+    for i in range(data.draw(st.integers(1, 5))):
+        pred = data.draw(st.sampled_from(sorted(BUILTIN_SCHEMA)))
+        args = []
+        for pos in range(BUILTIN_SCHEMA[pred].arity):
+            kind = data.draw(st.integers(0, 5))
+            if kind < 3:
+                args.append(Term.var(data.draw(st.sampled_from("ABC"))))
+            elif kind < 5:
+                args.append(Term.var(f"Z{i}_{pos}"))
+            else:
+                args.append(Term.const(f"k{data.draw(st.integers(0, 2))}"))
+        body.append(Atom(pred, tuple(args)))
+    head_vars = sorted({v for a in body for v in a.variables})
+    head = Atom("q", tuple(map(Term.var, head_vars)) + (Term.const("h"),))
+    return Query(head, tuple(body))
+
+
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_optimize_is_the_exhaustive_minimum(seed, data):
+    """The DP's plan costs exactly the cheapest ordering, and its estimate
+    is the left-deep fold of its own ordering, bit for bit. Pareto pruning
+    may keep an equal-cost ordering of lower cardinality in place of the
+    lexicographically smallest one; without pruning the plan is the
+    (cost, order) minimum itself."""
+    catalog = _random_catalog(random.Random(seed))
+    query = _drawn_query(data)
+    strategies = data.draw(st.sampled_from([
+        None,
+        (JoinStrategy(JoinMethod.NESTED_LOOP),),
+        (JoinStrategy(JoinMethod.HASH_JOIN),
+         JoinStrategy(JoinMethod.BLOCK_NESTED_LOOP, 3)),
+    ]))
+    orderings = {
+        plan.order: plan
+        for plan, _ in exhaustive_orderings(query, catalog, strategies)
+    }
+    best = min(orderings.values(), key=lambda p: (p.estimate.cost, p.order))
+    plan = optimize(query, catalog, strategies)
+    assert plan.estimate.cost == best.estimate.cost
+    twin = orderings[plan.order]
+    assert (plan.strategies, repr(plan.estimate)) == (
+        twin.strategies, repr(twin.estimate)
+    )
+    assert repr(plan_estimate(catalog, plan.atoms, plan.strategies)) == repr(
+        plan.estimate
+    )
+    unpruned = optimize(query, catalog, strategies, prune=False)
+    assert (unpruned.order, unpruned.strategies, repr(unpruned.estimate)) == (
+        best.order, best.strategies, repr(best.estimate)
+    )

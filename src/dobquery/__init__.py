@@ -49,7 +49,6 @@ from .stats import (
     build_catalog,
     build_exact_catalog,
     compute_eob_stats,
-    domain_size,
     estimate_iob_stats,
     load_catalog,
     save_catalog,
@@ -62,7 +61,6 @@ from .costmodel import (
     join_estimate,
     plan_estimate,
     predicate_estimate,
-    reduction_factor,
 )
 from .optimizer import (
     Plan,

@@ -16,7 +16,7 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from .costmodel import JoinStrategy, default_strategies
+from .costmodel import JoinMethod, JoinStrategy, default_strategies
 from .executor import execute
 from .model import DobError
 from .optimizer import exhaustive_orderings, optimize
@@ -98,6 +98,22 @@ def _evaluate_orderings(base, query, catalog, strategies):
     return out
 
 
+def _ordering_rows(b, query, evaluated) -> list[OrderingRow]:
+    """One row per evaluated ordering of a query on base number `b`."""
+    return [
+        OrderingRow(
+            base_id=f"base{b}",
+            query_id=f"base{b}/{query.head.predicate}",
+            ordering_index=i,
+            order=plan.order,
+            estimated_cost=estimate.cost,
+            actual_cost=actual,
+            wall_clock=elapsed,
+        )
+        for i, (plan, estimate, actual, elapsed) in enumerate(evaluated)
+    ]
+
+
 def _catalogs_for(bases, config, catalogs):
     if catalogs is not None:
         return list(catalogs)
@@ -121,20 +137,9 @@ def run_correlation(
     cats = _catalogs_for(bases, config, catalogs)
     rows: list[OrderingRow] = []
     for b, (base, catalog) in enumerate(zip(bases, cats)):
-        for q, query in enumerate(queries[b]):
+        for query in queries[b]:
             evaluated = _evaluate_orderings(base, query, catalog, strategies)
-            for i, (plan, estimate, actual, elapsed) in enumerate(evaluated):
-                rows.append(
-                    OrderingRow(
-                        base_id=f"base{b}",
-                        query_id=f"base{b}/{query.head.predicate}",
-                        ordering_index=i,
-                        order=plan.order,
-                        estimated_cost=estimate.cost,
-                        actual_cost=actual,
-                        wall_clock=elapsed,
-                    )
-                )
+            rows += _ordering_rows(b, query, evaluated)
     report = ExperimentReport(rows)
     report.correlation = pearson(report.estimate_vector, report.actual_vector)
     # Costs span orders of magnitude; the log-scale correlation is the
@@ -160,22 +165,10 @@ def run_ratio(
     rows: list[OrderingRow] = []
     ratios: list[RatioRow] = []
     for b, (base, catalog) in enumerate(zip(bases, cats)):
-        for q, query in enumerate(queries[b]):
+        for query in queries[b]:
             evaluated = _evaluate_orderings(base, query, catalog, strategies)
             actuals = [actual for _p, _e, actual, _t in evaluated]
-            qid = f"base{b}/{query.head.predicate}"
-            for i, (plan, estimate, actual, elapsed) in enumerate(evaluated):
-                rows.append(
-                    OrderingRow(
-                        base_id=f"base{b}",
-                        query_id=qid,
-                        ordering_index=i,
-                        order=plan.order,
-                        estimated_cost=estimate.cost,
-                        actual_cost=actual,
-                        wall_clock=elapsed,
-                    )
-                )
+            rows += _ordering_rows(b, query, evaluated)
             chosen = optimize(query, catalog, strategies)
             optimal = execute(base, chosen).actual_cost
             worst = max(actuals)
@@ -183,7 +176,7 @@ def run_ratio(
             ratios.append(
                 RatioRow(
                     base_id=f"base{b}",
-                    query_id=qid,
+                    query_id=f"base{b}/{query.head.predicate}",
                     optimal_cost=optimal,
                     worst_cost=worst,
                     median_cost=median,
@@ -205,8 +198,6 @@ def compare_strategy_sets(
     comparison isolates what the larger strategy search space buys: a
     better chosen plan for the same query.
     """
-    from .costmodel import JoinMethod
-
     nlj_only = (JoinStrategy(JoinMethod.NESTED_LOOP, block_size),)
     combined = default_strategies(block_size)
     cats = _catalogs_for(bases, config, catalogs)

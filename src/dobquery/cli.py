@@ -38,6 +38,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}"
+        )
+    return int(text)
+
+
 def _load_base(path: str) -> OntologyBase:
     text = Path(path).read_text(encoding="utf-8")
     return OntologyBase.from_facts(parse_dob(text, filename=path))
@@ -201,7 +209,7 @@ def build_parser() -> _Parser:
         "--strategy", choices=["nlj", "bnlj", "hash", "auto"], default="auto"
     )
     p.add_argument("--no-optimize", action="store_true")
-    p.add_argument("--block-size", type=int, default=32)
+    p.add_argument("--block-size", type=_positive_int, default=32)
     p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser("gen", help="generate synthetic corpora")
@@ -219,7 +227,7 @@ def build_parser() -> _Parser:
     p.add_argument("-p", type=float, default=0.7)
     p.add_argument("-k", type=int, default=7)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--block-size", type=int, default=32)
+    p.add_argument("--block-size", type=_positive_int, default=32)
     p.set_defaults(func=_cmd_bench)
     return parser
 

@@ -189,17 +189,6 @@ class JoinTable:
         return Estimate(cost=best_cost, cardinality=card), best_strategy
 
 
-def reduction_factor(
-    catalog: StatisticsCatalog, left_atoms, right_atom: Atom
-) -> float:
-    """Product over shared variables of 1/max(distinct left, distinct right),
-    under independence and uniformity; 1.0 with no shared variables."""
-    left_atoms = list(left_atoms)
-    table = JoinTable(catalog, [*left_atoms, right_atom])
-    n = len(left_atoms)
-    return table.inputs((1 << n) - 1, n)[0]
-
-
 def join_cardinality(left_card: float, right_card: float, rf: float) -> float:
     return left_card * right_card * rf
 

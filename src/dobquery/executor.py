@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .costmodel import JoinMethod, JoinStrategy
+from .costmodel import Estimate, JoinMethod, JoinStrategy
 from .engine import (
     Counters, MemoTable, _body_atom, _compile_body, _evaluate, _getter,
 )
@@ -25,21 +25,11 @@ from .optimizer import Plan
 
 
 @dataclass
-class StepCounters:
-    inferred_facts: int
-    eob_accesses: int
-
-    @property
-    def actual_cost(self) -> int:
-        return self.inferred_facts + self.eob_accesses
-
-
-@dataclass
 class ExecutionReport:
     answers: list[Atom]
     inferred_fact_count: int
     eob_access_count: int
-    per_step: list[StepCounters]
+    per_step: list[Counters]
 
     @property
     def actual_cost(self) -> int:
@@ -74,13 +64,13 @@ def execute(base, plan: Plan) -> ExecutionReport:
     memo = MemoTable()
     memo.bind(base)
     total = Counters()
-    per_step: list[StepCounters] = []
+    per_step: list[Counters] = []
     var_slot: dict[str, int] = {}
     batch: list[tuple] = [()]
     first = JoinStrategy(JoinMethod.NESTED_LOOP)
     for atom, strategy in zip(plan.atoms, (first, *plan.strategies)):
         if not batch:
-            per_step.append(StepCounters(0, 0))
+            per_step.append(Counters())
             continue
         inferred0, eob0 = total.inferred_facts, total.eob_accesses
         body_atom = _body_atom(memo, atom)
@@ -101,7 +91,7 @@ def execute(base, plan: Plan) -> ExecutionReport:
         # order. Rows are distinct, so no duplicates arise.
         batch = sorted(out)
         per_step.append(
-            StepCounters(
+            Counters(
                 total.inferred_facts - inferred0, total.eob_accesses - eob0
             )
         )
@@ -148,8 +138,6 @@ def uniform_plan(
     order: tuple[int, ...] | None = None,
 ) -> Plan:
     """A plan using one strategy at every step, without estimates."""
-    from .costmodel import Estimate
-
     if order is None:
         order = tuple(range(len(query.body)))
     return Plan(

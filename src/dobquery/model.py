@@ -201,6 +201,18 @@ BUILTIN_SCHEMA: dict[str, PredicateSchema] = {
     ]
 }
 
+# ArgDomain -> (sources, distinct): argument `position` of every
+# `predicate` fact in `sources` holds a value of the domain. Values are
+# listed one per defining fact, in insertion order, so a value declared
+# twice is drawn twice; a `distinct` domain lists each value once.
+DOMAIN_SOURCES: dict[ArgDomain, tuple[tuple[tuple[str, int], ...], bool]] = {
+    _C: ((("isClass", 0),), False),
+    _O: ((("isOntology", 0),), False),
+    _I: ((("isIndividual", 0),), False),
+    _P: ((("isOProperty", 0), ("isDProperty", 0)), False),
+    _V: ((("isStatement", 2),), True),
+}
+
 EOB_PREDICATES = tuple(
     n for n, s in BUILTIN_SCHEMA.items() if s.kind is PredicateKind.EOB
 )
@@ -219,10 +231,6 @@ def schema_for(predicate: str, arity: int | None = None) -> PredicateSchema:
             f"{predicate} expects {schema.arity} arguments, got {arity}"
         )
     return schema
-
-
-def is_eob(predicate: str) -> bool:
-    return schema_for(predicate).kind is PredicateKind.EOB
 
 
 def _r(head: str, *body: str) -> Rule:

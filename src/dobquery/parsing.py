@@ -1,7 +1,8 @@
 """Parsers for the fact format, the OWL abstract-syntax subset, and queries.
 
 File formats:
-  .dob   one ground fact per line, `pred(c1,...,cn).`, `%` line comments
+  .dob   one ground fact per line, `pred(c1,...,cn).`; `%` outside quotes
+         starts a comment
   .owl   functional abstract syntax, one construct per line, with an
          `Ontology(<uri>)` header and `imports <uri>` lines
   query  Datalog syntax `head(Vars) :- atom, ..., atom.`
@@ -39,12 +40,15 @@ class ParseError(DobError):
         self.location = location
 
 
+# A quoted constant: single or double quotes, backslash escapes.
+_QUOTED = r"'(?:\\.|[^'\\])*'" r'|"(?:\\.|[^"\\])*"'
+
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
     (?P<ws>\s+)
   | (?P<arrow>:-)
   | (?P<punct>[(),.])
-  | (?P<quoted>'(?:\\.|[^'\\])*'|"(?:\\.|[^"\\])*")
+  | (?P<quoted>{_QUOTED})
   | (?P<name>[A-Za-z][A-Za-z0-9_:.]*)
     """,
     re.VERBOSE,
@@ -133,11 +137,22 @@ def parse_atom(text: str, filename: str = "<string>") -> Atom:
     return atom
 
 
+_QUOTED_OR_PERCENT_RE = re.compile(f"{_QUOTED}|%")
+
+
+def _strip_comment(line: str) -> str:
+    """The line up to its first `%` outside a quoted constant."""
+    for m in _QUOTED_OR_PERCENT_RE.finditer(line):
+        if m.group() == "%":
+            return line[: m.start()]
+    return line
+
+
 def parse_dob(text: str, filename: str = "<string>") -> list[Atom]:
     """Parse the fact format: one ground built-in fact per line."""
     facts = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("%", 1)[0].strip() if "%" in raw else raw.strip()
+        line = _strip_comment(raw).strip() if "%" in raw else raw.strip()
         if not line:
             continue
         ts = _TokenStream(line, filename, line_no)
@@ -157,13 +172,20 @@ def parse_dob(text: str, filename: str = "<string>") -> list[Atom]:
     return facts
 
 
-def render_atom(atom: Atom) -> str:
-    return str(atom)
-
-
 def render_dob(facts) -> str:
-    """Serialize facts one per line; inverse of parse_dob."""
-    return "".join(f"{atom}.\n" for atom in facts)
+    """Serialize facts one per line; inverse of parse_dob. A constant
+    containing a line break (anything `str.splitlines` splits on) cannot be
+    written on one line, so it raises DobError."""
+    lines = []
+    for atom in facts:
+        line = f"{atom}.\n"
+        if len(line.splitlines()) > 1:
+            raise DobError(
+                f"cannot write fact {str(atom)!r}: a constant contains a "
+                f"line break"
+            )
+        lines.append(line)
+    return "".join(lines)
 
 
 # --- OWL Lite abstract-syntax subset ---------------------------------------

@@ -22,10 +22,10 @@ from itertools import product
 
 from . import engine
 from .model import (
-    ArgDomain,
     Atom,
     BUILTIN_SCHEMA,
     DobError,
+    IOB_PREDICATES,
     PredicateKind,
     SchemaError,
     Term,
@@ -82,7 +82,6 @@ class EobStats:
 @dataclass
 class IobStats:
     arity: int
-    domain_sizes: tuple[int, ...]
     distinct_values: tuple[float, ...]
     cardinality: dict[BindingPattern, float]
     cost: dict[BindingPattern, float]
@@ -105,6 +104,8 @@ class SamplingConfig:
             raise AnalyzerError(f"confidence p must lie in [0, 1): {self.p}")
         if self.k < 1:
             raise AnalyzerError(f"first-stage sample count must be >= 1: {self.k}")
+        if self.m_max is not None and self.m_max < 1:
+            raise AnalyzerError(f"sample cap m_max must be >= 1: {self.m_max}")
         if self.clt_factor and self.p <= 0:
             raise AnalyzerError("the normal-quantile factor requires p > 0")
 
@@ -150,58 +151,25 @@ def compute_eob_stats(base: OntologyBase) -> dict[str, EobStats]:
     return out
 
 
-def _domain_pool(base: OntologyBase, domain: ArgDomain) -> list[int]:
-    """Constant-id pool a domain draws from; multiplicity follows the
-    defining fact counts except for the value domain, which is distinct."""
-    if domain is ArgDomain.CLASS:
-        return [row[0] for row in base.rows("isClass")]
-    if domain is ArgDomain.ONTOLOGY:
-        return [row[0] for row in base.rows("isOntology")]
-    if domain is ArgDomain.INDIVIDUAL:
-        return [row[0] for row in base.rows("isIndividual")]
-    if domain is ArgDomain.PROPERTY:
-        return [row[0] for row in base.rows("isOProperty")] + [
-            row[0] for row in base.rows("isDProperty")
-        ]
-    values: dict[int, None] = {}
-    for row in base.rows("isStatement"):
-        values.setdefault(row[2], None)
-    return list(values)
-
-
-def _domain_size_of(eob: dict[str, EobStats], domain: ArgDomain) -> int:
-    if domain is ArgDomain.CLASS:
-        return eob["isClass"].cardinality
-    if domain is ArgDomain.ONTOLOGY:
-        return eob["isOntology"].cardinality
-    if domain is ArgDomain.INDIVIDUAL:
-        return eob["isIndividual"].cardinality
-    if domain is ArgDomain.PROPERTY:
-        return eob["isOProperty"].cardinality + eob["isDProperty"].cardinality
-    stats = eob["isStatement"]
-    return stats.n_keys[2] if stats.cardinality else 0
-
-
-def domain_size(catalog: StatisticsCatalog, predicate: str, arg_position: int) -> int:
-    """Size of an argument's instantiation domain; positions are 1-based."""
-    schema = schema_for(predicate)
-    if not 1 <= arg_position <= schema.arity:
-        raise SchemaError(
-            f"{predicate} has no argument {arg_position}"
-        )
-    eob = {
-        name: st
-        for name, st in catalog.entries.items()
-        if isinstance(st, EobStats)
-    }
-    return _domain_size_of(eob, schema.arg_domains[arg_position - 1])
-
-
-def _pick_partition_arg(eob: dict[str, EobStats], predicate: str) -> int:
+def _pick_partition_arg(base: OntologyBase, predicate: str) -> int:
     """Most selective (largest-domain) argument position, 0-based."""
     schema = schema_for(predicate)
-    sizes = [_domain_size_of(eob, d) for d in schema.arg_domains]
+    sizes = [len(base.domain_values(d)) for d in schema.arg_domains]
     return max(range(schema.arity), key=lambda i: (sizes[i], -i))
+
+
+def _partitions(base, predicate, pattern, partition_args=None):
+    """Partition argument positions of a pattern (the most selective one
+    when it is all-free, else its bound positions), their domain pools and
+    the partition count."""
+    if partition_args is None:
+        if pattern.all_free:
+            partition_args = (_pick_partition_arg(base, predicate),)
+        else:
+            partition_args = pattern.bound_positions
+    domains = schema_for(predicate).arg_domains
+    pools = [base.domain_values(domains[i]) for i in partition_args]
+    return partition_args, pools, math.prod(map(len, pools))
 
 
 def _evaluate_sample(base, predicate, bound: dict[int, int], cache):
@@ -232,7 +200,6 @@ def adaptive_sample(
     config: SamplingConfig,
     *,
     partition_args: tuple[int, ...] | None = None,
-    eob_stats: dict[str, EobStats] | None = None,
     sample_cache: dict | None = None,
 ) -> SamplingRun:
     """One urn-model sampling run for a predicate and binding pattern.
@@ -252,21 +219,10 @@ def adaptive_sample(
     if metric == "cardinality" and not pattern.all_free:
         raise AnalyzerError("cardinality is sampled on the all-free pattern")
     config.validate()
-    eob = eob_stats if eob_stats is not None else compute_eob_stats(base)
     cache = sample_cache if sample_cache is not None else {}
-
-    if partition_args is None:
-        if pattern.all_free:
-            partition_args = (_pick_partition_arg(eob, predicate),)
-        else:
-            partition_args = pattern.bound_positions
-
-    pools = [
-        _domain_pool(base, schema.arg_domains[i]) for i in partition_args
-    ]
-    n = 1
-    for pool in pools:
-        n *= len(pool)
+    partition_args, pools, n = _partitions(
+        base, predicate, pattern, partition_args
+    )
     if n == 0:
         return SamplingRun(n=0, m=0, z=0.0, b_of_n=0.0, mean=0.0,
                            low_confidence=True)
@@ -308,40 +264,27 @@ def adaptive_sample(
     return SamplingRun(n=n, m=m, z=z, b_of_n=b_of_n, mean=z / m)
 
 
-def estimate_iob_stats(
-    base: OntologyBase,
-    predicate: str,
-    config: SamplingConfig,
-    *,
-    eob_stats: dict[str, EobStats] | None = None,
-    sample_cache: dict | None = None,
-) -> IobStats:
-    """Sampled cost for every binding pattern plus the cardinality model.
+def _exhaustive_run(base, predicate, pattern, cache) -> SamplingRun:
+    """Every partition of a pattern's cost run drawn once: the exact mean.
+    Costs are counts, so their float sum is exact in any order."""
+    partition_args, pools, n = _partitions(base, predicate, pattern)
+    if n == 0:
+        return SamplingRun(n=0, m=0, z=0.0, b_of_n=0.0, mean=0.0)
+    draws = (dict(zip(partition_args, c)) for c in product(*pools))
+    costs = [_evaluate_sample(base, predicate, b, cache)[1] for b in draws]
+    z = sum(costs)
+    return SamplingRun(n=n, m=n, z=z, b_of_n=max(costs), mean=z / n)
 
-    The all-free cardinality is mean * n; instantiated-pattern cardinality
-    divides by the estimated distinct values of each bound argument
-    (uniformity assumption). Cost for patterns with bound arguments is the
-    sampled partition mean; the all-free cost is mean * n over the most
-    selective argument.
+
+def _iob_stats(arity, card_free, distinct, cost_run, low_confidence):
+    """Cardinality and cost of an IOB predicate for every binding pattern.
+
+    Instantiated-pattern cardinality divides the all-free cardinality by
+    the distinct values of each bound argument (uniformity assumption).
+    Cost is the mean of `cost_run(pattern)` for patterns with bound
+    arguments, and mean * n over the most selective argument for the
+    all-free pattern.
     """
-    schema = schema_for(predicate)
-    eob = eob_stats if eob_stats is not None else compute_eob_stats(base)
-    cache = sample_cache if sample_cache is not None else {}
-    arity = schema.arity
-    domain_sizes = tuple(_domain_size_of(eob, d) for d in schema.arg_domains)
-
-    free = BindingPattern.free(arity)
-    card_run = adaptive_sample(
-        base, predicate, free, "cardinality", config,
-        eob_stats=eob, sample_cache=cache,
-    )
-    card_free = card_run.mean * card_run.n
-    low_confidence = card_run.low_confidence
-
-    distinct = tuple(
-        min(card_free, float(size)) if size else 0.0 for size in domain_sizes
-    )
-
     cardinality: dict[BindingPattern, float] = {}
     cost: dict[BindingPattern, float] = {}
     for pattern in all_patterns(arity):
@@ -349,26 +292,38 @@ def estimate_iob_stats(
         for pos in pattern.bound_positions:
             card /= max(1.0, distinct[pos])
         cardinality[pattern] = card
+        run = cost_run(pattern)
+        low_confidence = low_confidence or run.low_confidence
+        cost[pattern] = run.mean * run.n if pattern.all_free else run.mean
+    return IobStats(arity, distinct, cardinality, cost, low_confidence)
 
-        cost_run = adaptive_sample(
-            base, predicate, free if pattern.all_free else pattern,
-            "cost", config,
-            partition_args=None if pattern.all_free else pattern.bound_positions,
-            eob_stats=eob, sample_cache=cache,
-        )
-        low_confidence = low_confidence or cost_run.low_confidence
-        if pattern.all_free:
-            cost[pattern] = cost_run.mean * cost_run.n
-        else:
-            cost[pattern] = cost_run.mean
 
-    return IobStats(
-        arity=arity,
-        domain_sizes=domain_sizes,
-        distinct_values=distinct,
-        cardinality=cardinality,
-        cost=cost,
-        low_confidence=low_confidence,
+def estimate_iob_stats(
+    base: OntologyBase, predicate: str, config: SamplingConfig
+) -> IobStats:
+    """Sampled cost for every binding pattern plus the cardinality model.
+
+    The all-free cardinality is mean * n of a sampling run; each argument's
+    distinct values are estimated as that cardinality capped by its domain
+    size.
+    """
+    schema = schema_for(predicate)
+    cache: dict = {}
+    card_run = adaptive_sample(
+        base, predicate, BindingPattern.free(schema.arity), "cardinality",
+        config, sample_cache=cache,
+    )
+    card_free = card_run.mean * card_run.n
+    sizes = [len(base.domain_values(d)) for d in schema.arg_domains]
+    distinct = tuple(
+        min(card_free, float(size)) if size else 0.0 for size in sizes
+    )
+    return _iob_stats(
+        schema.arity, card_free, distinct,
+        lambda pattern: adaptive_sample(
+            base, predicate, pattern, "cost", config, sample_cache=cache
+        ),
+        card_run.low_confidence,
     )
 
 
@@ -398,14 +353,9 @@ def _now() -> str:
 def build_catalog(base: OntologyBase, config: SamplingConfig) -> StatisticsCatalog:
     """Exact EOB statistics plus sampled IOB statistics for all patterns."""
     config.validate()
-    eob = compute_eob_stats(base)
-    cache: dict = {}
-    entries: dict[str, EobStats | IobStats] = dict(eob)
-    for name, schema in BUILTIN_SCHEMA.items():
-        if schema.kind is PredicateKind.IOB:
-            entries[name] = estimate_iob_stats(
-                base, name, config, eob_stats=eob, sample_cache=cache
-            )
+    entries: dict[str, EobStats | IobStats] = dict(compute_eob_stats(base))
+    for name in IOB_PREDICATES:
+        entries[name] = estimate_iob_stats(base, name, config)
     return StatisticsCatalog(entries, config, created_at=_now())
 
 
@@ -414,61 +364,25 @@ def build_exact_catalog(
 ) -> StatisticsCatalog:
     """Catalog whose intensional numbers are computed exhaustively.
 
-    Cardinalities come from the bottom-up fixpoint; per-pattern costs are
-    exact partition means over the full domain pools. Used as the sampling
-    oracle in tests and for reproducible plan golden cases.
+    Cardinalities and distinct values come from the bottom-up fixpoint;
+    per-pattern costs run the sampled catalog's loop with every partition
+    drawn once. Used as the sampling oracle in tests and for reproducible
+    plan golden cases.
     """
     config = config or SamplingConfig()
-    eob = compute_eob_stats(base)
-    cache: dict = {}
     model = engine.bottom_up_oracle(base)
-    entries: dict[str, EobStats | IobStats] = dict(eob)
-    for name, schema in BUILTIN_SCHEMA.items():
-        if schema.kind is not PredicateKind.IOB:
-            continue
-        arity = schema.arity
+    entries: dict[str, EobStats | IobStats] = dict(compute_eob_stats(base))
+    for name in IOB_PREDICATES:
+        arity = schema_for(name).arity
         facts = [a for a in model if a.predicate == name]
-        card_free = float(len(facts))
-        domain_sizes = tuple(_domain_size_of(eob, d) for d in schema.arg_domains)
         distinct = tuple(
             float(len({a.args[i].value for a in facts})) for i in range(arity)
         )
-
-        def exact_mean(partition_args: tuple[int, ...]) -> tuple[float, int]:
-            pools = [
-                _domain_pool(base, schema.arg_domains[i]) for i in partition_args
-            ]
-            n = 1
-            for pool in pools:
-                n *= len(pool)
-            if n == 0:
-                return 0.0, 0
-            total = 0.0
-            for combo in product(*pools):
-                bound = dict(zip(partition_args, combo))
-                _card, cost_v = _evaluate_sample(base, name, bound, cache)
-                total += cost_v
-            return total / n, n
-
-        cardinality: dict[BindingPattern, float] = {}
-        cost: dict[BindingPattern, float] = {}
-        for pattern in all_patterns(arity):
-            card = card_free
-            for pos in pattern.bound_positions:
-                card /= max(1.0, min(card_free, distinct[pos]))
-            cardinality[pattern] = card
-            if pattern.all_free:
-                mean, n = exact_mean((_pick_partition_arg(eob, name),))
-                cost[pattern] = mean * n
-            else:
-                mean, _n = exact_mean(pattern.bound_positions)
-                cost[pattern] = mean
-        entries[name] = IobStats(
-            arity=arity,
-            domain_sizes=domain_sizes,
-            distinct_values=distinct,
-            cardinality=cardinality,
-            cost=cost,
+        cache: dict = {}
+        entries[name] = _iob_stats(
+            arity, float(len(facts)), distinct,
+            lambda pattern: _exhaustive_run(base, name, pattern, cache),
+            False,
         )
     return StatisticsCatalog(entries, config, created_at=_now())
 
@@ -580,7 +494,6 @@ def catalog_from_text(text: str) -> StatisticsCatalog:
     ]
     if missing:
         raise AnalyzerError(f"catalog has no entry for {', '.join(missing)}")
-    eob = {n: st for n, st in entries.items() if isinstance(st, EobStats)}
     for name, rows in iob_rows.items():
         schema = schema_for(name)
         expected = set(all_patterns(schema.arity))
@@ -588,9 +501,6 @@ def catalog_from_text(text: str) -> StatisticsCatalog:
             raise AnalyzerError(f"catalog is missing patterns for {name}")
         entries[name] = IobStats(
             arity=schema.arity,
-            domain_sizes=tuple(
-                _domain_size_of(eob, d) for d in schema.arg_domains
-            ),
             distinct_values=iob_distinct[name],
             cardinality={p: rows[p][0] for p in rows},
             cost={p: rows[p][1] for p in rows},

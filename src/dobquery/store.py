@@ -9,7 +9,9 @@ with set semantics and is meant to be fully loaded before querying.
 from __future__ import annotations
 
 from .model import (
+    ArgDomain,
     Atom,
+    DOMAIN_SOURCES,
     NonGroundFactError,
     PredicateKind,
     Rule,
@@ -142,6 +144,13 @@ class OntologyBase:
         rows = self.match_rows(pattern.predicate, tuple(ids), same)
         return [self.to_atom(pattern.predicate, row) for row in rows]
 
+    def domain_values(self, domain: ArgDomain) -> list[int]:
+        """Constant ids of a domain, one per defining fact (see
+        `DOMAIN_SOURCES`); a distinct domain lists each value once."""
+        sources, distinct = DOMAIN_SOURCES[domain]
+        ids = [row[pos] for pred, pos in sources for row in self.rows(pred)]
+        return list(dict.fromkeys(ids)) if distinct else ids
+
     def to_atom(self, predicate: str, row: tuple[int, ...]) -> Atom:
         return Atom(
             predicate, tuple(Term.const(self.symbols.text(c)) for c in row)
@@ -151,9 +160,6 @@ class OntologyBase:
         """All facts as ground atoms, in global assertion order."""
         for pred, row in self._order:
             yield self.to_atom(pred, row)
-
-    def predicates(self) -> list[str]:
-        return list(self._rows)
 
     def __len__(self) -> int:
         return len(self._order)

@@ -84,10 +84,24 @@ class SynthConfig:
 
     @classmethod
     def from_json(cls, text: str) -> SynthConfig:
-        data = json.loads(text)
-        unknown = set(data) - set(cls.__dataclass_fields__)
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise SynthError(f"config is not valid JSON: {exc}") from None
+        if not isinstance(data, dict):
+            raise SynthError("config must be a JSON object")
+        fields = cls.__dataclass_fields__
+        unknown = set(data) - set(fields)
         if unknown:
             raise SynthError(f"unknown config fields: {sorted(unknown)}")
+        for name, value in data.items():
+            # a float field also takes an int
+            allowed = (int, float) if fields[name].type == "float" else int
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise SynthError(
+                    f"config field {name} must be {fields[name].type}, "
+                    f"got {value!r}"
+                )
         return cls(**data)
 
 
@@ -181,19 +195,12 @@ def _generate_facts(config: SynthConfig, rng: random.Random) -> list[Atom]:
 
 def _predicate_pool(base: OntologyBase) -> list[tuple[str, tuple[ArgDomain, ...], bool]]:
     """Built-ins whose argument domains are populated in this base."""
-    sizes = {
-        ArgDomain.CLASS: len(base.rows("isClass")),
-        ArgDomain.ONTOLOGY: len(base.rows("isOntology")),
-        ArgDomain.INDIVIDUAL: len(base.rows("isIndividual")),
-        ArgDomain.PROPERTY: len(base.rows("isOProperty"))
-        + len(base.rows("isDProperty")),
-        ArgDomain.VALUE: len({r[2] for r in base.rows("isStatement")}),
-    }
+    populated = {d for d in ArgDomain if base.domain_values(d)}
     pool = []
     for name, schema in BUILTIN_SCHEMA.items():
         if name == "isTransitive":
             continue  # the generator never asserts transitivity facts
-        if all(sizes[d] > 0 for d in schema.arg_domains):
+        if populated.issuperset(schema.arg_domains):
             pool.append(
                 (name, schema.arg_domains, schema.kind is PredicateKind.IOB)
             )
@@ -201,19 +208,10 @@ def _predicate_pool(base: OntologyBase) -> list[tuple[str, tuple[ArgDomain, ...]
 
 
 def _constant_pools(base: OntologyBase) -> dict[ArgDomain, list[str]]:
-    def texts(rows, pos):
-        seen = {base.symbols.text(r[pos]) for r in rows}
-        return sorted(seen)
-
+    """Each domain's distinct constant texts, sorted."""
+    text = base.symbols.text
     return {
-        ArgDomain.CLASS: texts(base.rows("isClass"), 0),
-        ArgDomain.ONTOLOGY: texts(base.rows("isOntology"), 0),
-        ArgDomain.INDIVIDUAL: texts(base.rows("isIndividual"), 0),
-        ArgDomain.PROPERTY: sorted(
-            set(texts(base.rows("isOProperty"), 0))
-            | set(texts(base.rows("isDProperty"), 0))
-        ),
-        ArgDomain.VALUE: texts(base.rows("isStatement"), 2),
+        d: sorted({text(c) for c in base.domain_values(d)}) for d in ArgDomain
     }
 
 

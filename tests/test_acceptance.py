@@ -21,7 +21,6 @@ from dobquery import (
     bottom_up_oracle,
     build_catalog,
     compare_strategy_sets,
-    compute_eob_stats,
     exhaustive_orderings,
     execute_all_strategies,
     generate_synthetic,
@@ -120,12 +119,11 @@ def test_criterion_3_estimator_guarantee():
             exact = sum(
                 1 for a in bottom_up_oracle(base) if a.predicate == pred
             )
-            eob = compute_eob_stats(base)
             for seed in range(10):
                 cfg = SamplingConfig(d=0.2, p=0.7, k=7, seed=seed)
                 run = adaptive_sample(
                     base, pred, BindingPattern.free(2), "cardinality",
-                    cfg, eob_stats=eob,
+                    cfg,
                 )
                 estimate = run.mean * run.n
                 ok = (
@@ -170,7 +168,7 @@ def _random_catalog(rng):
                 cards[p] = c
                 costs[p] = rng.uniform(0, 300)
             entries[name] = IobStats(
-                schema.arity, (5,) * schema.arity, distinct, cards, costs
+                schema.arity, distinct, cards, costs
             )
     return StatisticsCatalog(entries, SamplingConfig())
 

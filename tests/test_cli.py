@@ -271,3 +271,46 @@ def test_query_past_the_optimizer_cap_is_a_data_error(workspace, capsys):
         f"optimization is capped at {n - 1} subgoals, the query has {n}"
     ) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["query", "bench"])
+def test_nonpositive_block_size_is_a_usage_error(workspace, tmp_path, capsys,
+                                                 command):
+    dob, catalog = workspace
+    if command == "query":
+        args = ["query", str(dob), "--catalog", str(catalog),
+                "-q", "q(C):-areClasses(C,carsOnt)."]
+    else:
+        args = ["bench", "ratio", str(tmp_path), "-o", str(tmp_path / "r")]
+    code, out, err = run(capsys, *args, "--block-size", "0")
+    assert code == 1
+    assert out == ""
+    assert "--block-size: expected a positive integer, got '0'" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, detail", [
+    ("{", "config is not valid JSON"),
+    ("[1, 2]", "config must be a JSON object"),
+    ('{"seed": "x"}', "config field seed must be int, got 'x'"),
+    ('{"constant_probability": "high"}',
+     "config field constant_probability must be float, got 'high'"),
+])
+def test_bad_gen_config_is_a_data_error(tmp_path, capsys, text, detail):
+    config = tmp_path / "synth.json"
+    config.write_text(text)
+    code, out, err = run(capsys, "gen", str(config), "-o", str(tmp_path / "o"))
+    assert code == 2
+    assert detail in err
+    assert "Traceback" not in err
+
+
+def test_nonpositive_sample_cap_is_a_data_error(workspace, tmp_path, capsys):
+    dob, _catalog = workspace
+    code, out, err = run(
+        capsys, "analyze", str(dob), "--m-max", "-5",
+        "-o", str(tmp_path / "c"),
+    )
+    assert code == 2
+    assert "sample cap m_max must be >= 1: -5" in err
+    assert not (tmp_path / "c").exists()

@@ -10,9 +10,9 @@ from dobquery import (
     parse_query,
     plan_estimate,
     predicate_estimate,
-    reduction_factor,
 )
 from dobquery.costmodel import (
+    JoinTable,
     block_nested_loop_cost,
     hash_join_cost,
     join_cardinality,
@@ -35,7 +35,7 @@ def _manual_catalog():
     }
     cards = {p: 60.0 for p in all_patterns(2)}
     costs = {p: 9.0 for p in all_patterns(2)}
-    entries["areClasses"] = IobStats(2, (40, 5), (12.0, 5.0), cards, costs)
+    entries["areClasses"] = IobStats(2, (12.0, 5.0), cards, costs)
     return StatisticsCatalog(entries, SamplingConfig())
 
 
@@ -78,28 +78,28 @@ def test_predicate_estimate_bound_var_uses_bound_pattern(cars_exact_catalog):
     assert bound.cardinality < free.cardinality
 
 
+def _reduction_factor(catalog, left: str, right: str) -> float:
+    """The join table's reduction factor of subgoal `right` after `left`."""
+    table = JoinTable(catalog, [parse_atom(left), parse_atom(right)])
+    return table.inputs(0b1, 1)[0]
+
+
 def test_reduction_factor_no_shared_vars():
     catalog = _manual_catalog()
-    rf = reduction_factor(
-        catalog, [parse_atom("isClass(A,B)")], parse_atom("areClasses(C,D)")
-    )
+    rf = _reduction_factor(catalog, "isClass(A,B)", "areClasses(C,D)")
     assert rf == 1.0
 
 
 def test_reduction_factor_shared_var():
     catalog = _manual_catalog()
     # C: 4 distinct on the left (isClass arg 1), 12.0 on the right
-    rf = reduction_factor(
-        catalog, [parse_atom("isClass(C,B)")], parse_atom("areClasses(C,D)")
-    )
+    rf = _reduction_factor(catalog, "isClass(C,B)", "areClasses(C,D)")
     assert rf == pytest.approx(1 / 12.0)
 
 
 def test_reduction_factor_two_shared_vars():
     catalog = _manual_catalog()
-    rf = reduction_factor(
-        catalog, [parse_atom("isClass(C,O)")], parse_atom("areClasses(C,O)")
-    )
+    rf = _reduction_factor(catalog, "isClass(C,O)", "areClasses(C,O)")
     assert rf == pytest.approx((1 / 12.0) * (1 / 10.0))
 
 
@@ -135,7 +135,7 @@ def test_nested_loop_monotone_in_instantiated_cost():
     low = dict(catalog.entries)
     stats = catalog.entries["areClasses"]
     cheap = IobStats(
-        2, stats.domain_sizes, stats.distinct_values,
+        2, stats.distinct_values,
         dict(stats.cardinality), {p: 1.0 for p in all_patterns(2)},
     )
     low["areClasses"] = cheap

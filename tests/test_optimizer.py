@@ -129,7 +129,7 @@ def _random_catalog(rng):
                 cards[p] = c
                 costs[p] = rng.uniform(0, 300)
             entries[name] = IobStats(
-                schema.arity, (5,) * schema.arity, distinct, cards, costs
+                schema.arity, distinct, cards, costs
             )
     return StatisticsCatalog(entries, SamplingConfig())
 

@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dobquery import (
     Atom,
+    DobError,
     ParseError,
     Term,
     parse_atom,
@@ -14,7 +17,9 @@ from dobquery import (
     translate_documents,
     translate_owl,
 )
-from dobquery.model import PredicateKind, schema_for
+from dobquery.model import (
+    BUILTIN_SCHEMA, EOB_PREDICATES, PredicateKind, schema_for,
+)
 
 
 def test_parse_dob_single_fact():
@@ -61,6 +66,50 @@ def test_round_trip_random_fact_sets():
         facts.append(Atom(name, args))
     text = render_dob(facts)
     assert parse_dob(text) == facts
+
+
+def test_percent_inside_quotes_is_not_a_comment():
+    facts = parse_dob("isOntology('50% off'). % a 'comment'\n")
+    assert [f.args[0].value for f in facts] == ["50% off"]
+    assert parse_dob(render_dob(facts)) == facts
+
+
+# Everything `str.splitlines` splits on.
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+# Any character but a line break, with the ones the format quotes, escapes
+# or reads as a comment drawn often.
+_constants = st.text(
+    st.one_of(
+        st.sampled_from("%'\\\" "),
+        st.characters(exclude_characters=LINE_BREAKS),
+    ),
+    min_size=1,
+)
+
+
+@st.composite
+def _facts(draw, constants=_constants):
+    pred = draw(st.sampled_from(EOB_PREDICATES))
+    args = draw(st.lists(
+        constants, min_size=BUILTIN_SCHEMA[pred].arity,
+        max_size=BUILTIN_SCHEMA[pred].arity,
+    ))
+    return Atom(pred, tuple(map(Term.const, args)))
+
+
+@given(st.lists(_facts(), max_size=8))
+def test_dob_round_trip_property(facts):
+    assert parse_dob(render_dob(facts)) == facts
+
+
+@given(_facts(), st.sampled_from(LINE_BREAKS), _constants)
+def test_render_dob_refuses_line_breaks(fact, line_break, text):
+    value = text + line_break + text
+    bad = Atom(fact.predicate, (Term.const(value),) + fact.args[1:])
+    with pytest.raises(DobError, match="cannot write fact") as err:
+        render_dob([fact, bad])
+    assert repr(str(bad)) in str(err.value)
 
 
 def test_parse_owl_class_forms(data_dir):

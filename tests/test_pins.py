@@ -1,0 +1,98 @@
+"""Digests of the catalogs and synthetic corpora, so that a refactor of the
+analyzer or the generator can be checked byte for byte.
+
+Each pin is the SHA-256 of a text: a catalog's `catalog_to_text` without
+its `# created` line, or a synthetic corpus's `render_dob` output followed
+by one line per query. Run this file as a script to print fresh pins.
+"""
+
+import hashlib
+import json
+import random
+import sys
+from pathlib import Path
+
+from conftest import load_cars_base, random_base
+
+from dobquery import (
+    OntologyBase,
+    SamplingConfig,
+    SynthConfig,
+    build_catalog,
+    build_exact_catalog,
+    generate_synthetic,
+    render_dob,
+)
+from dobquery.stats import catalog_to_text
+
+PINS = Path(__file__).parent / "data" / "catalog_pins.json"
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _catalog_digest(catalog) -> str:
+    lines = catalog_to_text(catalog).splitlines(keepends=True)
+    return _digest("".join(l for l in lines if not l.startswith("# created")))
+
+
+def _scaled(scale, seed, chain=0, star=0, subgoals=3) -> SynthConfig:
+    """The default generator settings with every population times `scale`."""
+    d = SynthConfig()
+    return SynthConfig(
+        ontologies=d.ontologies * scale,
+        subclass_edges=d.subclass_edges * scale,
+        object_properties=d.object_properties * scale,
+        datatype_properties=d.datatype_properties * scale,
+        transitive_properties=d.transitive_properties * scale,
+        individuals=d.individuals * scale,
+        statements=d.statements * scale,
+        import_edges=d.import_edges * scale,
+        seed=seed,
+        chain_queries=chain,
+        star_queries=star,
+        query_subgoals=subgoals,
+    )
+
+
+def _bases():
+    yield "cars", load_cars_base()
+    yield "empty", OntologyBase()
+    for seed in range(20):
+        yield f"random{seed}", random_base(random.Random(seed))
+
+
+def _synth_configs():
+    """The corpora of the benchmark's workloads: scale 1 and 4 with their
+    chain and star queries, and the three analyze bases."""
+    for n in (3, 4):
+        yield f"s1/q{n}", _scaled(1, 0, 1, 1, n)
+    for n in (3, 4, 5, 6, 7):
+        yield f"s4/q{n}", _scaled(4, 0, 10, 10, n)
+    yield "s4/experiment", _scaled(4, 0, 3, 3, 4)
+    for i, scale in enumerate((25, 37, 50)):
+        yield f"s{scale}/seed{i}", _scaled(scale, i)
+
+
+def current_pins() -> dict[str, str]:
+    pins = {}
+    for name, base in _bases():
+        pins[f"catalog/{name}"] = _catalog_digest(
+            build_catalog(base, SamplingConfig())
+        )
+        pins[f"exact/{name}"] = _catalog_digest(build_exact_catalog(base))
+    for name, config in _synth_configs():
+        base, queries = generate_synthetic(config)
+        text = render_dob(base.facts()) + "".join(f"{q}\n" for q in queries)
+        pins[f"synth/{name}"] = _digest(text)
+    return pins
+
+
+def test_catalogs_and_corpora_match_their_pins():
+    assert current_pins() == json.loads(PINS.read_text())
+
+
+if __name__ == "__main__":
+    json.dump(current_pins(), sys.stdout, indent=1, sort_keys=True)
+    print()

@@ -12,10 +12,10 @@ from dobquery import (
     build_catalog,
     build_exact_catalog,
     compute_eob_stats,
-    domain_size,
     estimate_iob_stats,
     parse_atom,
 )
+from dobquery.model import schema_for
 from dobquery.stats import (
     AnalyzerError,
     BindingPattern,
@@ -82,20 +82,25 @@ def test_alpha_normal_quantile_variant():
         alpha(SamplingConfig(d=0.2, p=0.0, clt_factor=True))
 
 
+def domain_size(base, predicate: str, arg_position: int) -> int:
+    """Size of an argument's instantiation domain; positions are 1-based."""
+    domain = schema_for(predicate).arg_domains[arg_position - 1]
+    return len(base.domain_values(domain))
+
+
 def test_domain_sizes_cars(cars_base):
-    catalog = build_exact_catalog(cars_base)
-    assert domain_size(catalog, "areClasses", 1) == 4   # Card(isClass)
-    assert domain_size(catalog, "areClasses", 2) == 3   # Card(isOntology)
-    assert domain_size(catalog, "areIndividuals", 1) == 1
-    assert domain_size(catalog, "areStatements", 2) == 4  # obj + data props
-    assert domain_size(catalog, "areStatements", 3) == 0  # no statements
+    assert domain_size(cars_base, "areClasses", 1) == 4   # Card(isClass)
+    assert domain_size(cars_base, "areClasses", 2) == 3   # Card(isOntology)
+    assert domain_size(cars_base, "areIndividuals", 1) == 1
+    assert domain_size(cars_base, "areStatements", 2) == 4  # obj + data props
+    assert domain_size(cars_base, "areStatements", 3) == 0  # no statements
 
 
 def test_domain_sizes_empty_base():
-    catalog = build_exact_catalog(OntologyBase())
+    base = OntologyBase()
     for pred, arity in [("areClasses", 2), ("areStatements", 3)]:
         for pos in range(1, arity + 1):
-            assert domain_size(catalog, pred, pos) == 0
+            assert domain_size(base, pred, pos) == 0
 
 
 def test_adaptive_sample_partitioned_on_ontology(cars_base):
@@ -256,12 +261,10 @@ def test_estimator_guarantee_sampled_bases():
             exact = sum(
                 1 for a in bottom_up_oracle(base) if a.predicate == pred
             )
-            eob = compute_eob_stats(base)
             for seed in range(5):
                 cfg = SamplingConfig(d=0.2, p=0.7, k=7, seed=seed)
                 run = adaptive_sample(
                     base, pred, BindingPattern.free(2), "cardinality", cfg,
-                    eob_stats=eob,
                 )
                 estimate = run.mean * run.n
                 ok = (

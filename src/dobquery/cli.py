@@ -215,7 +215,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gen", help="generate synthetic corpora")
     p.add_argument("config", help="JSON file with generator settings")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--replicas", type=int, default=1)
+    p.add_argument("--replicas", type=_positive_int, default=1)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("bench", help="run the experiment harness")

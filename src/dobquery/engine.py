@@ -17,7 +17,9 @@ the base, into steps over substitution tuples: a substitution holds the values b
 so a step reads bound variables by position and appends the ones it
 binds. The canonical call pattern encodes constants and repeated
 variables, so every answer of a tabled sub-call is bound by position
-without a check.
+without a check. An EOB step makes one lookup per substitution in the
+base's hash probe for its bound positions, and a rule's last step builds
+head tuples straight from the rows it matched.
 
 Two work counters are carried through evaluation:
   * inferred facts  - one per distinct answer added to a table; a memo
@@ -33,11 +35,12 @@ from __future__ import annotations
 import sys
 import weakref
 from dataclasses import dataclass
+from itertools import repeat
 from operator import itemgetter
 from typing import Callable
 
 from .model import Atom, DobError, PredicateKind, SchemaError, schema_for
-from .store import OntologyBase
+from .store import OntologyBase, _getter, _same_rows
 
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
 
@@ -79,23 +82,17 @@ class _CompiledRule:
     body: tuple[tuple[str, tuple[int | str, ...], bool], ...]  # (pred, args, is_eob)
 
 
-def _getter(indices) -> Callable[[tuple], tuple]:
-    """Function returning the items of a tuple at `indices`, as a tuple."""
-    if len(indices) == 1:
-        (i,) = indices
-        return itemgetter(slice(i, i + 1))
-    return itemgetter(*indices) if indices else itemgetter(slice(0))
-
-
 @dataclass(frozen=True, slots=True)
 class _Step:
     """One body atom, evaluated on substitutions of a fixed length n.
 
-    `args(s + extras)` is the atom's argument tuple: constants and bound
-    variables as ids, free variables as None for an EOB match or as their
-    canonical placeholders for an IOB call. `new(row)` holds the values of
-    the variables the atom binds, in slot order. `same` pairs the row
-    positions of an EOB atom's repeated free variables.
+    For an IOB atom, `args(s + extras)` is the call's argument tuple:
+    constants and bound variables as ids, free variables as their
+    canonical placeholders. For an EOB atom it holds only the ids at
+    `bound`, the positions of its constants and earlier bound variables:
+    the key of the base's probe for those positions. `new(row)` holds the
+    values of the variables the atom binds, in slot order. `same` pairs
+    the row positions of an EOB atom's repeated free variables.
     """
 
     pred: str
@@ -104,6 +101,7 @@ class _Step:
     args: Callable[[tuple], tuple]
     new: Callable[[tuple], tuple]
     same: tuple[tuple[int, int], ...]
+    bound: tuple[int, ...]  # EOB: the probe's positions
     shape: tuple  # IOB: the call shape of `args`
 
 
@@ -117,16 +115,18 @@ def _compile_body(body, var_slot: dict[str, int]) -> tuple[_Step, ...]:
     for pred, args, eob in body:
         n = len(var_slot)
         extras: list = []
-        index: list[int] = []
+        index: list[int | None] = []
         shape: list = []
         new: list[int] = []
         same: list[tuple[int, int]] = []
+        bound: list[int] = []
         first: dict[str, int] = {}  # free variable -> first position here
         for pos, a in enumerate(args):
             if isinstance(a, int):
                 index.append(n + len(extras))
                 extras.append(a)
                 shape.append(None)
+                bound.append(pos)
             elif a in first:
                 index.append(index[first[a]])
                 shape.append(shape[first[a]])
@@ -134,18 +134,27 @@ def _compile_body(body, var_slot: dict[str, int]) -> tuple[_Step, ...]:
             elif a in var_slot:
                 index.append(var_slot[a])
                 shape.append(None)
+                bound.append(pos)
             else:
                 first[a] = pos
                 var_slot[a] = len(var_slot)
                 new.append(pos)
+                if eob:
+                    index.append(None)
+                    shape.append(None)
+                    continue
                 index.append(n + len(extras))
-                placeholder = None if eob else f"?{len(first) - 1}"
+                placeholder = f"?{len(first) - 1}"
                 extras.append(placeholder)
                 shape.append(placeholder)
+        if eob:
+            args_of = _getter([index[pos] for pos in bound])
+        else:
+            args_of = _getter(index)
         steps.append(
             _Step(
-                pred, eob, tuple(extras), _getter(index), _getter(new),
-                tuple(same) if eob else (), tuple(shape),
+                pred, eob, tuple(extras), args_of, _getter(new),
+                tuple(same) if eob else (), tuple(bound), tuple(shape),
             )
         )
     return tuple(steps)
@@ -167,17 +176,47 @@ def _projection(args, var_slot: dict[str, int]) -> Callable[[tuple], tuple]:
     return lambda s: get(s + consts)
 
 
+def _fused_head(head, last_args, var_slot: dict[str, int]):
+    """Function `emit(s, rows)` building a rule's head tuples from a
+    substitution `s` before the last body atom and the rows it matched
+    there, without extending `s`.
+
+    A head variable of the last atom is read from the row (its bound
+    positions hold the values of `s`), any other from its slot in `s`.
+    """
+    sources = [
+        (True, last_args.index(v)) if v in last_args else (False, var_slot[v])
+        for v in head
+    ]
+    if all(from_row for from_row, _ in sources):
+        at = [i for _, i in sources]
+        if at == list(range(len(last_args))):
+            return lambda s, rows: rows
+        get = _getter(at)
+        return lambda s, rows: map(get, rows)
+    parts = [(from_row, itemgetter(i)) for from_row, i in sources]
+
+    def emit(s, rows):
+        return zip(*[
+            map(get, rows) if from_row else repeat(get(s))
+            for from_row, get in parts
+        ])
+
+    return emit
+
+
 @dataclass(frozen=True, slots=True)
 class _Plan:
     """The rules of one call shape, compiled to slot steps.
 
     `bound(args)` is the initial substitution of a call: its constants,
-    in argument order. Each rule pairs its steps with the projection of a
-    complete substitution onto the call's answer tuple.
+    in argument order. Each rule pairs its steps with the function
+    building the call's answer tuples from the last step's matches
+    (`_fused_head`).
     """
 
     bound: Callable[[tuple], tuple]
-    rules: tuple[tuple[tuple[_Step, ...], Callable[[tuple], tuple]], ...]
+    rules: tuple[tuple[tuple[_Step, ...], Callable], ...]
 
 
 class _Program:
@@ -253,9 +292,11 @@ class _Program:
                 )
                 for b_pred, b_args, b_eob in rule.body
             ]
-            steps = _compile_body(body, var_slot)
+            steps = _compile_body(body[:-1], var_slot)
             head = [alias.get(v, v) for v in rule.head_vars]
-            rules.append((steps, _projection(head, var_slot)))
+            emit = _fused_head(head, body[-1][1], var_slot)
+            steps += _compile_body(body[-1:], var_slot)
+            rules.append((steps, emit))
         plan = _Plan(
             _getter([i for i, p in enumerate(shape) if p is None]), tuple(rules)
         )
@@ -340,30 +381,38 @@ class MemoTable:
         counters.inferred_facts += count
 
 
-def _run(base, memo, counters, steps, substs):
+def _run(base, memo, counters, steps, substs, emit=None):
     """Extensions of `substs` satisfying `steps`, left to right.
 
     Each step is applied to every substitution before the next step runs
-    (sideways information passing over the whole batch).
+    (sideways information passing over the whole batch). With `emit`, the
+    last step yields `emit(s, rows)` for each substitution `s` and the
+    rows it matched, instead of the extended substitutions.
     """
-    for step in steps:
+    last = len(steps) - 1 if emit is not None else -1
+    for i, step in enumerate(steps):
         if not substs:
             break
         out = []
-        extras, args, new = step.extras, step.args, step.new
-        if step.eob:
-            match_rows, pred, same = base.match_rows, step.pred, step.same
-            for s in substs:
-                rows = match_rows(pred, args(s + extras), same)
-                out.extend(map(s.__add__, map(new, rows)))
-            counters.eob_accesses += len(out)
-        else:
-            pred, shape = step.pred, step.shape
-            for s in substs:
-                answers = _solve_call(
+        pred, eob, extras, args = step.pred, step.eob, step.extras, step.args
+        new, same, shape, fused = step.new, step.same, step.shape, i == last
+        if eob:
+            get = base.probe_index(pred, step.bound).get
+        for s in substs:
+            if eob:
+                rows = get(args(s + extras), ())
+                if same:
+                    rows = _same_rows(rows, same)
+            else:
+                rows = _solve_call(
                     base, memo, counters, (pred, args(s + extras)), shape
                 )
-                out.extend(map(s.__add__, map(new, answers)))
+            if rows:
+                out.extend(
+                    emit(s, rows) if fused else map(s.__add__, map(new, rows))
+                )
+        if eob:  # `emit` also makes one tuple per row
+            counters.eob_accesses += len(out)
         substs = out
     return substs
 
@@ -385,11 +434,12 @@ def _expand(base, memo, counters, key, plan: _Plan):
     """Run every rule of a call pattern once, adding new answers."""
     table = memo.tables[key]
     init = [plan.bound(key[1])]
-    for steps, head in plan.rules:
+    for steps, emit in plan.rules:
         size = len(table)
-        answers = map(head, _run(base, memo, counters, steps, init))
-        table.update(dict.fromkeys(answers))
-        memo._added(len(table) - size, counters)
+        answers = _run(base, memo, counters, steps, init, emit)
+        if answers:
+            table.update(dict.fromkeys(answers))
+            memo._added(len(table) - size, counters)
 
 
 def _solve_call(base, memo, counters, key, shape):

@@ -17,11 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .costmodel import Estimate, JoinMethod, JoinStrategy
-from .engine import (
-    Counters, MemoTable, _body_atom, _compile_body, _evaluate, _getter,
-)
+from .engine import Counters, MemoTable, _body_atom, _compile_body, _evaluate
 from .model import Atom, Query, Term
 from .optimizer import Plan
+from .store import _getter
 
 
 @dataclass

@@ -98,8 +98,10 @@ class SamplingConfig:
     clt_factor: bool = False
 
     def validate(self):
-        if self.d <= 0:
-            raise AnalyzerError(f"relative error d must be positive: {self.d}")
+        if not (math.isfinite(self.d) and self.d > 0):
+            raise AnalyzerError(
+                f"relative error d must be positive and finite: {self.d}"
+            )
         if not 0 <= self.p < 1:
             raise AnalyzerError(f"confidence p must lie in [0, 1): {self.p}")
         if self.k < 1:

@@ -1,12 +1,17 @@
 """Indexed store of ground extensional facts.
 
-Constants are interned to integers; every argument position of every
-predicate carries a posting-list index so that any partially bound
-pattern can be answered without a full scan. The store is append-only
-with set semantics and is meant to be fully loaded before querying.
+Constants are interned to integers. A pattern is answered from a hash
+probe built on demand, one per (predicate, bound positions) access
+pattern the first time it is used and kept up to date by later
+assertions, so every later match is a single dict lookup (demand-driven
+indexing; Santos Costa, Sagonas & Lopes, ICLP 2007). The store is
+append-only with set semantics.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
+from typing import Callable
 
 from .model import (
     ArgDomain,
@@ -20,6 +25,19 @@ from .model import (
     builtin_iob_program,
     schema_for,
 )
+
+
+def _getter(indices) -> Callable[[tuple], tuple]:
+    """Function returning the items of a tuple at `indices`, as a tuple."""
+    if len(indices) == 1:
+        (i,) = indices
+        return itemgetter(slice(i, i + 1))
+    return itemgetter(*indices) if indices else itemgetter(slice(0))
+
+
+def _same_rows(rows, same) -> list[tuple[int, ...]]:
+    """The rows whose positions agree for every (i, j) pair in `same`."""
+    return [row for row in rows if all(row[i] == row[j] for i, j in same)]
 
 
 class SymbolTable:
@@ -57,8 +75,8 @@ class OntologyBase:
         )
         self._rows: dict[str, list[tuple[int, ...]]] = {}
         self._row_set: set[tuple[str, tuple[int, ...]]] = set()
-        # (pred, position, constant id) -> row indices, insertion order
-        self._index: dict[tuple[str, int, int], list[int]] = {}
+        # pred -> bound positions -> probe (see `probe_index`)
+        self._probes: dict[str, dict[tuple[int, ...], dict]] = {}
         self._order: list[tuple[str, tuple[int, ...]]] = []
 
     @classmethod
@@ -80,46 +98,51 @@ class OntologyBase:
         if key in self._row_set:
             return self
         self._row_set.add(key)
-        rows = self._rows.setdefault(fact.predicate, [])
-        pos = len(rows)
-        rows.append(row)
+        self._rows.setdefault(fact.predicate, []).append(row)
         self._order.append(key)
-        for i, cid in enumerate(row):
-            self._index.setdefault((fact.predicate, i, cid), []).append(pos)
+        for positions, probe in self._probes.get(fact.predicate, {}).items():
+            if positions:  # the free probe holds the row list itself
+                probe.setdefault(_getter(positions)(row), []).append(row)
         return self
 
     def rows(self, predicate: str) -> list[tuple[int, ...]]:
         """All interned rows of a predicate, insertion order. Do not mutate."""
         return self._rows.get(predicate, [])
 
+    def probe_index(
+        self, predicate: str, positions: tuple[int, ...]
+    ) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+        """Rows of a predicate keyed by their values at `positions`.
+
+        Each list is in insertion order. The probe is built on the first
+        request for the pair and extended by every later `assert_fact`;
+        the free pattern `()` maps `()` to the row list itself. Do not
+        mutate.
+        """
+        probes = self._probes.setdefault(predicate, {})
+        probe = probes.get(positions)
+        if probe is None:
+            rows = self._rows.setdefault(predicate, [])
+            if positions:
+                row_key = _getter(positions)
+                probe = {}
+                for row in rows:
+                    probe.setdefault(row_key(row), []).append(row)
+            else:
+                probe = {(): rows}
+            probes[positions] = probe
+        return probe
+
     def match_rows(
         self, predicate: str, pattern, same=()
     ) -> list[tuple[int, ...]]:
         """Rows matching a tuple of constant ids (None = free position)
-        whose positions agree for every (i, j) pair in `same`."""
-        rows = self._rows.get(predicate)
-        if not rows:
-            return []
-        bound = [(i, c) for i, c in enumerate(pattern) if c is not None]
-        if bound:
-            postings = None
-            for i, c in bound:
-                p = self._index.get((predicate, i, c))
-                if not p:
-                    return []
-                if postings is None or len(p) < len(postings):
-                    postings = p
-            out = []
-            for pos in postings:
-                row = rows[pos]
-                if all(row[i] == c for i, c in bound):
-                    out.append(row)
-            rows = out
-        if same:
-            rows = [
-                row for row in rows if all(row[i] == row[j] for i, j in same)
-            ]
-        return rows
+        whose positions agree for every (i, j) pair in `same`. Do not
+        mutate."""
+        positions = tuple(i for i, c in enumerate(pattern) if c is not None)
+        key = tuple(c for c in pattern if c is not None)
+        rows = self.probe_index(predicate, positions).get(key, [])
+        return _same_rows(rows, same) if same else rows
 
     def match_eob(self, pattern: Atom) -> list[Atom]:
         """All facts unifying with `pattern`, in insertion order."""

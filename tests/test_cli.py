@@ -314,3 +314,30 @@ def test_nonpositive_sample_cap_is_a_data_error(workspace, tmp_path, capsys):
     assert code == 2
     assert "sample cap m_max must be >= 1: -5" in err
     assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("d", ["nan", "inf"])
+def test_non_finite_relative_error_is_a_data_error(workspace, tmp_path, capsys,
+                                                   d):
+    dob, _catalog = workspace
+    code, out, err = run(
+        capsys, "analyze", str(dob), "-d", d, "-o", str(tmp_path / "c"),
+    )
+    assert code == 2
+    assert f"relative error d must be positive and finite: {d}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("replicas", ["0", "-1"])
+def test_nonpositive_replicas_is_a_usage_error(tmp_path, capsys, replicas):
+    config = tmp_path / "synth.json"
+    config.write_text("{}")
+    corpus = tmp_path / "corpus"
+    code, out, err = run(
+        capsys, "gen", str(config), "-o", str(corpus), "--replicas", replicas,
+    )
+    assert code == 1
+    assert f"--replicas: expected a positive integer, got '{replicas}'" in err
+    assert "Traceback" not in err
+    assert not corpus.exists()

@@ -301,6 +301,32 @@ def test_chain_tables_are_expanded_once():
     assert _counts(result) == (55, 20)
 
 
+def _deep_chain_base(depth=300):
+    facts = [parse_atom("isTransitive(p)")]
+    for j in range(depth):
+        facts.append(parse_atom(f"subClassOf(c{j},c{j + 1})"))
+        facts.append(parse_atom(f"isStatement(s{j},p,s{j + 1})"))
+    return OntologyBase.from_facts(facts)
+
+
+@pytest.mark.parametrize("query, answers, counts", [
+    ("areSubClasses(c0,X)", 300, (45150, 600)),
+    ("areSubClasses(c150,X)", 150, (11325, 300)),
+    ("areSubClasses(c290,X)", 10, (55, 20)),
+    ("areStatements(s0,p,X)", 300, (45150, 901)),
+    ("areStatements(s150,p,X)", 150, (11325, 451)),
+    ("areStatements(s290,p,X)", 10, (55, 31)),
+])
+def test_deep_chain_counters(query, answers, counts):
+    """n = 300 - k nodes below the call: one table per node, n(n+1)/2
+    answers. Each node with an edge reads one row per rule (2n accesses);
+    areStatements also reads isTransitive(p) once per node, the last one
+    included (3n + 1)."""
+    result = solve(_deep_chain_base(), parse_atom(query))
+    assert len(result.answers) == answers
+    assert _counts(result) == counts
+
+
 _CYCLE = ["subClassOf(a,b)", "subClassOf(b,c)", "subClassOf(c,a)"]
 
 

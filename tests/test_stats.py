@@ -63,6 +63,12 @@ def test_alpha_domain_errors():
         alpha(SamplingConfig(d=0.0, p=0.5))
 
 
+@pytest.mark.parametrize("d", [math.nan, math.inf, -math.inf])
+def test_non_finite_relative_error_is_refused(d):
+    with pytest.raises(AnalyzerError, match="d must be positive and finite"):
+        SamplingConfig(d=d).validate()
+
+
 def test_alpha_monotone_in_d_and_p():
     ds = [0.1, 0.2, 0.5, 1.0]
     ps = [0.0, 0.3, 0.7, 0.9]

@@ -1,11 +1,15 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from dobquery import (
+    Atom,
     NonGroundFactError,
     OntologyBase,
     SchemaError,
+    Term,
     assert_fact,
     match_eob,
     parse_atom,
@@ -126,3 +130,85 @@ def test_index_matches_brute_force_scan(seed):
             got = match_eob(base, pattern)
             want = _brute_force(base, pattern)
             assert [str(a) for a in got] == [str(a) for a in want]
+
+
+_ARITY = {"isOntology": 1, "subClassOf": 2, "isStatement": 3}
+_CONSTS = ["a", "b", "c", "d"]
+_facts = st.sampled_from(sorted(_ARITY)).flatmap(
+    lambda pred: st.tuples(
+        st.just(pred),
+        st.lists(st.sampled_from(_CONSTS), min_size=_ARITY[pred],
+                 max_size=_ARITY[pred]),
+    )
+)
+# Variables repeat; "zz" is a constant no base holds.
+_patterns = st.sampled_from(sorted(_ARITY)).flatmap(
+    lambda pred: st.tuples(
+        st.just(pred),
+        st.lists(st.sampled_from(["X", "Y", "a", "b", "zz"]),
+                 min_size=_ARITY[pred], max_size=_ARITY[pred]),
+    )
+)
+
+
+def _atom(pred, args):
+    return Atom(pred, tuple(
+        Term.var(a) if a[0].isupper() else Term.const(a) for a in args
+    ))
+
+
+def _position_sets(arity):
+    return [c for n in range(arity + 1) for c in combinations(range(arity), n)]
+
+
+def _naive_probe(base, pred, positions):
+    probe = {}
+    for row in base.rows(pred):
+        probe.setdefault(tuple(row[i] for i in positions), []).append(row)
+    return probe
+
+
+def _naive_match(base, pred, pattern, same):
+    return [
+        row for row in base.rows(pred)
+        if all(c is None or row[i] == c for i, c in enumerate(pattern))
+        and all(row[i] == row[j] for i, j in same)
+    ]
+
+
+@given(
+    st.lists(_facts, max_size=25),
+    st.lists(_facts, max_size=10),
+    st.lists(_patterns, min_size=1, max_size=6),
+)
+def test_probes_match_a_naive_scan(before, after, patterns):
+    early = OntologyBase.from_facts(_atom(p, a) for p, a in before)
+    for pred, arity in _ARITY.items():
+        for positions in _position_sets(arity):
+            early.probe_index(pred, positions)
+    for pred, args in after:  # each probe built above must see these rows
+        early.assert_fact(_atom(pred, args))
+    late = OntologyBase.from_facts(_atom(p, a) for p, a in before + after)
+    for base in (early, late):
+        for pred, arity in _ARITY.items():
+            for positions in _position_sets(arity):
+                probe = base.probe_index(pred, positions)
+                want = _naive_probe(base, pred, positions)
+                got = {k: rows for k, rows in probe.items() if rows}
+                assert list(got.items()) == list(want.items())
+        for pred, args in patterns:
+            pattern, same, first = [], [], {}
+            for pos, a in enumerate(args):
+                if a[0].isupper():
+                    pattern.append(None)
+                    if a in first:
+                        same.append((first[a], pos))
+                    first.setdefault(a, pos)
+                else:
+                    cid = base.symbols.lookup(a)
+                    pattern.append(-1 if cid is None else cid)
+            got = base.match_rows(pred, tuple(pattern), same)
+            assert got == _naive_match(base, pred, pattern, same)
+            assert match_eob(base, _atom(pred, args)) == [
+                base.to_atom(pred, row) for row in got
+            ]

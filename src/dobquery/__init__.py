@@ -15,7 +15,7 @@ from .model import (
     UnsafeRuleError,
     builtin_iob_program,
 )
-from .store import OntologyBase, assert_fact, match_eob
+from .store import OntologyBase, assert_fact
 from .parsing import (
     OwlDocument,
     ParseError,
@@ -33,7 +33,6 @@ from .engine import (
     EngineLimitError,
     EvaluationResult,
     MemoTable,
-    bottom_up_oracle,
     solve,
     solve_sequence,
 )
@@ -73,7 +72,6 @@ from .optimizer import (
 from .executor import (
     ExecutionReport,
     execute,
-    execute_all_strategies,
     uniform_plan,
 )
 from .synth import QueryShape, SynthConfig, generate_synthetic

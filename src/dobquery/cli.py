@@ -151,6 +151,8 @@ def _load_corpus(directory: str):
         bases.append(_load_base(str(rep / "base.dob")))
         lines = (rep / "queries.dq").read_text(encoding="utf-8").splitlines()
         queries.append([parse_query(line) for line in lines if line.strip()])
+    if not any(queries):
+        raise DobError(f"no queries found in the corpora under {directory}")
     return bases, queries
 
 

@@ -11,15 +11,16 @@ table grows and marks the group completed (SLG-style completion, Chen &
 Warren, JACM 1996). This terminates on cyclic subclass/import graphs and
 never returns an incomplete answer set.
 
-Rule bodies are compiled once per base and call shape (which arguments
-are constants and which free arguments repeat), shared by every memo on
-the base, into steps over substitution tuples: a substitution holds the values bound so far in binding order,
-so a step reads bound variables by position and appends the ones it
-binds. The canonical call pattern encodes constants and repeated
-variables, so every answer of a tabled sub-call is bound by position
-without a check. An EOB step makes one lookup per substitution in the
-base's hash probe for its bound positions, and a rule's last step builds
-head tuples straight from the rows it matched.
+The built-in rule program is compiled once per process and call shape
+(which arguments are constants and which free arguments repeat), shared
+by every memo and base, into steps over substitution tuples: a
+substitution holds the values bound so far in binding order, so a step
+reads bound variables by position and appends the ones it binds. The
+canonical call pattern encodes constants and repeated variables, so
+every answer of a tabled sub-call is bound by position without a check.
+An EOB step makes one lookup per substitution in the base's hash probe
+for its bound positions, and a rule's last step builds head tuples
+straight from the rows it matched.
 
 Two work counters are carried through evaluation:
   * inferred facts  - one per distinct answer added to a table; a memo
@@ -33,13 +34,20 @@ the counters carry no re-evaluation of complete tables.
 from __future__ import annotations
 
 import sys
-import weakref
 from dataclasses import dataclass
+from functools import cache
 from itertools import repeat
 from operator import itemgetter
 from typing import Callable
 
-from .model import Atom, DobError, PredicateKind, SchemaError, schema_for
+from .model import (
+    Atom,
+    DobError,
+    PredicateKind,
+    SchemaError,
+    builtin_iob_program,
+    schema_for,
+)
 from .store import OntologyBase, _getter, _same_rows
 
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
@@ -79,7 +87,7 @@ class EvaluationResult:
 @dataclass
 class _CompiledRule:
     head_vars: tuple[str, ...]
-    body: tuple[tuple[str, tuple[int | str, ...], bool], ...]  # (pred, args, is_eob)
+    body: tuple[tuple[str, tuple[str, ...], bool], ...]  # (pred, args, is_eob)
 
 
 @dataclass(frozen=True, slots=True)
@@ -219,102 +227,61 @@ class _Plan:
     rules: tuple[tuple[tuple[_Step, ...], Callable], ...]
 
 
-class _Program:
-    """The rule program of one base, compiled to slot steps.
+def _compile_rules() -> dict[str, list[_CompiledRule]]:
+    """The built-in rule program as (pred, args, is_eob) bodies, by head.
 
-    Shared by every memo on the base; only the answer tables are per
-    memo. Rule constants are looked up in the base's symbol table, not
-    interned: one the base never saw gets a negative id here, and each
-    memo numbers its own unseen constants after these.
+    Its heads use distinct variables and its rules hold no constants, so
+    the compiled program holds no ids and serves every base.
     """
-
-    def __init__(self, base: OntologyBase):
-        self.symbol_count = len(base.symbols)
-        self.unseen: dict[str, int] = {}
-        self.rules: dict[str, list[_CompiledRule]] = {}
-        self.plans: dict[tuple, _Plan] = {}
-        for rule in base.iob_program:
-            head_vars = []
-            for t in rule.head.args:
-                if not t.is_var or t.value in head_vars:
-                    raise SchemaError(
-                        f"rule head must use distinct variables: {rule.head}"
-                    )
-                head_vars.append(t.value)
-            body = []
-            for atom in rule.body:
-                schema = schema_for(atom.predicate, len(atom.args))
-                args: list[int | str] = [
-                    t.value if t.is_var else self._const(base, t.value)
-                    for t in atom.args
-                ]
-                body.append(
-                    (atom.predicate, tuple(args), schema.kind is PredicateKind.EOB)
-                )
-            self.rules.setdefault(rule.head.predicate, []).append(
-                _CompiledRule(tuple(head_vars), tuple(body))
+    rules: dict[str, list[_CompiledRule]] = {}
+    for rule in builtin_iob_program():
+        body = tuple(
+            (
+                atom.predicate,
+                tuple(t.value for t in atom.args),
+                schema_for(atom.predicate).kind is PredicateKind.EOB,
             )
-
-    def _const(self, base: OntologyBase, text: str) -> int:
-        cid = base.symbols.lookup(text)
-        if cid is None:
-            cid = self.unseen.setdefault(text, -(len(self.unseen) + 1))
-        return cid
-
-    def plan(self, pred: str, shape: tuple) -> _Plan:
-        """Rules of `pred` compiled for calls of one shape.
-
-        A shape marks each constant argument None and each free argument
-        with its placeholder. Constant arguments are the first slots; a
-        head variable at a free argument is renamed to its placeholder, so
-        head variables sharing a placeholder become one variable.
-        """
-        plan = self.plans.get((pred, shape))
-        if plan is not None:
-            return plan
-        rules = []
-        for rule in self.rules.get(pred, []):
-            var_slot: dict[str, int] = {}
-            alias: dict[str, str] = {}
-            for var, placeholder in zip(rule.head_vars, shape):
-                if placeholder is None:
-                    var_slot[var] = len(var_slot)
-                else:
-                    alias[var] = placeholder
-            body = [
-                (
-                    b_pred,
-                    tuple(
-                        alias.get(a, a) if isinstance(a, str) else a
-                        for a in b_args
-                    ),
-                    b_eob,
-                )
-                for b_pred, b_args, b_eob in rule.body
-            ]
-            steps = _compile_body(body[:-1], var_slot)
-            head = [alias.get(v, v) for v in rule.head_vars]
-            emit = _fused_head(head, body[-1][1], var_slot)
-            steps += _compile_body(body[-1:], var_slot)
-            rules.append((steps, emit))
-        plan = _Plan(
-            _getter([i for i, p in enumerate(shape) if p is None]), tuple(rules)
+            for atom in rule.body
         )
-        self.plans[(pred, shape)] = plan
-        return plan
+        rules.setdefault(rule.head.predicate, []).append(
+            _CompiledRule(tuple(t.value for t in rule.head.args), body)
+        )
+    return rules
 
 
-_PROGRAMS: weakref.WeakKeyDictionary[OntologyBase, _Program] = (
-    weakref.WeakKeyDictionary()
-)
+_RULES = _compile_rules()
 
 
-def _program_of(base: OntologyBase) -> _Program:
-    """The compiled program of `base`, rebuilt if its symbols grew."""
-    program = _PROGRAMS.get(base)
-    if program is None or program.symbol_count != len(base.symbols):
-        program = _PROGRAMS[base] = _Program(base)
-    return program
+@cache
+def _plan(pred: str, shape: tuple) -> _Plan:
+    """Rules of `pred` compiled for calls of one shape.
+
+    A shape marks each constant argument None and each free argument
+    with its placeholder. Constant arguments are the first slots; a
+    head variable at a free argument is renamed to its placeholder, so
+    head variables sharing a placeholder become one variable.
+    """
+    rules = []
+    for rule in _RULES.get(pred, []):
+        var_slot: dict[str, int] = {}
+        alias: dict[str, str] = {}
+        for var, placeholder in zip(rule.head_vars, shape):
+            if placeholder is None:
+                var_slot[var] = len(var_slot)
+            else:
+                alias[var] = placeholder
+        body = [
+            (b_pred, tuple(alias.get(a, a) for a in b_args), b_eob)
+            for b_pred, b_args, b_eob in rule.body
+        ]
+        steps = _compile_body(body[:-1], var_slot)
+        head = [alias.get(v, v) for v in rule.head_vars]
+        emit = _fused_head(head, body[-1][1], var_slot)
+        steps += _compile_body(body[-1:], var_slot)
+        rules.append((steps, emit))
+    return _Plan(
+        _getter([i for i, p in enumerate(shape) if p is None]), tuple(rules)
+    )
 
 
 class MemoTable:
@@ -329,14 +296,11 @@ class MemoTable:
         self._revision = 0
         self._entries = 0
         self._base: OntologyBase | None = None
-        self._program: _Program | None = None
         self._unseen: dict[str, int] = {}
 
     def bind(self, base: OntologyBase):
         if self._base is None:
             self._base = base
-            self._program = _program_of(base)
-            self._unseen = dict(self._program.unseen)
         elif self._base is not base:
             raise SchemaError("a MemoTable cannot be shared across bases")
 
@@ -455,7 +419,7 @@ def _solve_call(base, memo, counters, key, shape):
         memo._note_dependency(key)
         return list(memo.tables[key])
 
-    plan = memo._program.plan(key[0], shape)
+    plan = _plan(key[0], shape)
     memo.tables[key] = {}
     memo._active[key] = plan
     deps: set[tuple] = set()
@@ -530,10 +494,7 @@ def solve(
 
 
 def solve_sequence(
-    base: OntologyBase,
-    atoms,
-    input_bindings=None,
-    memo: MemoTable | None = None,
+    base: OntologyBase, atoms, *, memo: MemoTable | None = None
 ):
     """Evaluate a conjunction left to right under nested-loop semantics.
 
@@ -547,90 +508,8 @@ def solve_sequence(
         memo = MemoTable()
     memo.bind(base)
     counters = Counters()
-
-    body = [_body_atom(memo, atom) for atom in atoms]
-    # One compilation per set of input variables, in binding order.
-    compiled: dict[tuple[str, ...], tuple[tuple[_Step, ...], list[str]]] = {}
-    results: dict[tuple, dict[str, str]] = {}
-    for binding in input_bindings if input_bindings is not None else [{}]:
-        inputs = tuple(binding)
-        if inputs not in compiled:
-            var_slot = {v: i for i, v in enumerate(inputs)}
-            steps = _compile_body(body, var_slot)
-            compiled[inputs] = (steps, list(var_slot)[len(inputs):])
-        steps, bound_vars = compiled[inputs]
-        init = tuple(memo.intern_const(binding[v]) for v in inputs)
-        for s in _evaluate(base, memo, counters, steps, [init]):
-            full = dict(binding)
-            values = s[len(inputs):]
-            full.update(zip(bound_vars, map(base.symbols.text, values)))
-            results.setdefault(tuple(sorted(full.items())), full)
-    return list(results.values()), counters
-
-
-def bottom_up_oracle(base: OntologyBase) -> set[Atom]:
-    """Naive fixpoint of the IOB program over the EOB facts (test oracle)."""
-    derived: dict[str, set[tuple[int, ...]]] = {}
-    compiled = []
-    for rule in base.iob_program:
-        head_args = tuple(
-            t.value if t.is_var else base.symbols.intern(t.value)
-            for t in rule.head.args
-        )
-        body = []
-        for atom in rule.body:
-            schema = schema_for(atom.predicate, len(atom.args))
-            args = tuple(
-                t.value if t.is_var else base.symbols.intern(t.value)
-                for t in atom.args
-            )
-            body.append((atom.predicate, args, schema.kind is PredicateKind.EOB))
-        compiled.append((rule.head.predicate, head_args, body))
-
-    def match(pred, inst, eob):
-        rows = base.rows(pred) if eob else derived.get(pred, ())
-        for row in rows:
-            ext = {}
-            ok = True
-            for a, v in zip(inst, row):
-                if isinstance(a, str):
-                    prev = ext.setdefault(a, v)
-                    if prev != v:
-                        ok = False
-                        break
-                elif a != v:
-                    ok = False
-                    break
-            if ok:
-                yield ext
-
-    changed = True
-    while changed:
-        changed = False
-        for head_pred, head_args, body in compiled:
-            substs = [{}]
-            for pred, args, eob in body:
-                if not substs:
-                    break
-                nxt = []
-                for s in substs:
-                    inst = tuple(
-                        s.get(a, a) if isinstance(a, str) else a for a in args
-                    )
-                    for ext in match(pred, inst, eob):
-                        nxt.append({**s, **ext})
-                substs = nxt
-            bucket = derived.setdefault(head_pred, set())
-            for s in substs:
-                fact = tuple(
-                    s[a] if isinstance(a, str) else a for a in head_args
-                )
-                if fact not in bucket:
-                    bucket.add(fact)
-                    changed = True
-
-    out = set()
-    for pred, rows in derived.items():
-        for row in rows:
-            out.add(base.to_atom(pred, row))
-    return out
+    var_slot: dict[str, int] = {}
+    steps = _compile_body([_body_atom(memo, atom) for atom in atoms], var_slot)
+    substs = _evaluate(base, memo, counters, steps, [()])
+    text = base.symbols.text
+    return [dict(zip(var_slot, map(text, s))) for s in substs], counters

@@ -366,23 +366,24 @@ def build_exact_catalog(
 ) -> StatisticsCatalog:
     """Catalog whose intensional numbers are computed exhaustively.
 
-    Cardinalities and distinct values come from the bottom-up fixpoint;
-    per-pattern costs run the sampled catalog's loop with every partition
-    drawn once. Used as the sampling oracle in tests and for reproducible
-    plan golden cases.
+    Cardinalities and distinct values come from the engine's answers to
+    each predicate's all-free call; per-pattern costs run the sampled
+    catalog's loop with every partition drawn once. Used as the sampling
+    oracle in tests and for reproducible plan golden cases.
     """
     config = config or SamplingConfig()
-    model = engine.bottom_up_oracle(base)
     entries: dict[str, EobStats | IobStats] = dict(compute_eob_stats(base))
+    memo = engine.MemoTable()
     for name in IOB_PREDICATES:
         arity = schema_for(name).arity
-        facts = [a for a in model if a.predicate == name]
+        free = Atom(name, tuple(Term.var(f"V{i}") for i in range(arity)))
+        answers = engine.solve(base, free, memo).answers
         distinct = tuple(
-            float(len({a.args[i].value for a in facts})) for i in range(arity)
+            float(len({a.args[i].value for a in answers})) for i in range(arity)
         )
         cache: dict = {}
         entries[name] = _iob_stats(
-            arity, float(len(facts)), distinct,
+            arity, float(len(answers)), distinct,
             lambda pattern: _exhaustive_run(base, name, pattern, cache),
             False,
         )
@@ -476,18 +477,29 @@ def catalog_from_text(text: str) -> StatisticsCatalog:
                 raise AnalyzerError("expected 6 columns")
             name, kind, pattern_s, card_s, cost_s, tail = parts
             schema = schema_for(name)
+            if kind not in ("EOB", "IOB"):
+                raise AnalyzerError(f"bad kind {kind!r}")
+            if kind != schema.kind.value:
+                raise AnalyzerError(
+                    f"{name} is an {schema.kind.value} predicate, not {kind}"
+                )
             if kind == "EOB":
                 n_keys = tuple(int(x) for x in tail.split()) if tail else ()
                 if len(n_keys) != schema.arity:
                     raise AnalyzerError(f"nKeys arity mismatch for {name}")
-                entries[name] = EobStats(int(float(card_s)), n_keys)
+                # an integer is read exactly, past float precision too
+                card = int(card_s) if card_s.isdecimal() else int(float(card_s))
+                entries[name] = EobStats(card, n_keys)
             elif kind == "IOB":
                 pattern = BindingPattern.parse(pattern_s)
                 rows = iob_rows.setdefault(name, {})
                 rows[pattern] = (float(card_s), float(cost_s))
-                iob_distinct[name] = tuple(float(x) for x in tail.split())
-            else:
-                raise AnalyzerError(f"bad kind {kind!r}")
+                distinct = tuple(float(x) for x in tail.split())
+                if len(distinct) != schema.arity:
+                    raise AnalyzerError(
+                        f"distinct-value arity mismatch for {name}"
+                    )
+                iob_distinct[name] = distinct
         except (DobError, ValueError) as exc:
             raise AnalyzerError(f"catalog line {line_no}: {exc}") from None
 

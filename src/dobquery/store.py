@@ -19,10 +19,8 @@ from .model import (
     DOMAIN_SOURCES,
     NonGroundFactError,
     PredicateKind,
-    Rule,
     SchemaError,
     Term,
-    builtin_iob_program,
     schema_for,
 )
 
@@ -66,13 +64,11 @@ class SymbolTable:
 
 
 class OntologyBase:
-    """Ground EOB facts plus the fixed IOB rule program."""
+    """Ground EOB facts; the IOB predicates are defined by the fixed
+    built-in rule program (`model.builtin_iob_program`)."""
 
-    def __init__(self, iob_program: list[Rule] | None = None):
+    def __init__(self):
         self.symbols = SymbolTable()
-        self.iob_program: list[Rule] = (
-            list(iob_program) if iob_program is not None else builtin_iob_program()
-        )
         self._rows: dict[str, list[tuple[int, ...]]] = {}
         self._row_set: set[tuple[str, tuple[int, ...]]] = set()
         # pred -> bound positions -> probe (see `probe_index`)
@@ -144,29 +140,6 @@ class OntologyBase:
         rows = self.probe_index(predicate, positions).get(key, [])
         return _same_rows(rows, same) if same else rows
 
-    def match_eob(self, pattern: Atom) -> list[Atom]:
-        """All facts unifying with `pattern`, in insertion order."""
-        schema = schema_for(pattern.predicate, len(pattern.args))
-        if schema.kind is not PredicateKind.EOB:
-            raise SchemaError(f"match_eob requires an EOB predicate: {pattern}")
-        ids: list[int | None] = []
-        same: list[tuple[int, int]] = []
-        first: dict[str, int] = {}  # variable -> its first position
-        for pos, t in enumerate(pattern.args):
-            if t.is_var:
-                ids.append(None)
-                if t.value in first:
-                    same.append((first[t.value], pos))
-                else:
-                    first[t.value] = pos
-            else:
-                cid = self.symbols.lookup(t.value)
-                if cid is None:
-                    return []
-                ids.append(cid)
-        rows = self.match_rows(pattern.predicate, tuple(ids), same)
-        return [self.to_atom(pattern.predicate, row) for row in rows]
-
     def domain_values(self, domain: ArgDomain) -> list[int]:
         """Constant ids of a domain, one per defining fact (see
         `DOMAIN_SOURCES`); a distinct domain lists each value once."""
@@ -191,6 +164,3 @@ class OntologyBase:
 def assert_fact(base: OntologyBase, fact: Atom) -> OntologyBase:
     return base.assert_fact(fact)
 
-
-def match_eob(base: OntologyBase, pattern: Atom) -> list[Atom]:
-    return base.match_eob(pattern)

@@ -4,7 +4,23 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from dobquery import OntologyBase, build_exact_catalog, parse_atom, parse_dob
+from dobquery import (
+    Atom,
+    JoinMethod,
+    JoinStrategy,
+    OntologyBase,
+    PredicateKind,
+    Query,
+    SchemaError,
+    build_exact_catalog,
+    builtin_iob_program,
+    execute,
+    parse_atom,
+    parse_dob,
+    uniform_plan,
+)
+from dobquery.executor import ExecutionReport
+from dobquery.model import schema_for
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -70,6 +86,113 @@ def random_base(rng: random.Random, max_facts: int = 200) -> OntologyBase:
             f"{rng.choice(vals)})"
         )
     return OntologyBase.from_facts(parse_atom(f) for f in facts[:max_facts])
+
+
+def match_eob(base: OntologyBase, pattern: Atom) -> list[Atom]:
+    """All facts unifying with `pattern`, in insertion order."""
+    schema = schema_for(pattern.predicate, len(pattern.args))
+    if schema.kind is not PredicateKind.EOB:
+        raise SchemaError(f"match_eob requires an EOB predicate: {pattern}")
+    ids: list[int | None] = []
+    same: list[tuple[int, int]] = []
+    first: dict[str, int] = {}  # variable -> its first position
+    for pos, t in enumerate(pattern.args):
+        if t.is_var:
+            ids.append(None)
+            if t.value in first:
+                same.append((first[t.value], pos))
+            else:
+                first[t.value] = pos
+        else:
+            cid = base.symbols.lookup(t.value)
+            if cid is None:
+                return []
+            ids.append(cid)
+    rows = base.match_rows(pattern.predicate, tuple(ids), same)
+    return [base.to_atom(pattern.predicate, row) for row in rows]
+
+
+def execute_all_strategies(
+    base,
+    query: Query,
+    order: tuple[int, ...] | None = None,
+    block_size: int = 32,
+) -> dict[JoinMethod, ExecutionReport]:
+    """One report per strategy over the same ordering; answers must agree."""
+    out = {}
+    for method in JoinMethod:
+        plan = uniform_plan(query, JoinStrategy(method, block_size), order)
+        out[method] = execute(base, plan)
+    return out
+
+
+def bottom_up_oracle(base: OntologyBase) -> set[Atom]:
+    """Naive fixpoint of the IOB program over the EOB facts: the reference
+    the top-down engine is compared against."""
+    derived: dict[str, set[tuple[int, ...]]] = {}
+    compiled = []
+    for rule in builtin_iob_program():
+        head_args = tuple(
+            t.value if t.is_var else base.symbols.intern(t.value)
+            for t in rule.head.args
+        )
+        body = []
+        for atom in rule.body:
+            schema = schema_for(atom.predicate, len(atom.args))
+            args = tuple(
+                t.value if t.is_var else base.symbols.intern(t.value)
+                for t in atom.args
+            )
+            body.append((atom.predicate, args, schema.kind is PredicateKind.EOB))
+        compiled.append((rule.head.predicate, head_args, body))
+
+    def match(pred, inst, eob):
+        rows = base.rows(pred) if eob else derived.get(pred, ())
+        for row in rows:
+            ext = {}
+            ok = True
+            for a, v in zip(inst, row):
+                if isinstance(a, str):
+                    prev = ext.setdefault(a, v)
+                    if prev != v:
+                        ok = False
+                        break
+                elif a != v:
+                    ok = False
+                    break
+            if ok:
+                yield ext
+
+    changed = True
+    while changed:
+        changed = False
+        for head_pred, head_args, body in compiled:
+            substs = [{}]
+            for pred, args, eob in body:
+                if not substs:
+                    break
+                nxt = []
+                for s in substs:
+                    inst = tuple(
+                        s.get(a, a) if isinstance(a, str) else a for a in args
+                    )
+                    for ext in match(pred, inst, eob):
+                        nxt.append({**s, **ext})
+                substs = nxt
+            bucket = derived.setdefault(head_pred, set())
+            for s in substs:
+                fact = tuple(
+                    s[a] if isinstance(a, str) else a for a in head_args
+                )
+                if fact not in bucket:
+                    bucket.add(fact)
+                    changed = True
+
+    out = set()
+    for pred, rows in derived.items():
+        for row in rows:
+            out.add(base.to_atom(pred, row))
+    return out
 
 
 # Property tests draw the same examples on every run and stay within the

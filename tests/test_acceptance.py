@@ -18,11 +18,9 @@ from dobquery import (
     SamplingConfig,
     SynthConfig,
     adaptive_sample,
-    bottom_up_oracle,
     build_catalog,
     compare_strategy_sets,
     exhaustive_orderings,
-    execute_all_strategies,
     generate_synthetic,
     optimize,
     parse_atom,
@@ -37,7 +35,7 @@ from dobquery import (
 from dobquery.executor import execute
 from dobquery.model import Atom, BUILTIN_SCHEMA, IOB_PREDICATES, Query, Term
 from dobquery.stats import BindingPattern
-from conftest import random_base
+from conftest import bottom_up_oracle, execute_all_strategies, random_base
 
 DATA = Path(__file__).parent / "data"
 NLJ = (JoinStrategy(JoinMethod.NESTED_LOOP),)

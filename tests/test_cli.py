@@ -341,3 +341,48 @@ def test_nonpositive_replicas_is_a_usage_error(tmp_path, capsys, replicas):
     assert f"--replicas: expected a positive integer, got '{replicas}'" in err
     assert "Traceback" not in err
     assert not corpus.exists()
+
+
+@pytest.mark.parametrize("predicate, edit, detail", [
+    ("isOntology",
+     lambda line: "isOntology | IOB | f | 3 | 3 | 3\n"
+                  "isOntology | IOB | b | 1 | 1 | 3",
+     "isOntology is an EOB predicate, not IOB"),
+    ("areClasses", lambda line: line.rsplit(" ", 1)[0],
+     "distinct-value arity mismatch for areClasses"),
+], ids=["iob-row-for-eob", "short-distinct-tail"])
+def test_catalog_row_disagreeing_with_the_schema_is_a_data_error(
+    workspace, capsys, predicate, edit, detail
+):
+    dob, catalog = workspace
+    lines = catalog.read_text().splitlines()
+    at = [i for i, ln in enumerate(lines) if ln.startswith(predicate + " ")]
+    for i in at:
+        lines[i] = edit(lines[i])
+    catalog.write_text("\n".join(lines) + "\n")
+    code, out, err = run(
+        capsys,
+        "query", str(dob), "--catalog", str(catalog),
+        "-q", "q(C):-isOntology(O),areClasses(C,O).",
+    )
+    assert code == 2
+    assert out == ""
+    assert f"catalog line {at[0] + 1}: {detail}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode", ["correlate", "ratio"])
+def test_corpus_without_queries_is_a_data_error(tmp_path, capsys, mode):
+    config = tmp_path / "synth.json"
+    config.write_text("{}")
+    corpus = tmp_path / "corpus"
+    assert run(capsys, "gen", str(config), "-o", str(corpus),
+               "--replicas", "2")[0] == 0
+    for queries in corpus.glob("rep*/queries.dq"):
+        queries.write_text("")
+    report = tmp_path / "report.csv"
+    code, out, err = run(capsys, "bench", mode, str(corpus), "-o", str(report))
+    assert code == 2
+    assert f"no queries found in the corpora under {corpus}" in err
+    assert "Traceback" not in err
+    assert not report.exists()

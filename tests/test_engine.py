@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dobquery import engine
 from dobquery import (
     Atom,
     EngineLimitError,
     MemoTable,
     OntologyBase,
     Term,
-    bottom_up_oracle,
     parse_atom,
     solve,
     solve_sequence,
@@ -22,7 +22,7 @@ from dobquery.model import (
     IOB_PREDICATES,
     ArgDomain,
 )
-from conftest import random_base
+from conftest import bottom_up_oracle, random_base
 
 
 def _free_atom(pred):
@@ -135,14 +135,10 @@ def test_solve_sequence_empty_relation_short_circuits(cars_base):
     assert counters.actual_cost == 0  # no statements, nothing retrieved
 
 
-def test_solve_sequence_input_bindings(cars_base):
-    subs, _ = solve_sequence(
-        cars_base,
-        [parse_atom("areClasses(C,O)")],
-        input_bindings=[{"O": "source1"}],
-    )
+def test_solve_sequence_bound_constant(cars_base):
+    subs, _ = solve_sequence(cars_base, [parse_atom("areClasses(C,source1)")])
     assert sorted(s["C"] for s in subs) == ["car", "dealer", "suv", "vehicle"]
-    assert all(s["O"] == "source1" for s in subs)
+    assert all(list(s) == ["C"] for s in subs)  # source1 binds no variable
 
 
 def test_ordering_invariance_of_answers(cars_base):
@@ -200,23 +196,24 @@ def test_memo_usable_after_table_entry_cap_error():
     assert len(solve_sequence(base, [atom], memo=memo)[0]) == 20
 
 
-def test_rule_program_is_compiled_once_per_base(cars_base):
+def test_rule_program_is_compiled_once_per_process(cars_base):
     first, second = MemoTable(), MemoTable()
     atom = parse_atom("areClasses(C,O)")
     # tables stay per memo: the second memo pays the whole derivation again
     assert _counts(solve(cars_base, atom, first)) == _counts(
         solve(cars_base, atom, second)
     )
-    assert first._program is second._program
+    compiled = engine._plan.cache_info()
 
+    # a memo on another base reuses the same plans, even after the base
+    # grows past the memo's binding
     base = OntologyBase.from_facts([parse_atom("isClass(a,o)")])
-    before = MemoTable()
-    before.bind(base)
+    memo = MemoTable()
+    memo.bind(base)
     base.assert_fact(parse_atom("isClass(b,o)"))
-    after = MemoTable()
-    after.bind(base)
-    assert after._program is not before._program
-    assert len(solve(base, atom, after).answers) == 2
+    assert len(solve(base, atom, memo).answers) == 2
+    after = engine._plan.cache_info()
+    assert after.misses == compiled.misses
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -9,7 +9,6 @@ from dobquery import (
     JoinStrategy,
     MemoTable,
     execute,
-    execute_all_strategies,
     optimize,
     parse_atom,
     parse_query,
@@ -20,7 +19,7 @@ from dobquery import (
 from dobquery.model import (
     BUILTIN_SCHEMA, IOB_PREDICATES, ArgDomain, Atom, Query, Term,
 )
-from conftest import random_base
+from conftest import execute_all_strategies, random_base
 
 CARS_Q = "q(O):-areClasses(C,O),isDProperty(traction,C)."
 CARS_Q_PRIME = "q(O):-isDProperty(traction,C),areClasses(C,O)."

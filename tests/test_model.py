@@ -112,6 +112,17 @@ def test_program_rules_are_safe_and_well_typed():
             schema_for(atom.predicate, len(atom.args))
 
 
+def test_program_heads_use_distinct_variables_and_rules_hold_no_constants():
+    # The engine compiles the program once per process: a plan holds no
+    # constant ids and binds each head argument to its own variable.
+    for rule in builtin_iob_program():
+        head = [t.value for t in rule.head.args]
+        assert all(t.is_var for t in rule.head.args), rule
+        assert len(set(head)) == len(head), rule
+        for atom in rule.body:
+            assert all(t.is_var for t in atom.args), rule
+
+
 def test_recursion_limited_to_expected_predicates():
     recursive = set()
     for rule in builtin_iob_program():

@@ -2,28 +2,32 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dobquery import (
     OntologyBase,
     SamplingConfig,
     adaptive_sample,
     alpha,
-    bottom_up_oracle,
     build_catalog,
     build_exact_catalog,
     compute_eob_stats,
     estimate_iob_stats,
     parse_atom,
 )
-from dobquery.model import schema_for
+from dobquery.model import BUILTIN_SCHEMA, PredicateKind, schema_for
 from dobquery.stats import (
     AnalyzerError,
     BindingPattern,
+    EobStats,
+    IobStats,
+    StatisticsCatalog,
     all_patterns,
     catalog_from_text,
     catalog_to_text,
 )
-from conftest import random_base
+from conftest import bottom_up_oracle, random_base
 
 
 def test_binding_pattern_parse_and_format():
@@ -223,12 +227,58 @@ def test_catalog_roundtrip(cars_base):
     ("noSuchPred | EOB | f | 4 | 4 | 4", "catalog line 4: unknown predicate"),
     ("areClasses | IOB | bx | 4 | 4 | 4 1", "catalog line 4: bad binding"),
     ("isClass | XYZ | ff | 4 | 4 | 4 1", "catalog line 4: bad kind"),
+    ("isOntology | IOB | f | 1 | 1 | 1",
+     "catalog line 4: isOntology is an EOB predicate, not IOB"),
+    ("areClasses | EOB | ff | 4 | 4 | 4 1",
+     "catalog line 4: areClasses is an IOB predicate, not EOB"),
+    ("areClasses | IOB | ff | 4 | 4 | 4",
+     "catalog line 4: distinct-value arity mismatch for areClasses"),
 ])
 def test_catalog_parse_errors_name_the_line(cars_base, bad, message):
     lines = catalog_to_text(build_exact_catalog(cars_base)).splitlines()
     lines.insert(3, bad)
     with pytest.raises(AnalyzerError, match=message):
         catalog_from_text("\n".join(lines))
+
+
+# Counts reach past 2**53, where a float no longer holds every integer.
+_counts = st.integers(min_value=0, max_value=2**64)
+_numbers = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _catalogs(draw):
+    entries = {}
+    for name, schema in BUILTIN_SCHEMA.items():
+        n = schema.arity
+        if schema.kind is PredicateKind.EOB:
+            entries[name] = EobStats(
+                draw(_counts), tuple(draw(_counts) for _ in range(n))
+            )
+        else:
+            entries[name] = IobStats(
+                n,
+                tuple(draw(_numbers) for _ in range(n)),
+                {p: draw(_numbers) for p in all_patterns(n)},
+                {p: draw(_numbers) for p in all_patterns(n)},
+            )
+    config = SamplingConfig(
+        d=draw(st.floats(min_value=0.0, exclude_min=True,
+                         allow_infinity=False)),
+        p=draw(st.floats(min_value=0.0, max_value=1.0, exclude_max=True)),
+        k=draw(st.integers(min_value=1, max_value=10**6)),
+        m_max=draw(st.none() | st.integers(min_value=1, max_value=10**6)),
+        seed=draw(st.integers(min_value=0, max_value=2**63)),
+        clt_factor=draw(st.booleans()),
+    )
+    return StatisticsCatalog(entries, config)
+
+
+@given(_catalogs())
+def test_catalog_text_round_trips(catalog):
+    parsed = catalog_from_text(catalog_to_text(catalog))
+    assert parsed == catalog
+    assert parsed.config == catalog.config
 
 
 def test_incomplete_catalog_is_refused_at_load(cars_base):

@@ -11,10 +11,9 @@ from dobquery import (
     SchemaError,
     Term,
     assert_fact,
-    match_eob,
     parse_atom,
 )
-from conftest import random_base
+from conftest import match_eob, random_base
 
 
 def test_assert_and_match_single_fact():

@@ -13,7 +13,7 @@ from pathlib import Path
 from . import bench as bench_mod
 from .costmodel import JoinMethod, JoinStrategy, default_strategies
 from .executor import execute, uniform_plan
-from .model import DobError
+from .model import DobError, read_text
 from .optimizer import explain_plan, optimize, plan_for_order
 from .parsing import (
     ParseError,
@@ -47,7 +47,7 @@ def _positive_int(text: str) -> int:
 
 
 def _load_base(path: str) -> OntologyBase:
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
     return OntologyBase.from_facts(parse_dob(text, filename=path))
 
 
@@ -67,7 +67,7 @@ def _enabled_strategies(name: str, block_size: int):
 def _cmd_translate(args) -> int:
     docs = []
     for path in args.owl:
-        text = Path(path).read_text(encoding="utf-8")
+        text = read_text(path)
         docs.append(parse_owl(text, filename=path))
     facts = translate_documents(docs)
     Path(args.output).write_text(render_dob(facts), encoding="utf-8")
@@ -115,7 +115,7 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    text = Path(args.config).read_text(encoding="utf-8")
+    text = read_text(args.config)
     config = SynthConfig.from_json(text)
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -149,7 +149,7 @@ def _load_corpus(directory: str):
     bases, queries = [], []
     for rep in rep_dirs:
         bases.append(_load_base(str(rep / "base.dob")))
-        lines = (rep / "queries.dq").read_text(encoding="utf-8").splitlines()
+        lines = read_text(rep / "queries.dq").splitlines()
         queries.append([parse_query(line) for line in lines if line.strip()])
     if not any(queries):
         raise DobError(f"no queries found in the corpora under {directory}")

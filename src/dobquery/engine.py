@@ -11,6 +11,13 @@ table grows and marks the group completed (SLG-style completion, Chen &
 Warren, JACM 1996). This terminates on cyclic subclass/import graphs and
 never returns an incomplete answer set.
 
+The one-pass call is the common one (building a catalog, nearly every
+table completes in one pass and stays empty), so it is the cheap path: a
+step reads a completed table straight from the memo without entering a
+call, a call builds a dependency set only when it reads an active table,
+and no call keeps cleanup of its own: an evaluation that raises drops
+the active tables and the dependency stack at its entry (`_evaluate`).
+
 The built-in rule program is compiled once per process and call shape
 (which arguments are constants and which free arguments repeat), shared
 by every memo and base, into steps over substitution tuples: a
@@ -96,11 +103,11 @@ class _Step:
 
     For an IOB atom, `args(s + extras)` is the call's argument tuple:
     constants and bound variables as ids, free variables as their
-    canonical placeholders. For an EOB atom it holds only the ids at
-    `bound`, the positions of its constants and earlier bound variables:
-    the key of the base's probe for those positions. `new(row)` holds the
-    values of the variables the atom binds, in slot order. `same` pairs
-    the row positions of an EOB atom's repeated free variables.
+    canonical placeholders. For an EOB atom it holds only the ids at the
+    positions of its constants and earlier bound variables: the key of
+    the base's probe `access`, (pred, those positions). `new(row)` holds
+    the values of the variables the atom binds, in slot order. `same`
+    pairs the row positions of an EOB atom's repeated free variables.
     """
 
     pred: str
@@ -109,7 +116,7 @@ class _Step:
     args: Callable[[tuple], tuple]
     new: Callable[[tuple], tuple]
     same: tuple[tuple[int, int], ...]
-    bound: tuple[int, ...]  # EOB: the probe's positions
+    access: tuple[str, tuple[int, ...]]  # EOB: the probe's key in the base
     shape: tuple  # IOB: the call shape of `args`
 
 
@@ -162,7 +169,7 @@ def _compile_body(body, var_slot: dict[str, int]) -> tuple[_Step, ...]:
         steps.append(
             _Step(
                 pred, eob, tuple(extras), args_of, _getter(new),
-                tuple(same) if eob else (), tuple(bound), tuple(shape),
+                tuple(same) if eob else (), (pred, tuple(bound)), tuple(shape),
             )
         )
     return tuple(steps)
@@ -292,7 +299,7 @@ class MemoTable:
         self.tables: dict[tuple, dict[tuple[int, ...], None]] = {}
         self.completed: dict[tuple, dict[tuple[int, ...], None]] = {}
         self._active: dict[tuple, _Plan] = {}
-        self._dep_stack: list[set[tuple]] = []
+        self._dep_stack: list[set[tuple] | None] = []
         self._revision = 0
         self._entries = 0
         self._base: OntologyBase | None = None
@@ -331,8 +338,13 @@ class MemoTable:
         self._dep_stack.clear()
 
     def _note_dependency(self, key: tuple):
-        if self._dep_stack:
-            self._dep_stack[-1].add(key)
+        """Record that the innermost running call read active `key`."""
+        stack = self._dep_stack
+        if stack:
+            if stack[-1] is None:
+                stack[-1] = {key}
+            else:
+                stack[-1].add(key)
 
     def _added(self, count: int, counters: Counters):
         """Account for `count` new answers just added to a table."""
@@ -351,32 +363,44 @@ def _run(base, memo, counters, steps, substs, emit=None):
     Each step is applied to every substitution before the next step runs
     (sideways information passing over the whole batch). With `emit`, the
     last step yields `emit(s, rows)` for each substitution `s` and the
-    rows it matched, instead of the extended substitutions.
+    rows it matched, instead of the extended substitutions. A call with a
+    completed table is answered from it here, without `_solve_call`.
     """
-    last = len(steps) - 1 if emit is not None else -1
-    for i, step in enumerate(steps):
+    last = steps[-1] if emit is not None else None
+    for step in steps:
         if not substs:
             break
         out = []
-        pred, eob, extras, args = step.pred, step.eob, step.extras, step.args
-        new, same, shape, fused = step.new, step.same, step.shape, i == last
-        if eob:
-            get = base.probe_index(pred, step.bound).get
-        for s in substs:
-            if eob:
+        args, extras, new = step.args, step.extras, step.new
+        fused = step is last
+        if step.eob:
+            probe = base.probes.get(step.access)
+            if probe is None:
+                probe = base.probe_index(*step.access)
+            get, same = probe.get, step.same
+            for s in substs:
                 rows = get(args(s + extras), ())
                 if same:
                     rows = _same_rows(rows, same)
-            else:
-                rows = _solve_call(
-                    base, memo, counters, (pred, args(s + extras)), shape
-                )
-            if rows:
-                out.extend(
-                    emit(s, rows) if fused else map(s.__add__, map(new, rows))
-                )
-        if eob:  # `emit` also makes one tuple per row
+                if rows:
+                    out.extend(
+                        emit(s, rows) if fused
+                        else map(s.__add__, map(new, rows))
+                    )
+            # `emit` also makes one tuple per row
             counters.eob_accesses += len(out)
+        else:
+            pred, shape, completed = step.pred, step.shape, memo.completed
+            for s in substs:
+                key = (pred, args(s + extras))
+                rows = completed.get(key)
+                if rows is None:
+                    rows = _solve_call(base, memo, counters, key, shape)
+                if rows:
+                    out.extend(
+                        emit(s, rows) if fused
+                        else map(s.__add__, map(new, rows))
+                    )
         substs = out
     return substs
 
@@ -385,7 +409,8 @@ def _evaluate(base, memo, counters, steps, substs):
     """`_run` from outside any tabled call.
 
     If evaluation raises (say, at the entry cap), the tables it left
-    active are dropped, so the memo can still be used.
+    active are dropped and the dependency stack is cleared, so the memo
+    can still be used; tabled calls keep no cleanup of their own.
     """
     try:
         return _run(base, memo, counters, steps, substs)
@@ -399,22 +424,23 @@ def _expand(base, memo, counters, key, plan: _Plan):
     table = memo.tables[key]
     init = [plan.bound(key[1])]
     for steps, emit in plan.rules:
-        size = len(table)
         answers = _run(base, memo, counters, steps, init, emit)
         if answers:
+            size = len(table)
             table.update(dict.fromkeys(answers))
             memo._added(len(table) - size, counters)
 
 
 def _solve_call(base, memo, counters, key, shape):
-    """Answers of a canonical call pattern of the given shape.
+    """Answers of a canonical call pattern of the given shape that has no
+    completed table.
 
-    A complete table is returned itself; an active one as a snapshot
-    list, since evaluation may still add to it.
+    A table completed here is returned itself; an active one as a
+    snapshot list, since evaluation may still add to it. The call's
+    frame on the dependency stack stays None until it reads an active
+    table, so a call that read only complete tables completes after one
+    pass with no set built.
     """
-    table = memo.completed.get(key)
-    if table is not None:
-        return table
     if key in memo._active:
         memo._note_dependency(key)
         return list(memo.tables[key])
@@ -422,19 +448,20 @@ def _solve_call(base, memo, counters, key, shape):
     plan = _plan(key[0], shape)
     memo.tables[key] = {}
     memo._active[key] = plan
-    deps: set[tuple] = set()
-    memo._dep_stack.append(deps)
-    try:
-        while True:
-            rev = memo._revision
-            _expand(base, memo, counters, key, plan)
-            # One pass suffices when every table read was complete.
-            if memo._revision == rev or all(d in memo.completed for d in deps):
-                break
-    finally:
-        memo._dep_stack.pop()
+    stack = memo._dep_stack
+    stack.append(None)
+    while True:
+        rev = memo._revision
+        _expand(base, memo, counters, key, plan)
+        deps = stack[-1]
+        # One pass suffices when every table read was complete.
+        if (deps is None or memo._revision == rev
+                or all(d in memo.completed for d in deps)):
+            break
+    stack.pop()
 
-    deps = {d for d in deps if d != key and d not in memo.completed}
+    if deps is not None:
+        deps = {d for d in deps if d != key and d not in memo.completed}
     if not deps:
         memo.completed[key] = memo.tables[key]
         del memo._active[key]
@@ -444,11 +471,9 @@ def _solve_call(base, memo, counters, key, shape):
         while True:
             rev = memo._revision
             for other, other_plan in list(memo._active.items()):
-                memo._dep_stack.append(set())
-                try:
-                    _expand(base, memo, counters, other, other_plan)
-                finally:
-                    memo._dep_stack.pop()
+                stack.append(None)
+                _expand(base, memo, counters, other, other_plan)
+                stack.pop()
             if memo._revision == rev:
                 break
         for other in memo._active:

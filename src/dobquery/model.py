@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 
 
 class DobError(Exception):
@@ -27,6 +28,21 @@ class NonGroundFactError(DobError):
 
 class UnsafeRuleError(DobError):
     """A rule or query head uses a variable that does not occur in the body."""
+
+
+def read_text(path) -> str:
+    """The contents of a UTF-8 text file.
+
+    A file that is not UTF-8 raises DobError naming it and the offset of
+    its first bad byte, counted from 1.
+    """
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DobError(
+            f"{path}: not UTF-8 text (byte {exc.start + 1})"
+        ) from None
 
 
 CONSTANT_RE = re.compile(r"[a-z][A-Za-z0-9_:.]*\Z")

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 
 from .model import (
+    CONSTANT_RE,
     Atom,
     DobError,
     Query,
@@ -148,22 +150,40 @@ def _strip_comment(line: str) -> str:
     return line
 
 
+# A name that `Term.__str__` writes unquoted.
+_NAME = CONSTANT_RE.pattern.removesuffix(r"\Z")
+
+# A fact line as `render_dob` writes it: unquoted constants, no spaces.
+_PLAIN_FACT_RE = re.compile(rf"({_NAME})\(({_NAME}(?:,{_NAME})*)\)\.")
+
+
 def parse_dob(text: str, filename: str = "<string>") -> list[Atom]:
-    """Parse the fact format: one ground built-in fact per line."""
+    """Parse the fact format: one ground built-in fact per line.
+
+    A plain line is read by one regex. Any other line (quoted constants,
+    inner spaces, variables, malformed input) goes through the tokenizer,
+    which reads a plain line to the same atom and reports every error.
+    """
     facts = []
+    const = cache(Term.const)  # one Term per distinct constant text
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).strip() if "%" in raw else raw.strip()
         if not line:
             continue
-        ts = _TokenStream(line, filename, line_no)
-        atom = _parse_atom(ts)
-        _, _, loc = ts.expect(".")
-        ts.expect("end")
-        if not atom.is_ground:
-            raise ParseError(
-                f"variable in fact: {atom}",
-                SourceLocation(filename, line_no, 1),
-            )
+        m = _PLAIN_FACT_RE.fullmatch(line)
+        if m is not None:
+            pred, args = m.groups()
+            atom = Atom(pred, tuple(map(const, args.split(","))))
+        else:
+            ts = _TokenStream(line, filename, line_no)
+            atom = _parse_atom(ts)
+            ts.expect(".")
+            ts.expect("end")
+            if not atom.is_ground:
+                raise ParseError(
+                    f"variable in fact: {atom}",
+                    SourceLocation(filename, line_no, 1),
+                )
         try:
             schema_for(atom.predicate, len(atom.args))
         except SchemaError as exc:

@@ -29,6 +29,7 @@ from .model import (
     PredicateKind,
     SchemaError,
     Term,
+    read_text,
     schema_for,
 )
 from .store import OntologyBase
@@ -453,6 +454,16 @@ def _parse_config(text: str) -> SamplingConfig:
     )
 
 
+def _catalog_number(text: str, what: str, parse=float):
+    """A catalog number: `parse(text)`, finite and not negative."""
+    value = parse(text)
+    if not 0 <= value < math.inf:
+        raise AnalyzerError(
+            f"{what} must be finite and non-negative, got {text!r}"
+        )
+    return value
+
+
 def catalog_from_text(text: str) -> StatisticsCatalog:
     config = SamplingConfig()
     created = ""
@@ -484,17 +495,26 @@ def catalog_from_text(text: str) -> StatisticsCatalog:
                     f"{name} is an {schema.kind.value} predicate, not {kind}"
                 )
             if kind == "EOB":
-                n_keys = tuple(int(x) for x in tail.split()) if tail else ()
+                n_keys = tuple(
+                    _catalog_number(x, "nKeys", int) for x in tail.split()
+                )
                 if len(n_keys) != schema.arity:
                     raise AnalyzerError(f"nKeys arity mismatch for {name}")
                 # an integer is read exactly, past float precision too
-                card = int(card_s) if card_s.isdecimal() else int(float(card_s))
-                entries[name] = EobStats(card, n_keys)
+                card = _catalog_number(
+                    card_s, "cardinality", int if card_s.isdecimal() else float
+                )
+                entries[name] = EobStats(int(card), n_keys)
             elif kind == "IOB":
                 pattern = BindingPattern.parse(pattern_s)
                 rows = iob_rows.setdefault(name, {})
-                rows[pattern] = (float(card_s), float(cost_s))
-                distinct = tuple(float(x) for x in tail.split())
+                rows[pattern] = (
+                    _catalog_number(card_s, "cardinality"),
+                    _catalog_number(cost_s, "cost"),
+                )
+                distinct = tuple(
+                    _catalog_number(x, "distinct value") for x in tail.split()
+                )
                 if len(distinct) != schema.arity:
                     raise AnalyzerError(
                         f"distinct-value arity mismatch for {name}"
@@ -528,5 +548,4 @@ def save_catalog(catalog: StatisticsCatalog, path) -> None:
 
 
 def load_catalog(path) -> StatisticsCatalog:
-    with open(path, encoding="utf-8") as fh:
-        return catalog_from_text(fh.read())
+    return catalog_from_text(read_text(path))

@@ -71,8 +71,10 @@ class OntologyBase:
         self.symbols = SymbolTable()
         self._rows: dict[str, list[tuple[int, ...]]] = {}
         self._row_set: set[tuple[str, tuple[int, ...]]] = set()
-        # pred -> bound positions -> probe (see `probe_index`)
-        self._probes: dict[str, dict[tuple[int, ...], dict]] = {}
+        # (pred, bound positions) -> probe (see `probe_index`)
+        self.probes: dict[tuple[str, tuple[int, ...]], dict] = {}
+        # pred -> (row key, probe) of each keyed probe, for `assert_fact`
+        self._keyed: dict[str, list[tuple[Callable, dict]]] = {}
         self._order: list[tuple[str, tuple[int, ...]]] = []
 
     @classmethod
@@ -96,9 +98,9 @@ class OntologyBase:
         self._row_set.add(key)
         self._rows.setdefault(fact.predicate, []).append(row)
         self._order.append(key)
-        for positions, probe in self._probes.get(fact.predicate, {}).items():
-            if positions:  # the free probe holds the row list itself
-                probe.setdefault(_getter(positions)(row), []).append(row)
+        # the free probe holds the row list itself
+        for row_key, probe in self._keyed.get(fact.predicate, ()):
+            probe.setdefault(row_key(row), []).append(row)
         return self
 
     def rows(self, predicate: str) -> list[tuple[int, ...]]:
@@ -112,11 +114,11 @@ class OntologyBase:
 
         Each list is in insertion order. The probe is built on the first
         request for the pair and extended by every later `assert_fact`;
-        the free pattern `()` maps `()` to the row list itself. Do not
+        the free pattern `()` maps `()` to the row list itself. Every
+        probe built so far is also `probes[predicate, positions]`. Do not
         mutate.
         """
-        probes = self._probes.setdefault(predicate, {})
-        probe = probes.get(positions)
+        probe = self.probes.get((predicate, positions))
         if probe is None:
             rows = self._rows.setdefault(predicate, [])
             if positions:
@@ -124,9 +126,10 @@ class OntologyBase:
                 probe = {}
                 for row in rows:
                     probe.setdefault(row_key(row), []).append(row)
+                self._keyed.setdefault(predicate, []).append((row_key, probe))
             else:
                 probe = {(): rows}
-            probes[positions] = probe
+            self.probes[predicate, positions] = probe
         return probe
 
     def match_rows(

@@ -386,3 +386,95 @@ def test_corpus_without_queries_is_a_data_error(tmp_path, capsys, mode):
     assert f"no queries found in the corpora under {corpus}" in err
     assert "Traceback" not in err
     assert not report.exists()
+
+
+@pytest.mark.parametrize("predicate, edit, detail", [
+    ("isClass", lambda f: [f[0], f[1], f[2], "inf", *f[4:]],
+     "cardinality must be finite and non-negative, got 'inf'"),
+    ("isClass", lambda f: [*f[:5], "-3 1"],
+     "nKeys must be finite and non-negative, got '-3'"),
+    ("areClasses", lambda f: [*f[:3], "nan", *f[4:]],
+     "cardinality must be finite and non-negative, got 'nan'"),
+    ("areClasses", lambda f: [*f[:4], "-5", f[5]],
+     "cost must be finite and non-negative, got '-5'"),
+], ids=["eob-card-inf", "nkeys-negative", "iob-card-nan", "iob-cost-negative"])
+def test_catalog_number_out_of_range_is_a_data_error(
+    workspace, capsys, predicate, edit, detail
+):
+    dob, catalog = workspace
+    lines = catalog.read_text().splitlines()
+    at = next(i for i, ln in enumerate(lines) if ln.startswith(predicate + " "))
+    lines[at] = " | ".join(edit(lines[at].split(" | ")))
+    catalog.write_text("\n".join(lines) + "\n")
+    code, out, err = run(
+        capsys,
+        "query", str(dob), "--catalog", str(catalog), "--explain",
+        "-q", "q(C):-isOntology(O),areClasses(C,O).",
+    )
+    assert code == 2
+    assert out == ""
+    assert f"catalog line {at + 1}: {detail}" in err
+    assert "Traceback" not in err
+
+
+def _not_utf8(path, valid=b"isOntology(a).\n"):
+    path.write_bytes(valid + b"\xff\n")
+    return f"{path}: not UTF-8 text (byte {len(valid) + 1})"
+
+
+def test_analyze_of_non_utf8_facts_is_a_data_error(tmp_path, capsys):
+    dob = tmp_path / "bad.dob"
+    message = _not_utf8(dob)
+    code, out, err = run(capsys, "analyze", str(dob), "-o", str(tmp_path / "c"))
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "c").exists()
+
+
+def test_query_with_non_utf8_catalog_is_a_data_error(workspace, capsys):
+    dob, catalog = workspace
+    message = _not_utf8(catalog, catalog.read_bytes())
+    code, out, err = run(
+        capsys,
+        "query", str(dob), "--catalog", str(catalog),
+        "-q", "q(C):-areClasses(C,carsOnt).",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_translate_of_non_utf8_owl_is_a_data_error(tmp_path, capsys):
+    owl = tmp_path / "bad.owl"
+    message = _not_utf8(owl, b"Ontology(o)\n")
+    out_path = tmp_path / "out.dob"
+    code, out, err = run(
+        capsys, "translate", str(DATA / "carsOnt.owl"), str(owl),
+        "-o", str(out_path),
+    )
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert not out_path.exists()
+
+
+def test_gen_with_non_utf8_config_is_a_data_error(tmp_path, capsys):
+    config = tmp_path / "synth.json"
+    message = _not_utf8(config, b'{"seed": 1}')
+    code, out, err = run(capsys, "gen", str(config), "-o", str(tmp_path / "o"))
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_bench_of_non_utf8_queries_is_a_data_error(tmp_path, capsys):
+    config = tmp_path / "synth.json"
+    config.write_text("{}")
+    corpus = tmp_path / "corpus"
+    assert run(capsys, "gen", str(config), "-o", str(corpus))[0] == 0
+    queries = corpus / "rep000" / "queries.dq"
+    message = _not_utf8(queries, queries.read_bytes())
+    report = tmp_path / "report.csv"
+    code, out, err = run(capsys, "bench", "ratio", str(corpus), "-o", str(report))
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert not report.exists()

@@ -185,8 +185,10 @@ def test_memo_usable_after_table_entry_cap_error():
     memo = MemoTable(max_entries=40)
     with pytest.raises(EngineLimitError):
         solve(base, parse_atom("areSubClasses(c0,X)"), memo)
-    # the partial tables of the aborted group are gone; complete ones stay
+    # the partial tables of the aborted group are gone; complete ones stay,
+    # and no frame of the aborted calls is left on the dependency stack
     assert not memo._active
+    assert not memo._dep_stack
     assert memo._entries == sum(len(t) for t in memo.tables.values())
     memo.max_entries = 1_000_000
     for start, ancestors in (("c20", 10), ("c0", 30)):

@@ -1,9 +1,12 @@
 import random
+import re
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from dobquery import parsing
 from dobquery import (
     Atom,
     DobError,
@@ -110,6 +113,64 @@ def test_render_dob_refuses_line_breaks(fact, line_break, text):
     with pytest.raises(DobError, match="cannot write fact") as err:
         render_dob([fact, bad])
     assert repr(str(bad)) in str(err.value)
+
+
+_PLAIN = st.from_regex(r"[a-z][A-Za-z0-9_:.]{0,4}", fullmatch=True)
+
+# An argument: a plain, quoted or uppercase (variable) token, or one the
+# format rejects.
+_fact_token = st.one_of(
+    _PLAIN,
+    _PLAIN.map(lambda c: f"'{c}'"),
+    st.from_regex(r"[A-Z][A-Za-z0-9_]{0,3}", fullmatch=True),
+    st.sampled_from(["", "-", "a-b", "a b", "'x", "1a", "_a", "a(b)"]),
+)
+_space = st.sampled_from(["", "", "", " "])
+
+
+@st.composite
+def _fact_lines(draw):
+    """Fact lines with right, wrong or unknown predicates and arities:
+    half of them plain (no spaces, plain tokens) but for what follows the
+    dot, half mixing any tokens and spaces."""
+    pred = draw(st.sampled_from(
+        [*BUILTIN_SCHEMA, "isclass", "IsClass", "isClass.x", "pred"]
+    ))
+    arity = draw(st.one_of(
+        st.just(BUILTIN_SCHEMA[pred].arity if pred in BUILTIN_SCHEMA else 1),
+        st.integers(min_value=0, max_value=4),
+    ))
+    tail = draw(st.sampled_from(["", "", "", "x", ".", " x", "(", ",a"]))
+    if draw(st.booleans()):
+        args = ",".join(draw(_PLAIN) for _ in range(arity))
+        return f"{pred}({args}).{tail}"
+    args = [draw(_fact_token) for _ in range(arity)]
+    comma = draw(_space) + "," + draw(_space)
+    return (
+        f"{draw(_space)}{pred}{draw(_space)}({comma.join(args)}){draw(_space)}"
+        f".{tail}"
+    )
+
+
+@given(_fact_lines())
+@example("isClass(a,B).")  # a variable
+@example("isClass(a,b,c).")  # a wrong arity
+@example("isClass(a,b).x")  # a trailing token
+@example("isClass(a,b)")  # no closing dot
+def test_plain_fact_regex_agrees_with_the_tokenizer(line):
+    """A line read by the plain-fact regex gives the atom the tokenizer
+    gives it, and a line either path rejects fails with the same text."""
+
+    def read():
+        try:
+            return parse_dob(line, filename="f.dob")
+        except ParseError as exc:
+            return str(exc)
+
+    fast = read()
+    with mock.patch.object(parsing, "_PLAIN_FACT_RE", re.compile(r"(?!)")):
+        slow = read()
+    assert fast == slow
 
 
 def test_parse_owl_class_forms(data_dir):

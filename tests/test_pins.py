@@ -3,7 +3,9 @@ analyzer or the generator can be checked byte for byte.
 
 Each pin is the SHA-256 of a text: a catalog's `catalog_to_text` without
 its `# created` line, or a synthetic corpus's `render_dob` output followed
-by one line per query. Run this file as a script to print fresh pins.
+by one line per query. The `analyze/` pins cover the benchmark's cold
+start on its three bases: the catalog of the base read back from its
+`render_dob` text. Run this file as a script to print fresh pins.
 """
 
 import hashlib
@@ -21,6 +23,7 @@ from dobquery import (
     build_catalog,
     build_exact_catalog,
     generate_synthetic,
+    parse_dob,
     render_dob,
 )
 from dobquery.stats import catalog_to_text
@@ -63,6 +66,11 @@ def _bases():
         yield f"random{seed}", random_base(random.Random(seed))
 
 
+# The three bases of the benchmark's analyze workload.
+_ANALYZE = [(f"s{scale}/seed{i}", _scaled(scale, i))
+            for i, scale in enumerate((25, 37, 50))]
+
+
 def _synth_configs():
     """The corpora of the benchmark's workloads: scale 1 and 4 with their
     chain and star queries, and the three analyze bases."""
@@ -71,8 +79,7 @@ def _synth_configs():
     for n in (3, 4, 5, 6, 7):
         yield f"s4/q{n}", _scaled(4, 0, 10, 10, n)
     yield "s4/experiment", _scaled(4, 0, 3, 3, 4)
-    for i, scale in enumerate((25, 37, 50)):
-        yield f"s{scale}/seed{i}", _scaled(scale, i)
+    yield from _ANALYZE
 
 
 def current_pins() -> dict[str, str]:
@@ -86,6 +93,12 @@ def current_pins() -> dict[str, str]:
         base, queries = generate_synthetic(config)
         text = render_dob(base.facts()) + "".join(f"{q}\n" for q in queries)
         pins[f"synth/{name}"] = _digest(text)
+    for name, config in _ANALYZE:
+        base, _ = generate_synthetic(config)
+        loaded = OntologyBase.from_facts(parse_dob(render_dob(base.facts())))
+        pins[f"analyze/{name}"] = _catalog_digest(
+            build_catalog(loaded, SamplingConfig())
+        )
     return pins
 
 

@@ -241,6 +241,29 @@ def test_catalog_parse_errors_name_the_line(cars_base, bad, message):
         catalog_from_text("\n".join(lines))
 
 
+@pytest.mark.parametrize("bad, what, text", [
+    ("isClass | EOB | ff | inf | 4 | 4 1", "cardinality", "inf"),
+    ("isClass | EOB | ff | -4 | 4 | 4 1", "cardinality", "-4"),
+    ("isClass | EOB | ff | 4 | 4 | 4 -3", "nKeys", "-3"),
+    ("areClasses | IOB | ff | nan | 4 | 4 1", "cardinality", "nan"),
+    ("areClasses | IOB | ff | -1e300 | 4 | 4 1", "cardinality", "-1e300"),
+    ("areClasses | IOB | ff | 4 | -5 | 4 1", "cost", "-5"),
+    ("areClasses | IOB | ff | 4 | inf | 4 1", "cost", "inf"),
+    ("areClasses | IOB | ff | 4 | 4 | 4 -0.5", "distinct value", "-0.5"),
+    ("areClasses | IOB | ff | 4 | 4 | NaN 1", "distinct value", "NaN"),
+])
+def test_catalog_numbers_must_be_finite_and_non_negative(cars_base, bad, what,
+                                                         text):
+    lines = catalog_to_text(build_exact_catalog(cars_base)).splitlines()
+    lines.insert(3, bad)
+    with pytest.raises(AnalyzerError) as info:
+        catalog_from_text("\n".join(lines))
+    assert str(info.value) == (
+        f"catalog line 4: {what} must be finite and non-negative, "
+        f"got {text!r}"
+    )
+
+
 # Counts reach past 2**53, where a float no longer holds every integer.
 _counts = st.integers(min_value=0, max_value=2**64)
 _numbers = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)

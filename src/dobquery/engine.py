@@ -22,12 +22,17 @@ The built-in rule program is compiled once per process and call shape
 (which arguments are constants and which free arguments repeat), shared
 by every memo and base, into steps over substitution tuples: a
 substitution holds the values bound so far in binding order, so a step
-reads bound variables by position and appends the ones it binds. The
-canonical call pattern encodes constants and repeated variables, so
-every answer of a tabled sub-call is bound by position without a check.
-An EOB step makes one lookup per substitution in the base's hash probe
-for its bound positions, and a rule's last step builds head tuples
-straight from the rows it matched.
+reads bound variables by position and appends the ones it binds. Tables
+hold the call's free values, in placeholder order: a row of
+`areSubClasses(c,?0)` is `(x,)`, not `(c, x)`, so the constants and
+repeated variables the canonical pattern encodes are stored once per
+table, not once per answer (substitution factoring; Ramakrishnan, Rao,
+Sagonas, Swift & Warren, ICLP 1995). A row is then exactly the values
+the calling step binds, so the step appends it to its substitution
+unchanged. An EOB step makes one lookup per substitution in the base's
+hash probe for its bound positions, and a rule's last step builds head
+tuples straight from the rows it matched; a recursive rule whose head
+values are its last call's row passes that sub-table on as it is.
 
 Two work counters are carried through evaluation:
   * inferred facts  - one per distinct answer added to a table; a memo
@@ -103,18 +108,20 @@ class _Step:
 
     For an IOB atom, `args(s + extras)` is the call's argument tuple:
     constants and bound variables as ids, free variables as their
-    canonical placeholders. For an EOB atom it holds only the ids at the
-    positions of its constants and earlier bound variables: the key of
-    the base's probe `access`, (pred, those positions). `new(row)` holds
-    the values of the variables the atom binds, in slot order. `same`
-    pairs the row positions of an EOB atom's repeated free variables.
+    canonical placeholders; a row of its table holds the values of the
+    variables the atom binds, in slot order. For an EOB atom it holds
+    only the ids at the positions of its constants and earlier bound
+    variables: the key of the base's probe `access`, (pred, those
+    positions). EOB only: `new(row)` holds the values of the variables
+    the atom binds, in slot order, and `same` pairs the row positions of
+    the atom's repeated free variables.
     """
 
     pred: str
     eob: bool
     extras: tuple
     args: Callable[[tuple], tuple]
-    new: Callable[[tuple], tuple]
+    new: Callable[[tuple], tuple] | None
     same: tuple[tuple[int, int], ...]
     access: tuple[str, tuple[int, ...]]  # EOB: the probe's key in the base
     shape: tuple  # IOB: the call shape of `args`
@@ -168,7 +175,8 @@ def _compile_body(body, var_slot: dict[str, int]) -> tuple[_Step, ...]:
             args_of = _getter(index)
         steps.append(
             _Step(
-                pred, eob, tuple(extras), args_of, _getter(new),
+                pred, eob, tuple(extras), args_of,
+                _getter(new) if eob else None,
                 tuple(same) if eob else (), (pred, tuple(bound)), tuple(shape),
             )
         )
@@ -191,24 +199,39 @@ def _projection(args, var_slot: dict[str, int]) -> Callable[[tuple], tuple]:
     return lambda s: get(s + consts)
 
 
-def _fused_head(head, last_args, var_slot: dict[str, int]):
+def _fused_head(head, last, var_slot: dict[str, int]):
     """Function `emit(s, rows)` building a rule's head tuples from a
-    substitution `s` before the last body atom and the rows it matched
-    there, without extending `s`.
+    substitution `s` before the last body atom `last` = (pred, args,
+    is_eob) and the rows it matched there, without extending `s`.
 
-    A head variable of the last atom is read from the row (its bound
-    positions hold the values of `s`), any other from its slot in `s`.
+    An EOB row holds the atom's arguments, so a head variable in it is
+    read from the row at its position. An IOB row holds the values of
+    the variables the atom binds, in first-occurrence order, so only
+    those are read from the row. Any other head variable is read from
+    its slot in `s`. When every head value comes from the row in row
+    order, the rows are the head tuples themselves.
     """
+    _, args, eob = last
+    if eob:
+        row_vars = list(args)
+    else:
+        row_vars = [a for a in dict.fromkeys(args) if a not in var_slot]
     sources = [
-        (True, last_args.index(v)) if v in last_args else (False, var_slot[v])
+        (True, row_vars.index(v)) if v in row_vars else (False, var_slot[v])
         for v in head
     ]
+    at = [i for _, i in sources]
     if all(from_row for from_row, _ in sources):
-        at = [i for _, i in sources]
-        if at == list(range(len(last_args))):
+        if at == list(range(len(row_vars))):
             return lambda s, rows: rows
         get = _getter(at)
         return lambda s, rows: map(get, rows)
+    if not any(from_row for from_row, _ in sources):
+        # Only an IOB atom binding no head variable gets here (an EOB
+        # rule's last atom holds every head variable): its rows, however
+        # many, give one head tuple.
+        get = _getter(at)
+        return lambda s, rows: (get(s),)
     parts = [(from_row, itemgetter(i)) for from_row, i in sources]
 
     def emit(s, rows):
@@ -226,8 +249,8 @@ class _Plan:
 
     `bound(args)` is the initial substitution of a call: its constants,
     in argument order. Each rule pairs its steps with the function
-    building the call's answer tuples from the last step's matches
-    (`_fused_head`).
+    building the call's table rows, the values of its distinct
+    placeholders, from the last step's matches (`_fused_head`).
     """
 
     bound: Callable[[tuple], tuple]
@@ -266,8 +289,10 @@ def _plan(pred: str, shape: tuple) -> _Plan:
     A shape marks each constant argument None and each free argument
     with its placeholder. Constant arguments are the first slots; a
     head variable at a free argument is renamed to its placeholder, so
-    head variables sharing a placeholder become one variable.
+    head variables sharing a placeholder become one variable. The head
+    each rule builds is the distinct placeholders, in order.
     """
+    head = list(dict.fromkeys(p for p in shape if p is not None))
     rules = []
     for rule in _RULES.get(pred, []):
         var_slot: dict[str, int] = {}
@@ -282,8 +307,7 @@ def _plan(pred: str, shape: tuple) -> _Plan:
             for b_pred, b_args, b_eob in rule.body
         ]
         steps = _compile_body(body[:-1], var_slot)
-        head = [alias.get(v, v) for v in rule.head_vars]
-        emit = _fused_head(head, body[-1][1], var_slot)
+        emit = _fused_head(head, body[-1], var_slot)
         steps += _compile_body(body[-1:], var_slot)
         rules.append((steps, emit))
     return _Plan(
@@ -362,8 +386,9 @@ def _run(base, memo, counters, steps, substs, emit=None):
 
     Each step is applied to every substitution before the next step runs
     (sideways information passing over the whole batch). With `emit`, the
-    last step yields `emit(s, rows)` for each substitution `s` and the
-    rows it matched, instead of the extended substitutions. A call with a
+    result is instead a list of chunks of head tuples: an IOB last step
+    gives `emit(s, rows)` for each substitution `s` and the rows it
+    matched, an EOB last step one list of them all. A call with a
     completed table is answered from it here, without `_solve_call`.
     """
     last = steps[-1] if emit is not None else None
@@ -389,6 +414,8 @@ def _run(base, memo, counters, steps, substs, emit=None):
                     )
             # `emit` also makes one tuple per row
             counters.eob_accesses += len(out)
+            if fused and out:
+                out = [out]
         else:
             pred, shape, completed = step.pred, step.shape, memo.completed
             for s in substs:
@@ -397,10 +424,10 @@ def _run(base, memo, counters, steps, substs, emit=None):
                 if rows is None:
                     rows = _solve_call(base, memo, counters, key, shape)
                 if rows:
-                    out.extend(
-                        emit(s, rows) if fused
-                        else map(s.__add__, map(new, rows))
-                    )
+                    if fused:
+                        out.append(emit(s, rows))
+                    else:
+                        out.extend(map(s.__add__, rows))
         substs = out
     return substs
 
@@ -427,7 +454,11 @@ def _expand(base, memo, counters, key, plan: _Plan):
         answers = _run(base, memo, counters, steps, init, emit)
         if answers:
             size = len(table)
-            table.update(dict.fromkeys(answers))
+            for chunk in answers:
+                # a completed sub-table passed through is a table already
+                table.update(
+                    chunk if type(chunk) is dict else dict.fromkeys(chunk)
+                )
             memo._added(len(table) - size, counters)
 
 

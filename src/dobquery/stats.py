@@ -464,12 +464,26 @@ def _catalog_number(text: str, what: str, parse=float):
     return value
 
 
+def _count(text: str, what: str):
+    """An EOB count; an integer is read exactly, past float precision
+    too."""
+    return _catalog_number(text, what, int if text.isdecimal() else float)
+
+
 def catalog_from_text(text: str) -> StatisticsCatalog:
+    """Parse `catalog_to_text` output. Each row must agree with the
+    schema and with the rows read before it: a pattern has one letter
+    per argument, an EOB row has the all-free pattern and its
+    cardinality as cost, no predicate (EOB) or (predicate, pattern)
+    (IOB) has a second row, and an IOB predicate's rows carry one
+    distinct-value tail. A fault names its line."""
     config = SamplingConfig()
     created = ""
     entries: dict[str, EobStats | IobStats] = {}
     iob_rows: dict[str, dict[BindingPattern, tuple[float, float]]] = {}
-    iob_distinct: dict[str, tuple[float, ...]] = {}
+    # pred -> (distinct values, line read from)
+    iob_distinct: dict[str, tuple[tuple[float, ...], int]] = {}
+    row_lines: dict[tuple[str, ...], int] = {}  # (pred[, pattern]) -> line
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -495,18 +509,30 @@ def catalog_from_text(text: str) -> StatisticsCatalog:
                     f"{name} is an {schema.kind.value} predicate, not {kind}"
                 )
             if kind == "EOB":
+                if pattern_s != "f" * schema.arity:
+                    raise AnalyzerError(
+                        f"pattern of {name} must be {'f' * schema.arity!r}, "
+                        f"got {pattern_s!r}"
+                    )
                 n_keys = tuple(
                     _catalog_number(x, "nKeys", int) for x in tail.split()
                 )
                 if len(n_keys) != schema.arity:
                     raise AnalyzerError(f"nKeys arity mismatch for {name}")
-                # an integer is read exactly, past float precision too
-                card = _catalog_number(
-                    card_s, "cardinality", int if card_s.isdecimal() else float
-                )
+                card = _count(card_s, "cardinality")
+                if _count(cost_s, "cost") != card:
+                    raise AnalyzerError(
+                        f"cost of {name} must equal its cardinality "
+                        f"{card_s}, got {cost_s!r}"
+                    )
                 entries[name] = EobStats(int(card), n_keys)
             elif kind == "IOB":
                 pattern = BindingPattern.parse(pattern_s)
+                if len(pattern_s) != schema.arity:
+                    raise AnalyzerError(
+                        f"pattern of {name} must have {schema.arity} "
+                        f"letters, got {pattern_s!r}"
+                    )
                 rows = iob_rows.setdefault(name, {})
                 rows[pattern] = (
                     _catalog_number(card_s, "cardinality"),
@@ -519,7 +545,19 @@ def catalog_from_text(text: str) -> StatisticsCatalog:
                     raise AnalyzerError(
                         f"distinct-value arity mismatch for {name}"
                     )
-                iob_distinct[name] = distinct
+                first, first_no = iob_distinct.setdefault(
+                    name, (distinct, line_no)
+                )
+                if distinct != first:
+                    raise AnalyzerError(
+                        f"distinct values of {name} differ from line {first_no}"
+                    )
+            row = (name,) if kind == "EOB" else (name, pattern_s)
+            first_no = row_lines.setdefault(row, line_no)
+            if first_no != line_no:
+                raise AnalyzerError(
+                    f"second row for {' '.join(row)} (first on line {first_no})"
+                )
         except (DobError, ValueError) as exc:
             raise AnalyzerError(f"catalog line {line_no}: {exc}") from None
 
@@ -535,7 +573,7 @@ def catalog_from_text(text: str) -> StatisticsCatalog:
             raise AnalyzerError(f"catalog is missing patterns for {name}")
         entries[name] = IobStats(
             arity=schema.arity,
-            distinct_values=iob_distinct[name],
+            distinct_values=iob_distinct[name][0],
             cardinality={p: rows[p][0] for p in rows},
             cost={p: rows[p][1] for p in rows},
         )

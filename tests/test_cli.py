@@ -350,7 +350,9 @@ def test_nonpositive_replicas_is_a_usage_error(tmp_path, capsys, replicas):
      "isOntology is an EOB predicate, not IOB"),
     ("areClasses", lambda line: line.rsplit(" ", 1)[0],
      "distinct-value arity mismatch for areClasses"),
-], ids=["iob-row-for-eob", "short-distinct-tail"])
+    ("isOntology", lambda line: "isOntology | EOB | banana | 3 | -5 | 3",
+     "pattern of isOntology must be 'f', got 'banana'"),
+], ids=["iob-row-for-eob", "short-distinct-tail", "eob-pattern"])
 def test_catalog_row_disagreeing_with_the_schema_is_a_data_error(
     workspace, capsys, predicate, edit, detail
 ):

@@ -326,7 +326,55 @@ def test_deep_chain_counters(query, answers, counts):
     assert _counts(result) == counts
 
 
+def _typed_chain_base(depth=300):
+    """`_deep_chain_base` plus one ontology, each chain class in it and
+    one individual of each chain class."""
+    facts = [parse_atom("isTransitive(p)"), parse_atom("isOntology(o)")]
+    for j in range(depth + 1):
+        facts.append(parse_atom(f"isClass(c{j},o)"))
+        facts.append(parse_atom(f"isIndividual(i{j},c{j})"))
+    for j in range(depth):
+        facts.append(parse_atom(f"subClassOf(c{j},c{j + 1})"))
+        facts.append(parse_atom(f"isStatement(s{j},p,s{j + 1})"))
+    return OntologyBase.from_facts(facts)
+
+
+@pytest.mark.parametrize("queries, answers, counts", [
+    (["areIndividuals(X,c150)"], 151, (301, 904)),
+    # an IOB step followed by another step extends each substitution
+    (["areSubClasses(c150,X)", "isClass(X,O)"], 150, (11325, 450)),
+    (["areIndividuals(I,c150)", "isIndividual(I,C)"], 151, (301, 1055)),
+])
+def test_typed_chain_counters(queries, answers, counts):
+    atoms = [parse_atom(q) for q in queries]
+    base = _typed_chain_base()
+    if len(atoms) == 1:
+        result = solve(base, atoms[0])
+        assert len(result.answers) == answers
+        assert _counts(result) == counts
+    else:
+        subs, counters = solve_sequence(base, atoms)
+        assert len(subs) == answers
+        assert (counters.inferred_facts, counters.eob_accesses) == counts
+
+
 _CYCLE = ["subClassOf(a,b)", "subClassOf(b,c)", "subClassOf(c,a)"]
+
+
+@pytest.mark.parametrize("query, answers, counts", [
+    ("areSubClasses(a,a)", 1, (3, 12)),
+    ("areSubClasses(a,d)", 0, (0, 6)),
+    ("areSubClasses(d,d)", 1, (1, 4)),
+])
+def test_fully_bound_call_on_cycle(query, answers, counts):
+    """A fully bound call's recursive rule ends in a fully bound call,
+    whose one possible answer binds no value."""
+    base = OntologyBase.from_facts(
+        parse_atom(f) for f in _CYCLE + ["subClassOf(d,d)"]
+    )
+    result = solve(base, parse_atom(query))
+    assert [str(a) for a in result.answers] == [query] * answers
+    assert _counts(result) == counts
 
 
 def test_cyclic_group_is_reexpanded_to_fixpoint():
@@ -355,6 +403,40 @@ def test_repeated_variable_call_on_cycle():
     # a recursive group, so re-expanded; of the rows read for
     # subClassOf(X,X) only d's self-loop counts as an access
     assert _counts(renamed) == _counts(result) == (14, 69)
+
+
+_CYCLIC_BASE = _CYCLE + [
+    "subClassOf(d,d)", "isOntology(o1)", "isOntology(o2)",
+    "impOntology(o1,o2)", "impOntology(o2,o1)", "isClass(a,o1)",
+    "isClass(d,o2)", "isIndividual(i,a)", "isTransitive(p)",
+    "isStatement(i,p,j)", "isStatement(j,p,i)", "isStatement(j,p,j)",
+    "isOProperty(p,a,b)", "isDProperty(p,c)", "allValuesFrom(a,p,b)",
+]
+
+
+@pytest.mark.parametrize("cyclic", [False, True], ids=["cars", "cycle"])
+def test_table_rows_hold_the_calls_free_values(cyclic, cars_base):
+    """A row holds one value per distinct placeholder of its call, for
+    every IOB call with constants, repeated variables or both."""
+    base = cars_base
+    if cyclic:
+        base = OntologyBase.from_facts(parse_atom(f) for f in _CYCLIC_BASE)
+    memo = MemoTable()
+    for pred in IOB_PREDICATES:
+        choices = [
+            ["X", "Y"] + [
+                base.symbols.text(c)
+                for c in dict.fromkeys(base.domain_values(domain))
+            ][:2]
+            for domain in BUILTIN_SCHEMA[pred].arg_domains
+        ]
+        for args in itertools.product(*choices):
+            solve(base, parse_atom(f"{pred}({','.join(args)})"), memo)
+    assert sum(map(len, memo.tables.values())) > 0
+    for (pred, args), rows in memo.tables.items():
+        width = len({a for a in args if isinstance(a, str)})
+        assert all(len(row) == width for row in rows), (pred, args)
+    assert memo._entries == sum(map(len, memo.tables.values()))
 
 
 # --- property tests over random small bases --------------------------------

@@ -233,6 +233,25 @@ def test_catalog_roundtrip(cars_base):
      "catalog line 4: areClasses is an IOB predicate, not EOB"),
     ("areClasses | IOB | ff | 4 | 4 | 4",
      "catalog line 4: distinct-value arity mismatch for areClasses"),
+    # an EOB row has the all-free pattern and its cardinality as cost
+    ("isOntology | EOB | banana | 3 | -5 | 3",
+     "catalog line 4: pattern of isOntology must be 'f', got 'banana'"),
+    ("isClass | EOB | fb | 4 | 4 | 4 1",
+     "catalog line 4: pattern of isClass must be 'ff', got 'fb'"),
+    ("isOntology | EOB | f | 3 | -5 | 3",
+     "catalog line 4: cost must be finite and non-negative, got '-5'"),
+    ("isOntology | EOB | f | 3 | 4 | 3",
+     "catalog line 4: cost of isOntology must equal its cardinality 3, "
+     "got '4'"),
+    # the inserted row comes first, so the catalog's own row is the second
+    ("isOntology | EOB | f | 3 | 3 | 3",
+     r"catalog line 5: second row for isOntology \(first on line 4\)"),
+    ("areClasses | IOB | bf | 3.0 | 11.0 | 4.0 3.0",
+     r"catalog line 25: second row for areClasses bf \(first on line 4\)"),
+    ("areClasses | IOB | bf | 3.0 | 11.0 | 4.0 2.0",
+     "catalog line 23: distinct values of areClasses differ from line 4"),
+    ("areClasses | IOB | fff | 1.0 | 1.0 | 4.0 3.0",
+     "catalog line 4: pattern of areClasses must have 2 letters, got 'fff'"),
 ])
 def test_catalog_parse_errors_name_the_line(cars_base, bad, message):
     lines = catalog_to_text(build_exact_catalog(cars_base)).splitlines()

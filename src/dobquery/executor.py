@@ -8,12 +8,15 @@ step. Nested loop applies the step to the whole batch with sideways
 variables bound, as `solve_sequence` does; block nested loop runs the
 subgoal with only its own constants bound once per block, and hash join
 once in total, and both equi-join the result with the batch on the
-shared slots (a cross product if there are none). Ids become text once,
-for the distinct head instantiations.
+shared slots (a cross product if there are none). Execution ends with
+the distinct head id rows (late materialization): `Answers` builds their
+text and `Atom`s only when iterated, so a caller that reads only the
+counters, the count or id-row equality builds no text at all.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .costmodel import Estimate, JoinMethod, JoinStrategy
@@ -23,9 +26,65 @@ from .optimizer import Plan
 from .store import _getter
 
 
+class Answers:
+    """The distinct head instantiations of an execution, built on demand.
+
+    Holds one id row per answer (the interned id at each variable
+    position of the head), sorted by id. `len()` and equality with
+    another `Answers` of the same symbol table and head read only the
+    rows; iteration builds the `Atom`s, in the order of their text.
+    """
+
+    __slots__ = ("rows", "symbols", "head")
+    __hash__ = None
+
+    def __init__(self, rows: tuple[tuple[int, ...], ...], symbols, head):
+        self.rows = rows
+        self.symbols = symbols
+        self.head = head
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self) -> Iterator[Atom]:
+        head = self.head
+        text = self.symbols.text
+        term = {v: Term.const(text(v)) for row in self.rows for v in row}
+        # Ranking each id by its text sorts the answers as their text
+        # would: an argument is followed by `,` or `)`, which sort below
+        # every character that may continue an unquoted constant, and
+        # quoted constants are prefix-free.
+        by_text = sorted(term, key=lambda v: str(term[v]))
+        rank = {v: i for i, v in enumerate(by_text)}
+        ranked = [term[v] for v in by_text]
+        # `arrange(values + head constants)` is in head argument order.
+        head_consts = tuple(t for t in head.args if not t.is_var)
+        n_vars = len(head.args) - len(head_consts)
+        var_at = iter(range(n_vars))
+        const_at = iter(range(n_vars, len(head.args)))
+        arrange = _getter([
+            next(var_at) if t.is_var else next(const_at) for t in head.args
+        ])
+        key = rank.__getitem__
+        for ranks in sorted(tuple(map(key, row)) for row in self.rows):
+            values = tuple(map(ranked.__getitem__, ranks))
+            yield Atom(head.predicate, arrange(values + head_consts))
+
+    def __eq__(self, other) -> bool:
+        if (isinstance(other, Answers) and other.symbols is self.symbols
+                and other.head == self.head):
+            return self.rows == other.rows
+        if isinstance(other, (Answers, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Answers({list(self)!r})"
+
+
 @dataclass
 class ExecutionReport:
-    answers: list[Atom]
+    answers: Answers
     inferred_fact_count: int
     eob_access_count: int
     per_step: list[Counters]
@@ -71,6 +130,11 @@ def execute(base, plan: Plan) -> ExecutionReport:
         if not batch:
             per_step.append(Counters())
             continue
+        # A step reads a sorted batch: each substitution's extensions follow
+        # it in ascending id order, so steps call the memo in a fixed order.
+        # Rows are distinct, so no duplicates arise. The last batch is only
+        # projected, so it is never sorted.
+        batch.sort()
         inferred0, eob0 = total.inferred_facts, total.eob_accesses
         body_atom = _body_atom(memo, atom)
         if strategy.method is JoinMethod.NESTED_LOOP:
@@ -85,10 +149,7 @@ def execute(base, plan: Plan) -> ExecutionReport:
             out = _equi_join(
                 base, memo, total, body_atom, size, batch, var_slot
             )
-        # The batch is kept sorted: each substitution's extensions follow
-        # it in ascending id order, so later steps call the memo in a fixed
-        # order. Rows are distinct, so no duplicates arise.
-        batch = sorted(out)
+        batch = out
         per_step.append(
             Counters(
                 total.inferred_facts - inferred0, total.eob_accesses - eob0
@@ -96,38 +157,13 @@ def execute(base, plan: Plan) -> ExecutionReport:
         )
 
     head = plan.query.head
-    instances: set[tuple] = set()
+    rows: tuple[tuple[int, ...], ...] = ()
     if batch:
         slots = [var_slot[t.value] for t in head.args if t.is_var]
-        instances = set(map(_getter(slots), batch))
-    text = base.symbols.text
-    ids = {v for values in instances for v in values}
-    term = {v: Term.const(text(v)) for v in ids}
-    shown = {v: str(t) for v, t in term.items()}
-    # `arrange(values + head constants)` is in head argument order.
-    head_consts = tuple(t for t in head.args if not t.is_var)
-    shown_consts = tuple(map(str, head_consts))
-    n_vars = len(head.args) - len(head_consts)
-    var_at = iter(range(n_vars))
-    const_at = iter(range(n_vars, len(head.args)))
-    arrange = _getter([
-        next(var_at) if t.is_var else next(const_at) for t in head.args
-    ])
-
-    def text_key(values):
-        """str() of the answer, from each term's text rendered once."""
-        shown_values = tuple(map(shown.__getitem__, values))
-        args = ",".join(arrange(shown_values + shown_consts))
-        return f"{head.predicate}({args})"
-
-    answers = [
-        Atom(head.predicate, arrange(
-            tuple(map(term.__getitem__, values)) + head_consts
-        ))
-        for values in sorted(instances, key=text_key)
-    ]
+        rows = tuple(sorted(set(map(_getter(slots), batch))))
     return ExecutionReport(
-        answers, total.inferred_facts, total.eob_accesses, per_step
+        Answers(rows, base.symbols, head),
+        total.inferred_facts, total.eob_accesses, per_step,
     )
 
 

@@ -126,6 +126,11 @@ def execute_all_strategies(
     return out
 
 
+def refuse_text(_symbols, _cid):
+    """Stand-in for `SymbolTable.text` in tests that no text is built."""
+    raise AssertionError("constant text built")
+
+
 def bottom_up_oracle(base: OntologyBase) -> set[Atom]:
     """Naive fixpoint of the IOB program over the EOB facts: the reference
     the top-down engine is compared against."""

@@ -19,6 +19,8 @@ from dobquery.bench import (
     write_correlation_csv,
     write_ratio_csv,
 )
+from dobquery.store import SymbolTable
+from conftest import refuse_text
 
 NLJ = (JoinStrategy(JoinMethod.NESTED_LOOP),)
 
@@ -140,3 +142,20 @@ def test_catalogs_can_be_prebuilt(tiny_corpus):
     )
     without = run_correlation(bases, queries, SamplingConfig(seed=1), NLJ)
     assert with_cat.correlation == without.correlation
+
+
+def test_experiments_build_no_text(tiny_corpus, monkeypatch):
+    """The harness reads only counters, so no answer becomes text."""
+    from dobquery import build_catalog
+
+    bases, queries = tiny_corpus
+    catalogs = [build_catalog(b, SamplingConfig(seed=1)) for b in bases]
+    monkeypatch.setattr(SymbolTable, "text", refuse_text)
+    ratio = run_ratio(
+        bases, queries, SamplingConfig(seed=1), catalogs=catalogs
+    )
+    corr = run_correlation(
+        bases, queries, SamplingConfig(seed=1), catalogs=catalogs
+    )
+    assert len(ratio.ratios) == 2
+    assert len(corr.rows) == 2 * math.factorial(3)

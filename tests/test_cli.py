@@ -480,3 +480,62 @@ def test_bench_of_non_utf8_queries_is_a_data_error(tmp_path, capsys):
     assert code == 2
     assert err == f"error: {message}\n"
     assert not report.exists()
+
+
+# Quoted constants with spaces, commas, quotes and backslashes, next to
+# plain ones that are prefixes of each other (`vehicle`, `vehicle2`).
+QUOTED_DOB = r"""isOntology(o1).
+isOntology('Main Ont').
+isClass(vehicle,o1).
+isClass(vehicle2,o1).
+isClass('SUV Model','Main Ont').
+isClass('a, b',o1).
+isClass('x\'y',o1).
+isClass('back\\slash','Main Ont').
+isClass('Car',o1).
+subClassOf('SUV Model',vehicle).
+subClassOf(vehicle2,vehicle).
+subClassOf('a, b','SUV Model').
+subClassOf('x\'y','a, b').
+subClassOf('back\\slash',vehicle2).
+subClassOf('Car',vehicle).
+subClassOf(vehicle,'Car').
+"""
+
+PINNED_QUOTED_OUT = r"""q('Car','Head K','Car','Car')
+q('Car','Head K','Car',vehicle)
+q('SUV Model','Head K','SUV Model','Car')
+q('SUV Model','Head K','SUV Model',vehicle)
+q('a, b','Head K','a, b','Car')
+q('a, b','Head K','a, b','SUV Model')
+q('a, b','Head K','a, b',vehicle)
+q('back\\slash','Head K','back\\slash','Car')
+q('back\\slash','Head K','back\\slash',vehicle)
+q('back\\slash','Head K','back\\slash',vehicle2)
+q('x\'y','Head K','x\'y','Car')
+q('x\'y','Head K','x\'y','SUV Model')
+q('x\'y','Head K','x\'y','a, b')
+q('x\'y','Head K','x\'y',vehicle)
+q(vehicle,'Head K',vehicle,'Car')
+q(vehicle,'Head K',vehicle,vehicle)
+q(vehicle2,'Head K',vehicle2,'Car')
+q(vehicle2,'Head K',vehicle2,vehicle)
+"""
+
+
+def test_query_stdout_pin_with_quoted_constants(tmp_path, capsys):
+    """`dobq query` prints answers in text order, byte for byte; the head
+    carries a constant and a repeated variable."""
+    dob = tmp_path / "quoted.dob"
+    dob.write_text(QUOTED_DOB, encoding="utf-8")
+    catalog = tmp_path / "quoted.cat"
+    assert cli_main(["analyze", str(dob), "-o", str(catalog)]) == 0
+    capsys.readouterr()
+    code, out, err = run(
+        capsys,
+        "query", str(dob), "--catalog", str(catalog),
+        "-q", "q(C,'Head K',C,D):-areSubClasses(C,D),isClass(D,O).",
+    )
+    assert code == 0, err
+    assert out == PINNED_QUOTED_OUT
+    assert "answers: 18" in err

@@ -19,7 +19,8 @@ from dobquery import (
 from dobquery.model import (
     BUILTIN_SCHEMA, IOB_PREDICATES, ArgDomain, Atom, Query, Term,
 )
-from conftest import execute_all_strategies, random_base
+from dobquery.store import OntologyBase, SymbolTable
+from conftest import execute_all_strategies, random_base, refuse_text
 
 CARS_Q = "q(O):-areClasses(C,O),isDProperty(traction,C)."
 CARS_Q_PRIME = "q(O):-isDProperty(traction,C),areClasses(C,O)."
@@ -250,6 +251,15 @@ def _random_atom(data, pred, constants):
     return Atom(pred, tuple(args))
 
 
+def _constants_by_domain(base):
+    """The base's constant texts per argument domain, sorted."""
+    constants = {d: set() for d in ArgDomain}
+    for fact in base.facts():
+        for d, t in zip(BUILTIN_SCHEMA[fact.predicate].arg_domains, fact.args):
+            constants[d].add(t.value)
+    return {d: sorted(values) for d, values in constants.items()}
+
+
 @given(st.integers(0, 2**32 - 1), st.data())
 def test_strategies_agree_with_solve_sequence(seed, data):
     """Every strategy returns the answers of the written order's
@@ -257,11 +267,7 @@ def test_strategies_agree_with_solve_sequence(seed, data):
     Atoms repeat variables and use constants absent from the base, and the
     head carries a constant."""
     base = random_base(random.Random(seed), max_facts=60)
-    constants = {d: set() for d in ArgDomain}
-    for fact in base.facts():
-        for d, t in zip(BUILTIN_SCHEMA[fact.predicate].arg_domains, fact.args):
-            constants[d].add(t.value)
-    constants = {d: sorted(values) for d, values in constants.items()}
+    constants = _constants_by_domain(base)
     preds = sorted(
         p for p in BUILTIN_SCHEMA if base.rows(p) or p in IOB_PREDICATES
     )
@@ -290,3 +296,68 @@ def test_strategies_agree_with_solve_sequence(seed, data):
     for strategy in _ALL_STRATEGIES:
         report = execute(base, uniform_plan(query, strategy, order))
         assert [str(a) for a in report.answers] == want, strategy
+
+
+def test_answers_compare_by_id_rows(cars_base, monkeypatch):
+    """Two orderings run, compare equal and have a length with no text
+    built; each report's answers equal their materialized list."""
+    query = parse_query(CARS_Q)
+    with monkeypatch.context() as patch:
+        patch.setattr(SymbolTable, "text", refuse_text)
+        first, second = (
+            execute(cars_base, uniform_plan(query, _NLJ, order))
+            for order in [(0, 1), (1, 0)]
+        )
+        assert first.answers == second.answers
+        assert len(first.answers) == 3
+    for report in (first, second):
+        assert report.answers == list(report.answers)
+    # another head: the rows agree, the atoms do not
+    other = execute(cars_base, uniform_plan(
+        parse_query("r(O):-areClasses(C,O),isDProperty(traction,C)."), _NLJ
+    ))
+    assert other.answers.rows == first.answers.rows
+    assert other.answers != first.answers
+
+
+# Constant texts, plain or quoted: spaces, commas, quotes, backslashes and
+# plain texts that are prefixes of one another.
+_TEXTS = st.text(alphabet="ab1_.:, '\\Z(", min_size=1, max_size=4)
+
+
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_answers_iterate_in_text_order(seed, data):
+    """Answers iterate in the order of their text, on random bases whose
+    constants are renamed to texts that often need quoting. The head
+    repeats variables and carries constants."""
+    plain = random_base(random.Random(seed), max_facts=60)
+    names = sorted({t.value for f in plain.facts() for t in f.args})
+    texts = data.draw(st.lists(
+        _TEXTS, min_size=len(names), max_size=len(names), unique=True
+    ))
+    rename = dict(zip(names, texts))
+    base = OntologyBase.from_facts(
+        Atom(f.predicate, tuple(Term.const(rename[t.value]) for t in f.args))
+        for f in plain.facts()
+    )
+    constants = _constants_by_domain(base)
+    preds = sorted(
+        p for p in BUILTIN_SCHEMA if base.rows(p) or p in IOB_PREDICATES
+    )
+    body = [
+        _random_atom(data, pred, constants)
+        for pred in data.draw(
+            st.lists(st.sampled_from(preds), min_size=1, max_size=2)
+        )
+    ]
+    variables = sorted({v for a in body for v in a.variables})
+    head_args = st.one_of(_TEXTS.map(Term.const), *(
+        [st.sampled_from(variables).map(Term.var)] * 3 if variables else []
+    ))
+    head = Atom("q", tuple(
+        data.draw(st.lists(head_args, min_size=1, max_size=5))
+    ))
+    report = execute(base, uniform_plan(Query(head, tuple(body)), _NLJ))
+    answers = list(report.answers)
+    assert answers == sorted(answers, key=str)
+    assert len(answers) == len(report.answers)

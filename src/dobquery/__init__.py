@@ -7,7 +7,6 @@ from .model import (
     DobError,
     NonGroundFactError,
     PredicateKind,
-    PredicateSchema,
     Query,
     Rule,
     SchemaError,
@@ -15,11 +14,9 @@ from .model import (
     UnsafeRuleError,
     builtin_iob_program,
 )
-from .store import OntologyBase, assert_fact
+from .store import OntologyBase
 from .parsing import (
-    OwlDocument,
     ParseError,
-    SourceLocation,
     parse_atom,
     parse_dob,
     parse_owl,
@@ -29,7 +26,6 @@ from .parsing import (
     translate_owl,
 )
 from .engine import (
-    Counters,
     EngineLimitError,
     EvaluationResult,
     MemoTable,
@@ -62,21 +58,15 @@ from .costmodel import (
     predicate_estimate,
 )
 from .optimizer import (
-    Plan,
     SubPlan,
     dominates,
     exhaustive_orderings,
     explain_plan,
     optimize,
 )
-from .executor import (
-    ExecutionReport,
-    execute,
-    uniform_plan,
-)
+from .executor import execute, uniform_plan
 from .synth import QueryShape, SynthConfig, generate_synthetic
 from .bench import (
-    ExperimentReport,
     compare_strategy_sets,
     pearson,
     run_correlation,

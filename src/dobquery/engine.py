@@ -16,7 +16,7 @@ table completes in one pass and stays empty), so it is the cheap path: a
 step reads a completed table straight from the memo without entering a
 call, a call builds a dependency set only when it reads an active table,
 and no call keeps cleanup of its own: an evaluation that raises drops
-the active tables and the dependency stack at its entry (`_evaluate`).
+the active tables and the dependency stack at its entry (`evaluate`).
 
 The built-in rule program is compiled once per process and call shape
 (which arguments are constants and which free arguments repeat), shared
@@ -34,6 +34,13 @@ hash probe for its bound positions, and a rule's last step builds head
 tuples straight from the rows it matched; a recursive rule whose head
 values are its last call's row passes that sub-table on as it is.
 
+Callers outside the engine use only its public core: `compile_query`
+turns query atoms into steps, interning their constants through a memo,
+and `evaluate` runs steps on a batch of substitutions. `solve`,
+`solve_sequence` and the executor are built on these two, and `solve`
+and the executor return one `EvaluationResult` whose `Answers` hold the
+distinct head id rows and build text only when iterated.
+
 Two work counters are carried through evaluation:
   * inferred facts  - one per distinct answer added to a table; a memo
     hit contributes nothing,
@@ -46,6 +53,7 @@ the counters carry no re-evaluation of complete tables.
 from __future__ import annotations
 
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache
 from itertools import repeat
@@ -57,6 +65,7 @@ from .model import (
     DobError,
     PredicateKind,
     SchemaError,
+    Term,
     builtin_iob_program,
     schema_for,
 )
@@ -85,11 +94,81 @@ class Counters:
         return self.inferred_facts + self.eob_accesses
 
 
+class Answers:
+    """The distinct instantiations of a head, built on demand.
+
+    Holds one id row per answer (the interned id at each variable
+    position of the head), sorted by id. `len()` and equality with
+    another `Answers` of the same symbol table and head read only the
+    rows; iteration builds the `Atom`s, in the order of their text.
+    """
+
+    __slots__ = ("rows", "symbols", "head")
+    __hash__ = None
+
+    def __init__(self, rows: tuple[tuple[int, ...], ...], symbols, head: Atom):
+        self.rows = rows
+        self.symbols = symbols
+        self.head = head
+
+    @classmethod
+    def of(cls, symbols, head: Atom, var_slot: dict[str, int], substs):
+        """The answers `head` takes over complete substitutions `substs`,
+        whose variables sit at the slots of `var_slot`."""
+        rows: tuple[tuple[int, ...], ...] = ()
+        if substs:
+            slots = [var_slot[t.value] for t in head.args if t.is_var]
+            rows = tuple(sorted(set(map(_getter(slots), substs))))
+        return cls(rows, symbols, head)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self) -> Iterator[Atom]:
+        head = self.head
+        text = self.symbols.text
+        term = {v: Term.const(text(v)) for row in self.rows for v in row}
+        # Ranking each id by its text sorts the answers as their text
+        # would: an argument is followed by `,` or `)`, which sort below
+        # every character that may continue an unquoted constant, and
+        # quoted constants are prefix-free.
+        by_text = sorted(term, key=lambda v: str(term[v]))
+        rank = {v: i for i, v in enumerate(by_text)}
+        ranked = [term[v] for v in by_text]
+        # `arrange(values + head constants)` is in head argument order.
+        head_consts = tuple(t for t in head.args if not t.is_var)
+        n_vars = len(head.args) - len(head_consts)
+        var_at = iter(range(n_vars))
+        const_at = iter(range(n_vars, len(head.args)))
+        arrange = _getter([
+            next(var_at) if t.is_var else next(const_at) for t in head.args
+        ])
+        key = rank.__getitem__
+        for ranks in sorted(tuple(map(key, row)) for row in self.rows):
+            values = tuple(map(ranked.__getitem__, ranks))
+            yield Atom(head.predicate, arrange(values + head_consts))
+
+    def __eq__(self, other) -> bool:
+        if (isinstance(other, Answers) and other.symbols is self.symbols
+                and other.head == self.head):
+            return self.rows == other.rows
+        if isinstance(other, (Answers, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Answers({list(self)!r})"
+
+
 @dataclass
 class EvaluationResult:
-    answers: list[Atom]
+    """Answers and work counters of one evaluation; `per_step` holds the
+    counters of each body atom, in evaluation order."""
+
+    answers: Answers
     inferred_fact_count: int
     eob_access_count: int
+    per_step: list[Counters]
 
     @property
     def actual_cost(self) -> int:
@@ -181,22 +260,6 @@ def _compile_body(body, var_slot: dict[str, int]) -> tuple[_Step, ...]:
             )
         )
     return tuple(steps)
-
-
-def _projection(args, var_slot: dict[str, int]) -> Callable[[tuple], tuple]:
-    """Function instantiating `args` from a complete substitution."""
-    consts = tuple(a for a in args if isinstance(a, int))
-    n = len(var_slot)
-    index = []
-    for a in args:
-        if isinstance(a, int):
-            index.append(n + consts.index(a))
-        else:
-            index.append(var_slot[a])
-    get = _getter(index)
-    if not consts:
-        return get
-    return lambda s: get(s + consts)
 
 
 def _fused_head(head, last, var_slot: dict[str, int]):
@@ -432,8 +495,9 @@ def _run(base, memo, counters, steps, substs, emit=None):
     return substs
 
 
-def _evaluate(base, memo, counters, steps, substs):
-    """`_run` from outside any tabled call.
+def evaluate(base, memo, counters, steps, substs):
+    """Extensions of `substs` satisfying compiled `steps`, from outside
+    any tabled call; the work done is added to `counters`.
 
     If evaluation raises (say, at the entry cap), the tables it left
     active are dropped and the dependency stack is cleared, so the memo
@@ -516,13 +580,33 @@ def _solve_call(base, memo, counters, key, shape):
     return memo.tables[key]
 
 
-def _body_atom(memo, atom: Atom):
-    """(pred, args, is_eob) of a query atom, its constants interned."""
-    schema = schema_for(atom.predicate, len(atom.args))
-    args = tuple(
-        t.value if t.is_var else memo.intern_const(t.value) for t in atom.args
-    )
-    return atom.predicate, args, schema.kind is PredicateKind.EOB
+def compile_query(memo, atoms, var_slot: dict[str, int]) -> tuple[_Step, ...]:
+    """Compile query atoms for left-to-right evaluation on `memo`'s base.
+
+    Constants are interned through the memo; `var_slot` is extended in
+    place with each variable the atoms bind (see `_compile_body`).
+    """
+    body = []
+    for atom in atoms:
+        schema = schema_for(atom.predicate, len(atom.args))
+        args = tuple(
+            t.value if t.is_var else memo.intern_const(t.value)
+            for t in atom.args
+        )
+        body.append((atom.predicate, args, schema.kind is PredicateKind.EOB))
+    return _compile_body(body, var_slot)
+
+
+def _solve_body(base, atoms, memo):
+    """Complete substitutions of `atoms` left to right, their variables'
+    slots and the counters of the evaluation."""
+    if memo is None:
+        memo = MemoTable()
+    memo.bind(base)
+    counters = Counters()
+    var_slot: dict[str, int] = {}
+    steps = compile_query(memo, atoms, var_slot)
+    return evaluate(base, memo, counters, steps, [()]), var_slot, counters
 
 
 def solve(
@@ -533,19 +617,10 @@ def solve(
     The memo may be shared across calls against the same base; repeated
     calls answered from completed tables add no inferred facts.
     """
-    if memo is None:
-        memo = MemoTable()
-    memo.bind(base)
-    counters = Counters()
-    body = [_body_atom(memo, atom)]
-    var_slot: dict[str, int] = {}
-    steps = _compile_body(body, var_slot)
-    instantiate = _projection(body[0][1], var_slot)
-    substs = _evaluate(base, memo, counters, steps, [()])
-    rows = sorted(set(map(instantiate, substs)))
-    answers_out = [base.to_atom(atom.predicate, row) for row in rows]
+    substs, var_slot, counters = _solve_body(base, [atom], memo)
     return EvaluationResult(
-        answers_out, counters.inferred_facts, counters.eob_accesses
+        Answers.of(base.symbols, atom, var_slot, substs),
+        counters.inferred_facts, counters.eob_accesses, [counters],
     )
 
 
@@ -560,12 +635,6 @@ def solve_sequence(
     atoms = list(atoms)
     if not atoms:
         raise SchemaError("solve_sequence requires at least one atom")
-    if memo is None:
-        memo = MemoTable()
-    memo.bind(base)
-    counters = Counters()
-    var_slot: dict[str, int] = {}
-    steps = _compile_body([_body_atom(memo, atom) for atom in atoms], var_slot)
-    substs = _evaluate(base, memo, counters, steps, [()])
+    substs, var_slot, counters = _solve_body(base, atoms, memo)
     text = base.symbols.text
     return [dict(zip(var_slot, map(text, s))) for s in substs], counters

@@ -380,7 +380,7 @@ def build_exact_catalog(
         free = Atom(name, tuple(Term.var(f"V{i}") for i in range(arity)))
         answers = engine.solve(base, free, memo).answers
         distinct = tuple(
-            float(len({a.args[i].value for a in answers})) for i in range(arity)
+            float(len({row[i] for row in answers.rows})) for i in range(arity)
         )
         cache: dict = {}
         entries[name] = _iob_stats(

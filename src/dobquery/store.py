@@ -162,8 +162,3 @@ class OntologyBase:
 
     def __len__(self) -> int:
         return len(self._order)
-
-
-def assert_fact(base: OntologyBase, fact: Atom) -> OntologyBase:
-    return base.assert_fact(fact)
-

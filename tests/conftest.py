@@ -19,7 +19,7 @@ from dobquery import (
     parse_dob,
     uniform_plan,
 )
-from dobquery.executor import ExecutionReport
+from dobquery.engine import EvaluationResult
 from dobquery.model import schema_for
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -117,7 +117,7 @@ def execute_all_strategies(
     query: Query,
     order: tuple[int, ...] | None = None,
     block_size: int = 32,
-) -> dict[JoinMethod, ExecutionReport]:
+) -> dict[JoinMethod, EvaluationResult]:
     """One report per strategy over the same ordering; answers must agree."""
     out = {}
     for method in JoinMethod:

@@ -1,5 +1,7 @@
+import ast
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -23,6 +25,27 @@ from dobquery.model import (
     ArgDomain,
 )
 from conftest import bottom_up_oracle, random_base
+
+
+def test_other_modules_use_only_the_engines_public_names():
+    """No module but the engine imports or reads an underscore name of
+    `engine`: the executor and the analyzer run on its public core."""
+    private = []
+    for path in sorted(Path(engine.__file__).parent.glob("*.py")):
+        if path.name == "engine.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.ImportFrom)
+                    and (node.module or "").split(".")[-1] == "engine"):
+                names = [a.name for a in node.names]
+            elif (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "engine"):
+                names = [node.attr]
+            else:
+                continue
+            private += [f"{path.name}: {n}" for n in names if n.startswith("_")]
+    assert private == []
 
 
 def _free_atom(pred):
@@ -498,7 +521,11 @@ def test_engine_matches_oracle_for_every_binding_pattern(base, data):
     oracle = bottom_up_oracle(base)
     for pred in IOB_PREDICATES:
         for atom in _call_atoms(pred, data):
-            assert set(solve(base, atom).answers) == _instances(atom, oracle), atom
+            answers = solve(base, atom).answers
+            assert set(answers) == _instances(atom, oracle), atom
+            assert list(answers) == sorted(
+                _instances(atom, oracle), key=str
+            ), atom
 
 
 @given(_bases, st.data())

@@ -300,8 +300,10 @@ def test_strategies_agree_with_solve_sequence(seed, data):
 
 def test_answers_compare_by_id_rows(cars_base, monkeypatch):
     """Two orderings run, compare equal and have a length with no text
-    built; each report's answers equal their materialized list."""
+    built, and so do two `solve` calls; each report's answers equal their
+    materialized list."""
     query = parse_query(CARS_Q)
+    atom = parse_atom("areClasses(C,carsOnt)")
     with monkeypatch.context() as patch:
         patch.setattr(SymbolTable, "text", refuse_text)
         first, second = (
@@ -310,7 +312,10 @@ def test_answers_compare_by_id_rows(cars_base, monkeypatch):
         )
         assert first.answers == second.answers
         assert len(first.answers) == 3
-    for report in (first, second):
+        solved = solve(cars_base, atom)
+        assert solved.answers == solve(cars_base, atom).answers
+        assert len(solved.answers) == 4
+    for report in (first, second, solved):
         assert report.answers == list(report.answers)
     # another head: the rows agree, the atoms do not
     other = execute(cars_base, uniform_plan(

@@ -1,31 +1,42 @@
-"""Digests of the catalogs and synthetic corpora, so that a refactor of the
-analyzer or the generator can be checked byte for byte.
+"""Digests of the catalogs, synthetic corpora and experiment CSVs, so that
+a refactor of the analyzer, the generator or the evaluation can be checked
+byte for byte.
 
 Each pin is the SHA-256 of a text: a catalog's `catalog_to_text` without
-its `# created` line, or a synthetic corpus's `render_dob` output followed
-by one line per query. The `analyze/` pins cover the benchmark's cold
-start on its three bases: the catalog of the base read back from its
-`render_dob` text. Run this file as a script to print fresh pins.
+its `# created` line, a synthetic corpus's `render_dob` output followed
+by one line per query, or a correlate or ratio CSV. The `analyze/` pins
+cover the benchmark's cold start on its three bases: the catalog of the
+base read back from its `render_dob` text. The `csv/` pins run both
+experiments on the two scale-1 corpora, as `dobq bench` runs a corpus of
+two replicas, with the nested-loop strategy alone and with all three.
+Run this file as a script to print fresh pins.
 """
 
 import hashlib
 import json
 import random
 import sys
+import tempfile
 from pathlib import Path
 
 from conftest import load_cars_base, random_base
 
 from dobquery import (
+    JoinMethod,
+    JoinStrategy,
     OntologyBase,
     SamplingConfig,
     SynthConfig,
     build_catalog,
     build_exact_catalog,
+    default_strategies,
     generate_synthetic,
     parse_dob,
     render_dob,
+    run_correlation,
+    run_ratio,
 )
+from dobquery.bench import write_correlation_csv, write_ratio_csv
 from dobquery.stats import catalog_to_text
 
 PINS = Path(__file__).parent / "data" / "catalog_pins.json"
@@ -66,6 +77,32 @@ def _bases():
         yield f"random{seed}", random_base(random.Random(seed))
 
 
+def _csv_digests():
+    """The correlate and ratio CSVs of the scale-1 corpora, per strategy
+    set, under the default sampling settings."""
+    corpora = [generate_synthetic(_scaled(1, 0, 1, 1, n)) for n in (3, 4)]
+    bases = [base for base, _ in corpora]
+    queries = [qs for _, qs in corpora]
+    catalogs = [build_catalog(base, SamplingConfig()) for base in bases]
+    strategy_sets = {
+        "nlj": (JoinStrategy(JoinMethod.NESTED_LOOP),),
+        "all": default_strategies(),
+    }
+    experiments = {
+        "correlate": (run_correlation, write_correlation_csv),
+        "ratio": (run_ratio, write_ratio_csv),
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.csv"
+        for label, strategies in strategy_sets.items():
+            for mode, (run, write) in experiments.items():
+                report = run(bases, queries, SamplingConfig(), strategies,
+                             catalogs=catalogs)
+                write(report, path)
+                yield (f"csv/{mode}/{label}",
+                       hashlib.sha256(path.read_bytes()).hexdigest())
+
+
 # The three bases of the benchmark's analyze workload.
 _ANALYZE = [(f"s{scale}/seed{i}", _scaled(scale, i))
             for i, scale in enumerate((25, 37, 50))]
@@ -99,6 +136,7 @@ def current_pins() -> dict[str, str]:
         pins[f"analyze/{name}"] = _catalog_digest(
             build_catalog(loaded, SamplingConfig())
         )
+    pins.update(_csv_digests())
     return pins
 
 

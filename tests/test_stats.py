@@ -16,6 +16,7 @@ from dobquery import (
     estimate_iob_stats,
     parse_atom,
 )
+from dobquery.engine import Answers
 from dobquery.model import BUILTIN_SCHEMA, PredicateKind, schema_for
 from dobquery.stats import (
     AnalyzerError,
@@ -382,6 +383,21 @@ def test_exact_catalog_matches_oracle_cardinalities(cars_base):
         stats = catalog.iob_stats(pred)
         exact = sum(1 for a in oracle if a.predicate == pred)
         assert stats.cardinality[BindingPattern.free(stats.arity)] == exact
+
+
+def _refuse_answer_text(*_args):
+    raise AssertionError("answer text built")
+
+
+def test_catalogs_build_no_answer_text(cars_base, monkeypatch):
+    """The analyzer reads answer counts and id rows only: building either
+    catalog makes no answer `Atom`."""
+    bases = [cars_base, random_base(random.Random(5))]
+    monkeypatch.setattr(OntologyBase, "to_atom", _refuse_answer_text)
+    monkeypatch.setattr(Answers, "__iter__", _refuse_answer_text)
+    for base in bases:
+        build_catalog(base, SamplingConfig())
+        build_exact_catalog(base)
 
 
 def test_sampling_leaves_base_unchanged(cars_base):

@@ -10,14 +10,13 @@ from dobquery import (
     OntologyBase,
     SchemaError,
     Term,
-    assert_fact,
     parse_atom,
 )
 from conftest import match_eob, random_base
 
 
 def test_assert_and_match_single_fact():
-    base = assert_fact(OntologyBase(), parse_atom("isClass(vehicle,carsOnt)"))
+    base = OntologyBase().assert_fact(parse_atom("isClass(vehicle,carsOnt)"))
     got = match_eob(base, parse_atom("isClass(C,O)"))
     assert [str(a) for a in got] == ["isClass(vehicle,carsOnt)"]
 

@@ -58,8 +58,6 @@ from .costmodel import (
     predicate_estimate,
 )
 from .optimizer import (
-    SubPlan,
-    dominates,
     exhaustive_orderings,
     explain_plan,
     optimize,

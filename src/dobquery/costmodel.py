@@ -188,6 +188,19 @@ class JoinTable:
         card = join_cardinality(left_card, r_const.cardinality, rf)
         return Estimate(cost=best_cost, cardinality=card), best_strategy
 
+    def fold(self, order, step_strategies):
+        """Left-deep fold over the subgoals in `order`: yields the estimate
+        of each prefix and the strategy that joined its last subgoal (None
+        for the first). Each join step picks the cheapest of the next
+        strategy tuple from `step_strategies`."""
+        estimate = self.estimates[order[0]]
+        left = 1 << order[0]
+        yield estimate, None
+        for idx, strategies in zip(order[1:], step_strategies):
+            estimate, strategy = self.join(estimate, left, idx, strategies)
+            left |= 1 << idx
+            yield estimate, strategy
+
 
 def join_cardinality(left_card: float, right_card: float, rf: float) -> float:
     return left_card * right_card * rf
@@ -234,8 +247,7 @@ def plan_estimate(
         raise SchemaError(
             f"expected {len(atoms) - 1} join strategies, got {len(strategies)}"
         )
-    table = JoinTable(catalog, atoms)
-    estimate = table.estimates[0]
-    for i, strategy in enumerate(strategies, start=1):
-        estimate, _ = table.join(estimate, (1 << i) - 1, i, (strategy,))
-    return estimate
+    steps = JoinTable(catalog, atoms).fold(
+        range(len(atoms)), [(s,) for s in strategies]
+    )
+    return list(steps)[-1][0]

@@ -1,16 +1,14 @@
-"""Dynamic-programming join ordering with Pareto pruning.
+"""Dynamic-programming join ordering: one cheapest plan per subgoal set.
 
-Subplans covering the same subgoal set form an equivalence class; within
-a class only the (cost, cardinality) Pareto frontier survives each round.
-Because every extension formula is monotone in both prefix coordinates,
-pruning preserves the optimum and the returned plan matches exhaustive
-enumeration under the same cost model.
+Subplans covering the same subgoal set form an equivalence class, and
+the DP keeps one cheapest plan per class (Selinger et al., SIGMOD 1979).
+Two facts of the cost model make this exact; `optimize` states them.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .costmodel import Estimate, JoinStrategy, JoinTable, default_strategies
 from .model import Atom, DobError, Query
@@ -26,11 +24,12 @@ class OptimizerError(DobError):
 # subgoal; 12 is the largest body that optimizes in under 2 s on the
 # timings in README "Optimizer".
 MAX_OPTIMIZE_SUBGOALS = 12
+# Largest body `exhaustive_orderings` accepts: 6! = 720 orderings.
+MAX_EXHAUSTIVE_SUBGOALS = 6
 
 
 @dataclass(frozen=True)
 class SubPlan:
-    atom_set: int  # bitmask of the body positions the subplan covers
     order: tuple[int, ...]
     strategies: tuple[JoinStrategy, ...]
     estimate: Estimate
@@ -42,55 +41,10 @@ class Plan:
     order: tuple[int, ...]
     strategies: tuple[JoinStrategy, ...]
     estimate: Estimate
-    # The join table the plan was costed on, if any; `explain_plan` reads it.
-    joins: JoinTable | None = field(default=None, compare=False, repr=False)
 
     @property
     def atoms(self) -> tuple[Atom, ...]:
         return tuple(self.query.body[i] for i in self.order)
-
-
-def dominates(a: SubPlan, b: SubPlan) -> bool:
-    """True iff `a` is no worse than its equivalent `b` on both estimated
-    cost and cardinality, and strictly better on one."""
-    if a.atom_set != b.atom_set:
-        raise OptimizerError("dominance compares equivalent subplans only")
-    ac, bc = a.estimate, b.estimate
-    return (
-        ac.cost <= bc.cost
-        and ac.cardinality <= bc.cardinality
-        and (ac.cost < bc.cost or ac.cardinality < bc.cardinality)
-    )
-
-
-def _prune(subplans: list[SubPlan]) -> list[SubPlan]:
-    """Pareto frontier in generation order; ties keep the earliest."""
-    kept: list[SubPlan] = []
-    for sp in subplans:
-        dead = False
-        for other in kept:
-            if dominates(other, sp) or (
-                other.estimate.cost == sp.estimate.cost
-                and other.estimate.cardinality == sp.estimate.cardinality
-            ):
-                dead = True
-                break
-        if dead:
-            continue
-        kept = [other for other in kept if not dominates(sp, other)]
-        kept.append(sp)
-    return kept
-
-
-def _extend(joins: JoinTable, sp: SubPlan, idx: int, strategies) -> SubPlan:
-    """`sp` joined with one more subgoal by its cheapest enabled strategy."""
-    estimate, strategy = joins.join(sp.estimate, sp.atom_set, idx, strategies)
-    return SubPlan(
-        sp.atom_set | 1 << idx,
-        sp.order + (idx,),
-        sp.strategies + (strategy,),
-        estimate,
-    )
 
 
 def _members(atom_set: int) -> list[int]:
@@ -98,28 +52,41 @@ def _members(atom_set: int) -> list[int]:
 
 
 def _strategies(enabled_strategies) -> tuple[JoinStrategy, ...]:
-    return tuple(
+    strategies = tuple(
         enabled_strategies if enabled_strategies is not None
         else default_strategies()
     )
+    if not strategies:
+        raise OptimizerError("at least one join strategy must be enabled")
+    return strategies
 
 
 def optimize(
     query: Query,
     catalog: StatisticsCatalog,
     enabled_strategies=None,
-    *,
-    prune: bool = True,
 ) -> Plan:
     """Lowest-estimated-cost left-deep ordering of the query body.
 
-    Every extension of every subplan is considered (subgoals sharing no
-    variable join as a cross product with reduction factor 1), so the
-    result's cost is exact with respect to the cost model. Equal-cost
-    complete plans tie-break to the lexicographically smallest ordering
-    among those pruning kept; pruning may drop an equal-cost ordering of
-    higher cardinality. Bodies of more than `MAX_OPTIMIZE_SUBGOALS`
-    subgoals are refused.
+    Sets are extended by size, then in `_members` order, each by every
+    subgoal outside it in ascending position (subgoals sharing no
+    variable join as a cross product with reduction factor 1). Each set
+    keeps one subplan: the first generated of those with the
+    lexicographically smallest (cost, cardinality). This is exact with
+    respect to the cost model because:
+
+    1. A set's estimated cardinality does not depend on the order of its
+       subgoals. It is the product of the subgoals' constant-only
+       cardinalities and, per variable, 1/d for every distinct count d
+       of its holders but the smallest (up to float rounding).
+    2. Every join strategy's extension cost is nondecreasing in the
+       prefix cost at a fixed prefix cardinality, and so is their
+       minimum.
+
+    So replacing the prefix of any plan by a cheaper plan for the same
+    set never raises the plan's cost, and the kept plan for the full
+    body costs no more than any ordering. Bodies of more than
+    `MAX_OPTIMIZE_SUBGOALS` subgoals are refused.
     """
     if not query.body:
         raise OptimizerError("cannot optimize an empty query body")
@@ -130,38 +97,35 @@ def optimize(
             f"the query has {n}"
         )
     strategies = _strategies(enabled_strategies)
-    if not strategies:
-        raise OptimizerError("at least one join strategy must be enabled")
     joins = JoinTable(catalog, query.body)
 
-    frontier: dict[int, list[SubPlan]] = {
-        1 << i: [SubPlan(1 << i, (i,), (), est)]
-        for i, est in enumerate(joins.estimates)
+    kept: dict[int, SubPlan] = {
+        1 << i: SubPlan((i,), (), est) for i, est in enumerate(joins.estimates)
     }
-    for _round in range(n - 1):
-        extended: dict[int, list[SubPlan]] = {}
-        for key in sorted(frontier, key=_members):
-            for sp in frontier[key]:
-                for idx in range(n):
-                    if key >> idx & 1:
-                        continue
-                    new = _extend(joins, sp, idx, strategies)
-                    extended.setdefault(new.atom_set, []).append(new)
-        if prune:
-            frontier = {k: _prune(v) for k, v in extended.items()}
-        else:
-            frontier = extended
-
-    complete = [sp for plans in frontier.values() for sp in plans]
-    best = min(complete, key=lambda sp: (sp.estimate.cost, sp.order))
-    return Plan(query, best.order, best.strategies, best.estimate, joins)
+    full = (1 << n) - 1
+    for left in sorted(
+        range(1, full), key=lambda s: (s.bit_count(), _members(s))
+    ):
+        sp = kept[left]
+        for idx in range(n):
+            if left >> idx & 1:
+                continue
+            estimate, strategy = joins.join(sp.estimate, left, idx, strategies)
+            grown = left | 1 << idx
+            best = kept.get(grown)
+            if best is None or (estimate.cost, estimate.cardinality) < (
+                best.estimate.cost, best.estimate.cardinality
+            ):
+                kept[grown] = SubPlan(
+                    sp.order + (idx,), sp.strategies + (strategy,), estimate
+                )
+    best = kept[full]
+    return Plan(query, best.order, best.strategies, best.estimate)
 
 
 def _plan_for_order(joins: JoinTable, query: Query, order, strategies) -> Plan:
-    sp = SubPlan(1 << order[0], order[:1], (), joins.estimates[order[0]])
-    for idx in order[1:]:
-        sp = _extend(joins, sp, idx, strategies)
-    return Plan(query, sp.order, sp.strategies, sp.estimate, joins)
+    steps = list(joins.fold(order, itertools.repeat(strategies)))
+    return Plan(query, order, tuple(s for _, s in steps[1:]), steps[-1][0])
 
 
 def plan_for_order(
@@ -182,18 +146,18 @@ def exhaustive_orderings(
     query: Query,
     catalog: StatisticsCatalog,
     enabled_strategies=None,
-    *,
-    max_subgoals: int = 6,
 ) -> list[tuple[Plan, Estimate]]:
     """Every ordering of the body with its per-step best strategy.
 
     Used as the optimizer's brute-force oracle and by the experiment
-    harness, which needs worst and median orderings as well.
+    harness, which needs worst and median orderings as well. Bodies of
+    more than `MAX_EXHAUSTIVE_SUBGOALS` subgoals are refused.
     """
     n = len(query.body)
-    if n > max_subgoals:
+    if n > MAX_EXHAUSTIVE_SUBGOALS:
         raise OptimizerError(
-            f"exhaustive enumeration is capped at {max_subgoals} subgoals"
+            f"exhaustive enumeration is capped at {MAX_EXHAUSTIVE_SUBGOALS} "
+            "subgoals"
         )
     joins = JoinTable(catalog, query.body)
     strategies = _strategies(enabled_strategies)
@@ -205,28 +169,20 @@ def exhaustive_orderings(
 
 
 def explain_plan(plan: Plan, catalog: StatisticsCatalog) -> str:
-    """Indented step listing with per-prefix estimates, read from the join
-    table the plan was costed on when it was costed on `catalog`."""
-    joins = plan.joins
-    if joins is None or joins.catalog is not catalog:
-        joins = JoinTable(catalog, plan.query.body)
+    """Indented step listing with per-prefix estimates, folded afresh on
+    `catalog` with the plan's ordering and strategies."""
+    steps = list(JoinTable(catalog, plan.query.body).fold(
+        plan.order, [(s,) for s in plan.strategies]
+    ))
+    total = steps[-1][0]
     lines = [f"plan for {plan.query.head}  "
-             f"(cost={plan.estimate.cost:.3f}, card={plan.estimate.cardinality:.3f})"]
-    atoms = plan.atoms
-    first = plan.order[0]
-    running = joins.estimates[first]
-    lines.append(
-        f"  1. {atoms[0]}  "
-        f"[cost={running.cost:.3f}, card={running.cardinality:.3f}]"
-    )
-    left = 1 << first
-    for i, (idx, strategy) in enumerate(
-        zip(plan.order[1:], plan.strategies), start=2
+             f"(cost={total.cost:.3f}, card={total.cardinality:.3f})"]
+    for i, (atom, (estimate, strategy)) in enumerate(
+        zip(plan.atoms, steps), start=1
     ):
-        running, _ = joins.join(running, left, idx, (strategy,))
-        left |= 1 << idx
+        via = f"  via {strategy}" if strategy is not None else ""
         lines.append(
-            f"  {i}. {atoms[i - 1]}  via {strategy}  "
-            f"[cost={running.cost:.3f}, card={running.cardinality:.3f}]"
+            f"  {i}. {atom}{via}  "
+            f"[cost={estimate.cost:.3f}, card={estimate.cardinality:.3f}]"
         )
     return "\n".join(lines)

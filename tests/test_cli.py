@@ -81,6 +81,23 @@ def test_query_explain_prints_plan(workspace, capsys):
     assert "cost=" in err
 
 
+def test_query_explain_header_is_the_folded_estimate(workspace, capsys):
+    # a one-strategy --no-optimize plan is built without estimates
+    dob, catalog = workspace
+    code, _, err = run(
+        capsys,
+        "query", str(dob), "--catalog", str(catalog),
+        "-q", "q(O):-areClasses(C,O),isDProperty(traction,C).",
+        "--no-optimize", "--strategy", "nlj", "--explain",
+    )
+    assert code == 0
+    assert err.splitlines()[:3] == [
+        "plan for q(O)  (cost=50.000, card=3.000)",
+        "  1. areClasses(C,O)  [cost=44.000, card=12.000]",
+        "  2. isDProperty(traction,C)  via nlj  [cost=50.000, card=3.000]",
+    ]
+
+
 def test_query_no_optimize_keeps_written_order(workspace, capsys):
     dob, catalog = workspace
     answers = {}

@@ -18,21 +18,37 @@ call, a call builds a dependency set only when it reads an active table,
 and no call keeps cleanup of its own: an evaluation that raises drops
 the active tables and the dependency stack at its entry (`evaluate`).
 
-The built-in rule program is compiled once per process and call shape
+The built-in rule program is compiled once per process into rule
+kernels: one generated Python function per IOB predicate and call shape
 (which arguments are constants and which free arguments repeat), shared
-by every memo and base, into steps over substitution tuples: a
-substitution holds the values bound so far in binding order, so a step
-reads bound variables by position and appends the ones it binds. Tables
-hold the call's free values, in placeholder order: a row of
-`areSubClasses(c,?0)` is `(x,)`, not `(c, x)`, so the constants and
-repeated variables the canonical pattern encodes are stored once per
-table, not once per answer (substitution factoring; Ramakrishnan, Rao,
-Sagonas, Swift & Warren, ICLP 1995). A row is then exactly the values
-the calling step binds, so the step appends it to its substitution
-unchanged. An EOB step makes one lookup per substitution in the base's
-hash probe for its bound positions, and a rule's last step builds head
-tuples straight from the rows it matched; a recursive rule whose head
-values are its last call's row passes that sub-table on as it is.
+by every memo and base, since its code names no constant and reads the
+call's constants from the call's key. A kernel runs every rule once, as
+nested loops over the rule's EOB atoms with its variables in locals:
+each EOB atom makes one lookup in the base's hash probe for its bound
+positions, and the rule's last atom, its one tabled call if it has one,
+gives the head rows (data-centric code generation, Neumann, VLDB 2011;
+specialised Datalog code, Jordan, Scholz & Subotic, CAV 2016). Each
+kernel is compiled under a filename naming it, such as
+`<dobquery kernel areStatements(b,b,?0)>`, so tracebacks and profilers
+tell kernels apart. Tables hold the call's free values, in placeholder
+order: a row of `areSubClasses(c,?0)` is `(x,)`, not `(c, x)`, so the
+constants and repeated variables the canonical pattern encodes are
+stored once per table, not once per answer (substitution factoring;
+Ramakrishnan, Rao, Sagonas, Swift & Warren, ICLP 1995). A rule whose
+head values are its last call's rows passes that sub-table on as it is.
+
+Query atoms stay step-at-a-time: `compile_query` turns them into steps
+over substitution tuples (a substitution holds the values bound so far
+in binding order, so a step reads bound variables by position and
+appends the ones it binds), and `evaluate` applies each step to the
+whole batch before the next. A query body may call an IOB atom before an
+EOB one, or several IOB atoms, and the counted cost of a recursive group
+depends on the order its members are first called, so nested loops over
+a query body would change its counters. A rule kernel keeps the order of
+this batch evaluation because a rule has at most one IOB atom, and it is
+the last (`_compile_rules` refuses any other rule). An IOB row of a
+query step is exactly the values the step binds, so the step appends it
+to its substitution unchanged.
 
 Callers outside the engine use only its public core: `compile_query`
 turns query atoms into steps, interning their constants through a memo,
@@ -52,13 +68,12 @@ the counters carry no re-evaluation of complete tables.
 
 from __future__ import annotations
 
+import linecache
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache
-from itertools import repeat
-from operator import itemgetter
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .model import (
     Atom,
@@ -177,6 +192,7 @@ class EvaluationResult:
 
 @dataclass
 class _CompiledRule:
+    text: str
     head_vars: tuple[str, ...]
     body: tuple[tuple[str, tuple[str, ...], bool], ...]  # (pred, args, is_eob)
 
@@ -206,6 +222,45 @@ class _Step:
     shape: tuple  # IOB: the call shape of `args`
 
 
+class _Scan(NamedTuple):
+    """An atom's argument positions, against the variables bound before it.
+
+    `bound` holds the positions of constants and bound variables, `new`
+    the first position of each variable the atom binds, in order, and
+    `same` the (first, later) position pairs of a new variable that
+    repeats. `shape` is the atom's call shape: None at a bound position,
+    else the placeholder of its variable, numbered by first occurrence.
+    """
+
+    bound: tuple[int, ...]
+    new: tuple[int, ...]
+    same: tuple[tuple[int, int], ...]
+    shape: tuple
+
+
+def _scan(args, bound_vars) -> _Scan:
+    """Scan `args` (int = constant id, str = variable) against the
+    variables in `bound_vars`. Both `_compile_body` and the rule kernels
+    (`_kernel_source`) build their code from this one analysis."""
+    bound: list[int] = []
+    new: list[int] = []
+    same: list[tuple[int, int]] = []
+    shape: list = []
+    first: dict[str, int] = {}  # new variable -> its first position
+    for pos, a in enumerate(args):
+        if isinstance(a, int) or a in bound_vars:
+            bound.append(pos)
+            shape.append(None)
+        elif a in first:
+            same.append((first[a], pos))
+            shape.append(shape[first[a]])
+        else:
+            first[a] = pos
+            new.append(pos)
+            shape.append(f"?{len(new) - 1}")
+    return _Scan(tuple(bound), tuple(new), tuple(same), tuple(shape))
+
+
 def _compile_body(body, var_slot: dict[str, int]) -> tuple[_Step, ...]:
     """Compile (pred, args, is_eob) atoms for left-to-right evaluation.
 
@@ -214,120 +269,43 @@ def _compile_body(body, var_slot: dict[str, int]) -> tuple[_Step, ...]:
     """
     steps = []
     for pred, args, eob in body:
+        scan = _scan(args, var_slot)
         n = len(var_slot)
+        # an EOB step reads its bound positions; an IOB step its whole
+        # call, constants and placeholders appended to the substitution
+        index: list[int] = []
         extras: list = []
-        index: list[int | None] = []
-        shape: list = []
-        new: list[int] = []
-        same: list[tuple[int, int]] = []
-        bound: list[int] = []
-        first: dict[str, int] = {}  # free variable -> first position here
-        for pos, a in enumerate(args):
-            if isinstance(a, int):
-                index.append(n + len(extras))
-                extras.append(a)
-                shape.append(None)
-                bound.append(pos)
-            elif a in first:
-                index.append(index[first[a]])
-                shape.append(shape[first[a]])
-                same.append((first[a], pos))
-            elif a in var_slot:
+        for a, p in zip(args, scan.shape):
+            if p is None and not isinstance(a, int):
                 index.append(var_slot[a])
-                shape.append(None)
-                bound.append(pos)
-            else:
-                first[a] = pos
-                var_slot[a] = len(var_slot)
-                new.append(pos)
-                if eob:
-                    index.append(None)
-                    shape.append(None)
-                    continue
+            elif p is None or not eob:
                 index.append(n + len(extras))
-                placeholder = f"?{len(first) - 1}"
-                extras.append(placeholder)
-                shape.append(placeholder)
-        if eob:
-            args_of = _getter([index[pos] for pos in bound])
-        else:
-            args_of = _getter(index)
+                extras.append(a if p is None else p)
+        for pos in scan.new:
+            var_slot[args[pos]] = len(var_slot)
         steps.append(
             _Step(
-                pred, eob, tuple(extras), args_of,
-                _getter(new) if eob else None,
-                tuple(same) if eob else (), (pred, tuple(bound)), tuple(shape),
+                pred, eob, tuple(extras), _getter(index),
+                _getter(scan.new) if eob else None,
+                scan.same if eob else (), (pred, scan.bound), scan.shape,
             )
         )
     return tuple(steps)
 
 
-def _fused_head(head, last, var_slot: dict[str, int]):
-    """Function `emit(s, rows)` building a rule's head tuples from a
-    substitution `s` before the last body atom `last` = (pred, args,
-    is_eob) and the rows it matched there, without extending `s`.
+def _compile_rules(program) -> dict[str, list[_CompiledRule]]:
+    """A rule program as (pred, args, is_eob) bodies, by head predicate.
 
-    An EOB row holds the atom's arguments, so a head variable in it is
-    read from the row at its position. An IOB row holds the values of
-    the variables the atom binds, in first-occurrence order, so only
-    those are read from the row. Any other head variable is read from
-    its slot in `s`. When every head value comes from the row in row
-    order, the rows are the head tuples themselves.
-    """
-    _, args, eob = last
-    if eob:
-        row_vars = list(args)
-    else:
-        row_vars = [a for a in dict.fromkeys(args) if a not in var_slot]
-    sources = [
-        (True, row_vars.index(v)) if v in row_vars else (False, var_slot[v])
-        for v in head
-    ]
-    at = [i for _, i in sources]
-    if all(from_row for from_row, _ in sources):
-        if at == list(range(len(row_vars))):
-            return lambda s, rows: rows
-        get = _getter(at)
-        return lambda s, rows: map(get, rows)
-    if not any(from_row for from_row, _ in sources):
-        # Only an IOB atom binding no head variable gets here (an EOB
-        # rule's last atom holds every head variable): its rows, however
-        # many, give one head tuple.
-        get = _getter(at)
-        return lambda s, rows: (get(s),)
-    parts = [(from_row, itemgetter(i)) for from_row, i in sources]
-
-    def emit(s, rows):
-        return zip(*[
-            map(get, rows) if from_row else repeat(get(s))
-            for from_row, get in parts
-        ])
-
-    return emit
-
-
-@dataclass(frozen=True, slots=True)
-class _Plan:
-    """The rules of one call shape, compiled to slot steps.
-
-    `bound(args)` is the initial substitution of a call: its constants,
-    in argument order. Each rule pairs its steps with the function
-    building the call's table rows, the values of its distinct
-    placeholders, from the last step's matches (`_fused_head`).
-    """
-
-    bound: Callable[[tuple], tuple]
-    rules: tuple[tuple[tuple[_Step, ...], Callable], ...]
-
-
-def _compile_rules() -> dict[str, list[_CompiledRule]]:
-    """The built-in rule program as (pred, args, is_eob) bodies, by head.
-
-    Its heads use distinct variables and its rules hold no constants, so
-    the compiled program holds no ids and serves every base.
+    A rule kernel runs a body as nested loops over its EOB atoms and
+    makes its tabled call in the innermost loop. That keeps the call
+    order, and so the counters of a recursive group, of step-by-step
+    evaluation only when a body has at most one IOB atom and it is the
+    last, so any other rule is refused. The built-in program's heads use
+    distinct variables and its rules hold no constants, so its kernels
+    hold no ids and serve every base.
     """
     rules: dict[str, list[_CompiledRule]] = {}
-    for rule in builtin_iob_program():
+    for rule in program:
         body = tuple(
             (
                 atom.predicate,
@@ -336,46 +314,154 @@ def _compile_rules() -> dict[str, list[_CompiledRule]]:
             )
             for atom in rule.body
         )
+        if not all(eob for _, _, eob in body[:-1]):
+            raise SchemaError(
+                f"rule {rule}: only the last body atom may be intensional"
+            )
         rules.setdefault(rule.head.predicate, []).append(
-            _CompiledRule(tuple(t.value for t in rule.head.args), body)
+            _CompiledRule(
+                str(rule), tuple(t.value for t in rule.head.args), body
+            )
         )
     return rules
 
 
-_RULES = _compile_rules()
+_RULES = _compile_rules(builtin_iob_program())
+
+
+def _tuple(items) -> str:
+    """Python source of a tuple display of the expressions `items`."""
+    items = list(items)
+    return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
+
+
+def _kernel_source(pred: str, shape: tuple) -> tuple[str, dict]:
+    """Source of the kernel of `pred` for calls of `shape`, and the row
+    getters it reads as globals.
+
+    Each rule runs once, as nested loops over its EOB atoms, with every
+    variable in a local: `k<i>` is the constant at call argument i, read
+    from the key, `p<n>` the value of placeholder ?n and `v_<name>` any
+    other rule variable. An EOB atom makes one lookup in the base's probe
+    per binding of the loops around it and counts its rows after the
+    repeated-variable filter. The last atom gives the rule's head rows,
+    the values of the call's distinct placeholders: an EOB atom from its
+    rows, an IOB atom from its call's table, read from `memo.completed`
+    or `_solve_call`; rows that already are the head pass through as they
+    are. A rule's head rows are buffered and added to the call's table
+    after the rule, with one `memo._added`, so a call that reads the
+    active table in mid-rule sees the table as the rule began.
+    """
+    head = [f"p{p[1:]}" for p in dict.fromkeys(p for p in shape if p)]
+    getters: dict[str, Callable] = {}
+    lines = ["def kernel(base, memo, counters, key):"]
+    if None in shape:
+        consts = [f"k{i}" if p is None else "_" for i, p in enumerate(shape)]
+        lines.append(f"    {_tuple(consts)} = key[1]")
+    lines += [
+        "    table = memo.tables[key]",
+        "    completed = memo.completed",
+        "    probes = base.probes",
+        "    eob = 0",
+    ]
+    for rule in _RULES.get(pred, []):
+        local = {
+            var: f"k{i}" if p is None else f"p{p[1:]}"
+            for i, (var, p) in enumerate(zip(rule.head_vars, shape))
+        }
+        bound = {f"k{i}" for i, p in enumerate(shape) if p is None}
+        lines += [f"    # {rule.text}", "    out = []"]
+        loops: list[str] = []
+        indent = "    "
+        for j, (b_pred, b_args, b_eob) in enumerate(rule.body):
+            b_args = tuple(local.get(a, f"v_{a}") for a in b_args)
+            scan = _scan(b_args, bound)
+            bound.update(b_args[pos] for pos in scan.new)
+            rows = f"rows{j}"
+            if b_eob:
+                access = (b_pred, scan.bound)
+                key = _tuple(b_args[pos] for pos in scan.bound)
+                # every probe the rule reads is fetched before its loops
+                lines.append(f"    probe{j} = probes.get({access!r})"
+                             f" or base.probe_index{access!r}")
+                loops.append(f"{indent}{rows} = probe{j}.get({key}, ())")
+                if scan.same:
+                    same = " and ".join(f"r[{a}] == r[{b}]" for a, b in scan.same)
+                    loops.append(f"{indent}{rows} = [r for r in {rows} if {same}]")
+                loops += [f"{indent}if {rows}:", f"{indent}    eob += len({rows})"]
+                # an EOB row holds all the atom's arguments
+                row_vars = list(b_args)
+                targets = _tuple(
+                    a if pos in scan.new else "_"
+                    for pos, a in enumerate(b_args)
+                )
+            else:
+                call = _tuple(
+                    a if p is None else repr(p)
+                    for a, p in zip(b_args, scan.shape)
+                )
+                loops += [
+                    f"{indent}call = ({b_pred!r}, {call})",
+                    f"{indent}{rows} = completed.get(call)",
+                    f"{indent}if {rows} is None:",
+                    f"{indent}    {rows} = _solve_call(base, memo, counters,"
+                    f" call, {scan.shape!r})",
+                    f"{indent}if {rows}:",
+                ]
+                # an IOB row holds the values of the variables it binds
+                row_vars = [b_args[pos] for pos in scan.new]
+                targets = _tuple(row_vars)
+            indent += "    "
+            if j < len(rule.body) - 1:
+                loops.append(f"{indent}for {targets} in {rows}:")
+                indent += "    "
+        if head == row_vars:
+            chunk = rows
+        elif all(h in row_vars for h in head):
+            at = f"g{len(getters)}"
+            getters[at] = _getter([row_vars.index(h) for h in head])
+            chunk = f"map({at}, {rows})"
+        elif not any(h in row_vars for h in head):
+            chunk = f"({_tuple(head)},)"
+        else:
+            chunk = f"[{_tuple(head)} for {targets} in {rows}]"
+        lines += [
+            *loops,
+            f"{indent}out.append({chunk})",
+            "    if out:",
+            "        size = len(table)",
+            "        for chunk in out:",
+            # a completed sub-table passed through is a table already
+            "            table.update(",
+            "                chunk if type(chunk) is dict"
+            " else dict.fromkeys(chunk)",
+            "            )",
+            "        memo._added(len(table) - size, counters)",
+        ]
+    lines.append("    counters.eob_accesses += eob")
+    return "\n".join(lines) + "\n", getters
 
 
 @cache
-def _plan(pred: str, shape: tuple) -> _Plan:
-    """Rules of `pred` compiled for calls of one shape.
+def _plan(pred: str, shape: tuple) -> Callable:
+    """The kernel of `pred` for calls of one shape, built once per process.
 
     A shape marks each constant argument None and each free argument
-    with its placeholder. Constant arguments are the first slots; a
-    head variable at a free argument is renamed to its placeholder, so
-    head variables sharing a placeholder become one variable. The head
-    each rule builds is the distinct placeholders, in order.
+    with its placeholder. The kernel, `kernel(base, memo, counters,
+    key)`, runs every rule of `pred` once for the call `key` of that
+    shape and adds the new rows to its table (see `_kernel_source`). Its
+    code names no constant, so one kernel serves every memo and base.
     """
-    head = list(dict.fromkeys(p for p in shape if p is not None))
-    rules = []
-    for rule in _RULES.get(pred, []):
-        var_slot: dict[str, int] = {}
-        alias: dict[str, str] = {}
-        for var, placeholder in zip(rule.head_vars, shape):
-            if placeholder is None:
-                var_slot[var] = len(var_slot)
-            else:
-                alias[var] = placeholder
-        body = [
-            (b_pred, tuple(alias.get(a, a) for a in b_args), b_eob)
-            for b_pred, b_args, b_eob in rule.body
-        ]
-        steps = _compile_body(body[:-1], var_slot)
-        emit = _fused_head(head, body[-1], var_slot)
-        steps += _compile_body(body[-1:], var_slot)
-        rules.append((steps, emit))
-    return _Plan(
-        _getter([i for i, p in enumerate(shape) if p is None]), tuple(rules)
+    name = f"{pred}({','.join(p or 'b' for p in shape)})"
+    filename = f"<dobquery kernel {name}>"
+    source, namespace = _kernel_source(pred, shape)
+    namespace["_solve_call"] = _solve_call
+    exec(compile(source, filename, "exec"), namespace)
+    # tracebacks, profilers and `inspect` find the source by its filename
+    linecache.cache[filename] = (
+        len(source), None, source.splitlines(True), filename
     )
+    return namespace["kernel"]
 
 
 class MemoTable:
@@ -385,7 +471,7 @@ class MemoTable:
         self.max_entries = max_entries
         self.tables: dict[tuple, dict[tuple[int, ...], None]] = {}
         self.completed: dict[tuple, dict[tuple[int, ...], None]] = {}
-        self._active: dict[tuple, _Plan] = {}
+        self._active: dict[tuple, Callable] = {}
         self._dep_stack: list[set[tuple] | None] = []
         self._revision = 0
         self._entries = 0
@@ -444,41 +530,30 @@ class MemoTable:
         counters.inferred_facts += count
 
 
-def _run(base, memo, counters, steps, substs, emit=None):
+def _run(base, memo, counters, steps, substs):
     """Extensions of `substs` satisfying `steps`, left to right.
 
     Each step is applied to every substitution before the next step runs
-    (sideways information passing over the whole batch). With `emit`, the
-    result is instead a list of chunks of head tuples: an IOB last step
-    gives `emit(s, rows)` for each substitution `s` and the rows it
-    matched, an EOB last step one list of them all. A call with a
+    (sideways information passing over the whole batch). A call with a
     completed table is answered from it here, without `_solve_call`.
     """
-    last = steps[-1] if emit is not None else None
     for step in steps:
         if not substs:
             break
         out = []
-        args, extras, new = step.args, step.extras, step.new
-        fused = step is last
+        args, extras = step.args, step.extras
         if step.eob:
             probe = base.probes.get(step.access)
             if probe is None:
                 probe = base.probe_index(*step.access)
-            get, same = probe.get, step.same
+            get, same, new = probe.get, step.same, step.new
             for s in substs:
                 rows = get(args(s + extras), ())
                 if same:
                     rows = _same_rows(rows, same)
                 if rows:
-                    out.extend(
-                        emit(s, rows) if fused
-                        else map(s.__add__, map(new, rows))
-                    )
-            # `emit` also makes one tuple per row
+                    out.extend(map(s.__add__, map(new, rows)))
             counters.eob_accesses += len(out)
-            if fused and out:
-                out = [out]
         else:
             pred, shape, completed = step.pred, step.shape, memo.completed
             for s in substs:
@@ -487,10 +562,7 @@ def _run(base, memo, counters, steps, substs, emit=None):
                 if rows is None:
                     rows = _solve_call(base, memo, counters, key, shape)
                 if rows:
-                    if fused:
-                        out.append(emit(s, rows))
-                    else:
-                        out.extend(map(s.__add__, rows))
+                    out.extend(map(s.__add__, rows))
         substs = out
     return substs
 
@@ -510,22 +582,6 @@ def evaluate(base, memo, counters, steps, substs):
         raise
 
 
-def _expand(base, memo, counters, key, plan: _Plan):
-    """Run every rule of a call pattern once, adding new answers."""
-    table = memo.tables[key]
-    init = [plan.bound(key[1])]
-    for steps, emit in plan.rules:
-        answers = _run(base, memo, counters, steps, init, emit)
-        if answers:
-            size = len(table)
-            for chunk in answers:
-                # a completed sub-table passed through is a table already
-                table.update(
-                    chunk if type(chunk) is dict else dict.fromkeys(chunk)
-                )
-            memo._added(len(table) - size, counters)
-
-
 def _solve_call(base, memo, counters, key, shape):
     """Answers of a canonical call pattern of the given shape that has no
     completed table.
@@ -540,14 +596,14 @@ def _solve_call(base, memo, counters, key, shape):
         memo._note_dependency(key)
         return list(memo.tables[key])
 
-    plan = _plan(key[0], shape)
+    kernel = _plan(key[0], shape)
     memo.tables[key] = {}
-    memo._active[key] = plan
+    memo._active[key] = kernel
     stack = memo._dep_stack
     stack.append(None)
     while True:
         rev = memo._revision
-        _expand(base, memo, counters, key, plan)
+        kernel(base, memo, counters, key)
         deps = stack[-1]
         # One pass suffices when every table read was complete.
         if (deps is None or memo._revision == rev
@@ -565,9 +621,9 @@ def _solve_call(base, memo, counters, key, shape):
         # re-running members whose inputs grew after they stabilized.
         while True:
             rev = memo._revision
-            for other, other_plan in list(memo._active.items()):
+            for other, other_kernel in list(memo._active.items()):
                 stack.append(None)
-                _expand(base, memo, counters, other, other_plan)
+                other_kernel(base, memo, counters, other)
                 stack.pop()
             if memo._revision == rev:
                 break

@@ -16,7 +16,7 @@ Execution ends with the engine's `Answers` of the query head and an
 
 from __future__ import annotations
 
-from .costmodel import Estimate, JoinMethod, JoinStrategy
+from .costmodel import JoinMethod, JoinStrategy
 from .engine import (
     Answers,
     Counters,
@@ -99,13 +99,10 @@ def uniform_plan(
     strategy: JoinStrategy,
     order: tuple[int, ...] | None = None,
 ) -> Plan:
-    """A plan using one strategy at every step, without estimates."""
+    """A plan using one strategy at every step. It is built without a
+    catalog, so its `estimate` is None; `explain_plan` folds the
+    estimates of any plan on a catalog."""
     if order is None:
         order = tuple(range(len(query.body)))
-    return Plan(
-        query,
-        tuple(order),
-        (strategy,) * (len(order) - 1),
-        Estimate(0.0, 0.0),
-    )
+    return Plan(query, tuple(order), (strategy,) * (len(order) - 1), None)
 

@@ -37,10 +37,14 @@ class SubPlan:
 
 @dataclass(frozen=True)
 class Plan:
+    """The body joined in `order`, each step after the first by its
+    strategy. `estimate` is the cost model's estimate of the whole plan,
+    or None for a plan built without a catalog (`uniform_plan`)."""
+
     query: Query
     order: tuple[int, ...]
     strategies: tuple[JoinStrategy, ...]
-    estimate: Estimate
+    estimate: Estimate | None
 
     @property
     def atoms(self) -> tuple[Atom, ...]:

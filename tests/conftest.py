@@ -20,7 +20,7 @@ from dobquery import (
     uniform_plan,
 )
 from dobquery.engine import EvaluationResult
-from dobquery.model import schema_for
+from dobquery.model import BUILTIN_SCHEMA, Term, schema_for
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -86,6 +86,41 @@ def random_base(rng: random.Random, max_facts: int = 200) -> OntologyBase:
             f"{rng.choice(vals)})"
         )
     return OntologyBase.from_facts(parse_atom(f) for f in facts[:max_facts])
+
+
+def binding_patterns(arity: int) -> list[tuple]:
+    """Every binding pattern of `arity` arguments: None for a constant,
+    else a variable number, numbered by first occurrence."""
+    out: list[tuple] = [()]
+    for _ in range(arity):
+        out = [
+            p + (x,)
+            for p in out
+            for x in (None, *range(2 + max(
+                (v for v in p if v is not None), default=-1
+            )))
+        ]
+    return out
+
+
+def random_query(rng, base) -> Query:
+    """A random 2- or 3-subgoal query over the populated predicates of
+    `base`, its variables drawn from a pool of four."""
+    populated = [p for p in ("isClass", "subClassOf", "isIndividual",
+                             "isStatement", "areClasses", "areSubClasses",
+                             "areIndividuals", "areStatements")
+                 if base.rows(p) or p.startswith("are")]
+    n = rng.randint(2, 3)
+    var_pool = ["X", "Y", "Z", "W"]
+    body = []
+    for _ in range(n):
+        name = rng.choice(populated)
+        arity = BUILTIN_SCHEMA[name].arity
+        args = tuple(Term.var(rng.choice(var_pool)) for _ in range(arity))
+        body.append(Atom(name, args))
+    body_vars = {v for a in body for v in a.variables}
+    head = Atom("q", tuple(Term.var(v) for v in sorted(body_vars)))
+    return Query(head, tuple(body))
 
 
 def match_eob(base: OntologyBase, pattern: Atom) -> list[Atom]:

@@ -1,6 +1,9 @@
 import ast
+import inspect
 import itertools
 import random
+import re
+import traceback
 from pathlib import Path
 
 import pytest
@@ -13,7 +16,10 @@ from dobquery import (
     EngineLimitError,
     MemoTable,
     OntologyBase,
+    Rule,
+    SchemaError,
     Term,
+    builtin_iob_program,
     parse_atom,
     solve,
     solve_sequence,
@@ -24,7 +30,7 @@ from dobquery.model import (
     IOB_PREDICATES,
     ArgDomain,
 )
-from conftest import bottom_up_oracle, random_base
+from conftest import binding_patterns, bottom_up_oracle, random_base
 
 
 def test_other_modules_use_only_the_engines_public_names():
@@ -221,6 +227,18 @@ def test_memo_usable_after_table_entry_cap_error():
     assert len(solve_sequence(base, [atom], memo=memo)[0]) == 20
 
 
+def _renamed(base, name, pad=0):
+    """The facts of `base` with each constant text renamed by `name`,
+    after `pad` isOntology facts, which no rule reads, that shift every
+    constant's id."""
+    facts = [Atom("isOntology", (Term.const(f"pad{i}"),)) for i in range(pad)]
+    facts += [
+        Atom(f.predicate, tuple(Term.const(name(t.value)) for t in f.args))
+        for f in base.facts()
+    ]
+    return OntologyBase.from_facts(facts)
+
+
 def test_rule_program_is_compiled_once_per_process(cars_base):
     first, second = MemoTable(), MemoTable()
     atom = parse_atom("areClasses(C,O)")
@@ -230,7 +248,7 @@ def test_rule_program_is_compiled_once_per_process(cars_base):
     )
     compiled = engine._plan.cache_info()
 
-    # a memo on another base reuses the same plans, even after the base
+    # a memo on another base reuses the same kernels, even after the base
     # grows past the memo's binding
     base = OntologyBase.from_facts([parse_atom("isClass(a,o)")])
     memo = MemoTable()
@@ -239,6 +257,83 @@ def test_rule_program_is_compiled_once_per_process(cars_base):
     assert len(solve(base, atom, memo).answers) == 2
     after = engine._plan.cache_info()
     assert after.misses == compiled.misses
+
+    # one kernel per (predicate, call shape): two bases of one structure,
+    # with other constant texts and ids, one of them Python syntax, reach
+    # the same shapes, and the second compiles nothing
+    engine._plan.cache_clear()
+    template = random_base(random.Random(5))
+    tricky = "x') or __import__('os').system('true') #"
+    names = [lambda t: f"a_{t}", lambda t: tricky if t == "o0" else f"b_{t}"]
+    bases = [_renamed(template, names[0]), _renamed(template, names[1], 2)]
+    reached: set[tuple] = set()
+    counts = []
+    for base, name in zip(bases, names):
+        memo = MemoTable()
+        counts.append([])
+        for pred in IOB_PREDICATES:
+            domains = BUILTIN_SCHEMA[pred].arg_domains
+            for pattern in binding_patterns(len(domains)):
+                args = tuple(
+                    Term.var(f"V{v}") if v is not None
+                    else Term.const(name(template.symbols.text(
+                        template.domain_values(domain)[0]
+                    )))
+                    for domain, v in zip(domains, pattern)
+                )
+                counts[-1].append(_counts(solve(base, Atom(pred, args), memo)))
+        reached |= {
+            (pred, tuple(None if isinstance(a, int) else a for a in args))
+            for pred, args in memo.tables
+        }
+        if len(counts) == 1:
+            built = engine._plan.cache_info()
+            assert built.misses == built.currsize == len(reached)
+    after = engine._plan.cache_info()
+    assert (after.misses, after.currsize) == (built.misses, len(reached))
+    assert counts[0] == counts[1]
+    assert any(
+        bases[1].symbols.text(a) == tricky
+        for _, args in memo.tables for a in args if isinstance(a, int)
+    )
+    for pred, shape in reached:
+        kernel = engine._plan(pred, shape)
+        name = f"{pred}({','.join(p or 'b' for p in shape)})"
+        assert kernel.__code__.co_filename == f"<dobquery kernel {name}>"
+        source = inspect.getsource(kernel)
+        for base in bases:
+            for cid in range(len(base.symbols)):
+                assert base.symbols.text(cid) not in source
+
+
+def test_kernel_frames_name_their_call_shape():
+    base = OntologyBase.from_facts(
+        parse_atom(f"subClassOf(c{i},c{i + 1})") for i in range(5)
+    )
+    with pytest.raises(EngineLimitError) as info:
+        solve(base, parse_atom("areSubClasses(c0,X)"), MemoTable(max_entries=2))
+    frames = traceback.extract_tb(info.value.__traceback__)
+    assert [
+        (frame.filename, frame.line) for frame in frames
+        if frame.filename.startswith("<dobquery kernel")
+    ][-1] == (
+        "<dobquery kernel areSubClasses(b,?0)>",
+        "memo._added(len(table) - size, counters)",
+    )
+
+
+@pytest.mark.parametrize("body", [
+    ("areSubClasses(X,Z)", "subClassOf(Z,Y)"),
+    ("subClassOf(X,Z)", "areSubClasses(Z,W)", "areSubClasses(W,Y)"),
+])
+def test_rule_kernels_refuse_a_tabled_call_before_the_last_atom(body):
+    """Nested loops make a body's calls in the order step-by-step
+    evaluation makes them only when its one IOB atom is the last."""
+    program = builtin_iob_program()
+    assert set(engine._compile_rules(program)) == set(IOB_PREDICATES)
+    rule = Rule(parse_atom("areSubClasses(X,Y)"), tuple(map(parse_atom, body)))
+    with pytest.raises(SchemaError, match=re.escape(f"rule {rule}:")):
+        engine._compile_rules([*program, rule])
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -9,6 +9,7 @@ from dobquery import (
     JoinStrategy,
     MemoTable,
     execute,
+    explain_plan,
     optimize,
     parse_atom,
     parse_query,
@@ -19,8 +20,11 @@ from dobquery import (
 from dobquery.model import (
     BUILTIN_SCHEMA, IOB_PREDICATES, ArgDomain, Atom, Query, Term,
 )
+from dobquery.optimizer import plan_for_order
 from dobquery.store import OntologyBase, SymbolTable
-from conftest import execute_all_strategies, random_base, refuse_text
+from conftest import (
+    execute_all_strategies, random_base, random_query, refuse_text,
+)
 
 CARS_Q = "q(O):-areClasses(C,O),isDProperty(traction,C)."
 CARS_Q_PRIME = "q(O):-isDProperty(traction,C),areClasses(C,O)."
@@ -102,6 +106,20 @@ def test_execute_optimized_plan(cars_base, cars_exact_catalog):
     assert len(report.answers) == 3
 
 
+def test_uniform_plan_has_no_estimate(cars_base, cars_exact_catalog):
+    """A plan built without a catalog carries no estimate, not zeros; its
+    execution and explain are those of the estimated plan."""
+    query = parse_query(CARS_Q)
+    plan = uniform_plan(query, _NLJ)
+    assert plan.estimate is None
+    estimated = plan_for_order(query, cars_exact_catalog, plan.order, [_NLJ])
+    assert estimated.estimate.cost > 0
+    assert explain_plan(plan, cars_exact_catalog) == explain_plan(
+        estimated, cars_exact_catalog
+    )
+    assert execute(cars_base, plan) == execute(cars_base, estimated)
+
+
 def test_cross_product_step(cars_base):
     q = parse_query("q(P,O):-isDProperty(P,vehicle),isOntology(O).")
     for method in JoinMethod:
@@ -109,30 +127,12 @@ def test_cross_product_step(cars_base):
         assert len(report.answers) == 6  # 2 properties x 3 ontologies
 
 
-def _random_query(rng, base):
-    populated = [p for p in ("isClass", "subClassOf", "isIndividual",
-                             "isStatement", "areClasses", "areSubClasses",
-                             "areIndividuals", "areStatements")
-                 if base.rows(p) or p.startswith("are")]
-    n = rng.randint(2, 3)
-    var_pool = ["X", "Y", "Z", "W"]
-    body = []
-    for _ in range(n):
-        name = rng.choice(populated)
-        arity = BUILTIN_SCHEMA[name].arity
-        args = tuple(Term.var(rng.choice(var_pool)) for _ in range(arity))
-        body.append(Atom(name, args))
-    body_vars = {v for a in body for v in a.variables}
-    head = Atom("q", tuple(Term.var(v) for v in sorted(body_vars)))
-    return Query(head, tuple(body))
-
-
 @pytest.mark.parametrize("seed", range(10))
 def test_strategy_soundness_random(seed):
     rng = random.Random(400 + seed)
     base = random_base(rng, max_facts=120)
     for _ in range(3):
-        query = _random_query(rng, base)
+        query = random_query(rng, base)
         order = tuple(rng.sample(range(len(query.body)), len(query.body)))
         reports = execute_all_strategies(base, query, order=order)
         answer_sets = {
@@ -158,7 +158,7 @@ def test_ordering_soundness_random(seed):
 
     rng = random.Random(900 + seed)
     base = random_base(rng, max_facts=100)
-    query = _random_query(rng, base)
+    query = random_query(rng, base)
     reference = None
     for perm in itertools.permutations(range(len(query.body))):
         report = execute(

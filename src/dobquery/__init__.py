@@ -23,7 +23,6 @@ from .parsing import (
     parse_query,
     render_dob,
     translate_documents,
-    translate_owl,
 )
 from .engine import (
     EngineLimitError,

@@ -473,7 +473,8 @@ class MemoTable:
         self.completed: dict[tuple, dict[tuple[int, ...], None]] = {}
         self._active: dict[tuple, Callable] = {}
         self._dep_stack: list[set[tuple] | None] = []
-        self._revision = 0
+        # Answers in all tables. It falls only when `_drop_active` drops an
+        # aborted evaluation's tables, so within a call it measures growth.
         self._entries = 0
         self._base: OntologyBase | None = None
         self._unseen: dict[str, int] = {}
@@ -526,7 +527,6 @@ class MemoTable:
             raise EngineLimitError(
                 f"tabling store exceeded {self.max_entries} entries"
             )
-        self._revision += count
         counters.inferred_facts += count
 
 
@@ -602,11 +602,11 @@ def _solve_call(base, memo, counters, key, shape):
     stack = memo._dep_stack
     stack.append(None)
     while True:
-        rev = memo._revision
+        size = memo._entries
         kernel(base, memo, counters, key)
         deps = stack[-1]
         # One pass suffices when every table read was complete.
-        if (deps is None or memo._revision == rev
+        if (deps is None or memo._entries == size
                 or all(d in memo.completed for d in deps)):
             break
     stack.pop()
@@ -620,12 +620,12 @@ def _solve_call(base, memo, counters, key, shape):
         # Outermost call of a recursive group: saturate the whole group,
         # re-running members whose inputs grew after they stabilized.
         while True:
-            rev = memo._revision
+            size = memo._entries
             for other, other_kernel in list(memo._active.items()):
                 stack.append(None)
                 other_kernel(base, memo, counters, other)
                 stack.pop()
-            if memo._revision == rev:
+            if memo._entries == size:
                 break
         for other in memo._active:
             memo.completed[other] = memo.tables[other]

@@ -11,8 +11,9 @@ File formats:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
+from typing import NoReturn
 
 from .model import (
     CONSTANT_RE,
@@ -56,12 +57,17 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
+# OWL lines: parentheses and names, which may start with `_` and hold `-`.
+_OWL_TOKEN_RE = re.compile(
+    r"(?P<ws>\s+)|(?P<punct>[()])|(?P<name>[A-Za-z_][A-Za-z0-9_:.\-]*)"
+)
 
-def _tokenize(text: str, filename: str, line_no: int):
+
+def _tokenize(text: str, filename: str, line_no: int, token_re: re.Pattern):
     """Yield (kind, value, SourceLocation) triples for one line of input."""
     pos = 0
     while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
+        m = token_re.match(text, pos)
         loc = SourceLocation(filename, line_no, pos + 1)
         if m is None:
             raise ParseError(f"unexpected character {text[pos]!r}", loc)
@@ -81,8 +87,10 @@ def _tokenize(text: str, filename: str, line_no: int):
 
 
 class _TokenStream:
-    def __init__(self, text: str, filename: str, line_no: int):
-        self.tokens = list(_tokenize(text, filename, line_no))
+    def __init__(
+        self, text: str, filename: str, line_no: int, token_re=_TOKEN_RE
+    ):
+        self.tokens = list(_tokenize(text, filename, line_no, token_re))
         self.i = 0
 
     def peek(self):
@@ -223,16 +231,11 @@ class ClassDeclaration:
 
 
 @dataclass(frozen=True, slots=True)
-class ObjectPropertyDeclaration:
+class PropertyDeclaration:
     name: str
+    is_object: bool  # an object property; else a datatype property
     domain: str | None = None
-    range: str | None = None
-
-
-@dataclass(frozen=True, slots=True)
-class DatatypePropertyDeclaration:
-    name: str
-    domain: str | None = None
+    range: str | None = None  # datatype properties carry none
 
 
 @dataclass(frozen=True, slots=True)
@@ -249,8 +252,7 @@ class IndividualDeclaration:
 
 OwlStatement = (
     ClassDeclaration
-    | ObjectPropertyDeclaration
-    | DatatypePropertyDeclaration
+    | PropertyDeclaration
     | TransitivePropertyDeclaration
     | IndividualDeclaration
 )
@@ -262,8 +264,6 @@ class OwlDocument:
     imports: tuple[str, ...] = ()
     statements: tuple[OwlStatement, ...] = ()
 
-
-_OWL_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_:.\-]*")
 
 _UNSUPPORTED = {
     "complementof",
@@ -281,124 +281,108 @@ _UNSUPPORTED = {
 }
 
 
-def _owl_tokens(line: str, filename: str, line_no: int):
-    pos = 0
-    while pos < len(line):
-        c = line[pos]
-        if c.isspace():
-            pos += 1
-            continue
-        loc = SourceLocation(filename, line_no, pos + 1)
-        if c in "()":
-            yield c, c, loc
-            pos += 1
-            continue
-        m = _OWL_NAME_RE.match(line, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {c!r}", loc)
-        yield "name", m.group(), loc
-        pos = m.end()
-    yield "end", "", SourceLocation(filename, line_no, len(line) + 1)
+def _refuse(word: str, expected: str | None, loc: SourceLocation) -> NoReturn:
+    """Refuse `word` where `expected` was due, naming a construct outside
+    the subset as unsupported; `expected` None stands for a line's head."""
+    if word.lower() in _UNSUPPORTED:
+        raise ParseError(f"unsupported construct: {word}", loc)
+    if expected is None:
+        raise ParseError(f"unknown construct: {word}", loc)
+    raise ParseError(f"expected {expected}, found {word!r}", loc)
 
 
-class _OwlStream(_TokenStream):
-    def __init__(self, line: str, filename: str, line_no: int):
-        self.tokens = list(_owl_tokens(line, filename, line_no))
-        self.i = 0
-
-
-def _parse_class_line(ts: _OwlStream, loc: SourceLocation) -> ClassDeclaration:
+def _opening(ts: _TokenStream) -> str:
+    """Read `( name` and return the name."""
     ts.expect("(")
-    _, name, _ = ts.expect("name")
-    kind, kw, kw_loc = ts.next()
+    return ts.expect("name")[1]
+
+
+def _wrapped(ts: _TokenStream) -> str:
+    """Read `( name )` and return the name."""
+    name = _opening(ts)
+    ts.expect(")")
+    return name
+
+
+def _parse_class_line(ts: _TokenStream) -> ClassDeclaration:
+    name = _opening(ts)
+    kind, kw, loc = ts.next()
     if kind == ")":  # bare declaration, no parents
         return ClassDeclaration(name)
     if kw.lower() != "partial":
-        if kw.lower() in _UNSUPPORTED:
-            raise ParseError(f"unsupported construct: {kw}", kw_loc)
-        raise ParseError(f"expected 'partial', found {kw!r}", kw_loc)
+        _refuse(kw, "'partial'", loc)
     supers: list[str] = []
     restrictions: list[tuple[str, str]] = []
     while True:
-        kind, value, loc2 = ts.next()
+        kind, value, loc = ts.next()
         if kind == ")":
             break
         if kind != "name":
-            raise ParseError(f"expected a class expression, found {value!r}", loc2)
+            raise ParseError(f"expected a class expression, found {value!r}", loc)
         if value.lower() == "restriction":
-            ts.expect("(")
-            _, prop, _ = ts.expect("name")
-            kind3, kw3, loc3 = ts.next()
-            if kind3 != "name" or kw3.lower() != "allvaluesfrom":
-                if kind3 == "name" and kw3.lower() in _UNSUPPORTED:
-                    raise ParseError(f"unsupported construct: {kw3}", loc3)
-                raise ParseError(
-                    f"expected 'allValuesFrom', found {kw3!r}", loc3
-                )
-            ts.expect("(")
-            _, filler, _ = ts.expect("name")
+            prop = _opening(ts)
+            _, kw, loc = ts.next()
+            if kw.lower() != "allvaluesfrom":
+                _refuse(kw, "'allValuesFrom'", loc)
+            restrictions.append((prop, _wrapped(ts)))
             ts.expect(")")
-            ts.expect(")")
-            restrictions.append((prop, filler))
         elif value.lower() in _UNSUPPORTED:
-            raise ParseError(f"unsupported construct: {value}", loc2)
-        elif value in THING_NAMES:
-            pass  # every declared class is already a class of the ontology
-        else:
+            raise ParseError(f"unsupported construct: {value}", loc)
+        elif value not in THING_NAMES:
+            # Thing is skipped: every declared class is already a class of
+            # the ontology.
             supers.append(value)
     return ClassDeclaration(name, tuple(supers), tuple(restrictions))
 
 
-def _parse_property_clause(ts: _OwlStream):
-    """Parse the optional clause of a property line: domain(x) | range(x) |
-    Transitive."""
+def _parse_property_line(
+    ts: _TokenStream, is_object: bool, seen: set
+) -> OwlStatement:
+    """Read `( name [domain(x) | range(x) | Transitive] )`. `seen` holds
+    the document's (is_object, name, clause) triples so far: a property
+    takes one domain and one range."""
+    name = _opening(ts)
     kind, kw, loc = ts.next()
     if kind == ")":
-        return None
+        return PropertyDeclaration(name, is_object)
     if kind != "name":
         raise ParseError(f"expected a property clause, found {kw!r}", loc)
-    low = kw.lower()
-    if low == "transitive":
-        return ("transitive", None, loc)
-    if low not in ("domain", "range"):
-        if low in _UNSUPPORTED:
-            raise ParseError(f"unsupported construct: {kw}", loc)
-        raise ParseError(f"expected domain/range/Transitive, found {kw!r}", loc)
-    ts.expect("(")
-    _, value, _ = ts.expect("name")
+    what = kw.lower()
+    if what == "transitive":
+        ts.expect(")")
+        return TransitivePropertyDeclaration(name)
+    if what not in ("domain", "range"):
+        _refuse(kw, "domain/range/Transitive", loc)
+    value = _wrapped(ts)
     ts.expect(")")
-    return (low, value, loc)
+    if what == "range" and not is_object:
+        raise ParseError("datatype properties carry no range in this subset", loc)
+    if (is_object, name, what) in seen:
+        raise ParseError(
+            f"unsupported construct: multiple {what}s for property {name} "
+            f"(class intersection)",
+            loc,
+        )
+    seen.add((is_object, name, what))
+    return PropertyDeclaration(name, is_object, **{what: value})
 
 
-def _parse_individual_line(
-    ts: _OwlStream, loc: SourceLocation
-) -> IndividualDeclaration:
-    ts.expect("(")
-    _, name, _ = ts.expect("name")
+def _parse_individual_line(ts: _TokenStream) -> IndividualDeclaration:
+    name = _opening(ts)
     types: list[str] = []
     values: list[tuple[str, str]] = []
     while True:
-        kind, kw, loc2 = ts.next()
+        kind, kw, loc = ts.next()
         if kind == ")":
             break
-        if kind != "name":
-            raise ParseError(f"expected type/value clause, found {kw!r}", loc2)
-        low = kw.lower()
-        if low == "type":
-            ts.expect("(")
-            _, cls, _ = ts.expect("name")
+        if kw.lower() == "type":
+            types.append(_wrapped(ts))
+        elif kw.lower() == "value":
+            prop = _opening(ts)
+            values.append((prop, ts.expect("name")[1]))
             ts.expect(")")
-            types.append(cls)
-        elif low == "value":
-            ts.expect("(")
-            _, prop, _ = ts.expect("name")
-            _, val, _ = ts.expect("name")
-            ts.expect(")")
-            values.append((prop, val))
-        elif low in _UNSUPPORTED:
-            raise ParseError(f"unsupported construct: {kw}", loc2)
         else:
-            raise ParseError(f"expected type/value clause, found {kw!r}", loc2)
+            _refuse(kw, "type/value clause", loc)
     return IndividualDeclaration(name, tuple(types), tuple(values))
 
 
@@ -407,92 +391,40 @@ def parse_owl(text: str, filename: str = "<string>") -> OwlDocument:
     ontology_uri: str | None = None
     imports: list[str] = []
     statements: list[OwlStatement] = []
-    obj_props: dict[str, set[str]] = {}
-    dat_props: dict[str, bool] = {}
+    seen: set[tuple[bool, str, str]] = set()
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("%", 1)[0].strip() if "%" in raw else raw.strip()
         if not line:
             continue
-        ts = _OwlStream(line, filename, line_no)
+        ts = _TokenStream(line, filename, line_no, _OWL_TOKEN_RE)
         kind, head, loc = ts.next()
         if kind != "name":
             raise ParseError(f"expected a construct, found {head!r}", loc)
         low = head.lower()
         if low == "ontology":
-            ts.expect("(")
-            _, uri, _ = ts.expect("name")
-            ts.expect(")")
+            uri = _wrapped(ts)
             if ontology_uri is not None:
                 raise ParseError("multiple Ontology headers in one document", loc)
             ontology_uri = uri
         elif low == "imports":
-            _, uri, _ = ts.expect("name")
-            imports.append(uri)
+            imports.append(ts.expect("name")[1])
         elif low == "class":
-            statements.append(_parse_class_line(ts, loc))
-        elif low == "objectproperty":
-            ts.expect("(")
-            _, name, _ = ts.expect("name")
-            clause = _parse_property_clause(ts)
-            if clause is None:
-                statements.append(ObjectPropertyDeclaration(name))
-                continue
-            ts.expect(")")
-            what, value, cloc = clause
-            if what == "transitive":
-                statements.append(TransitivePropertyDeclaration(name))
-                continue
-            seen_clauses = obj_props.setdefault(name, set())
-            if what in seen_clauses:
-                raise ParseError(
-                    f"unsupported construct: multiple {what}s for property "
-                    f"{name} (class intersection)",
-                    cloc,
-                )
-            seen_clauses.add(what)
-            if what == "domain":
-                statements.append(ObjectPropertyDeclaration(name, domain=value))
-            else:
-                statements.append(ObjectPropertyDeclaration(name, range=value))
-        elif low in ("datatypeproperty", "dataproperty"):
-            ts.expect("(")
-            _, name, _ = ts.expect("name")
-            clause = _parse_property_clause(ts)
-            if clause is None:
-                statements.append(DatatypePropertyDeclaration(name))
-                continue
-            ts.expect(")")
-            what, value, cloc = clause
-            if what == "transitive":
-                statements.append(TransitivePropertyDeclaration(name))
-                continue
-            if what == "range":
-                raise ParseError(
-                    "datatype properties carry no range in this subset", cloc
-                )
-            if name in dat_props:
-                raise ParseError(
-                    f"unsupported construct: multiple domains for property "
-                    f"{name} (class intersection)",
-                    cloc,
-                )
-            dat_props[name] = True
-            statements.append(DatatypePropertyDeclaration(name, domain=value))
+            statements.append(_parse_class_line(ts))
+        elif low in ("objectproperty", "datatypeproperty", "dataproperty"):
+            is_object = low == "objectproperty"
+            statements.append(_parse_property_line(ts, is_object, seen))
         elif low == "property":
-            ts.expect("(")
-            _, name, _ = ts.expect("name")
-            kind2, kw2, loc2 = ts.expect("name")
-            if kw2.lower() != "transitive":
-                raise ParseError(f"expected 'Transitive', found {kw2!r}", loc2)
+            name = _opening(ts)
+            _, kw, kw_loc = ts.expect("name")
+            if kw.lower() != "transitive":
+                raise ParseError(f"expected 'Transitive', found {kw!r}", kw_loc)
             ts.expect(")")
             statements.append(TransitivePropertyDeclaration(name))
         elif low == "individual":
-            statements.append(_parse_individual_line(ts, loc))
-        elif low in _UNSUPPORTED:
-            raise ParseError(f"unsupported construct: {head}", loc)
+            statements.append(_parse_individual_line(ts))
         else:
-            raise ParseError(f"unknown construct: {head}", loc)
+            _refuse(head, None, loc)
 
     if ontology_uri is None:
         raise ParseError(
@@ -521,8 +453,7 @@ def translate_documents(docs) -> list[Atom]:
             seen.add(atom)
             facts.append(atom)
 
-    obj_props: dict[str, ObjectPropertyDeclaration] = {}
-    dat_props: dict[str, DatatypePropertyDeclaration] = {}
+    props: dict[tuple[bool, str], PropertyDeclaration] = {}
 
     for doc in docs:
         emit(_fact("isOntology", doc.ontology_uri))
@@ -535,18 +466,15 @@ def translate_documents(docs) -> list[Atom]:
                     emit(_fact("subClassOf", st.name, sup))
                 for prop, filler in st.restrictions:
                     emit(_fact("allValuesFrom", st.name, prop, filler))
-            elif isinstance(st, ObjectPropertyDeclaration):
-                prev = obj_props.get(st.name)
+            elif isinstance(st, PropertyDeclaration):
+                prev = props.get((st.is_object, st.name))
                 if prev is not None:
-                    st = ObjectPropertyDeclaration(
-                        st.name, prev.domain or st.domain, prev.range or st.range
+                    st = replace(
+                        st,
+                        domain=prev.domain or st.domain,
+                        range=prev.range or st.range,
                     )
-                obj_props[st.name] = st
-            elif isinstance(st, DatatypePropertyDeclaration):
-                prev = dat_props.get(st.name)
-                if prev is not None and prev.domain is not None:
-                    st = prev
-                dat_props[st.name] = st
+                props[st.is_object, st.name] = st
             elif isinstance(st, TransitivePropertyDeclaration):
                 emit(_fact("isTransitive", st.name))
             elif isinstance(st, IndividualDeclaration):
@@ -558,22 +486,14 @@ def translate_documents(docs) -> list[Atom]:
                     else:
                         emit(_fact("isStatement", st.name, prop, val))
 
-    for decl in obj_props.values():
-        emit(
-            _fact(
-                "isOProperty",
-                decl.name,
-                decl.domain or OWL_THING,
-                decl.range or OWL_THING,
-            )
-        )
-    for decl in dat_props.values():
-        emit(_fact("isDProperty", decl.name, decl.domain or OWL_THING))
+    # Every isOProperty fact comes before any isDProperty fact.
+    for decl in sorted(props.values(), key=lambda d: not d.is_object):
+        domain = decl.domain or OWL_THING
+        if decl.is_object:
+            emit(_fact("isOProperty", decl.name, domain, decl.range or OWL_THING))
+        else:
+            emit(_fact("isDProperty", decl.name, domain))
     return facts
-
-
-def translate_owl(doc: OwlDocument) -> list[Atom]:
-    return translate_documents([doc])
 
 
 def parse_query(text: str, filename: str = "<string>") -> Query:

@@ -27,7 +27,6 @@ from .model import (
     DobError,
     IOB_PREDICATES,
     PredicateKind,
-    SchemaError,
     Term,
     read_text,
     schema_for,
@@ -335,18 +334,6 @@ class StatisticsCatalog:
     entries: dict[str, EobStats | IobStats]
     config: SamplingConfig
     created_at: str = field(default="", compare=False)
-
-    def eob_stats(self, predicate: str) -> EobStats:
-        st = self.entries.get(predicate)
-        if not isinstance(st, EobStats):
-            raise SchemaError(f"no extensional statistics for {predicate}")
-        return st
-
-    def iob_stats(self, predicate: str) -> IobStats:
-        st = self.entries.get(predicate)
-        if not isinstance(st, IobStats):
-            raise SchemaError(f"no intensional statistics for {predicate}")
-        return st
 
 
 def _now() -> str:

@@ -70,12 +70,12 @@ class OntologyBase:
     def __init__(self):
         self.symbols = SymbolTable()
         self._rows: dict[str, list[tuple[int, ...]]] = {}
-        self._row_set: set[tuple[str, tuple[int, ...]]] = set()
+        # (pred, row) of every fact, in assertion order (values unused)
+        self._facts: dict[tuple[str, tuple[int, ...]], None] = {}
         # (pred, bound positions) -> probe (see `probe_index`)
         self.probes: dict[tuple[str, tuple[int, ...]], dict] = {}
         # pred -> (row key, probe) of each keyed probe, for `assert_fact`
         self._keyed: dict[str, list[tuple[Callable, dict]]] = {}
-        self._order: list[tuple[str, tuple[int, ...]]] = []
 
     @classmethod
     def from_facts(cls, facts) -> OntologyBase:
@@ -93,11 +93,10 @@ class OntologyBase:
             raise NonGroundFactError(f"fact contains variables: {fact}")
         row = tuple(self.symbols.intern(t.value) for t in fact.args)
         key = (fact.predicate, row)
-        if key in self._row_set:
+        if key in self._facts:
             return self
-        self._row_set.add(key)
+        self._facts[key] = None
         self._rows.setdefault(fact.predicate, []).append(row)
-        self._order.append(key)
         # the free probe holds the row list itself
         for row_key, probe in self._keyed.get(fact.predicate, ()):
             probe.setdefault(row_key(row), []).append(row)
@@ -157,8 +156,8 @@ class OntologyBase:
 
     def facts(self):
         """All facts as ground atoms, in global assertion order."""
-        for pred, row in self._order:
+        for pred, row in self._facts:
             yield self.to_atom(pred, row)
 
     def __len__(self) -> int:
-        return len(self._order)
+        return len(self._facts)

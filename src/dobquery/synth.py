@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_right
 from dataclasses import asdict, dataclass
+from itertools import accumulate
 
 from .model import (
     ArgDomain,
@@ -121,6 +123,27 @@ def _fact(pred: str, *consts: str) -> Atom:
     return Atom(pred, tuple(Term.const(c) for c in consts))
 
 
+def _subclass_pairs(classes: list[str], level: dict[str, int], depth: int):
+    """The number of class pairs (a, b) with level[a] > level[b], listed
+    a-major in class order, and the function from an index to its pair.
+
+    Edges are drawn as indices into this list without building it.
+    `random.sample` draws the same indices for any population of the same
+    length, so the edges and the random stream are those of sampling the
+    list itself.
+    """
+    below = [[b for b in classes if level[b] < d] for d in range(depth + 1)]
+    counts = (len(below[level[a]]) for a in classes)
+    starts = list(accumulate(counts, initial=0))
+
+    def pair(i: int) -> tuple[str, str]:
+        k = bisect_right(starts, i) - 1
+        a = classes[k]
+        return a, below[level[a]][i - starts[k]]
+
+    return starts[-1], pair
+
+
 def _generate_facts(config: SynthConfig, rng: random.Random) -> list[Atom]:
     facts: list[Atom] = []
     onts = [f"ont{i}" for i in range(config.ontologies)]
@@ -146,15 +169,14 @@ def _generate_facts(config: SynthConfig, rng: random.Random) -> list[Atom]:
     # Each class sits at a random depth level; subclass edges point to a
     # strictly shallower class, so the graph is acyclic with bounded depth.
     level = {c: rng.randint(0, config.max_subclass_depth) for c in classes}
-    candidates = [
-        (a, b) for a in classes for b in classes if level[a] > level[b]
-    ]
-    if config.subclass_edges > len(candidates):
+    n_pairs, pair = _subclass_pairs(classes, level, config.max_subclass_depth)
+    if config.subclass_edges > n_pairs:
         raise SynthError(
             f"{config.subclass_edges} subclass edges exceed the "
-            f"{len(candidates)} available class pairs"
+            f"{n_pairs} available class pairs"
         )
-    for a, b in sorted(rng.sample(candidates, config.subclass_edges)):
+    drawn = rng.sample(range(n_pairs), config.subclass_edges)
+    for a, b in sorted(map(pair, drawn)):
         facts.append(_fact("subClassOf", a, b))
 
     properties: list[tuple[str, bool]] = []  # (name, is_object)

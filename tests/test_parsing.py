@@ -18,7 +18,6 @@ from dobquery import (
     parse_query,
     render_dob,
     translate_documents,
-    translate_owl,
 )
 from dobquery.model import (
     BUILTIN_SCHEMA, EOB_PREDICATES, PredicateKind, schema_for,
@@ -212,13 +211,13 @@ def test_parse_owl_restriction():
     doc = parse_owl(
         "Ontology(o)\nClass(c1 partial restriction(p allValuesFrom(c2)))\n"
     )
-    facts = translate_owl(doc)
+    facts = translate_documents([doc])
     assert "allValuesFrom(c1,p,c2)" in {str(f) for f in facts}
 
 
 def test_translate_subclass_emits_both_facts():
     doc = parse_owl("Ontology(carsOnt)\nClass (suv partial vehicle)\n")
-    facts = {str(f) for f in translate_owl(doc)}
+    facts = {str(f) for f in translate_documents([doc])}
     assert "subClassOf(suv,vehicle)" in facts
     assert "isClass(suv,carsOnt)" in facts
 
@@ -229,32 +228,32 @@ def test_translate_merges_object_property_domain_range():
         "ObjectProperty(sells domain(dealer))\n"
         "ObjectProperty(sells range(vehicle))\n"
     )
-    facts = {str(f) for f in translate_owl(doc)}
+    facts = {str(f) for f in translate_documents([doc])}
     assert "isOProperty(sells,dealer,vehicle)" in facts
 
 
 def test_translate_defaults_missing_domain_range_to_thing():
     doc = parse_owl("Ontology(o)\nObjectProperty(p)\nDatatypeProperty(d)\n")
-    facts = {str(f) for f in translate_owl(doc)}
+    facts = {str(f) for f in translate_documents([doc])}
     assert "isOProperty(p,owl:Thing,owl:Thing)" in facts
     assert "isDProperty(d,owl:Thing)" in facts
 
 
 def test_translate_multi_parent_class():
     doc = parse_owl("Ontology(o)\nClass(a partial c1 c2 c3)\n")
-    facts = {str(f) for f in translate_owl(doc)}
+    facts = {str(f) for f in translate_documents([doc])}
     assert {"subClassOf(a,c1)", "subClassOf(a,c2)", "subClassOf(a,c3)"} <= facts
 
 
 def test_translate_imports_value_form():
     doc = parse_owl("Ontology(o1)\nIndividual(o1 value(owl:imports o2))\n")
-    facts = {str(f) for f in translate_owl(doc)}
+    facts = {str(f) for f in translate_documents([doc])}
     assert "impOntology(o1,o2)" in facts
 
 
 def test_translate_transitive_property():
     doc = parse_owl("Ontology(o)\nProperty(p Transitive)\n")
-    assert "isTransitive(p)" in {str(f) for f in translate_owl(doc)}
+    assert "isTransitive(p)" in {str(f) for f in translate_documents([doc])}
 
 
 def test_translate_output_is_ground_eob(data_dir):

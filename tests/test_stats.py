@@ -199,8 +199,12 @@ def test_bound_cardinality_never_exceeds_free():
 def test_build_catalog_covers_all_predicates(cars_base):
     catalog = build_catalog(cars_base, SamplingConfig(d=0.2, p=0.7, k=7, seed=42))
     assert len(catalog.entries) == 15
-    assert catalog.eob_stats("isClass").cardinality == 4
-    assert catalog.iob_stats("areClasses").cardinality[
+    is_class = catalog.entries["isClass"]
+    assert isinstance(is_class, EobStats)
+    assert is_class.cardinality == 4
+    are_classes = catalog.entries["areClasses"]
+    assert isinstance(are_classes, IobStats)
+    assert are_classes.cardinality[
         BindingPattern.free(2)
     ] == pytest.approx(12.0)
 
@@ -380,7 +384,8 @@ def test_exact_catalog_matches_oracle_cardinalities(cars_base):
     catalog = build_exact_catalog(cars_base)
     oracle = bottom_up_oracle(cars_base)
     for pred in ("areClasses", "areSubClasses", "areIndividuals"):
-        stats = catalog.iob_stats(pred)
+        stats = catalog.entries[pred]
+        assert isinstance(stats, IobStats)
         exact = sum(1 for a in oracle if a.predicate == pred)
         assert stats.cardinality[BindingPattern.free(stats.arity)] == exact
 

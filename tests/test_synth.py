@@ -1,8 +1,10 @@
+import random
+
 import pytest
 
 from dobquery import SynthConfig, generate_synthetic
 from dobquery.model import BUILTIN_SCHEMA, PredicateKind
-from dobquery.synth import QueryShape, SynthError
+from dobquery.synth import QueryShape, SynthError, _subclass_pairs
 
 
 def test_determinism_under_seed():
@@ -125,3 +127,26 @@ def test_config_json_roundtrip():
     assert SynthConfig.from_json(config.to_json()) == config
     with pytest.raises(SynthError):
         SynthConfig.from_json('{"bogus_field": 1}')
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_subclass_pairs_by_index_match_the_pair_list(seed):
+    """Pair i is the i-th pair of the full list, and sampling indices
+    draws the pairs, and leaves the random stream, as sampling the list
+    does: small draws from large lists and near-complete draws both."""
+    rng = random.Random(seed)
+    classes = [f"c{i}_{j}" for i in range(rng.randint(1, 6))
+               for j in range(rng.randint(1, 12))]
+    depth = rng.randint(0, 4)
+    level = {c: rng.randint(0, depth) for c in classes}
+    reference = [
+        (a, b) for a in classes for b in classes if level[a] > level[b]
+    ]
+    n_pairs, pair = _subclass_pairs(classes, level, depth)
+    assert n_pairs == len(reference)
+    assert [pair(i) for i in range(n_pairs)] == reference
+    for k in {0, min(3, n_pairs), n_pairs // 2, n_pairs}:
+        by_index, by_list = random.Random(k), random.Random(k)
+        drawn = by_index.sample(range(n_pairs), k)
+        assert [pair(i) for i in drawn] == by_list.sample(reference, k)
+        assert by_index.random() == by_list.random()

@@ -14,9 +14,17 @@ never returns an incomplete answer set.
 The one-pass call is the common one (building a catalog, nearly every
 table completes in one pass and stays empty), so it is the cheap path: a
 step reads a completed table straight from the memo without entering a
-call, a call builds a dependency set only when it reads an active table,
-and no call keeps cleanup of its own: an evaluation that raises drops
-the active tables and the dependency stack at its entry (`evaluate`).
+call, and a rule kernel completes a one-pass call in place (early
+completion, as in the SLG-WAM; Sagonas & Swift, TOPLAS 1998). It
+creates the callee's table, marks it active, pushes a None frame on the
+dependency stack and runs the callee's kernel directly; if the frame is
+still None, the callee read only complete tables, and its table moves to
+the completed ones. A call builds a dependency set only when it reads an
+active table, and only such a call, or one that is active already,
+leaves the kernel for `_solve_call` or `_complete`, which hold the
+revision loop and the group completion once. No call keeps cleanup of
+its own: an evaluation that raises drops the active tables and the
+dependency stack at its entry (`evaluate`).
 
 The built-in rule program is compiled once per process into rule
 kernels: one generated Python function per IOB predicate and call shape
@@ -336,8 +344,9 @@ def _tuple(items) -> str:
 
 
 def _kernel_source(pred: str, shape: tuple) -> tuple[str, dict]:
-    """Source of the kernel of `pred` for calls of `shape`, and the row
-    getters it reads as globals.
+    """Source of the kernel of `pred` for calls of `shape`, and the
+    globals it reads: row getters `g<i>`, the kernels it calls `c<i>`,
+    `_solve_call` and `_complete`.
 
     Each rule runs once, as nested loops over its EOB atoms, with every
     variable in a local: `k<i>` is the constant at call argument i, read
@@ -346,21 +355,35 @@ def _kernel_source(pred: str, shape: tuple) -> tuple[str, dict]:
     per binding of the loops around it and counts its rows after the
     repeated-variable filter. The last atom gives the rule's head rows,
     the values of the call's distinct placeholders: an EOB atom from its
-    rows, an IOB atom from its call's table, read from `memo.completed`
-    or `_solve_call`; rows that already are the head pass through as they
-    are. A rule's head rows are buffered and added to the call's table
-    after the rule, with one `memo._added`, so a call that reads the
-    active table in mid-rule sees the table as the rule began.
+    rows, an IOB atom from its call's table; rows that already are the
+    head pass through as they are. A rule's head rows are buffered and
+    added to the call's table after the rule, with one `memo._added`, so
+    a call that reads the active table in mid-rule sees the table as the
+    rule began.
+
+    An IOB call reads a completed table from `memo.completed`. A call
+    that is active already gets a snapshot from `_solve_call`. Any other
+    call gets a fresh table, is marked active and runs its callee's
+    kernel `c<i>` directly under a None dependency frame; a frame still
+    None after that pass means the callee read only complete tables, and
+    its table is completed here, with no call of `_solve_call`. A first
+    pass that read an active table is finished by `_complete`. Each
+    `c<i>` starts as a stand-in that binds the callee's kernel on first
+    use (`_first_call`).
     """
     head = [f"p{p[1:]}" for p in dict.fromkeys(p for p in shape if p)]
     getters: dict[str, Callable] = {}
+    callees: dict[tuple, str] = {}  # (pred, shape) of a call -> its global
     lines = ["def kernel(base, memo, counters, key):"]
     if None in shape:
         consts = [f"k{i}" if p is None else "_" for i, p in enumerate(shape)]
         lines.append(f"    {_tuple(consts)} = key[1]")
     lines += [
-        "    table = memo.tables[key]",
+        "    tables = memo.tables",
+        "    table = tables[key]",
         "    completed = memo.completed",
+        "    active = memo._active",
+        "    stack = memo._dep_stack",
         "    probes = base.probes",
         "    eob = 0",
     ]
@@ -400,12 +423,29 @@ def _kernel_source(pred: str, shape: tuple) -> tuple[str, dict]:
                     a if p is None else repr(p)
                     for a, p in zip(b_args, scan.shape)
                 )
+                callee = callees.setdefault(
+                    (b_pred, scan.shape), f"c{len(callees)}"
+                )
                 loops += [
                     f"{indent}call = ({b_pred!r}, {call})",
                     f"{indent}{rows} = completed.get(call)",
                     f"{indent}if {rows} is None:",
-                    f"{indent}    {rows} = _solve_call(base, memo, counters,"
-                    f" call, {scan.shape!r})",
+                    f"{indent}    if call in active:",
+                    f"{indent}        {rows} = _solve_call(base, memo,"
+                    f" counters, call, {scan.shape!r})",
+                    f"{indent}    else:",
+                    f"{indent}        {rows} = tables[call] = {{}}",
+                    f"{indent}        active[call] = {callee}",
+                    f"{indent}        stack.append(None)",
+                    f"{indent}        entries = memo._entries",
+                    f"{indent}        {callee}(base, memo, counters, call)",
+                    f"{indent}        if stack[-1] is None:",
+                    f"{indent}            stack.pop()",
+                    f"{indent}            completed[call] = {rows}",
+                    f"{indent}            del active[call]",
+                    f"{indent}        else:",
+                    f"{indent}            {rows} = _complete(base, memo,"
+                    f" counters, call, entries)",
                     f"{indent}if {rows}:",
                 ]
                 # an IOB row holds the values of the variables it binds
@@ -439,7 +479,26 @@ def _kernel_source(pred: str, shape: tuple) -> tuple[str, dict]:
             "        memo._added(len(table) - size, counters)",
         ]
     lines.append("    counters.eob_accesses += eob")
-    return "\n".join(lines) + "\n", getters
+    namespace = {"_solve_call": _solve_call, "_complete": _complete, **getters}
+    for (callee, callee_shape), name in callees.items():
+        namespace[name] = _first_call(namespace, name, callee, callee_shape)
+    return "\n".join(lines) + "\n", namespace
+
+
+def _first_call(namespace: dict, name: str, pred: str, shape: tuple):
+    """Stand-in for the kernel of `pred` for calls of `shape`, bound to
+    `name` among a kernel's globals.
+
+    Its first call builds that kernel, rebinds `name` to it and maps the
+    call it runs to it in `memo._active`, so a kernel is compiled only
+    for a shape some call reaches, and recursive kernels can name each
+    other before either exists.
+    """
+    def first_call(base, memo, counters, key):
+        kernel = namespace[name] = _plan(pred, shape)
+        memo._active[key] = kernel
+        return kernel(base, memo, counters, key)
+    return first_call
 
 
 @cache
@@ -455,7 +514,6 @@ def _plan(pred: str, shape: tuple) -> Callable:
     name = f"{pred}({','.join(p or 'b' for p in shape)})"
     filename = f"<dobquery kernel {name}>"
     source, namespace = _kernel_source(pred, shape)
-    namespace["_solve_call"] = _solve_call
     exec(compile(source, filename, "exec"), namespace)
     # tracebacks, profilers and `inspect` find the source by its filename
     linecache.cache[filename] = (
@@ -584,13 +642,14 @@ def evaluate(base, memo, counters, steps, substs):
 
 def _solve_call(base, memo, counters, key, shape):
     """Answers of a canonical call pattern of the given shape that has no
-    completed table.
+    completed table, for a step of `_run` or a kernel's call to an
+    active table.
 
-    A table completed here is returned itself; an active one as a
-    snapshot list, since evaluation may still add to it. The call's
-    frame on the dependency stack stays None until it reads an active
-    table, so a call that read only complete tables completes after one
-    pass with no set built.
+    A call that is active already is answered with a snapshot list of
+    its table, since evaluation may still add to it, and is recorded as
+    a dependency of the running call. Any other call gets a table and a
+    first pass of its kernel here, and `_complete` finishes it; a rule
+    kernel runs that same first pass inline (see `_kernel_source`).
     """
     if key in memo._active:
         memo._note_dependency(key)
@@ -599,20 +658,36 @@ def _solve_call(base, memo, counters, key, shape):
     kernel = _plan(key[0], shape)
     memo.tables[key] = {}
     memo._active[key] = kernel
+    memo._dep_stack.append(None)
+    size = memo._entries
+    kernel(base, memo, counters, key)
+    return _complete(base, memo, counters, key, size)
+
+
+def _complete(base, memo, counters, key, size):
+    """Finish the call `key` after the first pass of its kernel, whose
+    frame is on top of the dependency stack; `size` is `memo._entries`
+    before that pass.
+
+    A call whose frame stayed None read only complete tables and is
+    complete. One that read an active table is re-expanded until its
+    table stops growing or all it read is complete; it is then complete,
+    the outermost call of a recursive group that saturates its group, or
+    a member that stays active and returns a snapshot list of its table.
+    """
     stack = memo._dep_stack
-    stack.append(None)
-    while True:
-        size = memo._entries
-        kernel(base, memo, counters, key)
-        deps = stack[-1]
-        # One pass suffices when every table read was complete.
-        if (deps is None or memo._entries == size
-                or all(d in memo.completed for d in deps)):
-            break
+    deps = stack[-1]
+    if deps is not None:
+        kernel = memo._active[key]
+        # `deps` is the frame itself, so it grows with each pass
+        while memo._entries != size and not all(
+            d in memo.completed for d in deps
+        ):
+            size = memo._entries
+            kernel(base, memo, counters, key)
+        deps = {d for d in deps if d != key and d not in memo.completed}
     stack.pop()
 
-    if deps is not None:
-        deps = {d for d in deps if d != key and d not in memo.completed}
     if not deps:
         memo.completed[key] = memo.tables[key]
         del memo._active[key]

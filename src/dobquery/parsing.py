@@ -337,20 +337,24 @@ def _parse_class_line(ts: _TokenStream) -> ClassDeclaration:
 
 def _parse_property_line(
     ts: _TokenStream, is_object: bool, seen: set
-) -> OwlStatement:
+) -> list[OwlStatement]:
     """Read `( name [domain(x) | range(x) | Transitive] )`. `seen` holds
     the document's (is_object, name, clause) triples so far: a property
-    takes one domain and one range."""
+    takes one domain and one range. A transitive property is declared
+    too, so it is a property of the base as well as transitive."""
     name = _opening(ts)
     kind, kw, loc = ts.next()
     if kind == ")":
-        return PropertyDeclaration(name, is_object)
+        return [PropertyDeclaration(name, is_object)]
     if kind != "name":
         raise ParseError(f"expected a property clause, found {kw!r}", loc)
     what = kw.lower()
     if what == "transitive":
         ts.expect(")")
-        return TransitivePropertyDeclaration(name)
+        return [
+            PropertyDeclaration(name, is_object),
+            TransitivePropertyDeclaration(name),
+        ]
     if what not in ("domain", "range"):
         _refuse(kw, "domain/range/Transitive", loc)
     value = _wrapped(ts)
@@ -364,7 +368,7 @@ def _parse_property_line(
             loc,
         )
     seen.add((is_object, name, what))
-    return PropertyDeclaration(name, is_object, **{what: value})
+    return [PropertyDeclaration(name, is_object, **{what: value})]
 
 
 def _parse_individual_line(ts: _TokenStream) -> IndividualDeclaration:
@@ -413,7 +417,7 @@ def parse_owl(text: str, filename: str = "<string>") -> OwlDocument:
             statements.append(_parse_class_line(ts))
         elif low in ("objectproperty", "datatypeproperty", "dataproperty"):
             is_object = low == "objectproperty"
-            statements.append(_parse_property_line(ts, is_object, seen))
+            statements += _parse_property_line(ts, is_object, seen)
         elif low == "property":
             name = _opening(ts)
             _, kw, kw_loc = ts.expect("name")
@@ -425,6 +429,11 @@ def parse_owl(text: str, filename: str = "<string>") -> OwlDocument:
             statements.append(_parse_individual_line(ts))
         else:
             _refuse(head, None, loc)
+        kind, value, loc = ts.next()
+        if kind != "end":
+            raise ParseError(
+                f"expected the end of the line, found {value!r}", loc
+            )
 
     if ontology_uri is None:
         raise ParseError(

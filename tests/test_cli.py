@@ -476,6 +476,18 @@ def test_translate_of_non_utf8_owl_is_a_data_error(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_translate_refuses_text_after_a_construct(tmp_path, capsys):
+    owl = tmp_path / "two.owl"
+    owl.write_text("Ontology(o)\nClass(c) Class(d)\n")
+    out_path = tmp_path / "out.dob"
+    code, out, err = run(capsys, "translate", str(owl), "-o", str(out_path))
+    assert code == 2
+    assert err == (
+        f"error: {owl}:2:10: expected the end of the line, found 'Class'\n"
+    )
+    assert not out_path.exists()
+
+
 def test_gen_with_non_utf8_config_is_a_data_error(tmp_path, capsys):
     config = tmp_path / "synth.json"
     message = _not_utf8(config, b'{"seed": 1}')

@@ -3,6 +3,7 @@ import inspect
 import itertools
 import random
 import re
+import sys
 import traceback
 from pathlib import Path
 
@@ -225,6 +226,72 @@ def test_memo_usable_after_table_entry_cap_error():
         assert len(solve(base, atom, memo).answers) == ancestors
     atom = parse_atom("areSubClasses(c10,X)")
     assert len(solve_sequence(base, [atom], memo=memo)[0]) == 20
+
+
+def _subclass_chain(n: int, back: int | None = None) -> OntologyBase:
+    """subClassOf(c<i>,c<i+1>) for i < n, and subClassOf(c<n>,c<back>)."""
+    facts = [parse_atom(f"subClassOf(c{i},c{i + 1})") for i in range(n)]
+    if back is not None:
+        facts.append(parse_atom(f"subClassOf(c{n},c{back})"))
+    return OntologyBase.from_facts(facts)
+
+
+def _solve_call_entries(run) -> int:
+    """How many frames of `engine._solve_call` `run()` enters."""
+    code = engine._solve_call.__code__
+    entries = 0
+
+    def profile(frame, event, arg):
+        nonlocal entries
+        if event == "call" and frame.f_code is code:
+            entries += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return entries
+
+
+def test_kernels_complete_one_pass_calls_inline():
+    """Only the call `_run` makes enters `_solve_call`: each of the 50
+    nested calls on an acyclic chain reads complete tables only, and its
+    caller's kernel completes it in place."""
+    base = _subclass_chain(50)
+    memo = MemoTable()
+    atom = parse_atom("areSubClasses(c0,X)")
+    results = []
+    assert _solve_call_entries(
+        lambda: results.append(solve(base, atom, memo))
+    ) == 1
+    assert len(results[0].answers) == 50
+    assert len(memo.tables) == len(memo.completed) == 51
+    assert not memo._active and not memo._dep_stack
+
+
+@pytest.mark.parametrize("back", [None, 4])
+def test_entry_cap_in_an_inlined_callee_leaves_the_memo_usable(back):
+    """The cap is hit in a kernel that nested kernels called inline, on
+    an acyclic chain and inside a cycle: the aborted calls leave no
+    active table and no frame, and the memo still answers correctly."""
+    base = _subclass_chain(12 if back else 30, back)
+    memo = MemoTable(max_entries=40)
+    with pytest.raises(EngineLimitError) as info:
+        solve(base, parse_atom("areSubClasses(c0,X)"), memo)
+    names = [frame.name for frame in traceback.extract_tb(info.value.__traceback__)]
+    inline = names[names.index("_solve_call") + 1:]
+    # three or more calls below the call `_run` made, none of them
+    # through `_solve_call`
+    assert inline.count("kernel") >= 4
+    assert "_solve_call" not in inline and "_complete" not in inline
+    assert not memo._active
+    assert not memo._dep_stack
+    assert memo._entries == sum(len(t) for t in memo.tables.values())
+    memo.max_entries = 1_000_000
+    for start in range(0, 12, 3):
+        atom = parse_atom(f"areSubClasses(c{start},X)")
+        assert solve(base, atom, memo).answers == solve(base, atom).answers
 
 
 def _renamed(base, name, pad=0):

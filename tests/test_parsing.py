@@ -256,6 +256,37 @@ def test_translate_transitive_property():
     assert "isTransitive(p)" in {str(f) for f in translate_documents([doc])}
 
 
+@pytest.mark.parametrize("keyword, declared, with_domain", [
+    ("ObjectProperty", "isOProperty(t,owl:Thing,owl:Thing)",
+     "isOProperty(t,c,owl:Thing)"),
+    ("DatatypeProperty", "isDProperty(t,owl:Thing)", "isDProperty(t,c)"),
+])
+def test_transitive_property_is_declared_too(keyword, declared, with_domain):
+    text = f"Ontology(o)\n{keyword}(t Transitive)\n"
+    facts = [str(f) for f in translate_documents([parse_owl(text)])]
+    assert facts == ["isOntology(o)", "isTransitive(t)", declared]
+    text += f"{keyword}(t domain(c))\n"
+    facts = [str(f) for f in translate_documents([parse_owl(text)])]
+    assert facts == ["isOntology(o)", "isTransitive(t)", with_domain]
+
+
+@pytest.mark.parametrize("text, found, where", [
+    ("Ontology(o) x", "x", "f.owl:1:13"),
+    ("Ontology(o)\nimports p q", "q", "f.owl:2:11"),
+    ("Ontology(o)\nClass(c) Class(d)", "Class", "f.owl:2:10"),
+    ("Ontology(o)\nClass(c partial d) )", ")", "f.owl:2:20"),
+    ("Ontology(o)\nObjectProperty(p Transitive) x", "x", "f.owl:2:30"),
+    ("Ontology(o)\nProperty(p Transitive) x", "x", "f.owl:2:24"),
+    ("Ontology(o)\nIndividual(i type(c)) x", "x", "f.owl:2:23"),
+])
+def test_parse_owl_refuses_text_after_a_construct(text, found, where):
+    with pytest.raises(ParseError) as info:
+        parse_owl(text, "f.owl")
+    assert str(info.value) == (
+        f"{where}: expected the end of the line, found {found!r}"
+    )
+
+
 def test_translate_output_is_ground_eob(data_dir):
     docs = [
         parse_owl((data_dir / name).read_text(), name)

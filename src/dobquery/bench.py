@@ -2,8 +2,10 @@
 optimal/worst and optimal/median ordering ratios.
 
 Every ordering of every query gets an estimate from the cost model and
-an actual cost from execution; the actual cost of a run is the inferred
-fact count plus the extensional access count. Reports are deterministic
+an actual cost from one execution; the actual cost of a run is the
+inferred fact count plus the extensional access count. The optimizer's
+plan is the plan of one of these orderings, so its actual cost is read
+from that ordering's row, not executed again. Reports are deterministic
 under fixed seeds; wall-clock times are carried in the in-memory report
 for diagnostics but kept out of the CSV rows so the files are
 reproducible bit for bit.
@@ -87,37 +89,36 @@ def _median_low(values) -> int:
     return ordered[(len(ordered) - 1) // 2]
 
 
-def _evaluate_orderings(base, query, catalog, strategies):
-    """(plan, estimate, actual, wall_clock) per ordering of one query."""
-    out = []
-    for plan, estimate in exhaustive_orderings(query, catalog, strategies):
-        t0 = time.perf_counter()
-        report = execute(base, plan)
-        elapsed = time.perf_counter() - t0
-        out.append((plan, estimate, report.actual_cost, elapsed))
-    return out
+def _query_orderings(bases, queries, config, strategies, catalogs):
+    """(base, catalog, query, rows) per query in `queries[b]` of each
+    `bases[b]`, one row per ordering of the query, executed once. The
+    catalogs are built from `config` unless given."""
+    if catalogs is None:
+        catalogs = [build_catalog(base, config) for base in bases]
+    for b, (base, catalog) in enumerate(zip(bases, catalogs)):
+        for query in queries[b]:
+            rows = []
+            plans = exhaustive_orderings(query, catalog, strategies)
+            for i, plan in enumerate(plans):
+                t0 = time.perf_counter()
+                report = execute(base, plan)
+                rows.append(OrderingRow(
+                    base_id=f"base{b}",
+                    query_id=f"base{b}/{query.head.predicate}",
+                    ordering_index=i,
+                    order=plan.order,
+                    estimated_cost=plan.estimate.cost,
+                    actual_cost=report.actual_cost,
+                    wall_clock=time.perf_counter() - t0,
+                ))
+            yield base, catalog, query, rows
 
 
-def _ordering_rows(b, query, evaluated) -> list[OrderingRow]:
-    """One row per evaluated ordering of a query on base number `b`."""
-    return [
-        OrderingRow(
-            base_id=f"base{b}",
-            query_id=f"base{b}/{query.head.predicate}",
-            ordering_index=i,
-            order=plan.order,
-            estimated_cost=estimate.cost,
-            actual_cost=actual,
-            wall_clock=elapsed,
-        )
-        for i, (plan, estimate, actual, elapsed) in enumerate(evaluated)
-    ]
-
-
-def _catalogs_for(bases, config, catalogs):
-    if catalogs is not None:
-        return list(catalogs)
-    return [build_catalog(base, config) for base in bases]
+def _chosen_cost(rows, query, catalog, strategies) -> int:
+    """The optimizer's plan is the plan of its ordering's row (`optimize`
+    states why), so its actual cost is that row's."""
+    order = optimize(query, catalog, strategies).order
+    return next(r.actual_cost for r in rows if r.order == order)
 
 
 def run_correlation(
@@ -134,13 +135,13 @@ def run_correlation(
     actual vector makes the correlation undefined (reported as None).
     """
     strategies = tuple(strategies) if strategies is not None else default_strategies()
-    cats = _catalogs_for(bases, config, catalogs)
-    rows: list[OrderingRow] = []
-    for b, (base, catalog) in enumerate(zip(bases, cats)):
-        for query in queries[b]:
-            evaluated = _evaluate_orderings(base, query, catalog, strategies)
-            rows += _ordering_rows(b, query, evaluated)
-    report = ExperimentReport(rows)
+    report = ExperimentReport([
+        row
+        for *_, rows in _query_orderings(
+            bases, queries, config, strategies, catalogs
+        )
+        for row in rows
+    ])
     report.correlation = pearson(report.estimate_vector, report.actual_vector)
     # Costs span orders of magnitude; the log-scale correlation is the
     # robust companion number (scatter plots of these pairs are log-log).
@@ -161,30 +162,26 @@ def run_ratio(
 ) -> ExperimentReport:
     """Optimizer plan cost against the worst and median ordering costs."""
     strategies = tuple(strategies) if strategies is not None else default_strategies()
-    cats = _catalogs_for(bases, config, catalogs)
-    rows: list[OrderingRow] = []
-    ratios: list[RatioRow] = []
-    for b, (base, catalog) in enumerate(zip(bases, cats)):
-        for query in queries[b]:
-            evaluated = _evaluate_orderings(base, query, catalog, strategies)
-            actuals = [actual for _p, _e, actual, _t in evaluated]
-            rows += _ordering_rows(b, query, evaluated)
-            chosen = optimize(query, catalog, strategies)
-            optimal = execute(base, chosen).actual_cost
-            worst = max(actuals)
-            median = _median_low(actuals)
-            ratios.append(
-                RatioRow(
-                    base_id=f"base{b}",
-                    query_id=f"base{b}/{query.head.predicate}",
-                    optimal_cost=optimal,
-                    worst_cost=worst,
-                    median_cost=median,
-                    opt_worst_ratio=optimal / worst if worst else 1.0,
-                    opt_median_ratio=optimal / median if median else 1.0,
-                )
+    report = ExperimentReport([])
+    for _base, catalog, query, rows in _query_orderings(
+        bases, queries, config, strategies, catalogs
+    ):
+        report.rows += rows
+        actuals = [r.actual_cost for r in rows]
+        optimal = _chosen_cost(rows, query, catalog, strategies)
+        worst, median = max(actuals), _median_low(actuals)
+        report.ratios.append(
+            RatioRow(
+                base_id=rows[0].base_id,
+                query_id=rows[0].query_id,
+                optimal_cost=optimal,
+                worst_cost=worst,
+                median_cost=median,
+                opt_worst_ratio=optimal / worst if worst else 1.0,
+                opt_median_ratio=optimal / median if median else 1.0,
             )
-    return ExperimentReport(rows, ratios=ratios)
+        )
+    return report
 
 
 def compare_strategy_sets(
@@ -200,17 +197,16 @@ def compare_strategy_sets(
     """
     nlj_only = (JoinStrategy(JoinMethod.NESTED_LOOP, block_size),)
     combined = default_strategies(block_size)
-    cats = _catalogs_for(bases, config, catalogs)
     nlj_ratios: list[float] = []
     combined_ratios: list[float] = []
-    for base, catalog, workload in zip(bases, cats, queries):
-        for query in workload:
-            evaluated = _evaluate_orderings(base, query, catalog, nlj_only)
-            worst = max(actual for _p, _e, actual, _t in evaluated)
-            opt_nlj = execute(base, optimize(query, catalog, nlj_only)).actual_cost
-            opt_all = execute(base, optimize(query, catalog, combined)).actual_cost
-            nlj_ratios.append(opt_nlj / worst if worst else 1.0)
-            combined_ratios.append(opt_all / worst if worst else 1.0)
+    for base, catalog, query, rows in _query_orderings(
+        bases, queries, config, nlj_only, catalogs
+    ):
+        worst = max(r.actual_cost for r in rows)
+        opt_nlj = _chosen_cost(rows, query, catalog, nlj_only)
+        opt_all = execute(base, optimize(query, catalog, combined)).actual_cost
+        nlj_ratios.append(opt_nlj / worst if worst else 1.0)
+        combined_ratios.append(opt_all / worst if worst else 1.0)
     return {
         "nlj_mean_ratio": sum(nlj_ratios) / len(nlj_ratios),
         "combined_mean_ratio": sum(combined_ratios) / len(combined_ratios),

@@ -51,17 +51,10 @@ def _load_base(path: str) -> OntologyBase:
     return OntologyBase.from_facts(parse_dob(text, filename=path))
 
 
-_STRATEGY_BY_NAME = {
-    "nlj": JoinMethod.NESTED_LOOP,
-    "bnlj": JoinMethod.BLOCK_NESTED_LOOP,
-    "hash": JoinMethod.HASH_JOIN,
-}
-
-
 def _enabled_strategies(name: str, block_size: int):
     if name == "auto":
         return default_strategies(block_size)
-    return (JoinStrategy(_STRATEGY_BY_NAME[name], block_size),)
+    return (JoinStrategy(JoinMethod(name), block_size),)
 
 
 def _cmd_translate(args) -> int:
@@ -208,7 +201,8 @@ def build_parser() -> _Parser:
     p.add_argument("-q", "--query", required=True)
     p.add_argument("--explain", action="store_true")
     p.add_argument(
-        "--strategy", choices=["nlj", "bnlj", "hash", "auto"], default="auto"
+        "--strategy", choices=[*(m.value for m in JoinMethod), "auto"],
+        default="auto",
     )
     p.add_argument("--no-optimize", action="store_true")
     p.add_argument("--block-size", type=_positive_int, default=32)

@@ -671,21 +671,24 @@ def _complete(base, memo, counters, key, size):
 
     A call whose frame stayed None read only complete tables and is
     complete. One that read an active table is re-expanded until its
-    table stops growing or all it read is complete; it is then complete,
-    the outermost call of a recursive group that saturates its group, or
-    a member that stays active and returns a snapshot list of its table.
+    table stops growing; it is then complete, the outermost call of a
+    recursive group that saturates its group, or a member that stays
+    active and returns a snapshot list of its table.
+
+    No table this call read while it was active completes during its
+    loop: active tables complete only when the oldest active call
+    returns, and that call is an ancestor of every running call. So the
+    dependencies need no test against `memo.completed`.
     """
     stack = memo._dep_stack
     deps = stack[-1]
     if deps is not None:
         kernel = memo._active[key]
         # `deps` is the frame itself, so it grows with each pass
-        while memo._entries != size and not all(
-            d in memo.completed for d in deps
-        ):
+        while memo._entries != size:
             size = memo._entries
             kernel(base, memo, counters, key)
-        deps = {d for d in deps if d != key and d not in memo.completed}
+        deps = deps - {key}
     stack.pop()
 
     if not deps:

@@ -6,7 +6,9 @@ engine's substitution tuples: interned ids, one slot per variable in
 binding order. Every strategy runs its subgoal through the engine's
 public core, `compile_query` and `evaluate`, and nothing else of the
 engine. Nested loop applies the compiled step to the whole batch with
-sideways variables bound, as `solve_sequence` does; block nested loop
+sideways variables bound, in the order the previous step produced it, as
+`solve_sequence` does, so the two call the memo in the same order and
+count the same work for the same ordering; block nested loop
 runs the subgoal, compiled once with only its own constants bound, once
 per block, and hash join once in total, and both equi-join the result
 with the batch on the shared slots (a cross product if there are none).
@@ -66,11 +68,6 @@ def execute(base, plan: Plan) -> EvaluationResult:
         if not batch:
             per_step.append(Counters())
             continue
-        # A step reads a sorted batch: each substitution's extensions follow
-        # it in ascending id order, so steps call the memo in a fixed order.
-        # Rows are distinct, so no duplicates arise. The last batch is only
-        # projected, so it is never sorted.
-        batch.sort()
         inferred0, eob0 = total.inferred_facts, total.eob_accesses
         if strategy.method is JoinMethod.NESTED_LOOP:
             steps = compile_query(memo, [atom], var_slot)

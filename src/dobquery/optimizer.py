@@ -29,13 +29,6 @@ MAX_EXHAUSTIVE_SUBGOALS = 6
 
 
 @dataclass(frozen=True)
-class SubPlan:
-    order: tuple[int, ...]
-    strategies: tuple[JoinStrategy, ...]
-    estimate: Estimate
-
-
-@dataclass(frozen=True)
 class Plan:
     """The body joined in `order`, each step after the first by its
     strategy. `estimate` is the cost model's estimate of the whole plan,
@@ -75,7 +68,7 @@ def optimize(
     Sets are extended by size, then in `_members` order, each by every
     subgoal outside it in ascending position (subgoals sharing no
     variable join as a cross product with reduction factor 1). Each set
-    keeps one subplan: the first generated of those with the
+    keeps one plan: the first generated of those with the
     lexicographically smallest (cost, cardinality). This is exact with
     respect to the cost model because:
 
@@ -89,7 +82,9 @@ def optimize(
 
     So replacing the prefix of any plan by a cheaper plan for the same
     set never raises the plan's cost, and the kept plan for the full
-    body costs no more than any ordering. Bodies of more than
+    body costs no more than any ordering. Each kept plan is built by the
+    join steps of its own ordering, so the result equals the plan of its
+    order in `exhaustive_orderings`. Bodies of more than
     `MAX_OPTIMIZE_SUBGOALS` subgoals are refused.
     """
     if not query.body:
@@ -103,28 +98,31 @@ def optimize(
     strategies = _strategies(enabled_strategies)
     joins = JoinTable(catalog, query.body)
 
-    kept: dict[int, SubPlan] = {
-        1 << i: SubPlan((i,), (), est) for i, est in enumerate(joins.estimates)
+    kept: dict[int, Plan] = {
+        1 << i: Plan(query, (i,), (), est)
+        for i, est in enumerate(joins.estimates)
     }
     full = (1 << n) - 1
     for left in sorted(
         range(1, full), key=lambda s: (s.bit_count(), _members(s))
     ):
-        sp = kept[left]
+        prefix = kept[left]
         for idx in range(n):
             if left >> idx & 1:
                 continue
-            estimate, strategy = joins.join(sp.estimate, left, idx, strategies)
+            estimate, strategy = joins.join(
+                prefix.estimate, left, idx, strategies
+            )
             grown = left | 1 << idx
             best = kept.get(grown)
             if best is None or (estimate.cost, estimate.cardinality) < (
                 best.estimate.cost, best.estimate.cardinality
             ):
-                kept[grown] = SubPlan(
-                    sp.order + (idx,), sp.strategies + (strategy,), estimate
+                kept[grown] = Plan(
+                    query, prefix.order + (idx,),
+                    prefix.strategies + (strategy,), estimate,
                 )
-    best = kept[full]
-    return Plan(query, best.order, best.strategies, best.estimate)
+    return kept[full]
 
 
 def _plan_for_order(joins: JoinTable, query: Query, order, strategies) -> Plan:
@@ -150,8 +148,9 @@ def exhaustive_orderings(
     query: Query,
     catalog: StatisticsCatalog,
     enabled_strategies=None,
-) -> list[tuple[Plan, Estimate]]:
-    """Every ordering of the body with its per-step best strategy.
+) -> list[Plan]:
+    """Every ordering of the body with its per-step best strategy, in
+    `itertools.permutations` order.
 
     Used as the optimizer's brute-force oracle and by the experiment
     harness, which needs worst and median orderings as well. Bodies of
@@ -165,11 +164,10 @@ def exhaustive_orderings(
         )
     joins = JoinTable(catalog, query.body)
     strategies = _strategies(enabled_strategies)
-    out = []
-    for perm in itertools.permutations(range(n)):
-        plan = _plan_for_order(joins, query, perm, strategies)
-        out.append((plan, plan.estimate))
-    return out
+    return [
+        _plan_for_order(joins, query, perm, strategies)
+        for perm in itertools.permutations(range(n))
+    ]
 
 
 def explain_plan(plan: Plan, catalog: StatisticsCatalog) -> str:

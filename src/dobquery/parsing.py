@@ -424,7 +424,9 @@ def parse_owl(text: str, filename: str = "<string>") -> OwlDocument:
             if kw.lower() != "transitive":
                 raise ParseError(f"expected 'Transitive', found {kw!r}", kw_loc)
             ts.expect(")")
-            statements.append(TransitivePropertyDeclaration(name))
+            # OWL Lite's TransitiveProperty is an ObjectProperty
+            statements += [PropertyDeclaration(name, True),
+                           TransitivePropertyDeclaration(name)]
         elif low == "individual":
             statements.append(_parse_individual_line(ts))
         else:
@@ -449,8 +451,9 @@ def _fact(pred: str, *consts: str) -> Atom:
 def translate_documents(docs) -> list[Atom]:
     """Translate parsed documents into EOB facts.
 
-    Property domain/range declarations are merged across the whole batch;
-    missing domains/ranges default to owl:Thing. `Class(A partial C)` yields
+    Property domain/range declarations are merged across the whole batch
+    (a second, different domain or range is refused); missing
+    domains/ranges default to owl:Thing. `Class(A partial C)` yields
     both the class membership fact and the subClassOf edge, so that a
     class declared via a superclass still counts as a class of its ontology.
     """
@@ -476,14 +479,18 @@ def translate_documents(docs) -> list[Atom]:
                 for prop, filler in st.restrictions:
                     emit(_fact("allValuesFrom", st.name, prop, filler))
             elif isinstance(st, PropertyDeclaration):
-                prev = props.get((st.is_object, st.name))
-                if prev is not None:
-                    st = replace(
-                        st,
-                        domain=prev.domain or st.domain,
-                        range=prev.range or st.range,
-                    )
-                props[st.is_object, st.name] = st
+                prev = props.get((st.is_object, st.name), st)
+                clauses = {}
+                for what in ("domain", "range"):
+                    old, new = getattr(prev, what), getattr(st, what)
+                    if old and new and old != new:
+                        raise DobError(
+                            f"unsupported construct: {what}s {old} and {new} "
+                            f"for property {st.name} in different documents "
+                            "(class intersection)"
+                        )
+                    clauses[what] = old or new
+                props[st.is_object, st.name] = replace(st, **clauses)
             elif isinstance(st, TransitivePropertyDeclaration):
                 emit(_fact("isTransitive", st.name))
             elif isinstance(st, IndividualDeclaration):

@@ -202,7 +202,7 @@ def test_criterion_4_optimizer_exactness():
             continue
         plan = optimize(query, catalog)
         best = min(
-            est.cost for _p, est in exhaustive_orderings(query, catalog)
+            o.estimate.cost for o in exhaustive_orderings(query, catalog)
         )
         assert plan.estimate.cost == pytest.approx(best, rel=1e-12)
         checked += 1

@@ -488,6 +488,24 @@ def test_translate_refuses_text_after_a_construct(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_translate_refuses_conflicting_domains_across_documents(
+    tmp_path, capsys
+):
+    first, second = tmp_path / "a.owl", tmp_path / "b.owl"
+    first.write_text("Ontology(a)\nObjectProperty(p domain(c))\n")
+    second.write_text("Ontology(b)\nObjectProperty(p domain(e))\n")
+    out_path = tmp_path / "out.dob"
+    code, out, err = run(
+        capsys, "translate", str(first), str(second), "-o", str(out_path)
+    )
+    assert code == 2
+    assert err == (
+        "error: unsupported construct: domains c and e for property p in "
+        "different documents (class intersection)\n"
+    )
+    assert not out_path.exists()
+
+
 def test_gen_with_non_utf8_config_is_a_data_error(tmp_path, capsys):
     config = tmp_path / "synth.json"
     message = _not_utf8(config, b'{"seed": 1}')

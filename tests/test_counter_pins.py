@@ -2,7 +2,10 @@
 
 The pins were recorded with the interpreted rule path that the rule
 kernels replaced, and they are its reference: each row is an answer
-count, the inferred facts and the EOB accesses of one evaluation.
+count, the inferred facts and the EOB accesses of one evaluation. Three
+nested-loop rows (query 0 of seeds 9094, 9280 and 9306) were recorded
+again when the nested loop stopped sorting its batch by id: they now
+equal their `solve_sequence` rows, as every nested-loop row does.
 
   * `solve`: every IOB predicate under every binding pattern, repeated
     variables included, on a fresh memo, on `random_base` seeds 0-299.

@@ -159,7 +159,8 @@ def test_optimize_matches_exhaustive_minimum():
         if query is None:
             continue
         plan = optimize(query, catalog)
-        best = min(est.cost for _p, est in exhaustive_orderings(query, catalog))
+        orderings = exhaustive_orderings(query, catalog)
+        best = min(o.estimate.cost for o in orderings)
         assert plan.estimate.cost == pytest.approx(best, rel=1e-12)
         checked += 1
 
@@ -174,7 +175,7 @@ def test_single_strategy_search(cars_exact_catalog):
 def test_worst_and_median_orderings_retrievable(cars_exact_catalog):
     q = parse_query("q(O):-areClasses(C,O),isDProperty(traction,C).")
     orderings = exhaustive_orderings(q, cars_exact_catalog)
-    costs = sorted(est.cost for _p, est in orderings)
+    costs = sorted(plan.estimate.cost for plan in orderings)
     assert costs[0] < costs[-1]  # the two orderings genuinely differ
 
 
@@ -247,7 +248,7 @@ def test_optimize_is_the_exhaustive_minimum(seed, data):
     ]))
     orderings = {
         plan.order: plan
-        for plan, _ in exhaustive_orderings(query, catalog, strategies)
+        for plan in exhaustive_orderings(query, catalog, strategies)
     }
     best = min(orderings.values(), key=lambda p: (p.estimate.cost, p.order))
     plan = optimize(query, catalog, strategies)
@@ -259,6 +260,31 @@ def test_optimize_is_the_exhaustive_minimum(seed, data):
     assert repr(plan_estimate(catalog, plan.atoms, plan.strategies)) == repr(
         plan.estimate
     )
+
+
+@given(
+    st.integers(0, 2**16),
+    st.integers(3, 5),
+    st.sampled_from([
+        (JoinStrategy(JoinMethod.NESTED_LOOP),), None, default_strategies(4),
+    ]),
+)
+def test_optimize_returns_the_plan_of_its_ordering(seed, subgoals, strategies):
+    """On synthetic chain and star queries with a sampled catalog, the
+    DP's plan is the `exhaustive_orderings` plan of its ordering: same
+    strategies, same estimate. The experiments read the chosen plan's
+    actual cost from that ordering's row instead of executing it again."""
+    base, queries = generate_synthetic(
+        SynthConfig(seed=seed, query_subgoals=subgoals)
+    )
+    catalog = build_catalog(base, SamplingConfig())
+    for query in queries:
+        plan = optimize(query, catalog, strategies)
+        orderings = {
+            o.order: o
+            for o in exhaustive_orderings(query, catalog, strategies)
+        }
+        assert plan == orderings[plan.order], query
 
 
 @given(st.integers(0, 2**32 - 1), st.data())

@@ -202,6 +202,39 @@ def test_parse_owl_rejects_multiple_domains():
         parse_owl(text)
 
 
+@pytest.mark.parametrize("first, second, message", [
+    ("ObjectProperty(p domain(a))", "ObjectProperty(p domain(b))",
+     "domains a and b for property p"),
+    ("ObjectProperty(p range(a))", "ObjectProperty(p range(b))",
+     "ranges a and b for property p"),
+    ("DataProperty(d domain(a))", "DatatypeProperty(d domain(b))",
+     "domains a and b for property d"),
+])
+def test_translate_refuses_conflicting_clauses_across_documents(
+    first, second, message
+):
+    docs = [parse_owl(f"Ontology(o1)\n{first}\n"),
+            parse_owl(f"Ontology(o2)\n{second}\n")]
+    with pytest.raises(DobError) as info:
+        translate_documents(docs)
+    assert str(info.value) == (
+        f"unsupported construct: {message} in different documents "
+        "(class intersection)"
+    )
+
+
+def test_translate_accepts_a_clause_repeated_across_documents():
+    docs = [
+        parse_owl("Ontology(o1)\nObjectProperty(p domain(a))\n"
+                  "ObjectProperty(p range(b))\n"),
+        parse_owl("Ontology(o2)\nObjectProperty(p domain(a))\n"
+                  "ObjectProperty(p range(b))\n"),
+    ]
+    assert [str(f) for f in translate_documents(docs)] == [
+        "isOntology(o1)", "isOntology(o2)", "isOProperty(p,a,b)"
+    ]
+
+
 def test_parse_owl_requires_header():
     with pytest.raises(ParseError, match="Ontology"):
         parse_owl("Class (c partial Thing)\n")
@@ -252,8 +285,14 @@ def test_translate_imports_value_form():
 
 
 def test_translate_transitive_property():
+    """OWL Lite's TransitiveProperty is an ObjectProperty, so the generic
+    form declares an object property, as `ObjectProperty(p Transitive)`
+    does."""
     doc = parse_owl("Ontology(o)\nProperty(p Transitive)\n")
-    assert "isTransitive(p)" in {str(f) for f in translate_documents([doc])}
+    assert [str(f) for f in translate_documents([doc])] == [
+        "isOntology(o)", "isTransitive(p)",
+        "isOProperty(p,owl:Thing,owl:Thing)",
+    ]
 
 
 @pytest.mark.parametrize("keyword, declared, with_domain", [

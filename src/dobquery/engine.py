@@ -2,26 +2,28 @@
 
 Every intensional call is canonicalized into a call pattern (constants
 plus positional placeholders for free arguments) and answered from a
-per-pattern table. A call whose rules read only complete tables is
-complete after one pass over its rules. A call that read an active
-(incomplete) table, itself included, is re-expanded until its table
-stops growing, and it stays active while a table it read is active; the
-outermost active call then re-expands the whole active group until no
-table grows and marks the group completed (SLG-style completion, Chen &
-Warren, JACM 1996). This terminates on cyclic subclass/import graphs and
-never returns an incomplete answer set.
+per-pattern table. The memo keeps one table dict, `memo.tables`, and a
+table is complete if and only if its call is not in `memo._active`,
+which plays the completion stack of the SLG-WAM. A call whose rules read
+only complete tables is complete after one pass over its rules. A call
+that read an active (incomplete) table, itself included, is re-expanded
+until its table stops growing, and it stays active while a table it read
+is active; the outermost active call then re-expands the whole active
+group until no table grows and completes the group by clearing the
+active set (SLG-style completion, Chen & Warren, JACM 1996). This
+terminates on cyclic subclass/import graphs and never returns an
+incomplete answer set.
 
 The one-pass call is the common one (building a catalog, nearly every
 table completes in one pass and stays empty), so it is the cheap path: a
-step reads a completed table straight from the memo without entering a
-call, and a rule kernel completes a one-pass call in place (early
-completion, as in the SLG-WAM; Sagonas & Swift, TOPLAS 1998). It
-creates the callee's table, marks it active, pushes a None frame on the
-dependency stack and runs the callee's kernel directly; if the frame is
-still None, the callee read only complete tables, and its table moves to
-the completed ones. A call builds a dependency set only when it reads an
-active table, and only such a call, or one that is active already,
-leaves the kernel for `_solve_call` or `_complete`, which hold the
+call with a complete table is read straight from the memo, and a rule
+kernel completes a one-pass call in place (early completion, as in the
+SLG-WAM; Sagonas & Swift, TOPLAS 1998). It creates the callee's table,
+marks it active, pushes a None frame on the dependency stack and runs
+the callee's kernel directly; if the frame is still None, the callee
+read only complete tables, and its call leaves the active set. A call
+builds a dependency set only when it reads an active table, and only
+such a first pass leaves the kernel, for `_complete`, which holds the
 revision loop and the group completion once. No call keeps cleanup of
 its own: an evaluation that raises drops the active tables and the
 dependency stack at its entry (`evaluate`).
@@ -345,8 +347,8 @@ def _tuple(items) -> str:
 
 def _kernel_source(pred: str, shape: tuple) -> tuple[str, dict]:
     """Source of the kernel of `pred` for calls of `shape`, and the
-    globals it reads: row getters `g<i>`, the kernels it calls `c<i>`,
-    `_solve_call` and `_complete`.
+    globals it reads: row getters `g<i>`, the kernels it calls `c<i>`
+    and `_complete`.
 
     Each rule runs once, as nested loops over its EOB atoms, with every
     variable in a local: `k<i>` is the constant at call argument i, read
@@ -361,15 +363,17 @@ def _kernel_source(pred: str, shape: tuple) -> tuple[str, dict]:
     a call that reads the active table in mid-rule sees the table as the
     rule began.
 
-    An IOB call reads a completed table from `memo.completed`. A call
-    that is active already gets a snapshot from `_solve_call`. Any other
-    call gets a fresh table, is marked active and runs its callee's
+    An IOB call looks its table up in `memo.tables`. A table whose call
+    is not in `memo._active` is complete and read as it is; an active
+    one is noted as a dependency of the running call and read as a
+    snapshot list, since evaluation may still add to it. A call with no
+    table gets a fresh one, is marked active and runs its callee's
     kernel `c<i>` directly under a None dependency frame; a frame still
     None after that pass means the callee read only complete tables, and
-    its table is completed here, with no call of `_solve_call`. A first
-    pass that read an active table is finished by `_complete`. Each
-    `c<i>` starts as a stand-in that binds the callee's kernel on first
-    use (`_first_call`).
+    its call leaves the active set here. A first pass that read an
+    active table is finished by `_complete`. Each `c<i>` starts as a
+    stand-in that binds the callee's kernel on first use
+    (`_first_call`).
     """
     head = [f"p{p[1:]}" for p in dict.fromkeys(p for p in shape if p)]
     getters: dict[str, Callable] = {}
@@ -381,7 +385,6 @@ def _kernel_source(pred: str, shape: tuple) -> tuple[str, dict]:
     lines += [
         "    tables = memo.tables",
         "    table = tables[key]",
-        "    completed = memo.completed",
         "    active = memo._active",
         "    stack = memo._dep_stack",
         "    probes = base.probes",
@@ -428,24 +431,22 @@ def _kernel_source(pred: str, shape: tuple) -> tuple[str, dict]:
                 )
                 loops += [
                     f"{indent}call = ({b_pred!r}, {call})",
-                    f"{indent}{rows} = completed.get(call)",
+                    f"{indent}{rows} = tables.get(call)",
                     f"{indent}if {rows} is None:",
-                    f"{indent}    if call in active:",
-                    f"{indent}        {rows} = _solve_call(base, memo,"
-                    f" counters, call, {scan.shape!r})",
+                    f"{indent}    {rows} = tables[call] = {{}}",
+                    f"{indent}    active[call] = {callee}",
+                    f"{indent}    stack.append(None)",
+                    f"{indent}    entries = memo._entries",
+                    f"{indent}    {callee}(base, memo, counters, call)",
+                    f"{indent}    if stack[-1] is None:",
+                    f"{indent}        stack.pop()",
+                    f"{indent}        del active[call]",
                     f"{indent}    else:",
-                    f"{indent}        {rows} = tables[call] = {{}}",
-                    f"{indent}        active[call] = {callee}",
-                    f"{indent}        stack.append(None)",
-                    f"{indent}        entries = memo._entries",
-                    f"{indent}        {callee}(base, memo, counters, call)",
-                    f"{indent}        if stack[-1] is None:",
-                    f"{indent}            stack.pop()",
-                    f"{indent}            completed[call] = {rows}",
-                    f"{indent}            del active[call]",
-                    f"{indent}        else:",
-                    f"{indent}            {rows} = _complete(base, memo,"
+                    f"{indent}        {rows} = _complete(base, memo,"
                     f" counters, call, entries)",
+                    f"{indent}elif call in active:",
+                    f"{indent}    memo._note_dependency(call)",
+                    f"{indent}    {rows} = list({rows})",
                     f"{indent}if {rows}:",
                 ]
                 # an IOB row holds the values of the variables it binds
@@ -479,7 +480,7 @@ def _kernel_source(pred: str, shape: tuple) -> tuple[str, dict]:
             "        memo._added(len(table) - size, counters)",
         ]
     lines.append("    counters.eob_accesses += eob")
-    namespace = {"_solve_call": _solve_call, "_complete": _complete, **getters}
+    namespace = {"_complete": _complete, **getters}
     for (callee, callee_shape), name in callees.items():
         namespace[name] = _first_call(namespace, name, callee, callee_shape)
     return "\n".join(lines) + "\n", namespace
@@ -528,7 +529,6 @@ class MemoTable:
     def __init__(self, max_entries: int = DEFAULT_MAX_TABLE_ENTRIES):
         self.max_entries = max_entries
         self.tables: dict[tuple, dict[tuple[int, ...], None]] = {}
-        self.completed: dict[tuple, dict[tuple[int, ...], None]] = {}
         self._active: dict[tuple, Callable] = {}
         self._dep_stack: list[set[tuple] | None] = []
         # Answers in all tables. It falls only when `_drop_active` drops an
@@ -561,8 +561,9 @@ class MemoTable:
     def _drop_active(self):
         """Forget the tables an aborted evaluation left active.
 
-        Completed tables stay: each was saturated before it completed.
-        An active table may lack answers, so reusing it would be wrong.
+        Complete tables, those not in `_active`, stay: each was
+        saturated before it completed. An active table may lack answers,
+        so reusing it would be wrong.
         """
         for key in self._active:
             self._entries -= len(self.tables.pop(key))
@@ -588,80 +589,61 @@ class MemoTable:
         counters.inferred_facts += count
 
 
-def _run(base, memo, counters, steps, substs):
-    """Extensions of `substs` satisfying `steps`, left to right.
-
-    Each step is applied to every substitution before the next step runs
-    (sideways information passing over the whole batch). A call with a
-    completed table is answered from it here, without `_solve_call`.
-    """
-    for step in steps:
-        if not substs:
-            break
-        out = []
-        args, extras = step.args, step.extras
-        if step.eob:
-            probe = base.probes.get(step.access)
-            if probe is None:
-                probe = base.probe_index(*step.access)
-            get, same, new = probe.get, step.same, step.new
-            for s in substs:
-                rows = get(args(s + extras), ())
-                if same:
-                    rows = _same_rows(rows, same)
-                if rows:
-                    out.extend(map(s.__add__, map(new, rows)))
-            counters.eob_accesses += len(out)
-        else:
-            pred, shape, completed = step.pred, step.shape, memo.completed
-            for s in substs:
-                key = (pred, args(s + extras))
-                rows = completed.get(key)
-                if rows is None:
-                    rows = _solve_call(base, memo, counters, key, shape)
-                if rows:
-                    out.extend(map(s.__add__, rows))
-        substs = out
-    return substs
-
-
 def evaluate(base, memo, counters, steps, substs):
     """Extensions of `substs` satisfying compiled `steps`, from outside
     any tabled call; the work done is added to `counters`.
+
+    Each step is applied to every substitution before the next step runs
+    (sideways information passing over the whole batch). An IOB step
+    answers a call from its table in `memo.tables`, and a call with no
+    table gets one, a first pass of its kernel and `_complete`. No kernel
+    calls `evaluate`, so `memo._active` is empty whenever a step looks a
+    call up: a call the step starts is the oldest active call, and
+    `_complete` returns for it only once it, and with it every call left
+    active, is complete. A table a step finds is therefore complete.
 
     If evaluation raises (say, at the entry cap), the tables it left
     active are dropped and the dependency stack is cleared, so the memo
     can still be used; tabled calls keep no cleanup of their own.
     """
     try:
-        return _run(base, memo, counters, steps, substs)
+        for step in steps:
+            if not substs:
+                break
+            out = []
+            args, extras = step.args, step.extras
+            if step.eob:
+                probe = base.probes.get(step.access)
+                if probe is None:
+                    probe = base.probe_index(*step.access)
+                get, same, new = probe.get, step.same, step.new
+                for s in substs:
+                    rows = get(args(s + extras), ())
+                    if same:
+                        rows = _same_rows(rows, same)
+                    if rows:
+                        out.extend(map(s.__add__, map(new, rows)))
+                counters.eob_accesses += len(out)
+            else:
+                pred, shape, tables = step.pred, step.shape, memo.tables
+                for s in substs:
+                    key = (pred, args(s + extras))
+                    rows = tables.get(key)
+                    if rows is None:
+                        kernel = _plan(pred, shape)
+                        tables[key] = {}
+                        memo._active[key] = kernel
+                        memo._dep_stack.append(None)
+                        size = memo._entries
+                        kernel(base, memo, counters, key)
+                        rows = _complete(base, memo, counters, key, size)
+                    if rows:
+                        out.extend(map(s.__add__, rows))
+            substs = out
+        return substs
     except BaseException:
         memo._drop_active()
         raise
-
-
-def _solve_call(base, memo, counters, key, shape):
-    """Answers of a canonical call pattern of the given shape that has no
-    completed table, for a step of `_run` or a kernel's call to an
-    active table.
-
-    A call that is active already is answered with a snapshot list of
-    its table, since evaluation may still add to it, and is recorded as
-    a dependency of the running call. Any other call gets a table and a
-    first pass of its kernel here, and `_complete` finishes it; a rule
-    kernel runs that same first pass inline (see `_kernel_source`).
-    """
-    if key in memo._active:
-        memo._note_dependency(key)
-        return list(memo.tables[key])
-
-    kernel = _plan(key[0], shape)
-    memo.tables[key] = {}
-    memo._active[key] = kernel
-    memo._dep_stack.append(None)
-    size = memo._entries
-    kernel(base, memo, counters, key)
-    return _complete(base, memo, counters, key, size)
 
 
 def _complete(base, memo, counters, key, size):
@@ -675,10 +657,11 @@ def _complete(base, memo, counters, key, size):
     recursive group that saturates its group, or a member that stays
     active and returns a snapshot list of its table.
 
-    No table this call read while it was active completes during its
-    loop: active tables complete only when the oldest active call
-    returns, and that call is an ancestor of every running call. So the
-    dependencies need no test against `memo.completed`.
+    A call completes by leaving `memo._active`, and a group by clearing
+    it; its table stays in `memo.tables`. No table this call read while
+    it was active completes during its loop: active tables complete only
+    when the oldest active call returns, and that call is an ancestor of
+    every running call. So the dependencies need no completeness test.
     """
     stack = memo._dep_stack
     deps = stack[-1]
@@ -692,7 +675,6 @@ def _complete(base, memo, counters, key, size):
     stack.pop()
 
     if not deps:
-        memo.completed[key] = memo.tables[key]
         del memo._active[key]
     elif next(iter(memo._active)) == key:
         # Outermost call of a recursive group: saturate the whole group,
@@ -705,8 +687,6 @@ def _complete(base, memo, counters, key, size):
                 stack.pop()
             if memo._entries == size:
                 break
-        for other in memo._active:
-            memo.completed[other] = memo.tables[other]
         memo._active.clear()
     else:
         memo._note_dependency(key)

@@ -150,14 +150,6 @@ class Query:
         for a in self.body:
             schema_for(a.predicate, len(a.args))
 
-    @property
-    def variables(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for a in self.body:
-            for v in a.variables:
-                seen.setdefault(v, None)
-        return tuple(seen)
-
     def __str__(self) -> str:
         return f"{self.head} :- {', '.join(str(a) for a in self.body)}."
 

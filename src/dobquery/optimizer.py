@@ -87,8 +87,6 @@ def optimize(
     order in `exhaustive_orderings`. Bodies of more than
     `MAX_OPTIMIZE_SUBGOALS` subgoals are refused.
     """
-    if not query.body:
-        raise OptimizerError("cannot optimize an empty query body")
     n = len(query.body)
     if n > MAX_OPTIMIZE_SUBGOALS:
         raise OptimizerError(

@@ -11,7 +11,7 @@ File formats:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from functools import cache
 from typing import NoReturn
 
@@ -236,6 +236,8 @@ class PropertyDeclaration:
     is_object: bool  # an object property; else a datatype property
     domain: str | None = None
     range: str | None = None  # datatype properties carry none
+    # where its domain or range clause is
+    location: SourceLocation | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -368,7 +370,7 @@ def _parse_property_line(
             loc,
         )
     seen.add((is_object, name, what))
-    return [PropertyDeclaration(name, is_object, **{what: value})]
+    return [PropertyDeclaration(name, is_object, location=loc, **{what: value})]
 
 
 def _parse_individual_line(ts: _TokenStream) -> IndividualDeclaration:
@@ -452,7 +454,8 @@ def translate_documents(docs) -> list[Atom]:
     """Translate parsed documents into EOB facts.
 
     Property domain/range declarations are merged across the whole batch
-    (a second, different domain or range is refused); missing
+    (a second, different domain or range is refused at its clause, naming
+    where the first is); missing
     domains/ranges default to owl:Thing. `Class(A partial C)` yields
     both the class membership fact and the subClassOf edge, so that a
     class declared via a superclass still counts as a class of its ontology.
@@ -465,7 +468,8 @@ def translate_documents(docs) -> list[Atom]:
             seen.add(atom)
             facts.append(atom)
 
-    props: dict[tuple[bool, str], PropertyDeclaration] = {}
+    # (is_object, name) -> clause -> the declaration that first gave it
+    props: dict[tuple[bool, str], dict[str, PropertyDeclaration]] = {}
 
     for doc in docs:
         emit(_fact("isOntology", doc.ontology_uri))
@@ -479,18 +483,21 @@ def translate_documents(docs) -> list[Atom]:
                 for prop, filler in st.restrictions:
                     emit(_fact("allValuesFrom", st.name, prop, filler))
             elif isinstance(st, PropertyDeclaration):
-                prev = props.get((st.is_object, st.name), st)
-                clauses = {}
+                clauses = props.setdefault((st.is_object, st.name), {})
                 for what in ("domain", "range"):
-                    old, new = getattr(prev, what), getattr(st, what)
-                    if old and new and old != new:
-                        raise DobError(
+                    new = getattr(st, what)
+                    if new is None:
+                        continue
+                    first = clauses.setdefault(what, st)
+                    old = getattr(first, what)
+                    if old != new:
+                        raise ParseError(
                             f"unsupported construct: {what}s {old} and {new} "
                             f"for property {st.name} in different documents "
-                            "(class intersection)"
+                            f"(class intersection); first declared at "
+                            f"{first.location}",
+                            st.location,
                         )
-                    clauses[what] = old or new
-                props[st.is_object, st.name] = replace(st, **clauses)
             elif isinstance(st, TransitivePropertyDeclaration):
                 emit(_fact("isTransitive", st.name))
             elif isinstance(st, IndividualDeclaration):
@@ -503,12 +510,17 @@ def translate_documents(docs) -> list[Atom]:
                         emit(_fact("isStatement", st.name, prop, val))
 
     # Every isOProperty fact comes before any isDProperty fact.
-    for decl in sorted(props.values(), key=lambda d: not d.is_object):
-        domain = decl.domain or OWL_THING
-        if decl.is_object:
-            emit(_fact("isOProperty", decl.name, domain, decl.range or OWL_THING))
+    for (is_object, name), clauses in sorted(
+        props.items(), key=lambda item: not item[0][0]
+    ):
+        domain, range_ = (
+            getattr(clauses[what], what) if what in clauses else OWL_THING
+            for what in ("domain", "range")
+        )
+        if is_object:
+            emit(_fact("isOProperty", name, domain, range_))
         else:
-            emit(_fact("isDProperty", decl.name, domain))
+            emit(_fact("isDProperty", name, domain))
     return facts
 
 

@@ -500,8 +500,32 @@ def test_translate_refuses_conflicting_domains_across_documents(
     )
     assert code == 2
     assert err == (
-        "error: unsupported construct: domains c and e for property p in "
-        "different documents (class intersection)\n"
+        f"error: {second}:2:18: unsupported construct: domains c and e for "
+        "property p in different documents (class intersection); first "
+        f"declared at {first}:2:18\n"
+    )
+    assert not out_path.exists()
+
+
+def test_translate_conflict_names_the_first_clause(tmp_path, capsys):
+    """A repeated clause that agrees is no conflict; the refusal names
+    the clause that first gave the property its domain."""
+    paths = [tmp_path / f"{name}.owl" for name in "abc"]
+    paths[0].write_text("Ontology(a)\nObjectProperty(p domain(c))\n")
+    paths[1].write_text(
+        "Ontology(b)\nObjectProperty(p range(d))\n"
+        "ObjectProperty(p domain(c))\n"
+    )
+    paths[2].write_text("Ontology(c)\n\nObjectProperty(p domain(e))\n")
+    out_path = tmp_path / "out.dob"
+    code, out, err = run(
+        capsys, "translate", *map(str, paths), "-o", str(out_path)
+    )
+    assert code == 2
+    assert err == (
+        f"error: {paths[2]}:3:18: unsupported construct: domains c and e "
+        "for property p in different documents (class intersection); "
+        f"first declared at {paths[0]}:2:18\n"
     )
     assert not out_path.exists()
 

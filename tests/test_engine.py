@@ -236,9 +236,9 @@ def _subclass_chain(n: int, back: int | None = None) -> OntologyBase:
     return OntologyBase.from_facts(facts)
 
 
-def _solve_call_entries(run) -> int:
-    """How many frames of `engine._solve_call` `run()` enters."""
-    code = engine._solve_call.__code__
+def _complete_entries(run) -> int:
+    """How many frames of `engine._complete` `run()` enters."""
+    code = engine._complete.__code__
     entries = 0
 
     def profile(frame, event, arg):
@@ -255,18 +255,18 @@ def _solve_call_entries(run) -> int:
 
 
 def test_kernels_complete_one_pass_calls_inline():
-    """Only the call `_run` makes enters `_solve_call`: each of the 50
-    nested calls on an acyclic chain reads complete tables only, and its
-    caller's kernel completes it in place."""
+    """Only the call the query step makes enters `_complete`: each of
+    the 50 nested calls on an acyclic chain reads complete tables only,
+    and its caller's kernel completes it in place."""
     base = _subclass_chain(50)
     memo = MemoTable()
     atom = parse_atom("areSubClasses(c0,X)")
     results = []
-    assert _solve_call_entries(
+    assert _complete_entries(
         lambda: results.append(solve(base, atom, memo))
     ) == 1
     assert len(results[0].answers) == 50
-    assert len(memo.tables) == len(memo.completed) == 51
+    assert len(memo.tables) == 51
     assert not memo._active and not memo._dep_stack
 
 
@@ -280,11 +280,11 @@ def test_entry_cap_in_an_inlined_callee_leaves_the_memo_usable(back):
     with pytest.raises(EngineLimitError) as info:
         solve(base, parse_atom("areSubClasses(c0,X)"), memo)
     names = [frame.name for frame in traceback.extract_tb(info.value.__traceback__)]
-    inline = names[names.index("_solve_call") + 1:]
-    # three or more calls below the call `_run` made, none of them
-    # through `_solve_call`
+    inline = names[names.index("evaluate") + 1:]
+    # three or more calls below the call the query step made, none of
+    # them through `_complete`
     assert inline.count("kernel") >= 4
-    assert "_solve_call" not in inline and "_complete" not in inline
+    assert "_complete" not in inline
     assert not memo._active
     assert not memo._dep_stack
     assert memo._entries == sum(len(t) for t in memo.tables.values())
@@ -721,3 +721,31 @@ def test_counters_invariant_under_variable_renaming(base, data):
     assert {
         tuple(sorted((renaming[v], c) for v, c in s.items())) for s in subs
     } == {tuple(sorted(s.items())) for s in renamed_subs}
+
+
+@given(_bases, st.data())
+def test_shared_memo_holds_only_complete_tables_between_calls(base, data):
+    """Between evaluations every table of a shared memo is complete: no
+    call is active, no dependency frame is left and the entry count is
+    the tables' size, whether a call returned or stopped at a small
+    entry cap. Every call that returns agrees with the oracle, whatever
+    the memo held before it."""
+    oracle = bottom_up_oracle(base)
+    atoms = data.draw(st.permutations(
+        [atom for pred in IOB_PREDICATES for atom in _call_atoms(pred, data)]
+    ))
+    memo = MemoTable()
+    for atom in atoms:
+        cap = data.draw(st.none() | st.integers(0, 40))
+        if cap is not None:
+            memo.max_entries = cap
+        try:
+            answers = solve(base, atom, memo).answers
+        except EngineLimitError:
+            assert cap is not None
+        else:
+            assert set(answers) == _instances(atom, oracle), atom
+        finally:
+            memo.max_entries = engine.DEFAULT_MAX_TABLE_ENTRIES
+        assert not memo._active and not memo._dep_stack
+        assert memo._entries == sum(map(len, memo.tables.values()))

@@ -213,13 +213,17 @@ def test_parse_owl_rejects_multiple_domains():
 def test_translate_refuses_conflicting_clauses_across_documents(
     first, second, message
 ):
-    docs = [parse_owl(f"Ontology(o1)\n{first}\n"),
-            parse_owl(f"Ontology(o2)\n{second}\n")]
-    with pytest.raises(DobError) as info:
+    docs = [parse_owl(f"Ontology(o1)\n{first}\n", "a.owl"),
+            parse_owl(f"Ontology(o2)\n{second}\n", "b.owl")]
+    with pytest.raises(ParseError) as info:
         translate_documents(docs)
+    # each clause starts after the property's name and a space
+    column = second.index(" ") + 2
+    assert info.value.location == parsing.SourceLocation("b.owl", 2, column)
     assert str(info.value) == (
-        f"unsupported construct: {message} in different documents "
-        "(class intersection)"
+        f"b.owl:2:{column}: unsupported construct: {message} in "
+        f"different documents (class intersection); first declared at "
+        f"a.owl:2:{first.index(' ') + 2}"
     )
 
 

@@ -12,11 +12,20 @@ count the same work for the same ordering; block nested loop
 runs the subgoal, compiled once with only its own constants bound, once
 per block, and hash join once in total, and both equi-join the result
 with the batch on the shared slots (a cross product if there are none).
+Each such step keeps one hash table of the subgoal's rows, keyed by the
+shared variable itself when there is one, and probes a whole block with
+it at once. A step that binds no new variable is a semi-join: it keeps
+the table's key set and filters the block by it. The batch keeps its
+order and every block is still solved and counted, so the counters do
+not depend on how a block is probed.
 Execution ends with the engine's `Answers` of the query head and an
 `EvaluationResult` with per-step counters, as `solve` does.
 """
 
 from __future__ import annotations
+
+from itertools import compress
+from operator import itemgetter
 
 from .costmodel import JoinMethod, JoinStrategy
 from .engine import (
@@ -37,21 +46,42 @@ def _equi_join(base, memo, counters, atom, block_size, batch, var_slot):
     own: dict[str, int] = {}
     steps = compile_query(memo, [atom], own)
     shared = [v for v in own if v in var_slot]
-    row_key = _getter([own[v] for v in shared])
-    row_ext = _getter([i for v, i in own.items() if v not in var_slot])
-    subst_key = _getter([var_slot[v] for v in shared])
+    ext = [i for v, i in own.items() if v not in var_slot]
+    if len(shared) == 1:  # key by the scalar, not a 1-tuple
+        row_key = itemgetter(own[shared[0]])
+        subst_key = itemgetter(var_slot[shared[0]])
+    else:
+        row_key = _getter([own[v] for v in shared])
+        subst_key = _getter([var_slot[v] for v in shared])
+    row_ext = _getter(ext)
     for v in own:
         var_slot.setdefault(v, len(var_slot))
-    table: dict[tuple, list[tuple]] | None = None
     out: list[tuple] = []
     for start in range(0, len(batch), block_size):
         rows = evaluate(base, memo, counters, steps, [()])
-        if table is None:  # every block reads the same rows
-            table = {}
-            for row in rows:
-                table.setdefault(row_key(row), []).append(row_ext(row))
-        for s in batch[start : start + block_size]:
-            out.extend(map(s.__add__, table.get(subst_key(s), ())))
+        if not start:  # every block reads the same rows
+            if ext:
+                table: dict[object, list[tuple]] = {}
+                for row in rows:
+                    table.setdefault(row_key(row), []).append(row_ext(row))
+                get = table.get
+            else:
+                # A semi-join: evaluated rows are distinct
+                # (test_evaluated_rows_are_distinct), so a key has one row
+                # and a matching substitution is kept exactly once.
+                has = set(map(row_key, rows)).__contains__
+        block = (
+            batch if block_size >= len(batch)
+            else batch[start : start + block_size]
+        )
+        if ext:
+            joined = [s + r for s in block for r in get(subst_key(s), ())]
+        else:
+            joined = list(compress(block, map(has, map(subst_key, block))))
+        if start:
+            out += joined
+        else:  # one block's result is the join, not copied
+            out = joined
     return out
 
 

@@ -17,13 +17,17 @@ from dobquery import (
     solve_sequence,
     uniform_plan,
 )
+from dobquery.engine import Counters, compile_query, evaluate
+from dobquery.executor import _equi_join
 from dobquery.model import (
-    BUILTIN_SCHEMA, IOB_PREDICATES, ArgDomain, Atom, Query, Term,
+    BUILTIN_SCHEMA, EOB_PREDICATES, IOB_PREDICATES, ArgDomain, Atom, Query,
+    Term,
 )
 from dobquery.optimizer import plan_for_order
-from dobquery.store import OntologyBase, SymbolTable
+from dobquery.store import OntologyBase, SymbolTable, _getter
 from conftest import (
-    execute_all_strategies, random_base, random_query, refuse_text,
+    binding_patterns, execute_all_strategies, random_base, random_query,
+    refuse_text,
 )
 
 CARS_Q = "q(O):-areClasses(C,O),isDProperty(traction,C)."
@@ -393,3 +397,133 @@ def test_answers_iterate_in_text_order(seed, data):
     answers = list(report.answers)
     assert answers == sorted(answers, key=str)
     assert len(answers) == len(report.answers)
+
+
+def _reference_equi_join(
+    base, memo, counters, atom, block_size, batch, var_slot
+):
+    """The equi-join probing one substitution at a time, each against a
+    hash table keyed by tuples: the reference for `_equi_join`."""
+    own: dict[str, int] = {}
+    steps = compile_query(memo, [atom], own)
+    shared = [v for v in own if v in var_slot]
+    row_key = _getter([own[v] for v in shared])
+    row_ext = _getter([i for v, i in own.items() if v not in var_slot])
+    subst_key = _getter([var_slot[v] for v in shared])
+    for v in own:
+        var_slot.setdefault(v, len(var_slot))
+    table = None
+    out = []
+    for start in range(0, len(batch), block_size):
+        rows = evaluate(base, memo, counters, steps, [()])
+        if table is None:
+            table = {}
+            for row in rows:
+                table.setdefault(row_key(row), []).append(row_ext(row))
+        for s in batch[start : start + block_size]:
+            out.extend(map(s.__add__, table.get(subst_key(s), ())))
+    return out
+
+
+def _assert_joins_agree(base, prefix, atom, block_sizes):
+    """For each block size, `_equi_join` and the reference join `atom`
+    onto the batch of `prefix` with the same rows in the same order, the
+    same counters and the same slots; each runs on a fresh memo that
+    evaluated the prefix."""
+    for size in block_sizes:
+        runs = []
+        for join in (_equi_join, _reference_equi_join):
+            memo = MemoTable()
+            memo.bind(base)
+            counters = Counters()
+            var_slot: dict[str, int] = {}
+            steps = compile_query(memo, prefix, var_slot)
+            batch = evaluate(base, memo, counters, steps, [()])
+            out = join(base, memo, counters, atom, size, batch, var_slot)
+            runs.append((out, counters, var_slot))
+        assert runs[0] == runs[1], (prefix, atom, size)
+
+
+def _batch(base, prefix):
+    """The substitutions of `prefix` on a fresh memo."""
+    memo = MemoTable()
+    memo.bind(base)
+    return evaluate(
+        base, memo, Counters(), compile_query(memo, prefix, {}), [()]
+    )
+
+
+def _block_sizes(batch):
+    """1, 2, 32, the whole batch (hash join's one block) and more."""
+    return [1, 2, 32, max(len(batch), 1), len(batch) + 1]
+
+
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_equi_join_matches_reference_loop(seed, data):
+    """Block nested loop and hash join (one block of the whole batch)
+    probe set-at-a-time with the rows, order and counters of the
+    per-substitution loop, on random queries split at a drawn step."""
+    rng = random.Random(seed)
+    base = random_base(rng, max_facts=120)
+    query = random_query(rng, base)
+    body = [query.body[i] for i in data.draw(
+        st.permutations(range(len(query.body)))
+    )]
+    k = data.draw(st.integers(1, len(body) - 1))
+    sizes = _block_sizes(_batch(base, body[:k]))
+    _assert_joins_agree(
+        base, body[:k], body[k], [data.draw(st.sampled_from(sizes))]
+    )
+
+
+@pytest.mark.parametrize("prefix, atom, n_shared, binds_new", [
+    ("isDProperty(P,vehicle)", "isOntology(O)", 0, True),  # cross product
+    ("isClass(C,O)", "isDProperty(P,C)", 1, True),  # scalar key
+    ("isOProperty(R,C,E)", "isOProperty(R,C,D)", 2, True),
+    ("isClass(C,O)", "isOntology(O)", 1, False),  # semi-join, scalar key
+    ("isClass(C,O)", "areClasses(C,O)", 2, False),  # semi-join, IOB
+    ("isClass(C,O)", "isOntology(carsOnt)", 0, False),  # ground, true
+    ("isClass(C,O)", "isOntology(nowhere)", 0, False),  # ground, false
+    ("isClass(C,O)", "subClassOf(D,D)", 0, True),  # repeated variable
+    ("isClass(C,O)", "areSubClasses(C,C)", 1, False),
+    ("isClass(C,O)", "impOntology(O,O)", 1, False),
+    ("isDProperty(traction,C)", "areClasses(C,O)", 1, True),  # IOB
+    ("isClass(C,O)", "areSubClasses(D,C)", 1, True),
+])
+def test_equi_join_probe_shapes(cars_base, prefix, atom, n_shared, binds_new):
+    """Each probe shape joins as the per-substitution loop does, at every
+    block size from one substitution to more than the batch."""
+    prefix, atom = [parse_atom(prefix)], parse_atom(atom)
+    bound = set(prefix[0].variables)
+    assert len(set(atom.variables) & bound) == n_shared
+    assert bool(set(atom.variables) - bound) == binds_new
+    batch = _batch(cars_base, prefix)
+    assert batch
+    _assert_joins_agree(cars_base, prefix, atom, _block_sizes(batch))
+
+
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_evaluated_rows_are_distinct(seed, data):
+    """An atom's evaluated rows hold no duplicate: EOB facts are a set and
+    IOB rows are table keys. The equi-join's semi-join rests on this. EOB
+    atoms carry constants and repeated variables; IOB atoms take every
+    binding pattern, repeated variables included."""
+    base = random_base(random.Random(seed), max_facts=120)
+    constants = _constants_by_domain(base)
+    atoms = [_random_atom(data, pred, constants) for pred in EOB_PREDICATES]
+    for pred in IOB_PREDICATES:
+        domains = BUILTIN_SCHEMA[pred].arg_domains
+        for pattern in binding_patterns(len(domains)):
+            atoms.append(Atom(pred, tuple(
+                Term.var(f"V{v}") if v is not None
+                else Term.const(data.draw(
+                    st.sampled_from(constants[d] or ["absent"])
+                ))
+                for d, v in zip(domains, pattern)
+            )))
+    memo = MemoTable()
+    memo.bind(base)
+    for atom in atoms:
+        steps = compile_query(memo, [atom], {})
+        rows = evaluate(base, memo, Counters(), steps, [()])
+        assert len(set(rows)) == len(rows), atom

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from .costmodel import JoinMethod, JoinStrategy, default_strategies
-from .executor import execute, uniform_plan
+from .executor import execute
 from .model import DobError, read_text
 from .optimizer import explain_plan, optimize, plan_for_order
 from .parsing import (
@@ -85,18 +85,14 @@ def _cmd_query(args) -> int:
     base = _load_base(args.dob)
     query = parse_query(args.query)
     strategies = _enabled_strategies(args.strategy, args.block_size)
-    if args.no_optimize and len(strategies) == 1:
-        plan = uniform_plan(query, strategies[0])
-        catalog = load_catalog(args.catalog) if args.explain else None
+    catalog = load_catalog(args.catalog)
+    if args.no_optimize:
+        # keep the written ordering, pick per-step strategies by cost
+        plan = plan_for_order(
+            query, catalog, range(len(query.body)), strategies
+        )
     else:
-        catalog = load_catalog(args.catalog)
-        if args.no_optimize:
-            # keep the written ordering, pick per-step strategies by cost
-            plan = plan_for_order(
-                query, catalog, range(len(query.body)), strategies
-            )
-        else:
-            plan = optimize(query, catalog, strategies)
+        plan = optimize(query, catalog, strategies)
     if args.explain:
         print(explain_plan(plan, catalog), file=sys.stderr)
     report = execute(base, plan)

@@ -106,10 +106,11 @@ class JoinTable:
     Subgoals are numbered by their position in `atoms`, and a left prefix
     is the int bitmask of the subgoals it covers. The constant-only
     estimate and per-variable distinct counts of each subgoal are read
-    once from the catalog; the reduction factor and the sideways-
-    instantiated cost of each (left set, right subgoal) pair are computed
-    on first use. Neither depends on the join strategy or on the order
-    within the left set, so every strategy and ordering shares them.
+    once from the catalog. `inputs` is recomputed per call, since the
+    optimizer's DP visits subgoal sets in ascending integer order and
+    asks for each (left set, right subgoal) pair once. The instantiated
+    cost is cached per (right subgoal, shared variables), and so shared
+    across left sets, join strategies and orderings.
     """
 
     def __init__(self, catalog: StatisticsCatalog, atoms):
@@ -122,7 +123,6 @@ class JoinTable:
         for i, distinct in enumerate(self._distinct):
             for var in distinct:
                 self._holders[var] = self._holders.get(var, 0) | 1 << i
-        self._inputs: dict[tuple[int, int], tuple[float, float]] = {}
         self._inst_costs: dict[tuple[int, frozenset], float] = {}
 
     def inputs(self, left: int, right: int) -> tuple[float, float]:
@@ -133,10 +133,6 @@ class JoinTable:
         1/max(distinct left, distinct right), under independence and
         uniformity; 1.0 with no shared variables.
         """
-        key = (left, right)
-        found = self._inputs.get(key)
-        if found is not None:
-            return found
         rf = 1.0
         shared = []
         for var, d_right in self._distinct[right].items():
@@ -154,8 +150,7 @@ class JoinTable:
             inst_cost = self._inst_costs[inst_key] = predicate_estimate(
                 self.catalog, self.atoms[right], inst_key[1]
             ).cost
-        found = self._inputs[key] = (rf, inst_cost)
-        return found
+        return rf, inst_cost
 
     def join(
         self, left_estimate: Estimate, left: int, right: int, strategies

@@ -16,7 +16,7 @@ import json
 import random
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
-from itertools import accumulate
+from itertools import accumulate, count
 
 from .model import (
     ArgDomain,
@@ -279,7 +279,7 @@ def _build_query(
     iob_pool = [p for p in pool if p[2]]
     if not iob_pool:
         return None
-    fresh = iter(range(1000))
+    fresh = count()
 
     def fresh_var() -> Term:
         return Term.var(f"Z{next(fresh)}")

@@ -82,7 +82,7 @@ def test_query_explain_prints_plan(workspace, capsys):
 
 
 def test_query_explain_header_is_the_folded_estimate(workspace, capsys):
-    # a one-strategy --no-optimize plan is built without estimates
+    # --no-optimize folds the written ordering on the catalog
     dob, catalog = workspace
     code, _, err = run(
         capsys,

@@ -28,6 +28,7 @@ from dobquery.optimizer import (
     MAX_EXHAUSTIVE_SUBGOALS,
     MAX_OPTIMIZE_SUBGOALS,
     OptimizerError,
+    Plan,
     plan_for_order,
 )
 from dobquery.stats import (
@@ -211,12 +212,12 @@ def test_serve_style_plans_are_pinned():
     assert got == json.loads(PLAN_PINS.read_text())
 
 
-def _drawn_query(data):
-    """Up to five subgoals whose arguments are variables of a small shared
-    pool (so they repeat within and across atoms), variables private to
-    one atom (so subgoals can be disconnected) or constants."""
+def _drawn_query(data, max_subgoals=5):
+    """Up to `max_subgoals` subgoals whose arguments are variables of a
+    small shared pool (so they repeat within and across atoms), variables
+    private to one atom (so subgoals can be disconnected) or constants."""
     body = []
-    for i in range(data.draw(st.integers(1, 5))):
+    for i in range(data.draw(st.integers(1, max_subgoals))):
         pred = data.draw(st.sampled_from(sorted(BUILTIN_SCHEMA)))
         args = []
         for pos in range(BUILTIN_SCHEMA[pred].arity):
@@ -260,6 +261,57 @@ def test_optimize_is_the_exhaustive_minimum(seed, data):
     assert repr(plan_estimate(catalog, plan.atoms, plan.strategies)) == repr(
         plan.estimate
     )
+
+
+def _reference_optimize(query, catalog, strategies):
+    """The DP as it stood with one `Plan` per subgoal set: sets sorted by
+    size, then by member list, and a new `Plan` per improving extension."""
+    def members(atom_set):
+        return [i for i in range(atom_set.bit_length()) if atom_set >> i & 1]
+
+    n = len(query.body)
+    joins = JoinTable(catalog, query.body)
+    kept = {
+        1 << i: Plan(query, (i,), (), est)
+        for i, est in enumerate(joins.estimates)
+    }
+    full = (1 << n) - 1
+    for left in sorted(
+        range(1, full), key=lambda s: (s.bit_count(), members(s))
+    ):
+        prefix = kept[left]
+        for idx in range(n):
+            if left >> idx & 1:
+                continue
+            estimate, strategy = joins.join(
+                prefix.estimate, left, idx, strategies
+            )
+            grown = left | 1 << idx
+            best = kept.get(grown)
+            if best is None or (estimate.cost, estimate.cardinality) < (
+                best.estimate.cost, best.estimate.cardinality
+            ):
+                kept[grown] = Plan(
+                    query, prefix.order + (idx,),
+                    prefix.strategies + (strategy,), estimate,
+                )
+    return kept[full]
+
+
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_optimize_equals_the_reference_dp(seed, data):
+    """Visiting subgoal sets in integer order and building the plan from
+    the last-subgoal links gives the reference DP's plan: same order,
+    same strategies, same estimate bit for bit, under every non-empty
+    subset of the strategies."""
+    catalog = _random_catalog(random.Random(seed))
+    query = _drawn_query(data, max_subgoals=8)
+    every = default_strategies(block_size=3)
+    for size in range(1, len(every) + 1):
+        for strategies in itertools.combinations(every, size):
+            assert optimize(query, catalog, strategies) == (
+                _reference_optimize(query, catalog, strategies)
+            )
 
 
 @given(

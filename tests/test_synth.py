@@ -92,6 +92,18 @@ def test_star_shares_central_variable():
         assert len(shared) == 1
 
 
+def test_long_star_draws_distinct_fresh_variables():
+    """Fresh variables are not capped: a 1,500-subgoal star needs more
+    than a thousand of them, each in exactly one subgoal."""
+    config = SynthConfig(query_subgoals=1500, chain_queries=0,
+                         star_queries=1)
+    _, queries = generate_synthetic(config)
+    assert len(queries) == 1 and len(queries[0].body) == 1500
+    fresh = [v for a in queries[0].body for v in a.variables if v != "X"]
+    assert len(fresh) > 1000
+    assert len(set(fresh)) == len(fresh)
+
+
 def test_queries_mix_eob_and_iob():
     _, queries = generate_synthetic(SynthConfig(seed=12))
     for q in queries:

@@ -31,6 +31,12 @@ class JoinMethod(Enum):
     HASH_JOIN = "hash"
 
 
+# Plain names for the hot loop: a member lookup on the Enum class costs
+# about ten times a global read.
+_NESTED_LOOP = JoinMethod.NESTED_LOOP
+_BLOCK_NESTED_LOOP = JoinMethod.BLOCK_NESTED_LOOP
+
+
 @dataclass(frozen=True)
 class JoinStrategy:
     method: JoinMethod
@@ -103,14 +109,17 @@ def _atom_distinct(catalog: StatisticsCatalog, atom: Atom) -> dict[str, float]:
 class JoinTable:
     """Join inputs of one query body under one catalog, computed once.
 
-    Subgoals are numbered by their position in `atoms`, and a left prefix
+    Subgoals are numbered by their position in `atoms`, and a subgoal set
     is the int bitmask of the subgoals it covers. The constant-only
     estimate and per-variable distinct counts of each subgoal are read
-    once from the catalog. `inputs` is recomputed per call, since the
-    optimizer's DP visits subgoal sets in ascending integer order and
-    asks for each (left set, right subgoal) pair once. The instantiated
-    cost is cached per (right subgoal, shared variables), and so shared
-    across left sets, join strategies and orderings.
+    once from the catalog. Per subgoal set, the table keeps the smallest
+    distinct count of each variable over the set's subgoals, filled
+    lazily from the set minus its highest subgoal: the optimizer's DP
+    visits sets in ascending integer order, so that smaller set is
+    always filled first, and each (left set, right subgoal) pair reads
+    its shared variables' counts instead of scanning their holders. The
+    instantiated cost is cached per (right subgoal, shared variables),
+    and so shared across left sets, join strategies and orderings.
     """
 
     def __init__(self, catalog: StatisticsCatalog, atoms):
@@ -118,33 +127,51 @@ class JoinTable:
         self.atoms = tuple(atoms)
         self.estimates = tuple(predicate_estimate(catalog, a) for a in self.atoms)
         self._distinct = tuple(_atom_distinct(catalog, a) for a in self.atoms)
-        # variable -> bitmask of the subgoals it occurs in
-        self._holders: dict[str, int] = {}
-        for i, distinct in enumerate(self._distinct):
-            for var in distinct:
-                self._holders[var] = self._holders.get(var, 0) | 1 << i
-        self._inst_costs: dict[tuple[int, frozenset], float] = {}
+        # subgoal set -> smallest distinct count of each of its variables
+        self._set_distinct: dict[int, dict[str, float]] = {0: {}}
+        self._inst_costs: dict[tuple[int, tuple[str, ...]], float] = {}
+
+    def _smallest_distinct(self, atom_set: int) -> dict[str, float]:
+        """Smallest distinct count of each variable over the subgoals in
+        `atom_set`. A set is filled from the set minus its highest
+        subgoal, which the DP's integer order and a fold in written order
+        always fill first; any other set is filled from its members."""
+        counts = self._set_distinct.get(atom_set)
+        if counts is None:
+            high = 1 << atom_set.bit_length() - 1
+            parent = self._set_distinct.get(atom_set ^ high)
+            if parent is None:
+                parent, new = {}, atom_set
+            else:
+                new = high
+            counts = self._set_distinct[atom_set] = dict(parent)
+            while new:
+                low = new & -new
+                new ^= low
+                for var, d in self._distinct[low.bit_length() - 1].items():
+                    best = counts.get(var)
+                    if best is None or d < best:
+                        counts[var] = d
+        return counts
 
     def inputs(self, left: int, right: int) -> tuple[float, float]:
         """(reduction factor, cost of subgoal `right` with the variables it
         shares with the left set bound) for the subgoal set `left`.
 
-        The reduction factor is the product over shared variables of
-        1/max(distinct left, distinct right), under independence and
-        uniformity; 1.0 with no shared variables.
+        The reduction factor is the product over shared variables, in
+        `right`'s variable order, of 1/max(distinct left, distinct
+        right), under independence and uniformity; 1.0 with no shared
+        variables. The left count is the smallest over the left set.
         """
+        left_distinct = self._smallest_distinct(left)
         rf = 1.0
         shared = []
         for var, d_right in self._distinct[right].items():
-            holders = self._holders[var] & left
-            if holders:
-                d_left = min(
-                    self._distinct[i][var]
-                    for i in range(holders.bit_length()) if holders >> i & 1
-                )
+            d_left = left_distinct.get(var)
+            if d_left is not None:
                 rf /= max(d_left, d_right)
                 shared.append(var)
-        inst_key = (right, frozenset(shared))
+        inst_key = (right, tuple(shared))
         inst_cost = self._inst_costs.get(inst_key)
         if inst_cost is None:
             inst_cost = self._inst_costs[inst_key] = predicate_estimate(
@@ -152,12 +179,14 @@ class JoinTable:
             ).cost
         return rf, inst_cost
 
-    def join(
-        self, left_estimate: Estimate, left: int, right: int, strategies
-    ) -> tuple[Estimate, JoinStrategy]:
-        """Estimate of extending a left-deep prefix that covers the subgoal
-        set `left` with subgoal `right`, by the cheapest of `strategies`
-        (ties keep the first).
+    def extend(
+        self, left_cost: float, left_card: float, left: int, right: int,
+        strategies,
+    ) -> tuple[float, float, JoinStrategy]:
+        """(cost, cardinality, strategy) of extending a left-deep prefix
+        that covers the subgoal set `left`, at `left_cost` and
+        `left_card`, with subgoal `right`, by the cheapest of
+        `strategies` (ties keep the first).
 
         Cardinality is strategy-independent: card(L) * card(R under query
         constants only) * reduction factor. Cost per strategy: nested loop
@@ -167,12 +196,12 @@ class JoinTable:
         """
         rf, inst_cost = self.inputs(left, right)
         r_const = self.estimates[right]
-        left_cost, left_card = left_estimate.cost, left_estimate.cardinality
         best_cost = best_strategy = None
         for strategy in strategies:
-            if strategy.method is JoinMethod.NESTED_LOOP:
+            method = strategy.method
+            if method is _NESTED_LOOP:
                 cost = nested_loop_cost(left_cost, left_card, inst_cost)
-            elif strategy.method is JoinMethod.BLOCK_NESTED_LOOP:
+            elif method is _BLOCK_NESTED_LOOP:
                 cost = block_nested_loop_cost(
                     left_cost, left_card, r_const.cost, strategy.block_size
                 )
@@ -181,7 +210,18 @@ class JoinTable:
             if best_cost is None or cost < best_cost:
                 best_cost, best_strategy = cost, strategy
         card = join_cardinality(left_card, r_const.cardinality, rf)
-        return Estimate(cost=best_cost, cardinality=card), best_strategy
+        return best_cost, card, best_strategy
+
+    def join(
+        self, left_estimate: Estimate, left: int, right: int, strategies
+    ) -> tuple[Estimate, JoinStrategy]:
+        """`extend` of a prefix with estimate `left_estimate`, as an
+        `Estimate` and the strategy chosen."""
+        cost, card, strategy = self.extend(
+            left_estimate.cost, left_estimate.cardinality, left, right,
+            strategies,
+        )
+        return Estimate(cost=cost, cardinality=card), strategy
 
     def fold(self, order, step_strategies):
         """Left-deep fold over the subgoals in `order`: yields the estimate
@@ -223,7 +263,7 @@ def join_estimate(
     strategy: JoinStrategy,
 ) -> Estimate:
     """Estimate of extending a left-deep prefix with one more subgoal by
-    `strategy`; see `JoinTable.join`."""
+    `strategy`; see `JoinTable.extend`."""
     left_atoms = list(left_atoms)
     table = JoinTable(catalog, [*left_atoms, right_atom])
     n = len(left_atoms)

@@ -143,7 +143,14 @@ class Answers:
         rows: tuple[tuple[int, ...], ...] = ()
         if substs:
             slots = [var_slot[t.value] for t in head.args if t.is_var]
-            rows = tuple(sorted(set(map(_getter(slots), substs))))
+            projected = map(_getter(slots), substs)
+            # Substitutions are distinct (test_evaluated_rows_are_distinct),
+            # so a head that keeps every slot projects no two alike; its
+            # list is sorted as it comes, which keeps the sorted runs a set
+            # would scramble.
+            if len(set(slots)) < len(var_slot):
+                projected = set(projected)
+            rows = tuple(sorted(projected))
         return cls(rows, symbols, head)
 
     def __len__(self) -> int:

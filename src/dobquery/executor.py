@@ -37,7 +37,7 @@ from .engine import (
     evaluate,
 )
 from .model import Query
-from .optimizer import Plan
+from .optimizer import Plan, checked_order
 from .store import _getter
 
 
@@ -130,6 +130,7 @@ def uniform_plan(
     catalog, so its `estimate` is None; `explain_plan` folds the
     estimates of any plan on a catalog."""
     if order is None:
-        order = tuple(range(len(query.body)))
-    return Plan(query, tuple(order), (strategy,) * (len(order) - 1), None)
+        order = range(len(query.body))
+    order = checked_order(query, order)
+    return Plan(query, order, (strategy,) * (len(order) - 1), None)
 

@@ -21,8 +21,8 @@ class OptimizerError(DobError):
 
 # Largest body `optimize` accepts. The DP extends every subgoal set by
 # every subgoal outside it, so its work more than doubles per extra
-# subgoal; at 12 subgoals one call takes 0.08-0.12 s on the timings in
-# README "Optimizer", and 13 takes 0.18-0.28 s.
+# subgoal; at 12 subgoals one call takes 0.04-0.05 s on the timings in
+# README "Optimizer", and 13 takes 0.08-0.10 s.
 MAX_OPTIMIZE_SUBGOALS = 12
 # Largest body `exhaustive_orderings` accepts: 6! = 720 orderings.
 MAX_EXHAUSTIVE_SUBGOALS = 6
@@ -66,11 +66,12 @@ def optimize(
     smaller integer, so a set's entry is final before the set is
     extended. Each set is extended by every subgoal outside it in
     ascending position (subgoals sharing no variable join as a cross
-    product with reduction factor 1). A set keeps only the estimate and
-    last subgoal of the first generated of its candidates with the
-    lexicographically smallest (cost, cardinality); for a set G those
-    candidates come from G minus {i}, larger i first. This is exact with
-    respect to the cost model because:
+    product with reduction factor 1) through `JoinTable.extend`, which
+    works on plain numbers. A set keeps only the (cost, cardinality,
+    last subgoal) of the first generated of its candidates with the
+    lexicographically smallest (cost, cardinality), in a list indexed by
+    the set; for a set G those candidates come from G minus {i}, larger
+    i first. This is exact with respect to the cost model because:
 
     1. A set's estimated cardinality does not depend on the order of its
        subgoals. It is the product of the subgoals' constant-only
@@ -96,28 +97,27 @@ def optimize(
         )
     strategies = _strategies(enabled_strategies)
     joins = JoinTable(catalog, query.body)
+    extend = joins.extend
 
-    # subgoal set -> (estimate, last subgoal) of its kept plan
-    kept: dict[int, tuple[Estimate, int]] = {
-        1 << i: (est, i) for i, est in enumerate(joins.estimates)
-    }
+    # subgoal set -> (cost, cardinality, last subgoal) of its kept plan
     full = (1 << n) - 1
+    kept: list[tuple[float, float, int] | None] = [None] * (full + 1)
+    for i, est in enumerate(joins.estimates):
+        kept[1 << i] = (est.cost, est.cardinality, i)
     for left in range(1, full):
-        prefix = kept[left][0]
+        left_cost, left_card, _ = kept[left]
         for idx in range(n):
             if left >> idx & 1:
                 continue
-            estimate = joins.join(prefix, left, idx, strategies)[0]
+            cost, card, _ = extend(left_cost, left_card, left, idx, strategies)
             grown = left | 1 << idx
-            best = kept.get(grown)
-            if best is None or (estimate.cost, estimate.cardinality) < (
-                best[0].cost, best[0].cardinality
-            ):
-                kept[grown] = (estimate, idx)
+            best = kept[grown]
+            if best is None or (cost, card) < best[:2]:
+                kept[grown] = (cost, card, idx)
     order: tuple[int, ...] = ()
     atom_set = full
     while atom_set:
-        idx = kept[atom_set][1]
+        idx = kept[atom_set][2]
         order = (idx, *order)
         atom_set ^= 1 << idx
     return _plan_for_order(joins, query, order, strategies)
@@ -126,6 +126,18 @@ def optimize(
 def _plan_for_order(joins: JoinTable, query: Query, order, strategies) -> Plan:
     steps = list(joins.fold(order, itertools.repeat(strategies)))
     return Plan(query, order, tuple(s for _, s in steps[1:]), steps[-1][0])
+
+
+def checked_order(query: Query, order) -> tuple[int, ...]:
+    """`order` as a tuple, refused unless it is a permutation of the body
+    positions."""
+    order = tuple(order)
+    n = len(query.body)
+    if sorted(order) != list(range(n)):
+        raise OptimizerError(
+            f"order {order} is not a permutation of the {n} body positions"
+        )
+    return order
 
 
 def plan_for_order(
@@ -137,7 +149,7 @@ def plan_for_order(
     """The plan joining the body in `order`, each step by its cheapest
     enabled strategy."""
     return _plan_for_order(
-        JoinTable(catalog, query.body), query, tuple(order),
+        JoinTable(catalog, query.body), query, checked_order(query, order),
         _strategies(enabled_strategies),
     )
 

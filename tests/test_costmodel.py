@@ -1,4 +1,9 @@
+import itertools
+import random
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dobquery import (
     Estimate,
@@ -13,7 +18,9 @@ from dobquery import (
 )
 from dobquery.costmodel import (
     JoinTable,
+    _atom_distinct,
     block_nested_loop_cost,
+    default_strategies,
     hash_join_cost,
     join_cardinality,
     nested_loop_cost,
@@ -24,7 +31,9 @@ from dobquery.stats import (
     IobStats,
     StatisticsCatalog,
     all_patterns,
+    build_exact_catalog,
 )
+from conftest import random_base, random_query
 
 
 def _manual_catalog():
@@ -186,3 +195,63 @@ def test_estimates_finite_and_nonnegative(cars_exact_catalog):
         )
         assert est.cost >= 0 and est.cardinality >= 0
         assert est.cost < float("inf")
+
+
+def _random_body(seed, data):
+    """An exact catalog of a random base and a body of 1-8 subgoals,
+    made of consecutive `random_query` bodies."""
+    rng = random.Random(seed)
+    base = random_base(rng, max_facts=120)
+    n = data.draw(st.integers(1, 8))
+    body = []
+    while len(body) < n:
+        body += random_query(rng, base).body
+    return build_exact_catalog(base), body[:n]
+
+
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_inputs_do_not_depend_on_the_call_order(seed, data):
+    """Asked for every (left set, right subgoal) pair in a drawn order, a
+    fresh table's per-set counts give the inputs of a brute-force scan:
+    the smallest distinct count over the left set's holders of each
+    variable, divided in the right subgoal's variable order."""
+    catalog, body = _random_body(seed, data)
+    distinct = [_atom_distinct(catalog, atom) for atom in body]
+    n = len(body)
+    pairs = list(itertools.product(range(1, 1 << n), range(n)))
+    random.Random(data.draw(st.integers(0, 2**32 - 1))).shuffle(pairs)
+    table = JoinTable(catalog, body)
+    for left, right in pairs:
+        rf, shared = 1.0, []
+        for var, d_right in distinct[right].items():
+            holders = [
+                distinct[i][var] for i in range(n)
+                if left >> i & 1 and var in distinct[i]
+            ]
+            if holders:
+                rf /= max(min(holders), d_right)
+                shared.append(var)
+        inst_cost = predicate_estimate(catalog, body[right], set(shared)).cost
+        assert table.inputs(left, right) == (rf, inst_cost), (left, right)
+
+
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_join_is_extend_as_an_estimate(seed, data):
+    """`join` returns `extend`'s numbers and strategy under every
+    non-empty subset of the strategies."""
+    catalog, body = _random_body(seed, data)
+    n = len(body)
+    table = JoinTable(catalog, body)
+    left = data.draw(st.integers(1, (1 << n) - 1))
+    right = data.draw(st.integers(0, n - 1))
+    number = st.floats(0, 1e9, allow_nan=False)
+    cost, card = data.draw(number), data.draw(number)
+    every = default_strategies(block_size=3)
+    for size in range(1, len(every) + 1):
+        for strategies in itertools.combinations(every, size):
+            got_cost, got_card, strategy = table.extend(
+                cost, card, left, right, strategies
+            )
+            assert table.join(Estimate(cost, card), left, right, strategies) == (
+                Estimate(got_cost, got_card), strategy
+            )

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dobquery import (
@@ -17,13 +17,13 @@ from dobquery import (
     solve_sequence,
     uniform_plan,
 )
-from dobquery.engine import Counters, compile_query, evaluate
+from dobquery.engine import Answers, Counters, compile_query, evaluate
 from dobquery.executor import _equi_join
 from dobquery.model import (
     BUILTIN_SCHEMA, EOB_PREDICATES, IOB_PREDICATES, ArgDomain, Atom, Query,
     Term,
 )
-from dobquery.optimizer import plan_for_order
+from dobquery.optimizer import OptimizerError, plan_for_order
 from dobquery.store import OntologyBase, SymbolTable, _getter
 from conftest import (
     binding_patterns, execute_all_strategies, random_base, random_query,
@@ -122,6 +122,45 @@ def test_uniform_plan_has_no_estimate(cars_base, cars_exact_catalog):
         estimated, cars_exact_catalog
     )
     assert execute(cars_base, plan) == execute(cars_base, estimated)
+
+
+@pytest.mark.parametrize("order", [(0, 1), (0, 0, 1), (0, 1, 2, 3)])
+def test_uniform_plan_refuses_a_non_permutation(order):
+    query = parse_query(
+        "q(O):-areClasses(C,O),isDProperty(traction,C),isClass(C,O)."
+    )
+    with pytest.raises(
+        OptimizerError, match="is not a permutation of the 3 body positions"
+    ):
+        uniform_plan(query, _NLJ, order)
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 4), st.data())
+def test_answer_rows_are_the_sorted_distinct_projection(width, data):
+    """The answer rows of distinct substitutions are the sorted distinct
+    head projections, whether the head keeps every variable (in any
+    order), drops some, repeats one or holds constants."""
+    substs = data.draw(st.lists(
+        st.tuples(*[st.integers(0, 1)] * width), unique=True
+    ))
+    names = [f"V{i}" for i in range(width)]
+    var_slot = dict(zip(names, data.draw(st.permutations(range(width)))))
+    if not names or data.draw(st.booleans()):
+        args = data.draw(st.permutations(names))
+    else:
+        args = data.draw(st.lists(st.sampled_from(names), unique=True))
+    if args and data.draw(st.booleans()):
+        args.append(data.draw(st.sampled_from(args)))
+    for _ in range(data.draw(st.integers(0 if args else 1, 2))):
+        args.insert(data.draw(st.integers(0, len(args))), "k")
+    head = Atom("q", tuple(
+        Term.const(a) if a == "k" else Term.var(a) for a in args
+    ))
+    slots = [var_slot[t.value] for t in head.args if t.is_var]
+    assert Answers.of(None, head, var_slot, substs).rows == tuple(
+        sorted(set(map(_getter(slots), substs)))
+    )
 
 
 def test_cross_product_step(cars_base):

@@ -22,6 +22,7 @@ from dobquery import (
     parse_query,
     plan_estimate,
 )
+from dobquery import costmodel
 from dobquery.costmodel import JoinTable
 from dobquery.model import Atom, BUILTIN_SCHEMA, PredicateKind, Query, Term
 from dobquery.optimizer import (
@@ -102,6 +103,57 @@ def test_exhaustive_count_and_bound(cars_exact_catalog):
         f"capped at {MAX_EXHAUSTIVE_SUBGOALS} subgoals"
     )):
         exhaustive_orderings(parse_query(f"q(C0):-{body}."), cars_exact_catalog)
+
+
+@pytest.mark.parametrize("order", [(0, 1), (0, 0, 1), (0, 1, 2, 3)])
+def test_plan_for_order_refuses_a_non_permutation(cars_exact_catalog, order):
+    """Too short, repeated and out-of-range orders of a 3-subgoal body are
+    refused with the order and the body size, not planned or indexed."""
+    q = parse_query(
+        "q(O):-areClasses(C,O),isDProperty(traction,C),isClass(C,O)."
+    )
+    with pytest.raises(OptimizerError, match=(
+        rf"order \({', '.join(map(str, order))}\) is not a permutation "
+        "of the 3 body positions"
+    )):
+        plan_for_order(q, cars_exact_catalog, order)
+
+
+@pytest.mark.parametrize("shape", ["chain", "star"])
+@pytest.mark.parametrize("subgoals", range(3, 9))
+def test_optimize_costs_each_instantiation_once(monkeypatch, shape, subgoals):
+    """`optimize` asks the catalog for each subgoal's constant-only estimate
+    and then once per distinct (right subgoal, shared variables) pair of
+    the DP, however many left sets share them. A count, not a timing."""
+    base, queries = generate_synthetic(SynthConfig(
+        seed=0, query_subgoals=subgoals,
+        chain_queries=int(shape == "chain"), star_queries=int(shape == "star"),
+    ))
+    catalog = build_catalog(base, SamplingConfig())
+    calls = []
+    counted = costmodel.predicate_estimate
+
+    def counting(*args):
+        calls.append(args)
+        return counted(*args)
+
+    monkeypatch.setattr(costmodel, "predicate_estimate", counting)
+    assert queries
+    for query in queries:
+        body = query.body
+        n = len(body)
+        variables = [set(atom.variables) for atom in body]
+        pairs = set()
+        for left in range(1, 1 << n):
+            covered = set().union(*(
+                variables[i] for i in range(n) if left >> i & 1
+            ))
+            for right in range(n):
+                if not left >> right & 1:
+                    pairs.add((right, frozenset(variables[right] & covered)))
+        calls.clear()
+        optimize(query, catalog)
+        assert len(calls) <= n + len(pairs), query
 
 
 def _random_catalog(rng):

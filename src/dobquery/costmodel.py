@@ -248,6 +248,8 @@ def nested_loop_cost(left_cost: float, left_card: float, inst_cost: float) -> fl
 def block_nested_loop_cost(
     left_cost: float, left_card: float, right_cost: float, block_size: int
 ) -> float:
+    if left_card == math.inf:  # `math.ceil` cannot round an infinity
+        return math.inf
     return left_cost + math.ceil(left_card / block_size) * right_cost
 
 

@@ -80,9 +80,10 @@ from __future__ import annotations
 
 import linecache
 import sys
-from collections.abc import Iterator
+from collections.abc import Collection, Iterator
 from dataclasses import dataclass
 from functools import cache
+from itertools import chain
 from typing import Callable, NamedTuple
 
 from .model import (
@@ -106,7 +107,8 @@ DEFAULT_MAX_TABLE_ENTRIES = 1_000_000
 
 
 class EngineLimitError(DobError):
-    """The tabling store exceeded its configured entry cap."""
+    """The tabling store exceeded its entry cap, or a plan step's batch
+    its row limit (`executor.MAX_BATCH_ROWS`)."""
 
 
 @dataclass
@@ -123,16 +125,20 @@ class Answers:
     """The distinct instantiations of a head, built on demand.
 
     Holds one id row per answer (the interned id at each variable
-    position of the head), sorted by id. `len()` and equality with
-    another `Answers` of the same symbol table and head read only the
-    rows; iteration builds the `Atom`s, in the order of their text.
+    position of the head), unsorted until first read. `len()` reads only
+    the collection; `rows` sorts it by id once and keeps that tuple, and
+    equality with another `Answers` of the same symbol table and head
+    compares those. Iteration builds the `Atom`s, in the order of their
+    text, from one shared `Term` per constant.
     """
 
-    __slots__ = ("rows", "symbols", "head")
+    __slots__ = ("_rows", "_sorted", "symbols", "head")
     __hash__ = None
 
-    def __init__(self, rows: tuple[tuple[int, ...], ...], symbols, head: Atom):
-        self.rows = rows
+    def __init__(self, rows: Collection[tuple[int, ...]], symbols, head: Atom):
+        """`rows` holds the distinct id rows in any order."""
+        self._rows = rows
+        self._sorted: tuple[tuple[int, ...], ...] | None = None
         self.symbols = symbols
         self.head = head
 
@@ -140,33 +146,42 @@ class Answers:
     def of(cls, symbols, head: Atom, var_slot: dict[str, int], substs):
         """The answers `head` takes over complete substitutions `substs`,
         whose variables sit at the slots of `var_slot`."""
-        rows: tuple[tuple[int, ...], ...] = ()
+        rows: list | set = []
         if substs:
             slots = [var_slot[t.value] for t in head.args if t.is_var]
             projected = map(_getter(slots), substs)
             # Substitutions are distinct (test_evaluated_rows_are_distinct),
-            # so a head that keeps every slot projects no two alike; its
-            # list is sorted as it comes, which keeps the sorted runs a set
-            # would scramble.
+            # so a head that keeps every slot projects no two alike.
             if len(set(slots)) < len(var_slot):
-                projected = set(projected)
-            rows = tuple(sorted(projected))
+                rows = set(projected)
+            else:
+                rows = list(projected)
         return cls(rows, symbols, head)
 
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The id rows, sorted by id once, when first read."""
+        if self._sorted is None:
+            self._sorted = self._rows = tuple(sorted(self._rows))
+        return self._sorted
+
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[Atom]:
         head = self.head
+        rows = self._rows
         text = self.symbols.text
-        term = {v: Term.const(text(v)) for row in self.rows for v in row}
-        # Ranking each id by its text sorts the answers as their text
-        # would: an argument is followed by `,` or `)`, which sort below
-        # every character that may continue an unquoted constant, and
-        # quoted constants are prefix-free.
-        by_text = sorted(term, key=lambda v: str(term[v]))
-        rank = {v: i for i, v in enumerate(by_text)}
-        ranked = [term[v] for v in by_text]
+        # One `Term` per distinct id of the rows. Ranking each id by its
+        # text sorts the answers as their text would: an argument is
+        # followed by `,` or `)`, which sort below every character that
+        # may continue an unquoted constant, and quoted constants are
+        # prefix-free.
+        ids = set(chain.from_iterable(rows))
+        terms = {v: Term.const(text(v)) for v in ids}
+        by_text = sorted(terms, key=lambda v: str(terms[v]))
+        rank = dict(zip(by_text, range(len(by_text)))).__getitem__
+        term = list(map(terms.__getitem__, by_text)).__getitem__
         # `arrange(values + head constants)` is in head argument order.
         head_consts = tuple(t for t in head.args if not t.is_var)
         n_vars = len(head.args) - len(head_consts)
@@ -175,10 +190,9 @@ class Answers:
         arrange = _getter([
             next(var_at) if t.is_var else next(const_at) for t in head.args
         ])
-        key = rank.__getitem__
-        for ranks in sorted(tuple(map(key, row)) for row in self.rows):
-            values = tuple(map(ranked.__getitem__, ranks))
-            yield Atom(head.predicate, arrange(values + head_consts))
+        pred = head.predicate
+        for ranks in sorted(tuple(map(rank, row)) for row in rows):
+            yield Atom(pred, arrange(tuple(map(term, ranks)) + head_consts))
 
     def __eq__(self, other) -> bool:
         if (isinstance(other, Answers) and other.symbols is self.symbols

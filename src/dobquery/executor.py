@@ -18,19 +18,29 @@ it at once. A step that binds no new variable is a semi-join: it keeps
 the table's key set and filters the block by it. The batch keeps its
 order and every block is still solved and counted, so the counters do
 not depend on how a block is probed.
+No step's batch may pass `MAX_BATCH_ROWS` rows: an equi-join step adds
+up the table rows each block's keys match before it builds the block,
+and a nested-loop step runs its batch in slices and checks between
+them, so it may build one slice's output past the limit; past the
+limit, execution raises `EngineLimitError`. A semi-join cannot grow the
+batch, so it needs no check. The limit is on the batch, which keeps
+every variable, not on the answers: a head of few variables over a big
+batch is refused too.
 Execution ends with the engine's `Answers` of the query head and an
 `EvaluationResult` with per-step counters, as `solve` does.
 """
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import compress, repeat
 from operator import itemgetter
 
 from .costmodel import JoinMethod, JoinStrategy
 from .engine import (
     Answers,
+    DEFAULT_MAX_TABLE_ENTRIES,
     Counters,
+    EngineLimitError,
     EvaluationResult,
     MemoTable,
     compile_query,
@@ -40,9 +50,45 @@ from .model import Query
 from .optimizer import Plan, checked_order
 from .store import _getter
 
+# Most substitutions a step's batch may hold; read at call time.
+MAX_BATCH_ROWS = DEFAULT_MAX_TABLE_ENTRIES
+# Substitutions per `evaluate` call of a nested-loop step, between which
+# the step checks its batch against `MAX_BATCH_ROWS`.
+NESTED_LOOP_SLICE = 1024
 
-def _equi_join(base, memo, counters, atom, block_size, batch, var_slot):
-    """Join `batch` with the atom's answers, solving it once per block."""
+
+def _check_batch(step, atom, rows):
+    """Refuse a batch of `rows` rows at plan step `step` (from 1) past
+    `MAX_BATCH_ROWS`."""
+    if rows > MAX_BATCH_ROWS:
+        raise EngineLimitError(
+            f"plan step {step} ({atom}) makes at least {rows} rows, over "
+            f"the batch limit of {MAX_BATCH_ROWS}"
+        )
+
+
+def _nested_loop(base, memo, counters, atom, batch, var_slot, step):
+    """Extend `batch` by the atom's compiled step, one slice at a time.
+
+    `evaluate` runs a step substitution by substitution, so the slices
+    make the memo calls of the whole batch, in the same order."""
+    steps = compile_query(memo, [atom], var_slot)
+    size = NESTED_LOOP_SLICE
+    out: list[tuple] = []
+    for start in range(0, len(batch), size):
+        part = batch if size >= len(batch) else batch[start : start + size]
+        rows = evaluate(base, memo, counters, steps, part)
+        if start:
+            out += rows
+        else:  # one slice's result is the step's, not copied
+            out = rows
+        _check_batch(step, atom, len(out))
+    return out
+
+
+def _equi_join(base, memo, counters, atom, block_size, batch, var_slot, step):
+    """Join `batch` with the atom's answers, solving it once per block;
+    `step` is the plan step (from 1) that the batch limit's error names."""
     own: dict[str, int] = {}
     steps = compile_query(memo, [atom], own)
     shared = [v for v in own if v in var_slot]
@@ -75,8 +121,11 @@ def _equi_join(base, memo, counters, atom, block_size, batch, var_slot):
             else batch[start : start + block_size]
         )
         if ext:
-            joined = [s + r for s in block for r in get(subst_key(s), ())]
-        else:
+            # size the block's output before building it
+            matches = list(map(get, map(subst_key, block), repeat(())))
+            _check_batch(step, atom, len(out) + sum(map(len, matches)))
+            joined = [s + r for s, rs in zip(block, matches) for r in rs]
+        else:  # a semi-join cannot grow the batch
             joined = list(compress(block, map(has, map(subst_key, block))))
         if start:
             out += joined
@@ -86,7 +135,10 @@ def _equi_join(base, memo, counters, atom, block_size, batch, var_slot):
 
 
 def execute(base, plan: Plan) -> EvaluationResult:
-    """Evaluate the plan's ordering with its per-step strategies."""
+    """Evaluate the plan's ordering with its per-step strategies.
+
+    A step whose batch would pass `MAX_BATCH_ROWS` substitutions raises
+    `EngineLimitError` naming the step, its atom and the limit."""
     memo = MemoTable()
     memo.bind(base)
     total = Counters()
@@ -94,21 +146,26 @@ def execute(base, plan: Plan) -> EvaluationResult:
     var_slot: dict[str, int] = {}
     batch: list[tuple] = [()]
     first = JoinStrategy(JoinMethod.NESTED_LOOP)
-    for atom, strategy in zip(plan.atoms, (first, *plan.strategies)):
+    for step, (atom, strategy) in enumerate(
+        zip(plan.atoms, (first, *plan.strategies)), start=1
+    ):
         if not batch:
             per_step.append(Counters())
             continue
         inferred0, eob0 = total.inferred_facts, total.eob_accesses
         if strategy.method is JoinMethod.NESTED_LOOP:
-            steps = compile_query(memo, [atom], var_slot)
-            batch = evaluate(base, memo, total, steps, batch)
+            batch = _nested_loop(
+                base, memo, total, atom, batch, var_slot, step
+            )
         else:
             size = (
                 strategy.block_size
                 if strategy.method is JoinMethod.BLOCK_NESTED_LOOP
                 else len(batch)
             )
-            batch = _equi_join(base, memo, total, atom, size, batch, var_slot)
+            batch = _equi_join(
+                base, memo, total, atom, size, batch, var_slot, step
+            )
         per_step.append(
             Counters(
                 total.inferred_facts - inferred0, total.eob_accesses - eob0

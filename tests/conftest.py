@@ -11,18 +11,34 @@ from dobquery import (
     OntologyBase,
     PredicateKind,
     Query,
+    SamplingConfig,
     SchemaError,
+    SynthConfig,
+    build_catalog,
     build_exact_catalog,
     builtin_iob_program,
     execute,
+    generate_synthetic,
     parse_atom,
     parse_dob,
+    parse_query,
     uniform_plan,
 )
 from dobquery.engine import EvaluationResult
 from dobquery.model import BUILTIN_SCHEMA, Term, schema_for
 
 DATA_DIR = Path(__file__).parent / "data"
+
+# The benchmark's serve star query whose last join makes 2,424,832 rows.
+SERVE_Q17 = parse_query(
+    "q17(Z0,X,Z1,Z2,Z3,Z4,Z5) :- areClasses(Z0,X), areImpOntologies(X,Z1),"
+    " areImpOntologies(X,Z2), isClass(Z3,X), isClass(Z4,X),"
+    " areClasses(Z5,X)."
+)
+# A star whose prefix cardinality estimate overflows to infinity.
+STAR_400 = parse_query(
+    "q(X) :- " + ", ".join(f"isClass(Z{i},X)" for i in range(400)) + "."
+)
 
 
 def load_cars_base() -> OntologyBase:
@@ -38,6 +54,27 @@ def cars_base() -> OntologyBase:
 @pytest.fixture(scope="session")
 def cars_exact_catalog(cars_base):
     return build_exact_catalog(cars_base)
+
+
+@pytest.fixture(scope="session")
+def serve_base() -> OntologyBase:
+    """The benchmark's serve base: every population count of the default
+    generator settings times 4, corpus seed 0, no queries."""
+    d = SynthConfig()
+    scaled = {name: getattr(d, name) * 4 for name in (
+        "ontologies", "subclass_edges", "object_properties",
+        "datatype_properties", "transitive_properties", "individuals",
+        "statements", "import_edges",
+    )}
+    config = SynthConfig(
+        **scaled, seed=0, chain_queries=0, star_queries=0
+    )
+    return generate_synthetic(config)[0]
+
+
+@pytest.fixture(scope="session")
+def serve_catalog(serve_base):
+    return build_catalog(serve_base, SamplingConfig())
 
 
 @pytest.fixture

@@ -19,6 +19,7 @@ from dobquery.bench import (
     write_correlation_csv,
     write_ratio_csv,
 )
+from dobquery.engine import Answers
 from dobquery.store import SymbolTable
 from conftest import refuse_text
 
@@ -157,5 +158,21 @@ def test_experiments_build_no_text(tiny_corpus, monkeypatch):
     corr = run_correlation(
         bases, queries, SamplingConfig(seed=1), catalogs=catalogs
     )
+    assert len(ratio.ratios) == 2
+    assert len(corr.rows) == 2 * math.factorial(3)
+
+
+def _refuse_answers(*_args):
+    raise AssertionError("answers read")
+
+
+def test_experiments_read_no_answers(tiny_corpus, monkeypatch):
+    """The harness and its catalogs count answers but never sort or
+    iterate them."""
+    bases, queries = tiny_corpus
+    monkeypatch.setattr(Answers, "rows", property(_refuse_answers))
+    monkeypatch.setattr(Answers, "__iter__", _refuse_answers)
+    ratio = run_ratio(bases, queries, SamplingConfig(seed=1))
+    corr = run_correlation(bases, queries, SamplingConfig(seed=1))
     assert len(ratio.ratios) == 2
     assert len(corr.rows) == 2 * math.factorial(3)

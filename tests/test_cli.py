@@ -3,8 +3,10 @@ from pathlib import Path
 
 import pytest
 
+from dobquery import render_dob, save_catalog
 from dobquery.cli import cli_main
 from dobquery.optimizer import MAX_OPTIMIZE_SUBGOALS
+from conftest import SERVE_Q17, STAR_400
 
 DATA = Path(__file__).parent / "data"
 
@@ -270,6 +272,36 @@ def test_query_deep_chain_hits_table_cap_cleanly(workspace, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "tabling store exceeded 1000000 entries" in err
+    assert "Traceback" not in err
+
+
+@pytest.fixture()
+def serve_workspace(tmp_path, serve_base, serve_catalog):
+    """The benchmark's serve base and catalog, as files."""
+    dob = tmp_path / "serve.dob"
+    dob.write_text(render_dob(serve_base.facts()), encoding="utf-8")
+    catalog = tmp_path / "serve.cat"
+    save_catalog(serve_catalog, catalog)
+    return dob, catalog
+
+
+@pytest.mark.parametrize("query, flags", [
+    (str(SERVE_Q17), []),
+    (str(STAR_400), ["--no-optimize"]),
+], ids=["q17", "star400"])
+def test_query_past_the_batch_limit_is_a_data_error(
+    serve_workspace, capsys, query, flags
+):
+    """A plan step whose batch would pass 1,000,000 rows stops the query
+    with exit 2 and a message naming the limit, before any answer."""
+    dob, catalog = serve_workspace
+    code, out, err = run(
+        capsys, "query", str(dob), "--catalog", str(catalog), "-q", query,
+        *flags,
+    )
+    assert code == 2
+    assert out == ""
+    assert "over the batch limit of 1000000" in err
     assert "Traceback" not in err
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -25,6 +26,7 @@ from dobquery.costmodel import (
     join_cardinality,
     nested_loop_cost,
 )
+from dobquery.optimizer import plan_for_order
 from dobquery.stats import (
     BindingPattern,
     EobStats,
@@ -33,7 +35,7 @@ from dobquery.stats import (
     all_patterns,
     build_exact_catalog,
 )
-from conftest import random_base, random_query
+from conftest import STAR_400, random_base, random_query
 
 
 def _manual_catalog():
@@ -53,6 +55,20 @@ def test_join_cost_formulas():
     assert block_nested_loop_cost(3.0, 10.0, 5.0, 4) == 18.0
     assert hash_join_cost(5.0, 7.0) == 12.0
     assert join_cardinality(12.0, 1.0, 0.25) == 3.0
+
+
+def test_block_nested_loop_cost_of_an_infinite_prefix_is_infinite():
+    assert block_nested_loop_cost(3.0, math.inf, 5.0, 32) == math.inf
+
+
+def test_written_order_of_a_long_star_costs_every_strategy(serve_catalog):
+    """The prefix cardinality of a 400-subgoal star overflows to infinity
+    on the serve catalog; each strategy is still costed, not refused."""
+    plan = plan_for_order(
+        STAR_400, serve_catalog, range(400), default_strategies()
+    )
+    assert plan.estimate.cardinality == math.inf
+    assert len(plan.strategies) == 399
 
 
 def test_block_size_validation():

@@ -1,10 +1,13 @@
 import random
+import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dobquery import (
+    EngineLimitError,
     JoinMethod,
     JoinStrategy,
     MemoTable,
@@ -18,7 +21,8 @@ from dobquery import (
     uniform_plan,
 )
 from dobquery.engine import Answers, Counters, compile_query, evaluate
-from dobquery.executor import _equi_join
+from dobquery import executor
+from dobquery.executor import _equi_join, _nested_loop
 from dobquery.model import (
     BUILTIN_SCHEMA, EOB_PREDICATES, IOB_PREDICATES, ArgDomain, Atom, Query,
     Term,
@@ -26,8 +30,8 @@ from dobquery.model import (
 from dobquery.optimizer import OptimizerError, plan_for_order
 from dobquery.store import OntologyBase, SymbolTable, _getter
 from conftest import (
-    binding_patterns, execute_all_strategies, random_base, random_query,
-    refuse_text,
+    SERVE_Q17, binding_patterns, execute_all_strategies, random_base,
+    random_query, refuse_text,
 )
 
 CARS_Q = "q(O):-areClasses(C,O),isDProperty(traction,C)."
@@ -439,10 +443,11 @@ def test_answers_iterate_in_text_order(seed, data):
 
 
 def _reference_equi_join(
-    base, memo, counters, atom, block_size, batch, var_slot
+    base, memo, counters, atom, block_size, batch, var_slot, step
 ):
     """The equi-join probing one substitution at a time, each against a
-    hash table keyed by tuples: the reference for `_equi_join`."""
+    hash table keyed by tuples: the reference for `_equi_join`. It has no
+    batch limit, so it ignores the plan step `step`."""
     own: dict[str, int] = {}
     steps = compile_query(memo, [atom], own)
     shared = [v for v in own if v in var_slot]
@@ -478,7 +483,7 @@ def _assert_joins_agree(base, prefix, atom, block_sizes):
             var_slot: dict[str, int] = {}
             steps = compile_query(memo, prefix, var_slot)
             batch = evaluate(base, memo, counters, steps, [()])
-            out = join(base, memo, counters, atom, size, batch, var_slot)
+            out = join(base, memo, counters, atom, size, batch, var_slot, 2)
             runs.append((out, counters, var_slot))
         assert runs[0] == runs[1], (prefix, atom, size)
 
@@ -566,3 +571,190 @@ def test_evaluated_rows_are_distinct(seed, data):
         steps = compile_query(memo, [atom], {})
         rows = evaluate(base, memo, Counters(), steps, [()])
         assert len(set(rows)) == len(rows), atom
+
+
+def test_serve_star_query_stops_at_the_batch_limit(serve_base, serve_catalog):
+    """The serve star query's last hash join would make 2,424,832 rows;
+    it is sized before it is built and refused well within a second."""
+    plan = optimize(SERVE_Q17, serve_catalog)
+    start = time.perf_counter()
+    with pytest.raises(EngineLimitError) as err:
+        execute(serve_base, plan)
+    assert time.perf_counter() - start < 5
+    assert "2424832 rows, over the batch limit of 1000000" in str(err.value)
+
+
+def test_batch_limit_refuses_a_small_head_over_a_big_batch(
+    serve_base, serve_catalog
+):
+    """The limit is on the batch, not the answers: the serve star query's
+    body with a head of one variable has 6 answers, but every variable
+    stays in the batch until the head is projected, so it is refused at
+    the same step."""
+    query = Query(parse_atom("q(X)"), SERVE_Q17.body)
+    with pytest.raises(EngineLimitError, match="2424832 rows"):
+        execute(serve_base, optimize(query, serve_catalog))
+
+
+def test_nested_loop_cross_product_overshoots_by_at_most_one_slice(
+    serve_base, monkeypatch
+):
+    """A nested-loop step checks its batch between slices, so a cross
+    product builds one slice's whole output, the slice's substitutions
+    times the atom's rows, before it is refused."""
+    n = len(serve_base.rows("isClass"))
+    query = parse_query("q(C,O,D,P) :- isClass(C,O), isClass(D,P).")
+    plan = uniform_plan(query, JoinStrategy(JoinMethod.NESTED_LOOP))
+    monkeypatch.setattr(executor, "NESTED_LOOP_SLICE", 7)
+    limit = 10 * n + 1
+    monkeypatch.setattr(executor, "MAX_BATCH_ROWS", limit)
+    with pytest.raises(EngineLimitError) as err:
+        execute(serve_base, plan)
+    assert f"makes at least {14 * n} rows" in str(err.value)
+    assert 14 * n - limit < 7 * n
+
+
+@pytest.mark.parametrize("strategy", [
+    JoinStrategy(JoinMethod.NESTED_LOOP),
+    JoinStrategy(JoinMethod.BLOCK_NESTED_LOOP, 32),
+    JoinStrategy(JoinMethod.HASH_JOIN),
+])
+def test_batch_limit_per_strategy(serve_base, monkeypatch, strategy):
+    """A plan whose last step makes one row more than the batch limit
+    raises, naming the step, its atom and the limit; at the limit it
+    returns. Blocks and slices are smaller than the batch."""
+    query = parse_query("q(C,D,O) :- isClass(C,O), isClass(D,O).")
+    plan = uniform_plan(query, strategy)
+    rows = len(execute(serve_base, plan).answers)
+    assert rows > len(serve_base.rows("isClass")) > 32
+    monkeypatch.setattr(executor, "NESTED_LOOP_SLICE", 7)
+    monkeypatch.setattr(executor, "MAX_BATCH_ROWS", rows)
+    assert len(execute(serve_base, plan).answers) == rows
+    monkeypatch.setattr(executor, "MAX_BATCH_ROWS", rows - 1)
+    with pytest.raises(EngineLimitError, match=(
+        rf"plan step 2 \(isClass\(D,O\)\) makes at least \d+ rows, over the"
+        rf" batch limit of {rows - 1}$"
+    )):
+        execute(serve_base, plan)
+
+
+def _nested_loop_batches(base, body):
+    """The batch and counters after each nested-loop step of `body`."""
+    memo = MemoTable()
+    memo.bind(base)
+    counters = Counters()
+    var_slot: dict[str, int] = {}
+    batch: list[tuple] = [()]
+    out = []
+    for step, atom in enumerate(body, start=1):
+        batch = _nested_loop(
+            base, memo, counters, atom, batch, var_slot, step
+        )
+        out.append((batch, counters.inferred_facts, counters.eob_accesses))
+    return out
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_nested_loop_slices_match_the_whole_batch(seed):
+    """A nested-loop step over slices of 1, 2 or 7 substitutions makes the
+    batch, counters and answers of one `evaluate` over the whole batch."""
+    rng = random.Random(seed)
+    base = random_base(rng, max_facts=120)
+    query = random_query(rng, base)
+    plan = uniform_plan(query, JoinStrategy(JoinMethod.NESTED_LOOP))
+    runs = []
+    for size in (sys.maxsize, 1, 2, 7):  # the first never slices
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(executor, "NESTED_LOOP_SLICE", size)
+            batches = _nested_loop_batches(base, query.body)
+            report = execute(base, plan)
+        runs.append((
+            batches, report.per_step, report.answers.rows,
+            list(report.answers),
+        ))
+    assert all(run == runs[0] for run in runs[1:])
+
+
+def _eager_rows(head, var_slot, substs):
+    """The sorted distinct head projections, as `Answers.of` built them
+    before answers were sorted on first read."""
+    rows: tuple = ()
+    if substs:
+        slots = [var_slot[t.value] for t in head.args if t.is_var]
+        projected = map(_getter(slots), substs)
+        if len(set(slots)) < len(var_slot):
+            projected = set(projected)
+        rows = tuple(sorted(projected))
+    return rows
+
+
+def _eager_atoms(symbols, head, rows):
+    """The answer atoms in text order, as `Answers.__iter__` built them
+    from rows sorted by id."""
+    text = symbols.text
+    term = {v: Term.const(text(v)) for row in rows for v in row}
+    by_text = sorted(term, key=lambda v: str(term[v]))
+    rank = {v: i for i, v in enumerate(by_text)}
+    ranked = [term[v] for v in by_text]
+    head_consts = tuple(t for t in head.args if not t.is_var)
+    n_vars = len(head.args) - len(head_consts)
+    var_at = iter(range(n_vars))
+    const_at = iter(range(n_vars, len(head.args)))
+    arrange = _getter([
+        next(var_at) if t.is_var else next(const_at) for t in head.args
+    ])
+    key = rank.__getitem__
+    return [
+        Atom(head.predicate, arrange(
+            tuple(map(ranked.__getitem__, ranks)) + head_consts
+        ))
+        for ranks in sorted(tuple(map(key, row)) for row in rows)
+    ]
+
+
+def _assert_answers_match_eager(base, head, var_slot, substs):
+    answers = Answers.of(base.symbols, head, var_slot, substs)
+    rows = _eager_rows(head, var_slot, substs)
+    atoms = _eager_atoms(base.symbols, head, rows)
+    assert len(answers) == len(rows)
+    assert list(answers) == atoms
+    assert answers == Answers.of(base.symbols, head, var_slot, substs[::-1])
+    assert answers == atoms
+    assert answers.rows == rows
+    assert len(answers) == len(rows)
+    assert list(answers) == atoms
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 4), st.data())
+def test_answers_read_by_need_match_the_eager_answers(width, data):
+    """Answers sorted when first read have the rows, length, equality and
+    iteration order of the eager ones, for heads that keep every variable,
+    drop some, repeat one or hold constants, and again once the base has
+    interned new constants, which sort among the old ones."""
+    base = OntologyBase()
+
+    def substs():
+        for text in data.draw(st.lists(_TEXTS, min_size=1, max_size=6)):
+            base.assert_fact(Atom("isOntology", (Term.const(text),)))
+        ids = st.integers(0, len(base.symbols) - 1)
+        return data.draw(st.lists(st.tuples(*[ids] * width), unique=True))
+
+    names = [f"V{i}" for i in range(width)]
+    var_slot = dict(zip(names, data.draw(st.permutations(range(width)))))
+    if data.draw(st.booleans()):
+        args = data.draw(st.permutations(names))
+    else:
+        args = data.draw(st.lists(st.sampled_from(names), unique=True))
+    if args and data.draw(st.booleans()):
+        args.append(data.draw(st.sampled_from(args)))
+    for _ in range(data.draw(st.integers(0 if args else 1, 2))):
+        args.insert(data.draw(st.integers(0, len(args))), "'k'")
+    head = Atom("q", tuple(
+        Term.const(a) if a == "'k'" else Term.var(a) for a in args
+    ))
+    first = substs()
+    _assert_answers_match_eager(base, head, var_slot, first)
+    second = substs()
+    _assert_answers_match_eager(base, head, var_slot, first)
+    _assert_answers_match_eager(base, head, var_slot, second)

@@ -207,6 +207,8 @@ def compare_strategy_sets(
         opt_all = execute(base, optimize(query, catalog, combined)).actual_cost
         nlj_ratios.append(opt_nlj / worst if worst else 1.0)
         combined_ratios.append(opt_all / worst if worst else 1.0)
+    if not nlj_ratios:
+        raise BenchError("compare_strategy_sets needs at least one query")
     return {
         "nlj_mean_ratio": sum(nlj_ratios) / len(nlj_ratios),
         "combined_mean_ratio": sum(combined_ratios) / len(combined_ratios),

@@ -65,7 +65,9 @@ turns query atoms into steps, interning their constants through a memo,
 and `evaluate` runs steps on a batch of substitutions. `solve`,
 `solve_sequence` and the executor are built on these two, and `solve`
 and the executor return one `EvaluationResult` whose `Answers` hold the
-distinct head id rows and build text only when iterated.
+distinct head id rows and build text only when iterated. One bound
+holds for all of them: each step is sized before it is built and refused
+past `MAX_BATCH_ROWS` substitutions (`check_batch`).
 
 Two work counters are carried through evaluation:
   * inferred facts  - one per distinct answer added to a table; a memo
@@ -99,7 +101,10 @@ from .store import OntologyBase, _getter, _same_rows
 
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
 
-DEFAULT_MAX_TABLE_ENTRIES = 1_000_000
+# Most answers a memo's tables may hold in all, and most substitutions
+# an evaluation step may make; both are read at call time.
+MAX_TABLE_ENTRIES = 1_000_000
+MAX_BATCH_ROWS = 1_000_000
 
 # Internal argument encoding: int = interned constant id, str = variable.
 # Canonical call patterns use reserved '?<n>' variables, numbered by first
@@ -107,8 +112,18 @@ DEFAULT_MAX_TABLE_ENTRIES = 1_000_000
 
 
 class EngineLimitError(DobError):
-    """The tabling store exceeded its entry cap, or a plan step's batch
-    its row limit (`executor.MAX_BATCH_ROWS`)."""
+    """The tabling store would pass `MAX_TABLE_ENTRIES` answers, or an
+    evaluation step `MAX_BATCH_ROWS` substitutions."""
+
+
+def check_batch(atom, rows: int):
+    """Refuse a step of `atom` that makes `rows` substitutions, past
+    `MAX_BATCH_ROWS`, before it builds them."""
+    if rows > MAX_BATCH_ROWS:
+        raise EngineLimitError(
+            f"{atom} makes at least {rows} rows, over the batch limit of"
+            f" {MAX_BATCH_ROWS}"
+        )
 
 
 @dataclass
@@ -240,9 +255,11 @@ class _Step:
     variables: the key of the base's probe `access`, (pred, those
     positions). EOB only: `new(row)` holds the values of the variables
     the atom binds, in slot order, and `same` pairs the row positions of
-    the atom's repeated free variables.
+    the atom's repeated free variables. `atom` is the query atom, which
+    the batch limit's error names.
     """
 
+    atom: Atom
     pred: str
     eob: bool
     extras: tuple
@@ -271,7 +288,7 @@ class _Scan(NamedTuple):
 
 def _scan(args, bound_vars) -> _Scan:
     """Scan `args` (int = constant id, str = variable) against the
-    variables in `bound_vars`. Both `_compile_body` and the rule kernels
+    variables in `bound_vars`. Both `compile_query` and the rule kernels
     (`_kernel_source`) build their code from this one analysis."""
     bound: list[int] = []
     new: list[int] = []
@@ -290,38 +307,6 @@ def _scan(args, bound_vars) -> _Scan:
             new.append(pos)
             shape.append(f"?{len(new) - 1}")
     return _Scan(tuple(bound), tuple(new), tuple(same), tuple(shape))
-
-
-def _compile_body(body, var_slot: dict[str, int]) -> tuple[_Step, ...]:
-    """Compile (pred, args, is_eob) atoms for left-to-right evaluation.
-
-    `var_slot` maps the variables bound before the first atom to their
-    slots; it is extended in place with each variable the body binds.
-    """
-    steps = []
-    for pred, args, eob in body:
-        scan = _scan(args, var_slot)
-        n = len(var_slot)
-        # an EOB step reads its bound positions; an IOB step its whole
-        # call, constants and placeholders appended to the substitution
-        index: list[int] = []
-        extras: list = []
-        for a, p in zip(args, scan.shape):
-            if p is None and not isinstance(a, int):
-                index.append(var_slot[a])
-            elif p is None or not eob:
-                index.append(n + len(extras))
-                extras.append(a if p is None else p)
-        for pos in scan.new:
-            var_slot[args[pos]] = len(var_slot)
-        steps.append(
-            _Step(
-                pred, eob, tuple(extras), _getter(index),
-                _getter(scan.new) if eob else None,
-                scan.same if eob else (), (pred, scan.bound), scan.shape,
-            )
-        )
-    return tuple(steps)
 
 
 def _compile_rules(program) -> dict[str, list[_CompiledRule]]:
@@ -547,8 +532,7 @@ def _plan(pred: str, shape: tuple) -> Callable:
 class MemoTable:
     """Answer tables keyed by canonical call pattern, tied to one base."""
 
-    def __init__(self, max_entries: int = DEFAULT_MAX_TABLE_ENTRIES):
-        self.max_entries = max_entries
+    def __init__(self):
         self.tables: dict[tuple, dict[tuple[int, ...], None]] = {}
         self._active: dict[tuple, Callable] = {}
         self._dep_stack: list[set[tuple] | None] = []
@@ -603,9 +587,9 @@ class MemoTable:
     def _added(self, count: int, counters: Counters):
         """Account for `count` new answers just added to a table."""
         self._entries += count
-        if self._entries > self.max_entries:
+        if self._entries > MAX_TABLE_ENTRIES:
             raise EngineLimitError(
-                f"tabling store exceeded {self.max_entries} entries"
+                f"tabling store exceeded {MAX_TABLE_ENTRIES} entries"
             )
         counters.inferred_facts += count
 
@@ -615,11 +599,15 @@ def evaluate(base, memo, counters, steps, substs):
     any tabled call; the work done is added to `counters`.
 
     Each step is applied to every substitution before the next step runs
-    (sideways information passing over the whole batch). An IOB step
-    answers a call from its table in `memo.tables`, and a call with no
-    table gets one, a first pass of its kernel and `_complete`. No kernel
-    calls `evaluate`, so `memo._active` is empty whenever a step looks a
-    call up: a call the step starts is the oldest active call, and
+    (sideways information passing over the whole batch). A step first
+    collects the rows each substitution matches, in batch order, sums
+    them and refuses past `MAX_BATCH_ROWS` (`check_batch`); only then
+    does it build its substitutions. An EOB step's rows are its probe
+    buckets after the repeated-variable filter. An IOB step answers a
+    call from its table in `memo.tables`, and a call with no table gets
+    one, a first pass of its kernel and `_complete`. No kernel calls
+    `evaluate`, so `memo._active` is empty whenever a step looks a call
+    up: a call the step starts is the oldest active call, and
     `_complete` returns for it only once it, and with it every call left
     active, is complete. A table a step finds is therefore complete.
 
@@ -631,22 +619,18 @@ def evaluate(base, memo, counters, steps, substs):
         for step in steps:
             if not substs:
                 break
-            out = []
-            args, extras = step.args, step.extras
+            args, extras, new = step.args, step.extras, step.new
             if step.eob:
                 probe = base.probes.get(step.access)
                 if probe is None:
                     probe = base.probe_index(*step.access)
-                get, same, new = probe.get, step.same, step.new
-                for s in substs:
-                    rows = get(args(s + extras), ())
-                    if same:
-                        rows = _same_rows(rows, same)
-                    if rows:
-                        out.extend(map(s.__add__, map(new, rows)))
-                counters.eob_accesses += len(out)
+                get, same = probe.get, step.same
+                matches = [get(args(s + extras), ()) for s in substs]
+                if same:
+                    matches = [_same_rows(rows, same) for rows in matches]
             else:
                 pred, shape, tables = step.pred, step.shape, memo.tables
+                matches = []
                 for s in substs:
                     key = (pred, args(s + extras))
                     rows = tables.get(key)
@@ -658,9 +642,16 @@ def evaluate(base, memo, counters, steps, substs):
                         size = memo._entries
                         kernel(base, memo, counters, key)
                         rows = _complete(base, memo, counters, key, size)
-                    if rows:
-                        out.extend(map(s.__add__, rows))
-            substs = out
+                    matches.append(rows)
+            total = sum(map(len, matches))
+            check_batch(step.atom, total)
+            if new is None:  # an IOB row is what the step binds
+                substs = [s + r for s, rs in zip(substs, matches) for r in rs]
+            else:
+                counters.eob_accesses += total
+                substs = [
+                    s + new(r) for s, rs in zip(substs, matches) for r in rs
+                ]
         return substs
     except BaseException:
         memo._drop_active()
@@ -718,18 +709,40 @@ def _complete(base, memo, counters, key, size):
 def compile_query(memo, atoms, var_slot: dict[str, int]) -> tuple[_Step, ...]:
     """Compile query atoms for left-to-right evaluation on `memo`'s base.
 
-    Constants are interned through the memo; `var_slot` is extended in
-    place with each variable the atoms bind (see `_compile_body`).
+    Constants are interned through the memo. `var_slot` maps the
+    variables bound before the first atom to their slots; it is extended
+    in place with each variable the atoms bind.
     """
-    body = []
+    steps = []
     for atom in atoms:
-        schema = schema_for(atom.predicate, len(atom.args))
+        pred = atom.predicate
+        eob = schema_for(pred, len(atom.args)).kind is PredicateKind.EOB
         args = tuple(
             t.value if t.is_var else memo.intern_const(t.value)
             for t in atom.args
         )
-        body.append((atom.predicate, args, schema.kind is PredicateKind.EOB))
-    return _compile_body(body, var_slot)
+        scan = _scan(args, var_slot)
+        n = len(var_slot)
+        # an EOB step reads its bound positions; an IOB step its whole
+        # call, constants and placeholders appended to the substitution
+        index: list[int] = []
+        extras: list = []
+        for a, p in zip(args, scan.shape):
+            if p is None and not isinstance(a, int):
+                index.append(var_slot[a])
+            elif p is None or not eob:
+                index.append(n + len(extras))
+                extras.append(a if p is None else p)
+        for pos in scan.new:
+            var_slot[args[pos]] = len(var_slot)
+        steps.append(
+            _Step(
+                atom, pred, eob, tuple(extras), _getter(index),
+                _getter(scan.new) if eob else None,
+                scan.same if eob else (), (pred, scan.bound), scan.shape,
+            )
+        )
+    return tuple(steps)
 
 
 def _solve_body(base, atoms, memo):

@@ -59,10 +59,13 @@ class SynthConfig:
             "subclass_edges",
             "object_properties",
             "datatype_properties",
+            "transitive_properties",
             "individuals",
             "statements",
             "import_edges",
             "max_subclass_depth",
+            "chain_queries",
+            "star_queries",
         ):
             if getattr(self, name) < 0:
                 raise SynthError(f"{name} must be nonnegative")

@@ -133,6 +133,13 @@ def test_compare_strategy_sets_shape(tiny_corpus):
     assert result["nlj_mean_ratio"] > 0
 
 
+def test_compare_strategy_sets_needs_a_query(tiny_corpus):
+    bases, _queries = tiny_corpus
+    for bases, queries in ((bases, [[]]), ([], [])):
+        with pytest.raises(BenchError, match="needs at least one query"):
+            compare_strategy_sets(bases, queries, SamplingConfig(seed=1))
+
+
 def test_catalogs_can_be_prebuilt(tiny_corpus):
     from dobquery import build_catalog
 

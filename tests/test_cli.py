@@ -354,6 +354,20 @@ def test_bad_gen_config_is_a_data_error(tmp_path, capsys, text, detail):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("name", [
+    "transitive_properties", "chain_queries", "star_queries",
+])
+def test_negative_gen_count_is_a_data_error(tmp_path, capsys, name):
+    """A negative count is refused before anything is written, not
+    ended by a traceback or turned into an empty query set."""
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({name: -1}))
+    code, out, err = run(capsys, "gen", str(config), "-o", str(tmp_path / "o"))
+    assert code == 2
+    assert err == f"error: {name} must be nonnegative\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_nonpositive_sample_cap_is_a_data_error(workspace, tmp_path, capsys):
     dob, _catalog = workspace
     code, out, err = run(

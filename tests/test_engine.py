@@ -4,6 +4,7 @@ import itertools
 import random
 import re
 import sys
+import time
 import traceback
 from pathlib import Path
 
@@ -31,7 +32,10 @@ from dobquery.model import (
     IOB_PREDICATES,
     ArgDomain,
 )
-from conftest import binding_patterns, bottom_up_oracle, random_base
+from dobquery.store import _same_rows
+from conftest import (
+    SERVE_Q17, binding_patterns, bottom_up_oracle, random_base, random_query,
+)
 
 
 def test_other_modules_use_only_the_engines_public_names():
@@ -199,20 +203,22 @@ def test_oracle_individuals_cars(cars_base):
     }
 
 
-def test_table_entry_cap_enforced():
+def test_table_entry_cap_enforced(monkeypatch):
     base = OntologyBase.from_facts(
         parse_atom(f"subClassOf(c{i},c{i + 1})") for i in range(30)
     )
-    memo = MemoTable(max_entries=10)
+    monkeypatch.setattr(engine, "MAX_TABLE_ENTRIES", 10)
+    memo = MemoTable()
     with pytest.raises(EngineLimitError):
         solve(base, parse_atom("areSubClasses(X,Y)"), memo)
 
 
-def test_memo_usable_after_table_entry_cap_error():
+def test_memo_usable_after_table_entry_cap_error(monkeypatch):
     base = OntologyBase.from_facts(
         parse_atom(f"subClassOf(c{i},c{i + 1})") for i in range(30)
     )
-    memo = MemoTable(max_entries=40)
+    monkeypatch.setattr(engine, "MAX_TABLE_ENTRIES", 40)
+    memo = MemoTable()
     with pytest.raises(EngineLimitError):
         solve(base, parse_atom("areSubClasses(c0,X)"), memo)
     # the partial tables of the aborted group are gone; complete ones stay,
@@ -220,12 +226,50 @@ def test_memo_usable_after_table_entry_cap_error():
     assert not memo._active
     assert not memo._dep_stack
     assert memo._entries == sum(len(t) for t in memo.tables.values())
-    memo.max_entries = 1_000_000
+    monkeypatch.setattr(engine, "MAX_TABLE_ENTRIES", 1_000_000)
     for start, ancestors in (("c20", 10), ("c0", 30)):
         atom = parse_atom(f"areSubClasses({start},X)")
         assert len(solve(base, atom, memo).answers) == ancestors
     atom = parse_atom("areSubClasses(c10,X)")
     assert len(solve_sequence(base, [atom], memo=memo)[0]) == 20
+
+
+def test_solve_sequence_stops_at_the_batch_limit(serve_base):
+    """The serve star query's body, in its written order, would make
+    2,424,832 rows at its last step. `solve_sequence` sizes that step
+    before it builds it, refuses it well within a second, and leaves its
+    memo usable: the complete tables stay and answer the shorter
+    prefixes with no new work."""
+    memo = MemoTable()
+    start = time.perf_counter()
+    with pytest.raises(EngineLimitError, match=(
+        r"^areClasses\(Z5,X\) makes at least 2424832 rows, over the batch"
+        r" limit of 1000000$"
+    )):
+        solve_sequence(serve_base, SERVE_Q17.body, memo=memo)
+    assert time.perf_counter() - start < 1
+    assert not memo._active and not memo._dep_stack
+    assert memo._entries == sum(map(len, memo.tables.values()))
+    prefix = SERVE_Q17.body[:5]
+    substs, counters = solve_sequence(serve_base, prefix, memo=memo)
+    assert substs == solve_sequence(serve_base, prefix)[0]
+    assert len(substs) == 68608
+    assert counters.inferred_facts == 0
+
+
+def test_solve_stops_at_a_lowered_batch_limit(monkeypatch):
+    """`solve` has the same bound as a plan step: a call with 30 answers
+    returns at a limit of 30 rows and is refused at 29."""
+    base = _subclass_chain(30)
+    atom = parse_atom("areSubClasses(c0,X)")
+    monkeypatch.setattr(engine, "MAX_BATCH_ROWS", 30)
+    assert len(solve(base, atom).answers) == 30
+    monkeypatch.setattr(engine, "MAX_BATCH_ROWS", 29)
+    with pytest.raises(EngineLimitError, match=(
+        r"^areSubClasses\(c0,X\) makes at least 30 rows, over the batch"
+        r" limit of 29$"
+    )):
+        solve(base, atom)
 
 
 def _subclass_chain(n: int, back: int | None = None) -> OntologyBase:
@@ -271,12 +315,15 @@ def test_kernels_complete_one_pass_calls_inline():
 
 
 @pytest.mark.parametrize("back", [None, 4])
-def test_entry_cap_in_an_inlined_callee_leaves_the_memo_usable(back):
+def test_entry_cap_in_an_inlined_callee_leaves_the_memo_usable(
+    back, monkeypatch
+):
     """The cap is hit in a kernel that nested kernels called inline, on
     an acyclic chain and inside a cycle: the aborted calls leave no
     active table and no frame, and the memo still answers correctly."""
     base = _subclass_chain(12 if back else 30, back)
-    memo = MemoTable(max_entries=40)
+    monkeypatch.setattr(engine, "MAX_TABLE_ENTRIES", 40)
+    memo = MemoTable()
     with pytest.raises(EngineLimitError) as info:
         solve(base, parse_atom("areSubClasses(c0,X)"), memo)
     names = [frame.name for frame in traceback.extract_tb(info.value.__traceback__)]
@@ -288,7 +335,7 @@ def test_entry_cap_in_an_inlined_callee_leaves_the_memo_usable(back):
     assert not memo._active
     assert not memo._dep_stack
     assert memo._entries == sum(len(t) for t in memo.tables.values())
-    memo.max_entries = 1_000_000
+    monkeypatch.setattr(engine, "MAX_TABLE_ENTRIES", 1_000_000)
     for start in range(0, 12, 3):
         atom = parse_atom(f"areSubClasses(c{start},X)")
         assert solve(base, atom, memo).answers == solve(base, atom).answers
@@ -373,12 +420,13 @@ def test_rule_program_is_compiled_once_per_process(cars_base):
                 assert base.symbols.text(cid) not in source
 
 
-def test_kernel_frames_name_their_call_shape():
+def test_kernel_frames_name_their_call_shape(monkeypatch):
     base = OntologyBase.from_facts(
         parse_atom(f"subClassOf(c{i},c{i + 1})") for i in range(5)
     )
+    monkeypatch.setattr(engine, "MAX_TABLE_ENTRIES", 2)
     with pytest.raises(EngineLimitError) as info:
-        solve(base, parse_atom("areSubClasses(c0,X)"), MemoTable(max_entries=2))
+        solve(base, parse_atom("areSubClasses(c0,X)"), MemoTable())
     frames = traceback.extract_tb(info.value.__traceback__)
     assert [
         (frame.filename, frame.line) for frame in frames
@@ -737,15 +785,87 @@ def test_shared_memo_holds_only_complete_tables_between_calls(base, data):
     memo = MemoTable()
     for atom in atoms:
         cap = data.draw(st.none() | st.integers(0, 40))
-        if cap is not None:
-            memo.max_entries = cap
-        try:
-            answers = solve(base, atom, memo).answers
-        except EngineLimitError:
-            assert cap is not None
-        else:
-            assert set(answers) == _instances(atom, oracle), atom
-        finally:
-            memo.max_entries = engine.DEFAULT_MAX_TABLE_ENTRIES
+        with pytest.MonkeyPatch.context() as patch:
+            if cap is not None:
+                patch.setattr(engine, "MAX_TABLE_ENTRIES", cap)
+            try:
+                answers = solve(base, atom, memo).answers
+            except EngineLimitError:
+                assert cap is not None
+            else:
+                assert set(answers) == _instances(atom, oracle), atom
         assert not memo._active and not memo._dep_stack
         assert memo._entries == sum(map(len, memo.tables.values()))
+
+
+def _reference_evaluate(base, memo, counters, steps, substs):
+    """`evaluate` as it ran before steps were sized: it extends the
+    batch one substitution at a time and has no batch limit."""
+    try:
+        for step in steps:
+            if not substs:
+                break
+            out = []
+            args, extras = step.args, step.extras
+            if step.eob:
+                probe = base.probes.get(step.access)
+                if probe is None:
+                    probe = base.probe_index(*step.access)
+                get, same, new = probe.get, step.same, step.new
+                for s in substs:
+                    rows = get(args(s + extras), ())
+                    if same:
+                        rows = _same_rows(rows, same)
+                    if rows:
+                        out.extend(map(s.__add__, map(new, rows)))
+                counters.eob_accesses += len(out)
+            else:
+                pred, shape, tables = step.pred, step.shape, memo.tables
+                for s in substs:
+                    key = (pred, args(s + extras))
+                    rows = tables.get(key)
+                    if rows is None:
+                        kernel = engine._plan(pred, shape)
+                        tables[key] = {}
+                        memo._active[key] = kernel
+                        memo._dep_stack.append(None)
+                        size = memo._entries
+                        kernel(base, memo, counters, key)
+                        rows = engine._complete(
+                            base, memo, counters, key, size
+                        )
+                    if rows:
+                        out.extend(map(s.__add__, rows))
+            substs = out
+        return substs
+    except BaseException:
+        memo._drop_active()
+        raise
+
+
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_sized_evaluate_matches_the_reference(seed, data):
+    """`evaluate` sizes each step before it builds it, and makes the
+    batches, in the same order, the counters and the tables of the
+    per-substitution reference after every step of a random query body
+    in a drawn order."""
+    rng = random.Random(seed)
+    base = random_base(rng, max_facts=120)
+    query = random_query(rng, base)
+    body = [query.body[i] for i in data.draw(
+        st.permutations(range(len(query.body)))
+    )]
+    runs = []
+    for run in (engine.evaluate, _reference_evaluate):
+        memo = MemoTable()
+        memo.bind(base)
+        counters = engine.Counters()
+        batch: list[tuple] = [()]
+        batches = []
+        for step in engine.compile_query(memo, body, {}):
+            batch = run(base, memo, counters, [step], batch)
+            batches.append(
+                (batch, counters.inferred_facts, counters.eob_accesses)
+            )
+        runs.append((batches, len(memo.tables)))
+    assert runs[0] == runs[1], body

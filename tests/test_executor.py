@@ -1,5 +1,4 @@
 import random
-import sys
 import time
 
 import pytest
@@ -20,9 +19,9 @@ from dobquery import (
     solve_sequence,
     uniform_plan,
 )
+from dobquery import engine
 from dobquery.engine import Answers, Counters, compile_query, evaluate
-from dobquery import executor
-from dobquery.executor import _equi_join, _nested_loop
+from dobquery.executor import _equi_join
 from dobquery.model import (
     BUILTIN_SCHEMA, EOB_PREDICATES, IOB_PREDICATES, ArgDomain, Atom, Query,
     Term,
@@ -443,11 +442,11 @@ def test_answers_iterate_in_text_order(seed, data):
 
 
 def _reference_equi_join(
-    base, memo, counters, atom, block_size, batch, var_slot, step
+    base, memo, counters, atom, block_size, batch, var_slot
 ):
     """The equi-join probing one substitution at a time, each against a
     hash table keyed by tuples: the reference for `_equi_join`. It has no
-    batch limit, so it ignores the plan step `step`."""
+    batch limit."""
     own: dict[str, int] = {}
     steps = compile_query(memo, [atom], own)
     shared = [v for v in own if v in var_slot]
@@ -483,7 +482,7 @@ def _assert_joins_agree(base, prefix, atom, block_sizes):
             var_slot: dict[str, int] = {}
             steps = compile_query(memo, prefix, var_slot)
             batch = evaluate(base, memo, counters, steps, [()])
-            out = join(base, memo, counters, atom, size, batch, var_slot, 2)
+            out = join(base, memo, counters, atom, size, batch, var_slot)
             runs.append((out, counters, var_slot))
         assert runs[0] == runs[1], (prefix, atom, size)
 
@@ -596,22 +595,22 @@ def test_batch_limit_refuses_a_small_head_over_a_big_batch(
         execute(serve_base, optimize(query, serve_catalog))
 
 
-def test_nested_loop_cross_product_overshoots_by_at_most_one_slice(
+def test_nested_loop_cross_product_is_refused_at_its_exact_rows(
     serve_base, monkeypatch
 ):
-    """A nested-loop step checks its batch between slices, so a cross
-    product builds one slice's whole output, the slice's substitutions
-    times the atom's rows, before it is refused."""
+    """A nested-loop step is sized before it is built, so a cross product
+    of n rows with n rows is refused naming exactly its n² rows, with a
+    limit of one row less."""
     n = len(serve_base.rows("isClass"))
     query = parse_query("q(C,O,D,P) :- isClass(C,O), isClass(D,P).")
     plan = uniform_plan(query, JoinStrategy(JoinMethod.NESTED_LOOP))
-    monkeypatch.setattr(executor, "NESTED_LOOP_SLICE", 7)
-    limit = 10 * n + 1
-    monkeypatch.setattr(executor, "MAX_BATCH_ROWS", limit)
+    monkeypatch.setattr(engine, "MAX_BATCH_ROWS", n * n - 1)
     with pytest.raises(EngineLimitError) as err:
         execute(serve_base, plan)
-    assert f"makes at least {14 * n} rows" in str(err.value)
-    assert 14 * n - limit < 7 * n
+    assert str(err.value) == (
+        f"plan step 2: isClass(D,P) makes at least {n * n} rows, over the"
+        f" batch limit of {n * n - 1}"
+    )
 
 
 @pytest.mark.parametrize("strategy", [
@@ -622,57 +621,19 @@ def test_nested_loop_cross_product_overshoots_by_at_most_one_slice(
 def test_batch_limit_per_strategy(serve_base, monkeypatch, strategy):
     """A plan whose last step makes one row more than the batch limit
     raises, naming the step, its atom and the limit; at the limit it
-    returns. Blocks and slices are smaller than the batch."""
+    returns. Blocks are smaller than the batch."""
     query = parse_query("q(C,D,O) :- isClass(C,O), isClass(D,O).")
     plan = uniform_plan(query, strategy)
     rows = len(execute(serve_base, plan).answers)
     assert rows > len(serve_base.rows("isClass")) > 32
-    monkeypatch.setattr(executor, "NESTED_LOOP_SLICE", 7)
-    monkeypatch.setattr(executor, "MAX_BATCH_ROWS", rows)
+    monkeypatch.setattr(engine, "MAX_BATCH_ROWS", rows)
     assert len(execute(serve_base, plan).answers) == rows
-    monkeypatch.setattr(executor, "MAX_BATCH_ROWS", rows - 1)
+    monkeypatch.setattr(engine, "MAX_BATCH_ROWS", rows - 1)
     with pytest.raises(EngineLimitError, match=(
-        rf"plan step 2 \(isClass\(D,O\)\) makes at least \d+ rows, over the"
+        rf"plan step 2: isClass\(D,O\) makes at least \d+ rows, over the"
         rf" batch limit of {rows - 1}$"
     )):
         execute(serve_base, plan)
-
-
-def _nested_loop_batches(base, body):
-    """The batch and counters after each nested-loop step of `body`."""
-    memo = MemoTable()
-    memo.bind(base)
-    counters = Counters()
-    var_slot: dict[str, int] = {}
-    batch: list[tuple] = [()]
-    out = []
-    for step, atom in enumerate(body, start=1):
-        batch = _nested_loop(
-            base, memo, counters, atom, batch, var_slot, step
-        )
-        out.append((batch, counters.inferred_facts, counters.eob_accesses))
-    return out
-
-
-@given(st.integers(0, 2**32 - 1))
-def test_nested_loop_slices_match_the_whole_batch(seed):
-    """A nested-loop step over slices of 1, 2 or 7 substitutions makes the
-    batch, counters and answers of one `evaluate` over the whole batch."""
-    rng = random.Random(seed)
-    base = random_base(rng, max_facts=120)
-    query = random_query(rng, base)
-    plan = uniform_plan(query, JoinStrategy(JoinMethod.NESTED_LOOP))
-    runs = []
-    for size in (sys.maxsize, 1, 2, 7):  # the first never slices
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(executor, "NESTED_LOOP_SLICE", size)
-            batches = _nested_loop_batches(base, query.body)
-            report = execute(base, plan)
-        runs.append((
-            batches, report.per_step, report.answers.rows,
-            list(report.answers),
-        ))
-    assert all(run == runs[0] for run in runs[1:])
 
 
 def _eager_rows(head, var_slot, substs):

@@ -127,6 +127,14 @@ def test_config_validation_errors():
         )
 
 
+@pytest.mark.parametrize("name", [
+    "transitive_properties", "chain_queries", "star_queries",
+])
+def test_negative_counts_are_refused(name):
+    with pytest.raises(SynthError, match=f"^{name} must be nonnegative$"):
+        SynthConfig(**{name: -1}).validate()
+
+
 def test_query_shape_validation():
     with pytest.raises(SynthError):
         QueryShape("ring", 3)

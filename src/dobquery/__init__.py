@@ -62,7 +62,7 @@ from .optimizer import (
     optimize,
 )
 from .executor import execute, uniform_plan
-from .synth import QueryShape, SynthConfig, generate_synthetic
+from .synth import SynthConfig, generate_synthetic
 from .bench import (
     compare_strategy_sets,
     pearson,

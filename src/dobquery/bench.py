@@ -92,9 +92,19 @@ def _median_low(values) -> int:
 def _query_orderings(bases, queries, config, strategies, catalogs):
     """(base, catalog, query, rows) per query in `queries[b]` of each
     `bases[b]`, one row per ordering of the query, executed once. The
-    catalogs are built from `config` unless given."""
+    catalogs are built from `config` unless given, one per base."""
+    if len(queries) != len(bases):
+        raise BenchError(
+            f"bases and queries differ in length: {len(bases)} and"
+            f" {len(queries)}"
+        )
     if catalogs is None:
         catalogs = [build_catalog(base, config) for base in bases]
+    elif len(catalogs) != len(bases):
+        raise BenchError(
+            f"bases and catalogs differ in length: {len(bases)} and"
+            f" {len(catalogs)}"
+        )
     for b, (base, catalog) in enumerate(zip(bases, catalogs)):
         for query in queries[b]:
             rows = []

@@ -16,7 +16,6 @@ from .executor import execute
 from .model import DobError, read_text
 from .optimizer import explain_plan, optimize, plan_for_order
 from .parsing import (
-    ParseError,
     parse_dob,
     parse_owl,
     parse_query,
@@ -233,10 +232,7 @@ def cli_main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return DATA_ERROR
-    except (DobError, FileNotFoundError, OSError) as exc:
+    except (DobError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
 

@@ -112,8 +112,9 @@ MAX_BATCH_ROWS = 1_000_000
 
 
 class EngineLimitError(DobError):
-    """The tabling store would pass `MAX_TABLE_ENTRIES` answers, or an
-    evaluation step `MAX_BATCH_ROWS` substitutions."""
+    """The tabling store would pass `MAX_TABLE_ENTRIES` answers, an
+    evaluation step `MAX_BATCH_ROWS` substitutions, or tabled calls the
+    interpreter's recursion limit."""
 
 
 def check_batch(atom, rows: int):
@@ -613,7 +614,9 @@ def evaluate(base, memo, counters, steps, substs):
 
     If evaluation raises (say, at the entry cap), the tables it left
     active are dropped and the dependency stack is cleared, so the memo
-    can still be used; tabled calls keep no cleanup of their own.
+    can still be used; tabled calls keep no cleanup of their own. Calls
+    nested deeper than the interpreter's recursion limit raise
+    `EngineLimitError`.
     """
     try:
         for step in steps:
@@ -653,6 +656,12 @@ def evaluate(base, memo, counters, steps, substs):
                     s + new(r) for s, rs in zip(substs, matches) for r in rs
                 ]
         return substs
+    except RecursionError:
+        memo._drop_active()
+        raise EngineLimitError(
+            "calls nest deeper than the recursion limit of"
+            f" {sys.getrecursionlimit()}"
+        ) from None
     except BaseException:
         memo._drop_active()
         raise

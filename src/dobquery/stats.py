@@ -160,15 +160,14 @@ def _pick_partition_arg(base: OntologyBase, predicate: str) -> int:
     return max(range(schema.arity), key=lambda i: (sizes[i], -i))
 
 
-def _partitions(base, predicate, pattern, partition_args=None):
+def _partitions(base, predicate, pattern):
     """Partition argument positions of a pattern (the most selective one
     when it is all-free, else its bound positions), their domain pools and
     the partition count."""
-    if partition_args is None:
-        if pattern.all_free:
-            partition_args = (_pick_partition_arg(base, predicate),)
-        else:
-            partition_args = pattern.bound_positions
+    if pattern.all_free:
+        partition_args = (_pick_partition_arg(base, predicate),)
+    else:
+        partition_args = pattern.bound_positions
     domains = schema_for(predicate).arg_domains
     pools = [base.domain_values(domains[i]) for i in partition_args]
     return partition_args, pools, math.prod(map(len, pools))
@@ -201,15 +200,14 @@ def adaptive_sample(
     metric: str,
     config: SamplingConfig,
     *,
-    partition_args: tuple[int, ...] | None = None,
     sample_cache: dict | None = None,
 ) -> SamplingRun:
     """One urn-model sampling run for a predicate and binding pattern.
 
-    Cardinality runs use the all-free pattern partitioned on one argument
-    (most selective by default); cost runs with bound arguments partition
-    on the bound arguments jointly. Positions in `partition_args` are
-    0-based.
+    An all-free pattern is partitioned on its most selective argument,
+    the one with the largest domain; a pattern with bound arguments is
+    partitioned on the bound arguments jointly. Cardinality is sampled
+    on the all-free pattern only.
     """
     if metric not in ("cost", "cardinality"):
         raise AnalyzerError(f"unknown metric: {metric!r}")
@@ -222,9 +220,7 @@ def adaptive_sample(
         raise AnalyzerError("cardinality is sampled on the all-free pattern")
     config.validate()
     cache = sample_cache if sample_cache is not None else {}
-    partition_args, pools, n = _partitions(
-        base, predicate, pattern, partition_args
-    )
+    partition_args, pools, n = _partitions(base, predicate, pattern)
     if n == 0:
         return SamplingRun(n=0, m=0, z=0.0, b_of_n=0.0, mean=0.0,
                            low_confidence=True)
@@ -232,11 +228,6 @@ def adaptive_sample(
     rng = random.Random(f"{config.seed}|{predicate}|{pattern}|{metric}")
     m_cap = config.m_max if config.m_max is not None else min(4 * n, 2000)
     m_cap = max(m_cap, config.k)
-    bound_free = [i for i in pattern.bound_positions if i not in partition_args]
-    if bound_free:
-        raise AnalyzerError(
-            "partition arguments must cover the bound positions"
-        )
 
     def draw():
         bound = {

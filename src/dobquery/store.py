@@ -2,10 +2,10 @@
 
 Constants are interned to integers. A pattern is answered from a hash
 probe built on demand, one per (predicate, bound positions) access
-pattern the first time it is used and kept up to date by later
-assertions, so every later match is a single dict lookup (demand-driven
-indexing; Santos Costa, Sagonas & Lopes, ICLP 2007). The store is
-append-only with set semantics.
+pattern the first time it is used, so every later match is a single
+dict lookup (demand-driven indexing; Santos Costa, Sagonas & Lopes,
+ICLP 2007). An assertion drops the probes, and each is rebuilt the next
+time it is asked for. The store is append-only with set semantics.
 """
 
 from __future__ import annotations
@@ -74,8 +74,6 @@ class OntologyBase:
         self._facts: dict[tuple[str, tuple[int, ...]], None] = {}
         # (pred, bound positions) -> probe (see `probe_index`)
         self.probes: dict[tuple[str, tuple[int, ...]], dict] = {}
-        # pred -> (row key, probe) of each keyed probe, for `assert_fact`
-        self._keyed: dict[str, list[tuple[Callable, dict]]] = {}
 
     @classmethod
     def from_facts(cls, facts) -> OntologyBase:
@@ -97,9 +95,7 @@ class OntologyBase:
             return self
         self._facts[key] = None
         self._rows.setdefault(fact.predicate, []).append(row)
-        # the free probe holds the row list itself
-        for row_key, probe in self._keyed.get(fact.predicate, ()):
-            probe.setdefault(row_key(row), []).append(row)
+        self.probes.clear()
         return self
 
     def rows(self, predicate: str) -> list[tuple[int, ...]]:
@@ -112,10 +108,10 @@ class OntologyBase:
         """Rows of a predicate keyed by their values at `positions`.
 
         Each list is in insertion order. The probe is built on the first
-        request for the pair and extended by every later `assert_fact`;
-        the free pattern `()` maps `()` to the row list itself. Every
-        probe built so far is also `probes[predicate, positions]`. Do not
-        mutate.
+        request for the pair after the last `assert_fact`, which drops
+        every probe; the free pattern `()` maps `()` to the row list
+        itself. Every probe built since is also
+        `probes[predicate, positions]`. Do not mutate.
         """
         probe = self.probes.get((predicate, positions))
         if probe is None:
@@ -125,7 +121,6 @@ class OntologyBase:
                 probe = {}
                 for row in rows:
                     probe.setdefault(row_key(row), []).append(row)
-                self._keyed.setdefault(predicate, []).append((row_key, probe))
             else:
                 probe = {(): rows}
             self.probes[predicate, positions] = probe

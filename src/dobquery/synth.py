@@ -110,18 +110,6 @@ class SynthConfig:
         return cls(**data)
 
 
-@dataclass(frozen=True)
-class QueryShape:
-    shape: str  # 'chain' | 'star'
-    subgoal_count: int
-
-    def __post_init__(self):
-        if self.shape not in ("chain", "star"):
-            raise SynthError(f"unknown query shape: {self.shape}")
-        if self.subgoal_count < 2:
-            raise SynthError("a query shape needs at least 2 subgoals")
-
-
 def _fact(pred: str, *consts: str) -> Atom:
     return Atom(pred, tuple(Term.const(c) for c in consts))
 
@@ -272,13 +260,22 @@ def _inject_constant(atoms, const_pools, rng, probability):
 
 
 def _build_query(
-    shape: QueryShape,
+    shape: str,
+    subgoal_count: int,
     pool,
+    const_pools: dict[ArgDomain, list[str]],
+    constant_probability: float,
     rng: random.Random,
     query_name: str,
-    const_pools=None,
-    constant_probability: float = 0.0,
 ) -> Query | None:
+    """A `shape` query, 'chain' or 'star', of `subgoal_count` subgoals
+    drawn from `pool` (`_predicate_pool`), with one constant from
+    `const_pools` put in with `constant_probability`.
+
+    None when the pool has no IOB predicate, or the draw does not give a
+    query: a chain that reaches a one-argument predicate ends short, and
+    a query must mix EOB and IOB subgoals.
+    """
     iob_pool = [p for p in pool if p[2]]
     if not iob_pool:
         return None
@@ -288,18 +285,16 @@ def _build_query(
         return Term.var(f"Z{next(fresh)}")
 
     atoms: list[Atom] = []
-    if shape.shape == "chain":
+    if shape == "chain":
         link_domain = None
         link_var = None
-        for i in range(shape.subgoal_count):
-            last = i == shape.subgoal_count - 1
+        for i in range(subgoal_count):
+            last = i == subgoal_count - 1
             choices = pool if rng.random() < 0.5 else iob_pool
             if link_domain is not None:
                 choices = [
                     c for c in choices if link_domain in c[1]
                 ] or [c for c in pool if link_domain in c[1]]
-            if not choices:
-                return None
             name, domains, _iob = choices[rng.randrange(len(choices))]
             in_positions = (
                 [j for j, d in enumerate(domains) if d == link_domain]
@@ -328,18 +323,13 @@ def _build_query(
             link_var = next_var
             link_domain = domains[out_pos]
     else:
-        domain_counts: dict[ArgDomain, int] = {}
-        for _name, domains, _iob in pool:
-            for d in set(domains):
-                domain_counts[d] = domain_counts.get(d, 0) + 1
-        viable = [d for d, c in domain_counts.items() if c >= 1]
-        if not viable:
-            return None
+        # domains in order of first appearance: no draw depends on hashing
+        viable = list(dict.fromkeys(d for _n, ds, _iob in pool for d in ds))
         center_domain = viable[rng.randrange(len(viable))]
         center = Term.var("X")
         compatible = [c for c in pool if center_domain in c[1]]
         compatible_iob = [c for c in compatible if c[2]]
-        for i in range(shape.subgoal_count):
+        for i in range(subgoal_count):
             choices = (
                 compatible_iob
                 if (rng.random() < 0.5 and compatible_iob)
@@ -353,13 +343,12 @@ def _build_query(
             ]
             atoms.append(Atom(name, tuple(args)))
 
-    if len(atoms) != shape.subgoal_count:
+    if len(atoms) != subgoal_count:
         return None
     kinds = {BUILTIN_SCHEMA[a.predicate].kind for a in atoms}
     if kinds != {PredicateKind.EOB, PredicateKind.IOB}:
         return None  # queries must mix extensional and intensional subgoals
-    if const_pools is not None:
-        atoms = _inject_constant(atoms, const_pools, rng, constant_probability)
+    atoms = _inject_constant(atoms, const_pools, rng, constant_probability)
     head_vars: dict[str, None] = {}
     for a in atoms:
         for v in a.variables:
@@ -384,12 +373,8 @@ def generate_synthetic(config: SynthConfig) -> tuple[OntologyBase, list[Query]]:
         while made < count and attempts < 200 * max(1, count):
             attempts += 1
             q = _build_query(
-                QueryShape(shape_name, config.query_subgoals),
-                pool,
-                rng,
-                f"q{len(queries)}",
-                const_pools=const_pools,
-                constant_probability=config.constant_probability,
+                shape_name, config.query_subgoals, pool, const_pools,
+                config.constant_probability, rng, f"q{len(queries)}",
             )
             if q is not None:
                 queries.append(q)

@@ -140,6 +140,25 @@ def test_compare_strategy_sets_needs_a_query(tiny_corpus):
             compare_strategy_sets(bases, queries, SamplingConfig(seed=1))
 
 
+@pytest.mark.parametrize(
+    "experiment", [run_ratio, run_correlation, compare_strategy_sets]
+)
+def test_experiments_refuse_lists_of_other_lengths(tiny_corpus, experiment):
+    from dobquery import build_catalog
+
+    bases, queries = tiny_corpus
+    config = SamplingConfig(seed=1)
+    with pytest.raises(
+        BenchError, match="^bases and queries differ in length: 1 and 0$"
+    ):
+        experiment(bases, [], config)
+    catalogs = [build_catalog(bases[0], config)]
+    with pytest.raises(
+        BenchError, match="^bases and catalogs differ in length: 2 and 1$"
+    ):
+        experiment(bases * 2, queries * 2, config, catalogs=catalogs)
+
+
 def test_catalogs_can_be_prebuilt(tiny_corpus):
     from dobquery import build_catalog
 

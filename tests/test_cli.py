@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -272,6 +273,30 @@ def test_query_deep_chain_hits_table_cap_cleanly(workspace, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "tabling store exceeded 1000000 entries" in err
+    assert "Traceback" not in err
+
+
+def test_query_past_the_recursion_limit_is_a_data_error(
+    workspace, tmp_path, capsys
+):
+    _dob, catalog = workspace
+    chain = tmp_path / "chain.dob"
+    chain.write_text("".join(
+        f"subClassOf(c{i},c{i + 1}).\n" for i in range(3000)
+    ))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        code, out, err = run(
+            capsys,
+            "query", str(chain), "--catalog", str(catalog),
+            "-q", "q(X):-areSubClasses(c0,X).",
+        )
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 2
+    assert out == ""
+    assert "calls nest deeper than the recursion limit of 1000" in err
     assert "Traceback" not in err
 
 

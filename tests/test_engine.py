@@ -298,6 +298,32 @@ def _complete_entries(run) -> int:
     return entries
 
 
+def test_calls_past_the_recursion_limit_are_an_engine_limit():
+    """A chain deeper than the interpreter's recursion limit is refused
+    as `EngineLimitError`, and the memo still answers shallow calls."""
+    base = OntologyBase.from_facts(
+        parse_atom(f"subClassOf(c{i},c{i + 1})") for i in range(3000)
+    )
+    memo = MemoTable()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        with pytest.raises(EngineLimitError, match=(
+            "^calls nest deeper than the recursion limit of 1000$"
+        )):
+            solve(base, parse_atom("areSubClasses(c0,X)"), memo)
+        assert not memo._active
+        assert not memo._dep_stack
+        atom = parse_atom("areSubClasses(c2990,X)")
+        got = solve(base, atom, memo)
+    finally:
+        sys.setrecursionlimit(limit)
+    want = solve(base, atom, MemoTable())
+    assert list(got.answers) == list(want.answers)
+    assert len(got.answers) == 10
+    assert got.actual_cost == want.actual_cost
+
+
 def test_kernels_complete_one_pass_calls_inline():
     """Only the call the query step makes enters `_complete`: each of
     the 50 nested calls on an acyclic chain reads complete tables only,

@@ -114,17 +114,6 @@ def test_domain_sizes_empty_base():
             assert domain_size(base, pred, pos) == 0
 
 
-def test_adaptive_sample_partitioned_on_ontology(cars_base):
-    cfg = SamplingConfig(d=0.2, p=0.7, k=7, seed=11)
-    run = adaptive_sample(
-        cars_base, "areClasses", BindingPattern.free(2), "cardinality", cfg,
-        partition_args=(1,),
-    )
-    assert run.n == 3
-    assert run.mean == pytest.approx(4.0)  # four classes per ontology
-    assert run.mean * run.n == pytest.approx(12.0)
-
-
 def test_adaptive_sample_constant_population_stops_early(cars_base):
     cfg = SamplingConfig(d=0.2, p=0.7, k=7, seed=3)
     run = adaptive_sample(
@@ -143,11 +132,11 @@ def test_adaptive_sample_degenerate_zero_population(cars_base):
     assert run.mean == 0.0 and run.low_confidence
 
 
-def test_adaptive_sample_empty_domain(cars_base):
+def test_adaptive_sample_empty_domain():
     cfg = SamplingConfig(seed=5)
     run = adaptive_sample(
-        cars_base, "areStatements", BindingPattern.free(3), "cardinality", cfg,
-        partition_args=(2,),  # value domain is empty on the cars base
+        OntologyBase(), "areStatements", BindingPattern.free(3),
+        "cardinality", cfg,  # every domain is empty on an empty base
     )
     assert run.n == 0 and run.mean == 0.0 and run.low_confidence
 

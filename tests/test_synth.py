@@ -1,10 +1,15 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dobquery
 from dobquery import SynthConfig, generate_synthetic
 from dobquery.model import BUILTIN_SCHEMA, PredicateKind
-from dobquery.synth import QueryShape, SynthError, _subclass_pairs
+from dobquery.synth import SynthError, _subclass_pairs
 
 
 def test_determinism_under_seed():
@@ -135,13 +140,6 @@ def test_negative_counts_are_refused(name):
         SynthConfig(**{name: -1}).validate()
 
 
-def test_query_shape_validation():
-    with pytest.raises(SynthError):
-        QueryShape("ring", 3)
-    with pytest.raises(SynthError):
-        QueryShape("chain", 1)
-
-
 def test_config_json_roundtrip():
     config = SynthConfig(seed=77, statements=12)
     assert SynthConfig.from_json(config.to_json()) == config
@@ -170,3 +168,38 @@ def test_subclass_pairs_by_index_match_the_pair_list(seed):
         drawn = by_index.sample(range(n_pairs), k)
         assert [pair(i) for i in drawn] == by_list.sample(reference, k)
         assert by_index.random() == by_list.random()
+
+
+_CORPUS_DIGEST = """
+import hashlib
+from dobquery import SynthConfig, generate_synthetic, render_dob
+digest = hashlib.sha256()
+for seed in range(4):
+    for config in (
+        SynthConfig(seed=seed, star_queries=6),
+        SynthConfig(seed=seed, chain_queries=0, star_queries=4,
+                    query_subgoals=5, datatype_properties=0),
+        SynthConfig(seed=seed, chain_queries=0, star_queries=3,
+                    individuals=0, statements=0),
+    ):
+        base, queries = generate_synthetic(config)
+        digest.update(render_dob(base.facts()).encode())
+        digest.update("".join(f"{q}\\n" for q in queries).encode())
+print(digest.hexdigest())
+"""
+
+
+def test_corpora_do_not_depend_on_string_hashing():
+    """Star queries draw their center domain from an ordered list, so a
+    corpus is the same under every `PYTHONHASHSEED`."""
+    src = str(Path(dobquery.__file__).resolve().parent.parent)
+    digests = []
+    for hash_seed in ("0", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", _CORPUS_DIGEST], env=env,
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        digests.append(proc.stdout)
+    assert len(digests[0]) == 65
+    assert digests[0] == digests[1]

@@ -19,11 +19,24 @@ it at once. A step that binds no new variable is a semi-join: it keeps
 the table's key set and filters the block by it. The batch keeps its
 order and every block is still solved and counted, so the counters do
 not depend on how a block is probed.
+An equi-join step is deferred: the batch keeps the rows built so far
+(the prefix rows) and, per deferred step, one match list per prefix row,
+the table rows that row joins with. A prefix row stands for the product
+of its match-list lengths, its count, and a row whose count is 0 is
+dropped. A later equi-join step of one block (a hash join always) whose
+key reads only prefix slots is deferred in turn, and a semi-join on
+prefix slots filters the prefix rows with their lists. Any other step
+first expands the batch, in the order eager steps would have built it:
+by prefix row, then by the first deferred step's row, then the next.
+Those are a nested-loop step, a block nested loop of more than one
+block, a step whose key reads a deferred slot, and the head projection.
 No step's batch may pass the engine's `MAX_BATCH_ROWS` rows, and each
 step is sized before it is built: a nested-loop step is one `evaluate`,
-which sizes its own output, and an equi-join step adds up the table rows
-each block's keys match before it builds the block, through the same
-`check_batch`. A semi-join cannot grow the batch, so it needs no check.
+which sizes its own output, and an equi-join step adds up, block by
+block, each row's match count times the row's count, through the same
+`check_batch`. That is the exact size of the batch eager steps build,
+so a deferred step is refused at the same count, with none of its rows
+built. A semi-join cannot grow the batch, so it needs no check.
 Past the limit, execution raises `EngineLimitError`, and `execute`
 names the plan step in it, as it does for the memo's entry cap. The
 limit is on the batch, which keeps every variable, not on the answers:
@@ -34,8 +47,8 @@ Execution ends with the engine's `Answers` of the query head and an
 
 from __future__ import annotations
 
-from itertools import compress, repeat
-from operator import itemgetter
+from itertools import chain, compress, repeat
+from operator import itemgetter, mul
 
 from .costmodel import JoinMethod, JoinStrategy
 from .engine import (
@@ -52,12 +65,79 @@ from .model import Query
 from .optimizer import Plan, checked_order
 from .store import _getter
 
+
+class _Batch:
+    """The substitutions of the steps run so far, some steps deferred.
+
+    `rows` hold the prefix rows, whose slots are those below `width`. A
+    deferred equi-join step keeps in `lists` one match list per prefix
+    row: the subgoal rows that row joins with. A substitution is a prefix
+    row followed by one row of each of its match lists, so a prefix row
+    stands for `counts`, the product of their lengths, and the batch for
+    `len()` substitutions."""
+
+    __slots__ = ("rows", "width", "lists", "counts", "size")
+
+    def __init__(self, rows, width, lists=(), counts=None, size=None):
+        self.rows = rows
+        self.width = width
+        self.lists = lists
+        self.counts = counts  # None: one substitution per row
+        self.size = len(rows) if size is None else size
+
+    def __len__(self) -> int:
+        return self.size
+
+    def expanded(self) -> list[tuple]:
+        """The substitutions, in the order eager steps build them: by
+        prefix row, then by the row of each deferred step in turn."""
+        rows, lists = self.rows, self.lists
+        reps = None  # rows built so far per prefix row: one each
+        for i, matches in enumerate(lists):
+            per_row = matches
+            if reps is not None:  # each built row takes its prefix's list
+                per_row = chain.from_iterable(map(repeat, matches, reps))
+            rows = [s + r for s, rs in zip(rows, per_row) for r in rs]
+            if i + 1 < len(lists):
+                lengths = map(len, matches)
+                if reps is not None:
+                    lengths = map(mul, reps, lengths)
+                reps = list(lengths)
+        return rows
+
+    def joined(self, matches, counts, size) -> _Batch:
+        """The batch with one more deferred step: `matches` holds its
+        match list of each prefix row, `counts` the rows' new products and
+        `size` their sum. Rows that match nothing are dropped."""
+        batch = _Batch(
+            self.rows, self.width, (*self.lists, matches), counts, size
+        )
+        return batch.filtered(counts) if 0 in counts else batch
+
+    def filtered(self, keep) -> _Batch:
+        """The prefix rows flagged in `keep`, with their match lists."""
+        rows = list(compress(self.rows, keep))
+        if self.counts is None:
+            return _Batch(rows, self.width)
+        counts = list(compress(self.counts, keep))
+        lists = [list(compress(rs, keep)) for rs in self.lists]
+        return _Batch(rows, self.width, lists, counts, sum(counts))
+
+
 def _equi_join(base, memo, counters, atom, block_size, batch, var_slot):
-    """Join `batch` with the atom's answers, solving it once per block."""
+    """Join `batch` with the atom's answers, solving it once per block.
+
+    The join is deferred: the result keeps the batch's prefix rows and
+    adds the atom's match list of each. The batch is expanded first when
+    the step has more than one block or its key reads a deferred slot."""
     own: dict[str, int] = {}
     steps = compile_query(memo, [atom], own)
     shared = [v for v in own if v in var_slot]
     ext = [i for v, i in own.items() if v not in var_slot]
+    if block_size < len(batch) or any(
+        var_slot[v] >= batch.width for v in shared
+    ):
+        batch = _Batch(batch.expanded(), len(var_slot))
     if len(shared) == 1:  # key by the scalar, not a 1-tuple
         row_key = itemgetter(own[shared[0]])
         subst_key = itemgetter(var_slot[shared[0]])
@@ -67,7 +147,10 @@ def _equi_join(base, memo, counters, atom, block_size, batch, var_slot):
     row_ext = _getter(ext)
     for v in own:
         var_slot.setdefault(v, len(var_slot))
-    out: list[tuple] = []
+    prefix, counts = batch.rows, batch.counts
+    found: list = []
+    sizes: list[int] = []
+    made = 0
     for start in range(0, len(batch), block_size):
         rows = evaluate(base, memo, counters, steps, [()])
         if not start:  # every block reads the same rows
@@ -82,21 +165,24 @@ def _equi_join(base, memo, counters, atom, block_size, batch, var_slot):
                 # and a matching substitution is kept exactly once.
                 has = set(map(row_key, rows)).__contains__
         block = (
-            batch if block_size >= len(batch)
-            else batch[start : start + block_size]
+            prefix if block_size >= len(batch)
+            else prefix[start : start + block_size]
         )
         if ext:
-            # size the block's output before building it
             matches = list(map(get, map(subst_key, block), repeat(())))
-            check_batch(atom, len(out) + sum(map(len, matches)))
-            joined = [s + r for s, rs in zip(block, matches) for r in rs]
+            # size the block's output; none of it is built here
+            lengths = list(map(len, matches))
+            if counts is not None:  # one block of the whole prefix
+                lengths = list(map(mul, counts, lengths))
+            made += sum(lengths)
+            check_batch(atom, made)
+            sizes += lengths
+            found += matches
         else:  # a semi-join cannot grow the batch
-            joined = list(compress(block, map(has, map(subst_key, block))))
-        if start:
-            out += joined
-        else:  # one block's result is the join, not copied
-            out = joined
-    return out
+            found += map(has, map(subst_key, block))
+    if not ext:
+        return batch.filtered(found)
+    return batch.joined(found, sizes, made)
 
 
 def execute(base, plan: Plan) -> EvaluationResult:
@@ -110,7 +196,7 @@ def execute(base, plan: Plan) -> EvaluationResult:
     total = Counters()
     per_step: list[Counters] = []
     var_slot: dict[str, int] = {}
-    batch: list[tuple] = [()]
+    batch = _Batch([()], 0)
     first = JoinStrategy(JoinMethod.NESTED_LOOP)
     try:
         for step, (atom, strategy) in enumerate(
@@ -122,7 +208,10 @@ def execute(base, plan: Plan) -> EvaluationResult:
             inferred0, eob0 = total.inferred_facts, total.eob_accesses
             if strategy.method is JoinMethod.NESTED_LOOP:
                 steps = compile_query(memo, [atom], var_slot)
-                batch = evaluate(base, memo, total, steps, batch)
+                batch = _Batch(
+                    evaluate(base, memo, total, steps, batch.expanded()),
+                    len(var_slot),
+                )
             else:
                 size = (
                     strategy.block_size
@@ -142,7 +231,7 @@ def execute(base, plan: Plan) -> EvaluationResult:
         raise
 
     return EvaluationResult(
-        Answers.of(base.symbols, plan.query.head, var_slot, batch),
+        Answers.of(base.symbols, plan.query.head, var_slot, batch.expanded()),
         total.inferred_facts, total.eob_accesses, per_step,
     )
 

@@ -175,11 +175,12 @@ def _partitions(base, predicate, pattern):
 
 def _evaluate_sample(base, predicate, bound: dict[int, int], cache):
     """Cardinality and cost of one instantiated call, fresh memo per
-    partition so the cost reflects a full derivation."""
+    partition so the cost reflects a full derivation. `cache` keeps them,
+    with the call's inferred facts and EOB accesses, under the call."""
     key = (predicate, tuple(sorted(bound.items())))
     hit = cache.get(key)
     if hit is not None:
-        return hit
+        return hit[:2]
     arity = schema_for(predicate).arity
     args = []
     for i in range(arity):
@@ -188,9 +189,11 @@ def _evaluate_sample(base, predicate, bound: dict[int, int], cache):
         else:
             args.append(Term.var(f"V{i}"))
     result = engine.solve(base, Atom(predicate, tuple(args)), engine.MemoTable())
-    value = (float(len(result.answers)), float(result.actual_cost))
-    cache[key] = value
-    return value
+    card, cost = float(len(result.answers)), float(result.actual_cost)
+    cache[key] = (
+        card, cost, result.inferred_fact_count, result.eob_access_count
+    )
+    return card, cost
 
 
 def adaptive_sample(
@@ -292,16 +295,20 @@ def _iob_stats(arity, card_free, distinct, cost_run, low_confidence):
 
 
 def estimate_iob_stats(
-    base: OntologyBase, predicate: str, config: SamplingConfig
+    base: OntologyBase,
+    predicate: str,
+    config: SamplingConfig,
+    *,
+    sample_cache: dict | None = None,
 ) -> IobStats:
     """Sampled cost for every binding pattern plus the cardinality model.
 
     The all-free cardinality is mean * n of a sampling run; each argument's
     distinct values are estimated as that cardinality capped by its domain
-    size.
+    size. Every run shares one sample cache, `sample_cache` if given.
     """
     schema = schema_for(predicate)
-    cache: dict = {}
+    cache = sample_cache if sample_cache is not None else {}
     card_run = adaptive_sample(
         base, predicate, BindingPattern.free(schema.arity), "cardinality",
         config, sample_cache=cache,
@@ -322,9 +329,15 @@ def estimate_iob_stats(
 
 @dataclass
 class StatisticsCatalog:
+    """Per-predicate statistics. `counters` is the engine work the build
+    counted; like `created_at`, it is neither compared nor saved."""
+
     entries: dict[str, EobStats | IobStats]
     config: SamplingConfig
     created_at: str = field(default="", compare=False)
+    counters: engine.Counters = field(
+        default_factory=engine.Counters, compare=False
+    )
 
 
 def _now() -> str:
@@ -335,9 +348,18 @@ def build_catalog(base: OntologyBase, config: SamplingConfig) -> StatisticsCatal
     """Exact EOB statistics plus sampled IOB statistics for all patterns."""
     config.validate()
     entries: dict[str, EobStats | IobStats] = dict(compute_eob_stats(base))
+    work = engine.Counters()
     for name in IOB_PREDICATES:
-        entries[name] = estimate_iob_stats(base, name, config)
-    return StatisticsCatalog(entries, config, created_at=_now())
+        cache: dict = {}
+        entries[name] = estimate_iob_stats(
+            base, name, config, sample_cache=cache
+        )
+        for _, _, inferred, eob in cache.values():  # one per solved call
+            work.inferred_facts += inferred
+            work.eob_accesses += eob
+    return StatisticsCatalog(
+        entries, config, created_at=_now(), counters=work
+    )
 
 
 def build_exact_catalog(

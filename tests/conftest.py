@@ -1,3 +1,4 @@
+import os
 import random
 from pathlib import Path
 
@@ -56,20 +57,24 @@ def cars_exact_catalog(cars_base):
     return build_exact_catalog(cars_base)
 
 
-@pytest.fixture(scope="session")
-def serve_base() -> OntologyBase:
-    """The benchmark's serve base: every population count of the default
-    generator settings times 4, corpus seed 0, no queries."""
+def scaled_config(scale: int, seed: int) -> SynthConfig:
+    """The benchmark's corpus settings: every population count of the
+    default generator settings times `scale`, no queries."""
     d = SynthConfig()
-    scaled = {name: getattr(d, name) * 4 for name in (
+    scaled = {name: getattr(d, name) * scale for name in (
         "ontologies", "subclass_edges", "object_properties",
         "datatype_properties", "transitive_properties", "individuals",
         "statements", "import_edges",
     )}
-    config = SynthConfig(
-        **scaled, seed=0, chain_queries=0, star_queries=0
+    return SynthConfig(
+        **scaled, seed=seed, chain_queries=0, star_queries=0
     )
-    return generate_synthetic(config)[0]
+
+
+@pytest.fixture(scope="session")
+def serve_base() -> OntologyBase:
+    """The benchmark's serve base: scale 4, corpus seed 0."""
+    return generate_synthetic(scaled_config(4, 0))[0]
 
 
 @pytest.fixture(scope="session")
@@ -273,8 +278,12 @@ def bottom_up_oracle(base: OntologyBase) -> set[Atom]:
 
 
 # Property tests draw the same examples on every run and stay within the
-# tier-1 time budget.
+# tier-1 time budget. The `wide` profile draws new random examples on
+# every run, many more of them; `HYPOTHESIS_PROFILE` names the profile.
 settings.register_profile(
     "tier1", derandomize=True, max_examples=60, deadline=None, database=None
 )
-settings.load_profile("tier1")
+settings.register_profile(
+    "wide", max_examples=1000, deadline=None, database=None
+)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))

@@ -1,5 +1,8 @@
 import random
 import time
+import tracemalloc
+from itertools import compress, repeat
+from operator import itemgetter
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,13 +23,15 @@ from dobquery import (
     uniform_plan,
 )
 from dobquery import engine
-from dobquery.engine import Answers, Counters, compile_query, evaluate
-from dobquery.executor import _equi_join
+from dobquery.engine import (
+    Answers, Counters, EvaluationResult, check_batch, compile_query, evaluate,
+)
+from dobquery.executor import _Batch, _equi_join
 from dobquery.model import (
     BUILTIN_SCHEMA, EOB_PREDICATES, IOB_PREDICATES, ArgDomain, Atom, Query,
     Term,
 )
-from dobquery.optimizer import OptimizerError, plan_for_order
+from dobquery.optimizer import OptimizerError, Plan, plan_for_order
 from dobquery.store import OntologyBase, SymbolTable, _getter
 from conftest import (
     SERVE_Q17, binding_patterns, execute_all_strategies, random_base,
@@ -468,6 +473,18 @@ def _reference_equi_join(
     return out
 
 
+def _expanded_equi_join(
+    base, memo, counters, atom, block_size, batch, var_slot
+):
+    """`_equi_join` of a batch of whole substitutions, its deferred
+    result expanded to substitutions."""
+    joined = _equi_join(
+        base, memo, counters, atom, block_size,
+        _Batch(batch, len(var_slot)), var_slot,
+    )
+    return joined.expanded()
+
+
 def _assert_joins_agree(base, prefix, atom, block_sizes):
     """For each block size, `_equi_join` and the reference join `atom`
     onto the batch of `prefix` with the same rows in the same order, the
@@ -475,7 +492,7 @@ def _assert_joins_agree(base, prefix, atom, block_sizes):
     evaluated the prefix."""
     for size in block_sizes:
         runs = []
-        for join in (_equi_join, _reference_equi_join):
+        for join in (_expanded_equi_join, _reference_equi_join):
             memo = MemoTable()
             memo.bind(base)
             counters = Counters()
@@ -581,6 +598,27 @@ def test_serve_star_query_stops_at_the_batch_limit(serve_base, serve_catalog):
         execute(serve_base, plan)
     assert time.perf_counter() - start < 5
     assert "2424832 rows, over the batch limit of 1000000" in str(err.value)
+
+
+def test_serve_star_query_is_refused_from_its_match_counts(
+    serve_base, serve_catalog
+):
+    """The serve star query's hash joins all key on X, which its first
+    step binds, so each is deferred: step 6 is sized from the per-row
+    match counts and refused without building the batch of step 5."""
+    plan = optimize(SERVE_Q17, serve_catalog)
+    tracemalloc.start()
+    try:
+        with pytest.raises(EngineLimitError) as err:
+            execute(serve_base, plan)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == (
+        "plan step 6: isClass(Z4,X) makes at least 2424832 rows, over the"
+        " batch limit of 1000000"
+    )
+    assert peak < 5_000_000
 
 
 def test_batch_limit_refuses_a_small_head_over_a_big_batch(
@@ -719,3 +757,211 @@ def test_answers_read_by_need_match_the_eager_answers(width, data):
     second = substs()
     _assert_answers_match_eager(base, head, var_slot, first)
     _assert_answers_match_eager(base, head, var_slot, second)
+
+
+def _eager_equi_join(base, memo, counters, atom, block_size, batch, var_slot):
+    """`_equi_join` as it was before steps were deferred: it builds the
+    joined batch of every step."""
+    own: dict[str, int] = {}
+    steps = compile_query(memo, [atom], own)
+    shared = [v for v in own if v in var_slot]
+    ext = [i for v, i in own.items() if v not in var_slot]
+    if len(shared) == 1:
+        row_key = itemgetter(own[shared[0]])
+        subst_key = itemgetter(var_slot[shared[0]])
+    else:
+        row_key = _getter([own[v] for v in shared])
+        subst_key = _getter([var_slot[v] for v in shared])
+    row_ext = _getter(ext)
+    for v in own:
+        var_slot.setdefault(v, len(var_slot))
+    out: list[tuple] = []
+    for start in range(0, len(batch), block_size):
+        rows = evaluate(base, memo, counters, steps, [()])
+        if not start:
+            if ext:
+                table: dict[object, list[tuple]] = {}
+                for row in rows:
+                    table.setdefault(row_key(row), []).append(row_ext(row))
+                get = table.get
+            else:
+                has = set(map(row_key, rows)).__contains__
+        block = (
+            batch if block_size >= len(batch)
+            else batch[start : start + block_size]
+        )
+        if ext:
+            matches = list(map(get, map(subst_key, block), repeat(())))
+            check_batch(atom, len(out) + sum(map(len, matches)))
+            joined = [s + r for s, rs in zip(block, matches) for r in rs]
+        else:
+            joined = list(compress(block, map(has, map(subst_key, block))))
+        if start:
+            out += joined
+        else:
+            out = joined
+    return out
+
+
+def _eager_execute(base, plan):
+    """`execute` as it was before steps were deferred: the reference for
+    deferred steps."""
+    memo = MemoTable()
+    memo.bind(base)
+    total = Counters()
+    per_step: list[Counters] = []
+    var_slot: dict[str, int] = {}
+    batch: list[tuple] = [()]
+    try:
+        for step, (atom, strategy) in enumerate(
+            zip(plan.atoms, (_NLJ, *plan.strategies)), start=1
+        ):
+            if not batch:
+                per_step.append(Counters())
+                continue
+            inferred0, eob0 = total.inferred_facts, total.eob_accesses
+            if strategy.method is JoinMethod.NESTED_LOOP:
+                steps = compile_query(memo, [atom], var_slot)
+                batch = evaluate(base, memo, total, steps, batch)
+            else:
+                size = (
+                    strategy.block_size
+                    if strategy.method is JoinMethod.BLOCK_NESTED_LOOP
+                    else len(batch)
+                )
+                batch = _eager_equi_join(
+                    base, memo, total, atom, size, batch, var_slot
+                )
+            per_step.append(Counters(
+                total.inferred_facts - inferred0, total.eob_accesses - eob0
+            ))
+    except EngineLimitError as err:
+        err.args = (f"plan step {step}: {err}",)
+        raise
+    return EvaluationResult(
+        Answers.of(base.symbols, plan.query.head, var_slot, batch),
+        total.inferred_facts, total.eob_accesses, per_step,
+    )
+
+
+# Predicate positions by the domain of their variables; a value position
+# takes individual variables, as in `_DOMAIN_VARS`.
+_VAR_DOMAIN = {d: d for d in ArgDomain} | {
+    ArgDomain.VALUE: ArgDomain.INDIVIDUAL
+}
+_POSITIONS = {
+    d: [
+        (pred, i)
+        for pred, schema in BUILTIN_SCHEMA.items()
+        for i, arg in enumerate(schema.arg_domains)
+        if _VAR_DOMAIN[arg] is d
+    ]
+    for d in set(_VAR_DOMAIN.values())
+}
+
+
+@st.composite
+def _shaped_plans(draw):
+    """(seed, plan) over `random_base(seed)`: a body of 3-6 atoms that
+    each share a variable with the one before, around one center variable
+    (a star) or through a new variable of each atom (a chain), in a random
+    order under random per-step strategies. Other arguments are new
+    variables, variables of earlier atoms or constants, so steps join on
+    prefix and deferred slots, bind nothing new and cross."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    constants = _constants_by_domain(random_base(random.Random(seed), 120))
+    shape = draw(st.sampled_from(["star", "chain"]))
+    n = draw(st.integers(3, 6))
+    link = "X"
+    domain = draw(st.sampled_from(sorted(_POSITIONS, key=str)))
+    seen = {d: [] for d in _POSITIONS}
+    body = []
+    for k in range(n):
+        pred, at = draw(st.sampled_from(_POSITIONS[domain]))
+        args = []
+        for i, arg in enumerate(BUILTIN_SCHEMA[pred].arg_domains):
+            kind = draw(st.integers(0, 9))
+            var_domain = _VAR_DOMAIN[arg]
+            if i == at:
+                term = Term.var(link)
+            elif kind < 3 or kind < 8 and not seen[var_domain]:
+                term = Term.var(f"V{k}{i}")
+            elif kind < 8:
+                term = Term.var(draw(st.sampled_from(seen[var_domain])))
+            else:
+                term = Term.const(draw(
+                    st.sampled_from(constants[arg] or ["absent"])
+                ))
+            if term.is_var and term.value not in seen[var_domain]:
+                seen[var_domain].append(term.value)
+            args.append(term)
+        body.append(Atom(pred, tuple(args)))
+        fresh = [
+            (t.value, _VAR_DOMAIN[d])
+            for t, d in zip(args, BUILTIN_SCHEMA[pred].arg_domains)
+            if t.is_var and t.value != link
+        ]
+        if shape == "chain" and fresh:
+            link, domain = draw(st.sampled_from(fresh))
+    variables = sorted({v for a in body for v in a.variables})
+    query = Query(Atom("q", tuple(map(Term.var, variables))), tuple(body))
+    order = tuple(draw(st.permutations(range(n))))
+    # hash joins, the steps most often deferred, in about half the draws
+    strategy = st.one_of(st.just(_HASH), st.sampled_from(_ALL_STRATEGIES))
+    strategies = tuple(
+        draw(st.lists(strategy, min_size=n - 1, max_size=n - 1))
+    )
+    return seed, Plan(query, order, strategies, None)
+
+
+def _outcome(run, base, plan):
+    """Answer rows and total and per-step counters, or the refusal."""
+    try:
+        result = run(base, plan)
+    except EngineLimitError as err:
+        return str(err)
+    return (
+        result.answers.rows, result.inferred_fact_count,
+        result.eob_access_count, result.per_step,
+    )
+
+
+# On `random_base(0)` no class of o0 has a datatype property: step 3
+# leaves no substitution, though it would keep prefix rows for o0's
+# classes if deferred step 2 kept the rows that match nothing. Step 4
+# must not run.
+_EMPTIED_BY_A_SEMI_JOIN = Plan(parse_query(
+    "q(X,O,P,Q) :- isClass(X,O), isDProperty(P,X), isClass(X,o0),"
+    " isOntology(Q)."
+), (0, 1, 2, 3), (_HASH,) * 3, None)
+
+# On `random_base(0)` step 3 keeps 2 prefix rows that stand for 4
+# substitutions, so step 4 runs in 2 blocks of 2, not in one.
+_SIZED_AFTER_A_SEMI_JOIN = Plan(parse_query(
+    "q(X,O,I,Q) :- isClass(X,O), areIndividuals(I,X), isClass(X,o0),"
+    " isOntology(Q)."
+), (0, 1, 2, 3), (_HASH, _HASH, _bnlj(2)), None)
+
+# Three deferred joins on X, most rows matching several individuals in
+# each: 270 substitutions are built from match lists in one expansion.
+_THREE_DEFERRED_JOINS = Plan(parse_query(
+    "q(X,O,I,J,K) :- isClass(X,O), areIndividuals(I,X),"
+    " areIndividuals(J,X), areIndividuals(K,X)."
+), (0, 1, 2, 3), (_HASH,) * 3, None)
+
+
+@example((0, _EMPTIED_BY_A_SEMI_JOIN), 1_000_000)
+@example((0, _SIZED_AFTER_A_SEMI_JOIN), 1_000_000)
+@example((0, _THREE_DEFERRED_JOINS), 1_000_000)
+@given(_shaped_plans(), st.integers(1, 5000))
+def test_deferred_steps_match_the_eager_executor(case, limit):
+    """Deferred equi-joins give the answers, total and per-step counters
+    and refusal text of the executor that builds every step, on star and
+    chain bodies under a small batch limit."""
+    seed, plan = case
+    base = random_base(random.Random(seed), max_facts=120)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "MAX_BATCH_ROWS", limit)
+        deferred = _outcome(execute, base, plan)
+        eager = _outcome(_eager_execute, base, plan)
+    assert deferred == eager, plan

@@ -14,9 +14,13 @@ from dobquery import (
     build_exact_catalog,
     compute_eob_stats,
     estimate_iob_stats,
+    generate_synthetic,
     parse_atom,
+    parse_dob,
+    render_dob,
 )
-from dobquery.engine import Answers
+from dobquery import engine
+from dobquery.engine import Answers, Counters
 from dobquery.model import BUILTIN_SCHEMA, PredicateKind, schema_for
 from dobquery.stats import (
     AnalyzerError,
@@ -28,7 +32,7 @@ from dobquery.stats import (
     catalog_from_text,
     catalog_to_text,
 )
-from conftest import bottom_up_oracle, random_base
+from conftest import bottom_up_oracle, random_base, scaled_config
 
 
 def test_binding_pattern_parse_and_format():
@@ -398,3 +402,25 @@ def test_sampling_leaves_base_unchanged(cars_base):
     before = [str(a) for a in cars_base.facts()]
     build_catalog(cars_base, SamplingConfig(seed=1))
     assert [str(a) for a in cars_base.facts()] == before
+
+
+def test_build_catalog_reports_the_work_of_its_solve_calls(monkeypatch):
+    """A catalog's counters are the engine work of every `engine.solve`
+    call its build makes, on the benchmark's analyze smoke input (scale 2,
+    corpus seed 0, rendered and parsed again)."""
+    text = render_dob(generate_synthetic(scaled_config(2, 0))[0].facts())
+    base = OntologyBase.from_facts(parse_dob(text))
+    solved = Counters()
+    solve = engine.solve
+
+    def counting_solve(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        solved.inferred_facts += result.inferred_fact_count
+        solved.eob_accesses += result.eob_access_count
+        return result
+
+    monkeypatch.setattr(engine, "solve", counting_solve)
+    catalog = build_catalog(base, SamplingConfig())
+    assert solved.inferred_facts > 0 and solved.eob_accesses > 0
+    assert catalog.counters == solved
+    assert catalog_from_text(catalog_to_text(catalog)) == catalog

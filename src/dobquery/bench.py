@@ -195,18 +195,18 @@ def run_ratio(
 
 
 def compare_strategy_sets(
-    bases, queries, config: SamplingConfig, *, block_size: int = 32,
-    catalogs=None,
+    bases, queries, config: SamplingConfig, *, catalogs=None,
 ) -> dict[str, float]:
     """Mean optimal/worst ratios of the nested-loop-only optimizer and the
-    three-strategy optimizer against a common baseline.
+    optimizer that picks nested loop or hash join per step, against a
+    common baseline.
 
     The baseline for both is the worst nested-loop ordering, so the
     comparison isolates what the larger strategy search space buys: a
     better chosen plan for the same query.
     """
-    nlj_only = (JoinStrategy(JoinMethod.NESTED_LOOP, block_size),)
-    combined = default_strategies(block_size)
+    nlj_only = (JoinStrategy(JoinMethod.NESTED_LOOP),)
+    combined = default_strategies()
     nlj_ratios: list[float] = []
     combined_ratios: list[float] = []
     for base, catalog, query, rows in _query_orderings(

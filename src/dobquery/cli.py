@@ -50,10 +50,10 @@ def _load_base(path: str) -> OntologyBase:
     return OntologyBase.from_facts(parse_dob(text, filename=path))
 
 
-def _enabled_strategies(name: str, block_size: int):
+def _enabled_strategies(name: str):
     if name == "auto":
-        return default_strategies(block_size)
-    return (JoinStrategy(JoinMethod(name), block_size),)
+        return default_strategies()
+    return (JoinStrategy(JoinMethod(name)),)
 
 
 def _cmd_translate(args) -> int:
@@ -83,7 +83,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_query(args) -> int:
     base = _load_base(args.dob)
     query = parse_query(args.query)
-    strategies = _enabled_strategies(args.strategy, args.block_size)
+    strategies = _enabled_strategies(args.strategy)
     catalog = load_catalog(args.catalog)
     if args.no_optimize:
         # keep the written ordering, pick per-step strategies by cost
@@ -149,9 +149,9 @@ def _cmd_bench(args) -> int:
     bases, queries = _load_corpus(args.corpus)
     config = SamplingConfig(d=args.d, p=args.p, k=args.k, seed=args.seed)
     if args.strategies == "all":
-        strategies = default_strategies(args.block_size)
+        strategies = default_strategies()
     else:
-        strategies = (JoinStrategy(JoinMethod.NESTED_LOOP, args.block_size),)
+        strategies = (JoinStrategy(JoinMethod.NESTED_LOOP),)
     if args.mode == "correlate":
         report = bench_mod.run_correlation(bases, queries, config, strategies)
         bench_mod.write_correlation_csv(report, args.output)
@@ -201,7 +201,6 @@ def build_parser() -> _Parser:
         default="auto",
     )
     p.add_argument("--no-optimize", action="store_true")
-    p.add_argument("--block-size", type=_positive_int, default=32)
     p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser("gen", help="generate synthetic corpora")
@@ -219,7 +218,6 @@ def build_parser() -> _Parser:
     p.add_argument("-p", type=float, default=0.7)
     p.add_argument("-k", type=int, default=7)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--block-size", type=_positive_int, default=32)
     p.set_defaults(func=_cmd_bench)
     return parser
 

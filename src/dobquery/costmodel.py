@@ -6,12 +6,11 @@ divided by the nKeys product of the bound arguments, and retrieval cost
 equals that expected match count. Intensional predicates are looked up
 from the sampled per-pattern statistics. Conjunctions combine the
 per-predicate numbers with a System-R-style reduction factor and one of
-three join strategies.
+two join strategies, nested loop and hash join.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -27,35 +26,25 @@ class Estimate:
 
 class JoinMethod(Enum):
     NESTED_LOOP = "nlj"
-    BLOCK_NESTED_LOOP = "bnlj"
     HASH_JOIN = "hash"
 
 
 # Plain names for the hot loop: a member lookup on the Enum class costs
 # about ten times a global read.
 _NESTED_LOOP = JoinMethod.NESTED_LOOP
-_BLOCK_NESTED_LOOP = JoinMethod.BLOCK_NESTED_LOOP
 
 
 @dataclass(frozen=True)
 class JoinStrategy:
     method: JoinMethod
-    block_size: int = 32
-
-    def __post_init__(self):
-        if self.block_size < 1:
-            raise ValueError(f"block size must be >= 1: {self.block_size}")
 
     def __str__(self) -> str:
-        if self.method is JoinMethod.BLOCK_NESTED_LOOP:
-            return f"{self.method.value}[{self.block_size}]"
         return self.method.value
 
 
-def default_strategies(block_size: int = 32) -> tuple[JoinStrategy, ...]:
+def default_strategies() -> tuple[JoinStrategy, ...]:
     return (
         JoinStrategy(JoinMethod.NESTED_LOOP),
-        JoinStrategy(JoinMethod.BLOCK_NESTED_LOOP, block_size),
         JoinStrategy(JoinMethod.HASH_JOIN),
     )
 
@@ -190,21 +179,15 @@ class JoinTable:
 
         Cardinality is strategy-independent: card(L) * card(R under query
         constants only) * reduction factor. Cost per strategy: nested loop
-        charges the instantiated right side once per left row; block
-        nested loop charges the right side once per block, unscaled; hash
-        join charges each side once.
+        charges the instantiated right side once per left row; hash join
+        charges each side once.
         """
         rf, inst_cost = self.inputs(left, right)
         r_const = self.estimates[right]
         best_cost = best_strategy = None
         for strategy in strategies:
-            method = strategy.method
-            if method is _NESTED_LOOP:
+            if strategy.method is _NESTED_LOOP:
                 cost = nested_loop_cost(left_cost, left_card, inst_cost)
-            elif method is _BLOCK_NESTED_LOOP:
-                cost = block_nested_loop_cost(
-                    left_cost, left_card, r_const.cost, strategy.block_size
-                )
             else:
                 cost = hash_join_cost(left_cost, r_const.cost)
             if best_cost is None or cost < best_cost:
@@ -243,14 +226,6 @@ def join_cardinality(left_card: float, right_card: float, rf: float) -> float:
 
 def nested_loop_cost(left_cost: float, left_card: float, inst_cost: float) -> float:
     return left_cost + left_card * inst_cost
-
-
-def block_nested_loop_cost(
-    left_cost: float, left_card: float, right_cost: float, block_size: int
-) -> float:
-    if left_card == math.inf:  # `math.ceil` cannot round an infinity
-        return math.inf
-    return left_cost + math.ceil(left_card / block_size) * right_cost
 
 
 def hash_join_cost(left_cost: float, right_cost: float) -> float:

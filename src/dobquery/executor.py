@@ -8,35 +8,33 @@ public core, `compile_query`, `evaluate` and `check_batch`, and nothing
 else of the engine. Nested loop applies the compiled step to the whole
 batch with sideways variables bound, in the order the previous step
 produced it, as `solve_sequence` does, so the two call the memo in the
-same order and count the same work for the same ordering; block nested
-loop runs the subgoal, compiled once with only its own constants bound,
-once per block, and hash join once in total, and both equi-join the
-result with the batch on the shared slots (a cross product if there are
-none).
-Each such step keeps one hash table of the subgoal's rows, keyed by the
-shared variable itself when there is one, and probes a whole block with
-it at once. A step that binds no new variable is a semi-join: it keeps
-the table's key set and filters the block by it. The batch keeps its
-order and every block is still solved and counted, so the counters do
-not depend on how a block is probed.
-An equi-join step is deferred: the batch keeps the rows built so far
-(the prefix rows) and, per deferred step, one match list per prefix row,
-the table rows that row joins with. A prefix row stands for the product
-of its match-list lengths, its count, and a row whose count is 0 is
-dropped. A later equi-join step of one block (a hash join always) whose
-key reads only prefix slots is deferred in turn, and a semi-join on
-prefix slots filters the prefix rows with their lists. Any other step
-first expands the batch, in the order eager steps would have built it:
-by prefix row, then by the first deferred step's row, then the next.
-Those are a nested-loop step, a block nested loop of more than one
-block, a step whose key reads a deferred slot, and the head projection.
+same order and count the same work for the same ordering; hash join
+runs the subgoal once, compiled with only its own constants bound, and
+equi-joins the result with the batch on the shared slots (a cross
+product if there are none).
+A hash join keeps one hash table of the subgoal's rows, keyed by the
+shared variable itself when there is one, and probes the whole batch
+with it at once. A step that binds no new variable is a semi-join: it
+keeps the table's key set and filters the batch by it. The batch keeps
+its order and the subgoal is solved and counted once, so the counters
+do not depend on how the batch is probed.
+A hash join is deferred: the batch keeps the rows built so far (the
+prefix rows) and, per deferred step, one match list per prefix row, the
+table rows that row joins with. A prefix row stands for the product of
+its match-list lengths, its count, and a row whose count is 0 is
+dropped. A later hash join whose key reads only prefix slots is
+deferred in turn, and a semi-join on prefix slots filters the prefix
+rows with their lists. Any other step first expands the batch, in the
+order eager steps would have built it: by prefix row, then by the first
+deferred step's row, then the next. Those are a nested-loop step, a
+step whose key reads a deferred slot, and the head projection.
 No step's batch may pass the engine's `MAX_BATCH_ROWS` rows, and each
 step is sized before it is built: a nested-loop step is one `evaluate`,
-which sizes its own output, and an equi-join step adds up, block by
-block, each row's match count times the row's count, through the same
-`check_batch`. That is the exact size of the batch eager steps build,
-so a deferred step is refused at the same count, with none of its rows
-built. A semi-join cannot grow the batch, so it needs no check.
+which sizes its own output, and a hash join adds up each row's match
+count times the row's count, through the same `check_batch`. That is
+the exact size of the batch eager steps build, so a deferred step is
+refused at the same count, with none of its rows built. A semi-join
+cannot grow the batch, so it needs no check.
 Past the limit, execution raises `EngineLimitError`, and `execute`
 names the plan step in it, as it does for the memo's entry cap. The
 limit is on the batch, which keeps every variable, not on the answers:
@@ -73,20 +71,19 @@ class _Batch:
     deferred equi-join step keeps in `lists` one match list per prefix
     row: the subgoal rows that row joins with. A substitution is a prefix
     row followed by one row of each of its match lists, so a prefix row
-    stands for `counts`, the product of their lengths, and the batch for
-    `len()` substitutions."""
+    stands for `counts`, the product of their lengths. A row whose count
+    is 0 is dropped, so the batch is empty when it has no prefix row."""
 
-    __slots__ = ("rows", "width", "lists", "counts", "size")
+    __slots__ = ("rows", "width", "lists", "counts")
 
-    def __init__(self, rows, width, lists=(), counts=None, size=None):
+    def __init__(self, rows, width, lists=(), counts=None):
         self.rows = rows
         self.width = width
         self.lists = lists
         self.counts = counts  # None: one substitution per row
-        self.size = len(rows) if size is None else size
 
-    def __len__(self) -> int:
-        return self.size
+    def __bool__(self) -> bool:
+        return bool(self.rows)
 
     def expanded(self) -> list[tuple]:
         """The substitutions, in the order eager steps build them: by
@@ -105,13 +102,11 @@ class _Batch:
                 reps = list(lengths)
         return rows
 
-    def joined(self, matches, counts, size) -> _Batch:
+    def joined(self, matches, counts) -> _Batch:
         """The batch with one more deferred step: `matches` holds its
-        match list of each prefix row, `counts` the rows' new products and
-        `size` their sum. Rows that match nothing are dropped."""
-        batch = _Batch(
-            self.rows, self.width, (*self.lists, matches), counts, size
-        )
+        match list of each prefix row and `counts` the rows' new products.
+        Rows that match nothing are dropped."""
+        batch = _Batch(self.rows, self.width, (*self.lists, matches), counts)
         return batch.filtered(counts) if 0 in counts else batch
 
     def filtered(self, keep) -> _Batch:
@@ -121,22 +116,20 @@ class _Batch:
             return _Batch(rows, self.width)
         counts = list(compress(self.counts, keep))
         lists = [list(compress(rs, keep)) for rs in self.lists]
-        return _Batch(rows, self.width, lists, counts, sum(counts))
+        return _Batch(rows, self.width, lists, counts)
 
 
-def _equi_join(base, memo, counters, atom, block_size, batch, var_slot):
-    """Join `batch` with the atom's answers, solving it once per block.
+def _equi_join(base, memo, counters, atom, batch, var_slot):
+    """Join `batch` with the atom's answers, solving it once.
 
     The join is deferred: the result keeps the batch's prefix rows and
     adds the atom's match list of each. The batch is expanded first when
-    the step has more than one block or its key reads a deferred slot."""
+    the step's key reads a deferred slot."""
     own: dict[str, int] = {}
     steps = compile_query(memo, [atom], own)
     shared = [v for v in own if v in var_slot]
     ext = [i for v, i in own.items() if v not in var_slot]
-    if block_size < len(batch) or any(
-        var_slot[v] >= batch.width for v in shared
-    ):
+    if any(var_slot[v] >= batch.width for v in shared):
         batch = _Batch(batch.expanded(), len(var_slot))
     if len(shared) == 1:  # key by the scalar, not a 1-tuple
         row_key = itemgetter(own[shared[0]])
@@ -147,42 +140,25 @@ def _equi_join(base, memo, counters, atom, block_size, batch, var_slot):
     row_ext = _getter(ext)
     for v in own:
         var_slot.setdefault(v, len(var_slot))
-    prefix, counts = batch.rows, batch.counts
-    found: list = []
-    sizes: list[int] = []
-    made = 0
-    for start in range(0, len(batch), block_size):
-        rows = evaluate(base, memo, counters, steps, [()])
-        if not start:  # every block reads the same rows
-            if ext:
-                table: dict[object, list[tuple]] = {}
-                for row in rows:
-                    table.setdefault(row_key(row), []).append(row_ext(row))
-                get = table.get
-            else:
-                # A semi-join: evaluated rows are distinct
-                # (test_evaluated_rows_are_distinct), so a key has one row
-                # and a matching substitution is kept exactly once.
-                has = set(map(row_key, rows)).__contains__
-        block = (
-            prefix if block_size >= len(batch)
-            else prefix[start : start + block_size]
-        )
-        if ext:
-            matches = list(map(get, map(subst_key, block), repeat(())))
-            # size the block's output; none of it is built here
-            lengths = list(map(len, matches))
-            if counts is not None:  # one block of the whole prefix
-                lengths = list(map(mul, counts, lengths))
-            made += sum(lengths)
-            check_batch(atom, made)
-            sizes += lengths
-            found += matches
-        else:  # a semi-join cannot grow the batch
-            found += map(has, map(subst_key, block))
+    rows = evaluate(base, memo, counters, steps, [()])
+    keys = map(subst_key, batch.rows)
     if not ext:
-        return batch.filtered(found)
-    return batch.joined(found, sizes, made)
+        # A semi-join: evaluated rows are distinct
+        # (test_evaluated_rows_are_distinct), so a key has one row and a
+        # matching substitution is kept exactly once. It cannot grow the
+        # batch.
+        has = set(map(row_key, rows)).__contains__
+        return batch.filtered(list(map(has, keys)))
+    table: dict[object, list[tuple]] = {}
+    for row in rows:
+        table.setdefault(row_key(row), []).append(row_ext(row))
+    matches = list(map(table.get, keys, repeat(())))
+    # size the step's output; none of it is built here
+    lengths = list(map(len, matches))
+    if batch.counts is not None:
+        lengths = list(map(mul, batch.counts, lengths))
+    check_batch(atom, sum(lengths))
+    return batch.joined(matches, lengths)
 
 
 def execute(base, plan: Plan) -> EvaluationResult:
@@ -213,14 +189,7 @@ def execute(base, plan: Plan) -> EvaluationResult:
                     len(var_slot),
                 )
             else:
-                size = (
-                    strategy.block_size
-                    if strategy.method is JoinMethod.BLOCK_NESTED_LOOP
-                    else len(batch)
-                )
-                batch = _equi_join(
-                    base, memo, total, atom, size, batch, var_slot
-                )
+                batch = _equi_join(base, memo, total, atom, batch, var_slot)
             per_step.append(
                 Counters(
                     total.inferred_facts - inferred0, total.eob_accesses - eob0

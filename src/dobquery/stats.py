@@ -18,7 +18,7 @@ import random
 import statistics as _statistics
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import product
+from itertools import chain, product
 
 from . import engine
 from .model import (
@@ -344,21 +344,31 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
+def _solved_work(caches, calls=()) -> engine.Counters:
+    """Inferred facts and EOB accesses summed over `calls`, (inferred,
+    EOB) pairs, and every call solved into the sample `caches`, which keep
+    one entry per solved call."""
+    work = engine.Counters()
+    for inferred, eob in chain(
+        calls, (hit[2:] for cache in caches for hit in cache.values())
+    ):
+        work.inferred_facts += inferred
+        work.eob_accesses += eob
+    return work
+
+
 def build_catalog(base: OntologyBase, config: SamplingConfig) -> StatisticsCatalog:
     """Exact EOB statistics plus sampled IOB statistics for all patterns."""
     config.validate()
     entries: dict[str, EobStats | IobStats] = dict(compute_eob_stats(base))
-    work = engine.Counters()
-    for name in IOB_PREDICATES:
-        cache: dict = {}
+    caches = {name: {} for name in IOB_PREDICATES}
+    for name, cache in caches.items():
         entries[name] = estimate_iob_stats(
             base, name, config, sample_cache=cache
         )
-        for _, _, inferred, eob in cache.values():  # one per solved call
-            work.inferred_facts += inferred
-            work.eob_accesses += eob
     return StatisticsCatalog(
-        entries, config, created_at=_now(), counters=work
+        entries, config, created_at=_now(),
+        counters=_solved_work(caches.values()),
     )
 
 
@@ -375,20 +385,27 @@ def build_exact_catalog(
     config = config or SamplingConfig()
     entries: dict[str, EobStats | IobStats] = dict(compute_eob_stats(base))
     memo = engine.MemoTable()
+    caches, free_calls = [], []
     for name in IOB_PREDICATES:
         arity = schema_for(name).arity
         free = Atom(name, tuple(Term.var(f"V{i}") for i in range(arity)))
-        answers = engine.solve(base, free, memo).answers
+        result = engine.solve(base, free, memo)
+        free_calls.append((result.inferred_fact_count, result.eob_access_count))
+        answers = result.answers
         distinct = tuple(
             float(len({row[i] for row in answers.rows})) for i in range(arity)
         )
         cache: dict = {}
+        caches.append(cache)
         entries[name] = _iob_stats(
             arity, float(len(answers)), distinct,
             lambda pattern: _exhaustive_run(base, name, pattern, cache),
             False,
         )
-    return StatisticsCatalog(entries, config, created_at=_now())
+    return StatisticsCatalog(
+        entries, config, created_at=_now(),
+        counters=_solved_work(caches, free_calls),
+    )
 
 
 # --- catalog file format ----------------------------------------------------

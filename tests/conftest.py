@@ -193,12 +193,11 @@ def execute_all_strategies(
     base,
     query: Query,
     order: tuple[int, ...] | None = None,
-    block_size: int = 32,
 ) -> dict[JoinMethod, EvaluationResult]:
     """One report per strategy over the same ordering; answers must agree."""
     out = {}
     for method in JoinMethod:
-        plan = uniform_plan(query, JoinStrategy(method, block_size), order)
+        plan = uniform_plan(query, JoinStrategy(method), order)
         out[method] = execute(base, plan)
     return out
 

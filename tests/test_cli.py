@@ -142,14 +142,14 @@ def test_query_no_optimize_costs_only_the_written_order(workspace, capsys):
     assert answers[True] == ["q(source1)", "q(source2)"]
 
 
-@pytest.mark.parametrize("strategy", ["nlj", "bnlj", "hash", "auto"])
+@pytest.mark.parametrize("strategy", ["nlj", "hash", "auto"])
 def test_query_strategy_flag(workspace, capsys, strategy):
     dob, catalog = workspace
     code, out, _ = run(
         capsys,
         "query", str(dob), "--catalog", str(catalog),
         "-q", "q(O):-areClasses(C,O),isDProperty(traction,C).",
-        "--strategy", strategy, "--block-size", "8",
+        "--strategy", strategy,
     )
     assert code == 0
     assert len(out.splitlines()) == 3
@@ -347,19 +347,30 @@ def test_query_past_the_optimizer_cap_is_a_data_error(workspace, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("command", ["query", "bench"])
-def test_nonpositive_block_size_is_a_usage_error(workspace, tmp_path, capsys,
-                                                 command):
+@pytest.mark.parametrize("command, option, message", [
+    ("query", ["--strategy", "bnlj"],
+     "argument --strategy: invalid choice: 'bnlj' (choose from "),
+    ("query", ["--block-size", "8"], "unrecognized arguments: --block-size 8"),
+    ("bench", ["--block-size", "8"], "unrecognized arguments: --block-size 8"),
+], ids=["query-strategy-bnlj", "query-block-size", "bench-block-size"])
+def test_block_nested_loop_options_are_usage_errors(
+    workspace, tmp_path, capsys, command, option, message
+):
+    """Block nested loop and its block size are no options: naming them
+    is a usage error, and a wrong strategy lists the valid ones."""
     dob, catalog = workspace
     if command == "query":
         args = ["query", str(dob), "--catalog", str(catalog),
                 "-q", "q(C):-areClasses(C,carsOnt)."]
     else:
         args = ["bench", "ratio", str(tmp_path), "-o", str(tmp_path / "r")]
-    code, out, err = run(capsys, *args, "--block-size", "0")
+    code, out, err = run(capsys, *args, *option)
     assert code == 1
     assert out == ""
-    assert "--block-size: expected a positive integer, got '0'" in err
+    assert message in err
+    if option[0] == "--strategy":
+        choices = err.split("choose from ", 1)[1]
+        assert all(name in choices for name in ("nlj", "hash", "auto"))
     assert "Traceback" not in err
 
 

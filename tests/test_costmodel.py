@@ -20,7 +20,6 @@ from dobquery import (
 from dobquery.costmodel import (
     JoinTable,
     _atom_distinct,
-    block_nested_loop_cost,
     default_strategies,
     hash_join_cost,
     join_cardinality,
@@ -52,13 +51,8 @@ def _manual_catalog():
 
 def test_join_cost_formulas():
     assert nested_loop_cost(3.0, 4.0, 2.0) == 11.0
-    assert block_nested_loop_cost(3.0, 10.0, 5.0, 4) == 18.0
     assert hash_join_cost(5.0, 7.0) == 12.0
     assert join_cardinality(12.0, 1.0, 0.25) == 3.0
-
-
-def test_block_nested_loop_cost_of_an_infinite_prefix_is_infinite():
-    assert block_nested_loop_cost(3.0, math.inf, 5.0, 32) == math.inf
 
 
 def test_written_order_of_a_long_star_costs_every_strategy(serve_catalog):
@@ -69,11 +63,6 @@ def test_written_order_of_a_long_star_costs_every_strategy(serve_catalog):
     )
     assert plan.estimate.cardinality == math.inf
     assert len(plan.strategies) == 399
-
-
-def test_block_size_validation():
-    with pytest.raises(ValueError):
-        JoinStrategy(JoinMethod.BLOCK_NESTED_LOOP, 0)
 
 
 def test_predicate_estimate_eob_free_with_constant(cars_exact_catalog):
@@ -134,7 +123,6 @@ def test_join_estimate_cardinality_strategy_invariant():
     cards = set()
     for strategy in (
         JoinStrategy(JoinMethod.NESTED_LOOP),
-        JoinStrategy(JoinMethod.BLOCK_NESTED_LOOP, 4),
         JoinStrategy(JoinMethod.HASH_JOIN),
     ):
         est = join_estimate(
@@ -262,7 +250,7 @@ def test_join_is_extend_as_an_estimate(seed, data):
     right = data.draw(st.integers(0, n - 1))
     number = st.floats(0, 1e9, allow_nan=False)
     cost, card = data.draw(number), data.draw(number)
-    every = default_strategies(block_size=3)
+    every = default_strategies()
     for size in range(1, len(every) + 1):
         for strategies in itertools.combinations(every, size):
             got_cost, got_card, strategy = table.extend(

@@ -91,18 +91,6 @@ def test_hash_join_step_costs_both_sides_independently(cars_base):
     assert step.eob_accesses == fresh.eob_access_count
 
 
-def test_single_block_bnlj_equals_hash_join_counters(cars_base):
-    q = parse_query(CARS_Q)
-    big_block = JoinStrategy(JoinMethod.BLOCK_NESTED_LOOP, 1000)
-    hash_join = JoinStrategy(JoinMethod.HASH_JOIN)
-    bnlj_report = execute(cars_base, uniform_plan(q, big_block))
-    hash_report = execute(cars_base, uniform_plan(q, hash_join))
-    for a, b in zip(bnlj_report.per_step, hash_report.per_step):
-        assert (a.inferred_facts, a.eob_accesses) == (
-            b.inferred_facts, b.eob_accesses
-        )
-
-
 def test_execute_all_strategies_equal_answers(cars_base):
     reports = execute_all_strategies(cars_base, parse_query(CARS_Q_PRIME))
     answer_sets = {
@@ -227,22 +215,15 @@ _NLJ = JoinStrategy(JoinMethod.NESTED_LOOP)
 _HASH = JoinStrategy(JoinMethod.HASH_JOIN)
 
 
-def _bnlj(size):
-    return JoinStrategy(JoinMethod.BLOCK_NESTED_LOOP, size)
-
-
 @pytest.mark.parametrize("text, strategy, cost, steps", [
     (CARS_Q, _NLJ, 29, [(14, 12), (0, 3)]),
-    (CARS_Q, _bnlj(1), 38, [(14, 12), (0, 12)]),
-    (CARS_Q, _bnlj(2), 32, [(14, 12), (0, 6)]),
     (CARS_Q, _HASH, 27, [(14, 12), (0, 1)]),
     (CARS_Q_PRIME, _NLJ, 12, [(0, 1), (5, 6)]),
-    (_CROSS_Q, _bnlj(1), 8, [(0, 2), (0, 6)]),
     (_CROSS_Q, _HASH, 5, [(0, 2), (0, 3)]),
 ])
 def test_pinned_step_counters_on_cars(cars_base, text, strategy, cost, steps):
     """(inferred facts, EOB accesses) per step: nested loop probes once per
-    incoming substitution, block nested loop once per block, hash once."""
+    incoming substitution, hash join once."""
     report = execute(cars_base, uniform_plan(parse_query(text), strategy))
     assert report.actual_cost == cost
     assert [
@@ -298,7 +279,7 @@ def test_recursive_group_counts_pinned(seed, counts):
     assert executed[1:] == counts
 
 
-_ALL_STRATEGIES = [_NLJ, _bnlj(1), _bnlj(2), _bnlj(32), _HASH]
+_ALL_STRATEGIES = [_NLJ, _HASH]
 
 # Variables per argument domain; a value can be an individual, so value
 # positions share the individual variables and join with them.
@@ -446,9 +427,7 @@ def test_answers_iterate_in_text_order(seed, data):
     assert len(answers) == len(report.answers)
 
 
-def _reference_equi_join(
-    base, memo, counters, atom, block_size, batch, var_slot
-):
+def _reference_equi_join(base, memo, counters, atom, batch, var_slot):
     """The equi-join probing one substitution at a time, each against a
     hash table keyed by tuples: the reference for `_equi_join`. It has no
     batch limit."""
@@ -460,48 +439,39 @@ def _reference_equi_join(
     subst_key = _getter([var_slot[v] for v in shared])
     for v in own:
         var_slot.setdefault(v, len(var_slot))
-    table = None
+    table = {}
+    for row in evaluate(base, memo, counters, steps, [()]):
+        table.setdefault(row_key(row), []).append(row_ext(row))
     out = []
-    for start in range(0, len(batch), block_size):
-        rows = evaluate(base, memo, counters, steps, [()])
-        if table is None:
-            table = {}
-            for row in rows:
-                table.setdefault(row_key(row), []).append(row_ext(row))
-        for s in batch[start : start + block_size]:
-            out.extend(map(s.__add__, table.get(subst_key(s), ())))
+    for s in batch:
+        out.extend(map(s.__add__, table.get(subst_key(s), ())))
     return out
 
 
-def _expanded_equi_join(
-    base, memo, counters, atom, block_size, batch, var_slot
-):
+def _expanded_equi_join(base, memo, counters, atom, batch, var_slot):
     """`_equi_join` of a batch of whole substitutions, its deferred
     result expanded to substitutions."""
     joined = _equi_join(
-        base, memo, counters, atom, block_size,
-        _Batch(batch, len(var_slot)), var_slot,
+        base, memo, counters, atom, _Batch(batch, len(var_slot)), var_slot
     )
     return joined.expanded()
 
 
-def _assert_joins_agree(base, prefix, atom, block_sizes):
-    """For each block size, `_equi_join` and the reference join `atom`
-    onto the batch of `prefix` with the same rows in the same order, the
-    same counters and the same slots; each runs on a fresh memo that
-    evaluated the prefix."""
-    for size in block_sizes:
-        runs = []
-        for join in (_expanded_equi_join, _reference_equi_join):
-            memo = MemoTable()
-            memo.bind(base)
-            counters = Counters()
-            var_slot: dict[str, int] = {}
-            steps = compile_query(memo, prefix, var_slot)
-            batch = evaluate(base, memo, counters, steps, [()])
-            out = join(base, memo, counters, atom, size, batch, var_slot)
-            runs.append((out, counters, var_slot))
-        assert runs[0] == runs[1], (prefix, atom, size)
+def _assert_joins_agree(base, prefix, atom):
+    """`_equi_join` and the reference join `atom` onto the batch of
+    `prefix` with the same rows in the same order, the same counters and
+    the same slots; each runs on a fresh memo that evaluated the prefix."""
+    runs = []
+    for join in (_expanded_equi_join, _reference_equi_join):
+        memo = MemoTable()
+        memo.bind(base)
+        counters = Counters()
+        var_slot: dict[str, int] = {}
+        steps = compile_query(memo, prefix, var_slot)
+        batch = evaluate(base, memo, counters, steps, [()])
+        out = join(base, memo, counters, atom, batch, var_slot)
+        runs.append((out, counters, var_slot))
+    assert runs[0] == runs[1], (prefix, atom)
 
 
 def _batch(base, prefix):
@@ -513,16 +483,11 @@ def _batch(base, prefix):
     )
 
 
-def _block_sizes(batch):
-    """1, 2, 32, the whole batch (hash join's one block) and more."""
-    return [1, 2, 32, max(len(batch), 1), len(batch) + 1]
-
-
 @given(st.integers(0, 2**32 - 1), st.data())
 def test_equi_join_matches_reference_loop(seed, data):
-    """Block nested loop and hash join (one block of the whole batch)
-    probe set-at-a-time with the rows, order and counters of the
-    per-substitution loop, on random queries split at a drawn step."""
+    """Hash join probes set-at-a-time with the rows, order and counters
+    of the per-substitution loop, on random queries split at a drawn
+    step."""
     rng = random.Random(seed)
     base = random_base(rng, max_facts=120)
     query = random_query(rng, base)
@@ -530,10 +495,7 @@ def test_equi_join_matches_reference_loop(seed, data):
         st.permutations(range(len(query.body)))
     )]
     k = data.draw(st.integers(1, len(body) - 1))
-    sizes = _block_sizes(_batch(base, body[:k]))
-    _assert_joins_agree(
-        base, body[:k], body[k], [data.draw(st.sampled_from(sizes))]
-    )
+    _assert_joins_agree(base, body[:k], body[k])
 
 
 @pytest.mark.parametrize("prefix, atom, n_shared, binds_new", [
@@ -551,15 +513,14 @@ def test_equi_join_matches_reference_loop(seed, data):
     ("isClass(C,O)", "areSubClasses(D,C)", 1, True),
 ])
 def test_equi_join_probe_shapes(cars_base, prefix, atom, n_shared, binds_new):
-    """Each probe shape joins as the per-substitution loop does, at every
-    block size from one substitution to more than the batch."""
+    """Each probe shape joins as the per-substitution loop does."""
     prefix, atom = [parse_atom(prefix)], parse_atom(atom)
     bound = set(prefix[0].variables)
     assert len(set(atom.variables) & bound) == n_shared
     assert bool(set(atom.variables) - bound) == binds_new
     batch = _batch(cars_base, prefix)
     assert batch
-    _assert_joins_agree(cars_base, prefix, atom, _block_sizes(batch))
+    _assert_joins_agree(cars_base, prefix, atom)
 
 
 @given(st.integers(0, 2**32 - 1), st.data())
@@ -651,15 +612,16 @@ def test_nested_loop_cross_product_is_refused_at_its_exact_rows(
     )
 
 
+# The ids keep the names the cases had when a block-nested-loop case
+# sat between them as strategy1.
 @pytest.mark.parametrize("strategy", [
     JoinStrategy(JoinMethod.NESTED_LOOP),
-    JoinStrategy(JoinMethod.BLOCK_NESTED_LOOP, 32),
     JoinStrategy(JoinMethod.HASH_JOIN),
-])
+], ids=["strategy0", "strategy2"])
 def test_batch_limit_per_strategy(serve_base, monkeypatch, strategy):
     """A plan whose last step makes one row more than the batch limit
     raises, naming the step, its atom and the limit; at the limit it
-    returns. Blocks are smaller than the batch."""
+    returns."""
     query = parse_query("q(C,D,O) :- isClass(C,O), isClass(D,O).")
     plan = uniform_plan(query, strategy)
     rows = len(execute(serve_base, plan).answers)
@@ -759,7 +721,7 @@ def test_answers_read_by_need_match_the_eager_answers(width, data):
     _assert_answers_match_eager(base, head, var_slot, second)
 
 
-def _eager_equi_join(base, memo, counters, atom, block_size, batch, var_slot):
+def _eager_equi_join(base, memo, counters, atom, batch, var_slot):
     """`_equi_join` as it was before steps were deferred: it builds the
     joined batch of every step."""
     own: dict[str, int] = {}
@@ -775,32 +737,16 @@ def _eager_equi_join(base, memo, counters, atom, block_size, batch, var_slot):
     row_ext = _getter(ext)
     for v in own:
         var_slot.setdefault(v, len(var_slot))
-    out: list[tuple] = []
-    for start in range(0, len(batch), block_size):
-        rows = evaluate(base, memo, counters, steps, [()])
-        if not start:
-            if ext:
-                table: dict[object, list[tuple]] = {}
-                for row in rows:
-                    table.setdefault(row_key(row), []).append(row_ext(row))
-                get = table.get
-            else:
-                has = set(map(row_key, rows)).__contains__
-        block = (
-            batch if block_size >= len(batch)
-            else batch[start : start + block_size]
-        )
-        if ext:
-            matches = list(map(get, map(subst_key, block), repeat(())))
-            check_batch(atom, len(out) + sum(map(len, matches)))
-            joined = [s + r for s, rs in zip(block, matches) for r in rs]
-        else:
-            joined = list(compress(block, map(has, map(subst_key, block))))
-        if start:
-            out += joined
-        else:
-            out = joined
-    return out
+    rows = evaluate(base, memo, counters, steps, [()])
+    if not ext:
+        has = set(map(row_key, rows)).__contains__
+        return list(compress(batch, map(has, map(subst_key, batch))))
+    table: dict[object, list[tuple]] = {}
+    for row in rows:
+        table.setdefault(row_key(row), []).append(row_ext(row))
+    matches = list(map(table.get, map(subst_key, batch), repeat(())))
+    check_batch(atom, sum(map(len, matches)))
+    return [s + r for s, rs in zip(batch, matches) for r in rs]
 
 
 def _eager_execute(base, plan):
@@ -824,13 +770,8 @@ def _eager_execute(base, plan):
                 steps = compile_query(memo, [atom], var_slot)
                 batch = evaluate(base, memo, total, steps, batch)
             else:
-                size = (
-                    strategy.block_size
-                    if strategy.method is JoinMethod.BLOCK_NESTED_LOOP
-                    else len(batch)
-                )
                 batch = _eager_equi_join(
-                    base, memo, total, atom, size, batch, var_slot
+                    base, memo, total, atom, batch, var_slot
                 )
             per_step.append(Counters(
                 total.inferred_facts - inferred0, total.eob_accesses - eob0
@@ -906,8 +847,8 @@ def _shaped_plans(draw):
     variables = sorted({v for a in body for v in a.variables})
     query = Query(Atom("q", tuple(map(Term.var, variables))), tuple(body))
     order = tuple(draw(st.permutations(range(n))))
-    # hash joins, the steps most often deferred, in about half the draws
-    strategy = st.one_of(st.just(_HASH), st.sampled_from(_ALL_STRATEGIES))
+    # hash joins, the steps that are deferred, in about half the draws
+    strategy = st.sampled_from(_ALL_STRATEGIES)
     strategies = tuple(
         draw(st.lists(strategy, min_size=n - 1, max_size=n - 1))
     )
@@ -936,11 +877,11 @@ _EMPTIED_BY_A_SEMI_JOIN = Plan(parse_query(
 ), (0, 1, 2, 3), (_HASH,) * 3, None)
 
 # On `random_base(0)` step 3 keeps 2 prefix rows that stand for 4
-# substitutions, so step 4 runs in 2 blocks of 2, not in one.
+# substitutions, and step 4, a cross product, is deferred on them.
 _SIZED_AFTER_A_SEMI_JOIN = Plan(parse_query(
     "q(X,O,I,Q) :- isClass(X,O), areIndividuals(I,X), isClass(X,o0),"
     " isOntology(Q)."
-), (0, 1, 2, 3), (_HASH, _HASH, _bnlj(2)), None)
+), (0, 1, 2, 3), (_HASH,) * 3, None)
 
 # Three deferred joins on X, most rows matching several individuals in
 # each: 270 substitutions are built from match lists in one expansion.

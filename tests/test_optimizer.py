@@ -296,8 +296,7 @@ def test_optimize_is_the_exhaustive_minimum(seed, data):
     strategies = data.draw(st.sampled_from([
         None,
         (JoinStrategy(JoinMethod.NESTED_LOOP),),
-        (JoinStrategy(JoinMethod.HASH_JOIN),
-         JoinStrategy(JoinMethod.BLOCK_NESTED_LOOP, 3)),
+        (JoinStrategy(JoinMethod.HASH_JOIN),),
     ]))
     orderings = {
         plan.order: plan
@@ -358,7 +357,7 @@ def test_optimize_equals_the_reference_dp(seed, data):
     subset of the strategies."""
     catalog = _random_catalog(random.Random(seed))
     query = _drawn_query(data, max_subgoals=8)
-    every = default_strategies(block_size=3)
+    every = default_strategies()
     for size in range(1, len(every) + 1):
         for strategies in itertools.combinations(every, size):
             assert optimize(query, catalog, strategies) == (
@@ -370,7 +369,8 @@ def test_optimize_equals_the_reference_dp(seed, data):
     st.integers(0, 2**16),
     st.integers(3, 5),
     st.sampled_from([
-        (JoinStrategy(JoinMethod.NESTED_LOOP),), None, default_strategies(4),
+        (JoinStrategy(JoinMethod.NESTED_LOOP),), None,
+        (JoinStrategy(JoinMethod.HASH_JOIN),),
     ]),
 )
 def test_optimize_returns_the_plan_of_its_ordering(seed, subgoals, strategies):
@@ -420,8 +420,7 @@ def test_one_plan_per_subgoal_set_is_exact(seed, data):
     number = st.floats(0, 1e9, allow_nan=False)
     card = data.draw(number)
     low, high = sorted((data.draw(number), data.draw(number)))
-    for strategy in (*default_strategies(),
-                     JoinStrategy(JoinMethod.BLOCK_NESTED_LOOP, 3)):
+    for strategy in default_strategies():
         cheap, _ = joins.join(Estimate(low, card), left, right, (strategy,))
         dear, _ = joins.join(Estimate(high, card), left, right, (strategy,))
         assert cheap.cost <= dear.cost

@@ -404,12 +404,8 @@ def test_sampling_leaves_base_unchanged(cars_base):
     assert [str(a) for a in cars_base.facts()] == before
 
 
-def test_build_catalog_reports_the_work_of_its_solve_calls(monkeypatch):
-    """A catalog's counters are the engine work of every `engine.solve`
-    call its build makes, on the benchmark's analyze smoke input (scale 2,
-    corpus seed 0, rendered and parsed again)."""
-    text = render_dob(generate_synthetic(scaled_config(2, 0))[0].facts())
-    base = OntologyBase.from_facts(parse_dob(text))
+def _count_solve_calls(monkeypatch) -> Counters:
+    """Counters that sum the work of every later `engine.solve` call."""
     solved = Counters()
     solve = engine.solve
 
@@ -420,7 +416,28 @@ def test_build_catalog_reports_the_work_of_its_solve_calls(monkeypatch):
         return result
 
     monkeypatch.setattr(engine, "solve", counting_solve)
+    return solved
+
+
+def test_build_catalog_reports_the_work_of_its_solve_calls(monkeypatch):
+    """A catalog's counters are the engine work of every `engine.solve`
+    call its build makes, on the benchmark's analyze smoke input (scale 2,
+    corpus seed 0, rendered and parsed again)."""
+    text = render_dob(generate_synthetic(scaled_config(2, 0))[0].facts())
+    base = OntologyBase.from_facts(parse_dob(text))
+    solved = _count_solve_calls(monkeypatch)
     catalog = build_catalog(base, SamplingConfig())
     assert solved.inferred_facts > 0 and solved.eob_accesses > 0
     assert catalog.counters == solved
     assert catalog_from_text(catalog_to_text(catalog)) == catalog
+
+
+def test_build_exact_catalog_reports_the_work_of_its_solve_calls(monkeypatch):
+    """The exact catalog's counters are the engine work of every
+    `engine.solve` call its build makes, the all-free calls on the shared
+    memo included, on a scale-1 synthetic base."""
+    base, _ = generate_synthetic(scaled_config(1, 0))
+    solved = _count_solve_calls(monkeypatch)
+    catalog = build_exact_catalog(base)
+    assert solved.inferred_facts > 0 and solved.eob_accesses > 0
+    assert catalog.counters == solved

@@ -105,7 +105,6 @@ def _cmd_query(args) -> int:
 def _cmd_gen(args) -> int:
     text = read_text(args.config)
     config = SynthConfig.from_json(text)
-    config.validate()  # before anything is written
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     for rep in range(args.replicas):

@@ -15,10 +15,8 @@ from __future__ import annotations
 
 import math
 import random
-import statistics as _statistics
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
-from itertools import chain, product
+from itertools import product
 
 from . import engine
 from .model import (
@@ -95,9 +93,8 @@ class SamplingConfig:
     k: int = 7
     m_max: int | None = None  # None: min(4n, 2000) per run
     seed: int = 0
-    clt_factor: bool = False
 
-    def validate(self):
+    def __post_init__(self):
         if not (math.isfinite(self.d) and self.d > 0):
             raise AnalyzerError(
                 f"relative error d must be positive and finite: {self.d}"
@@ -108,8 +105,6 @@ class SamplingConfig:
             raise AnalyzerError(f"first-stage sample count must be >= 1: {self.k}")
         if self.m_max is not None and self.m_max < 1:
             raise AnalyzerError(f"sample cap m_max must be >= 1: {self.m_max}")
-        if self.clt_factor and self.p <= 0:
-            raise AnalyzerError("the normal-quantile factor requires p > 0")
 
 
 @dataclass
@@ -123,17 +118,8 @@ class SamplingRun:
 
 
 def alpha(config: SamplingConfig) -> float:
-    """Stopping-bound coefficient d*(d+1)/(1 - sqrt(p)).
-
-    With the optional normal-quantile flag the 1/(1 - sqrt(p)) confidence
-    factor is replaced by the (1+p)/2 standard-normal quantile.
-    """
-    config.validate()
-    if config.clt_factor:
-        factor = _statistics.NormalDist().inv_cdf((1 + config.p) / 2)
-    else:
-        factor = 1.0 / (1.0 - math.sqrt(config.p))
-    return config.d * (config.d + 1) * factor
+    """Stopping-bound coefficient d*(d+1)/(1 - sqrt(p))."""
+    return config.d * (config.d + 1) * (1.0 / (1.0 - math.sqrt(config.p)))
 
 
 def compute_eob_stats(base: OntologyBase) -> dict[str, EobStats]:
@@ -221,7 +207,6 @@ def adaptive_sample(
         raise AnalyzerError(f"pattern arity mismatch for {predicate}")
     if metric == "cardinality" and not pattern.all_free:
         raise AnalyzerError("cardinality is sampled on the all-free pattern")
-    config.validate()
     cache = sample_cache if sample_cache is not None else {}
     partition_args, pools, n = _partitions(base, predicate, pattern)
     if n == 0:
@@ -330,91 +315,77 @@ def estimate_iob_stats(
 @dataclass
 class StatisticsCatalog:
     """Per-predicate statistics. `counters` is the engine work the build
-    counted; like `created_at`, it is neither compared nor saved."""
+    counted; it is neither compared nor saved."""
 
     entries: dict[str, EobStats | IobStats]
     config: SamplingConfig
-    created_at: str = field(default="", compare=False)
     counters: engine.Counters = field(
         default_factory=engine.Counters, compare=False
     )
 
 
-def _now() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
-
-
-def _solved_work(caches, calls=()) -> engine.Counters:
-    """Inferred facts and EOB accesses summed over `calls`, (inferred,
-    EOB) pairs, and every call solved into the sample `caches`, which keep
-    one entry per solved call."""
-    work = engine.Counters()
-    for inferred, eob in chain(
-        calls, (hit[2:] for cache in caches for hit in cache.values())
-    ):
-        work.inferred_facts += inferred
-        work.eob_accesses += eob
+def _solved_work(cache, work: engine.Counters) -> engine.Counters:
+    """`work` plus the inferred facts and EOB accesses of every call
+    solved into the draw `cache`, which keeps one entry per solved call."""
+    for hit in cache.values():
+        work.inferred_facts += hit[2]
+        work.eob_accesses += hit[3]
     return work
 
 
 def build_catalog(base: OntologyBase, config: SamplingConfig) -> StatisticsCatalog:
     """Exact EOB statistics plus sampled IOB statistics for all patterns."""
-    config.validate()
     entries: dict[str, EobStats | IobStats] = dict(compute_eob_stats(base))
-    caches = {name: {} for name in IOB_PREDICATES}
-    for name, cache in caches.items():
+    cache: dict = {}
+    for name in IOB_PREDICATES:
         entries[name] = estimate_iob_stats(
             base, name, config, sample_cache=cache
         )
     return StatisticsCatalog(
-        entries, config, created_at=_now(),
-        counters=_solved_work(caches.values()),
+        entries, config, counters=_solved_work(cache, engine.Counters())
     )
 
 
-def build_exact_catalog(
-    base: OntologyBase, config: SamplingConfig | None = None
-) -> StatisticsCatalog:
+def build_exact_catalog(base: OntologyBase) -> StatisticsCatalog:
     """Catalog whose intensional numbers are computed exhaustively.
 
     Cardinalities and distinct values come from the engine's answers to
     each predicate's all-free call; per-pattern costs run the sampled
     catalog's loop with every partition drawn once. Used as the sampling
-    oracle in tests and for reproducible plan golden cases.
+    oracle in tests and for reproducible plan golden cases. The header
+    records the default sampling settings.
     """
-    config = config or SamplingConfig()
     entries: dict[str, EobStats | IobStats] = dict(compute_eob_stats(base))
     memo = engine.MemoTable()
-    caches, free_calls = [], []
+    cache: dict = {}
+    work = engine.Counters()
     for name in IOB_PREDICATES:
         arity = schema_for(name).arity
         free = Atom(name, tuple(Term.var(f"V{i}") for i in range(arity)))
         result = engine.solve(base, free, memo)
-        free_calls.append((result.inferred_fact_count, result.eob_access_count))
+        work.inferred_facts += result.inferred_fact_count
+        work.eob_accesses += result.eob_access_count
         answers = result.answers
         distinct = tuple(
             float(len({row[i] for row in answers.rows})) for i in range(arity)
         )
-        cache: dict = {}
-        caches.append(cache)
         entries[name] = _iob_stats(
             arity, float(len(answers)), distinct,
             lambda pattern: _exhaustive_run(base, name, pattern, cache),
             False,
         )
     return StatisticsCatalog(
-        entries, config, created_at=_now(),
-        counters=_solved_work(caches, free_calls),
+        entries, SamplingConfig(), counters=_solved_work(cache, work)
     )
 
 
 # --- catalog file format ----------------------------------------------------
 #   # dob catalog v1
-#   # config d=<f> p=<f> k=<i> seed=<i> mmax=<i|auto> clt=<0|1>
-#   # created <iso timestamp>
+#   # config d=<f> p=<f> k=<i> seed=<i> mmax=<i|auto>
 #   pred | kind | pattern | cardinality | cost | per-arg tail
 # EOB rows carry one line (tail = nKeys); IOB rows carry one line per
 # binding pattern (tail = estimated distinct values per argument).
+# Unknown config keys and other comment lines are read and ignored.
 
 CATALOG_HEADER = "# dob catalog v1"
 
@@ -425,8 +396,7 @@ def catalog_to_text(catalog: StatisticsCatalog) -> str:
     lines = [
         CATALOG_HEADER,
         f"# config d={cfg.d!r} p={cfg.p!r} k={cfg.k} seed={cfg.seed} "
-        f"mmax={mmax} clt={int(cfg.clt_factor)}",
-        f"# created {catalog.created_at or _now()}",
+        f"mmax={mmax}",
     ]
     for name, schema in BUILTIN_SCHEMA.items():
         st = catalog.entries.get(name)
@@ -467,7 +437,6 @@ def _parse_config(text: str) -> SamplingConfig:
         m_max=None if fields.get("mmax", "auto") == "auto"
         else int(fields["mmax"]),
         seed=int(fields["seed"]),
-        clt_factor=bool(int(fields.get("clt", "0"))),
     )
 
 
@@ -495,7 +464,6 @@ def catalog_from_text(text: str) -> StatisticsCatalog:
     (IOB) has a second row, and an IOB predicate's rows carry one
     distinct-value tail. A fault names its line."""
     config = SamplingConfig()
-    created = ""
     entries: dict[str, EobStats | IobStats] = {}
     iob_rows: dict[str, dict[BindingPattern, tuple[float, float]]] = {}
     # pred -> (distinct values, line read from)
@@ -511,8 +479,6 @@ def catalog_from_text(text: str) -> StatisticsCatalog:
                 body = line.lstrip("#").strip()
                 if body.startswith("config "):
                     config = _parse_config(body[len("config "):])
-                elif body.startswith("created "):
-                    created = body[len("created "):]
                 continue
             parts = [p.strip() for p in line.split("|")]
             if len(parts) != 6:
@@ -594,7 +560,7 @@ def catalog_from_text(text: str) -> StatisticsCatalog:
             cardinality={p: rows[p][0] for p in rows},
             cost={p: rows[p][1] for p in rows},
         )
-    return StatisticsCatalog(entries, config, created_at=created)
+    return StatisticsCatalog(entries, config)
 
 
 def save_catalog(catalog: StatisticsCatalog, path) -> None:

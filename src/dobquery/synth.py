@@ -27,6 +27,7 @@ from .model import (
     Query,
     Term,
 )
+from .parsing import _fact
 from .store import OntologyBase
 
 
@@ -52,7 +53,7 @@ class SynthConfig:
     query_subgoals: int = 3
     constant_probability: float = 0.9
 
-    def validate(self):
+    def __post_init__(self):
         for name in (
             "ontologies",
             "classes_per_ontology",
@@ -108,10 +109,6 @@ class SynthConfig:
                     f"got {value!r}"
                 )
         return cls(**data)
-
-
-def _fact(pred: str, *consts: str) -> Atom:
-    return Atom(pred, tuple(Term.const(c) for c in consts))
 
 
 def _subclass_pairs(classes: list[str], level: dict[str, int], depth: int):
@@ -359,7 +356,6 @@ def _build_query(
 
 def generate_synthetic(config: SynthConfig) -> tuple[OntologyBase, list[Query]]:
     """A seeded random base plus its chain and star query workload."""
-    config.validate()
     rng = random.Random(config.seed)
     base = OntologyBase.from_facts(_generate_facts(config, rng))
 

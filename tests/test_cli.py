@@ -59,6 +59,16 @@ def test_analyze_writes_loadable_catalog(workspace):
     assert loaded.config.seed == 42
 
 
+def test_analyze_twice_writes_the_same_bytes(workspace, capsys):
+    dob, catalog = workspace
+    again = catalog.with_name("again.cat")
+    code, _, _ = run(
+        capsys, "analyze", str(dob), "--seed", "42", "-o", str(again)
+    )
+    assert code == 0
+    assert again.read_bytes() == catalog.read_bytes()
+
+
 def test_query_returns_three_answers(workspace, capsys):
     dob, catalog = workspace
     code, out, err = run(
@@ -178,6 +188,14 @@ def test_data_error_exit_codes(tmp_path, capsys):
     ("# config d=0.2", "config is missing p, k, seed"),
     ("# config d=0.2 p=x k=7 seed=0", "could not convert string to float"),
     ("# config d=0.2 p=0.7 k=7 seed", "config field without '='"),
+    # a setting out of range is refused as when it is made
+    ("# config d=0 p=0.7 k=7 seed=0",
+     "relative error d must be positive and finite: 0.0"),
+    ("# config d=0.2 p=1 k=7 seed=0", "confidence p must lie in [0, 1): 1.0"),
+    ("# config d=0.2 p=0.7 k=0 seed=0",
+     "first-stage sample count must be >= 1: 0"),
+    ("# config d=0.2 p=0.7 k=7 seed=0 mmax=0",
+     "sample cap m_max must be >= 1: 0"),
 ])
 def test_bad_catalog_header_is_data_error(workspace, capsys, header, detail):
     dob, catalog = workspace
@@ -192,6 +210,7 @@ def test_bad_catalog_header_is_data_error(workspace, capsys, header, detail):
     )
     assert code == 2
     assert f"catalog line 2: {detail}" in err
+    assert "Traceback" not in err
 
 
 def test_incomplete_catalog_is_data_error(workspace, capsys):

@@ -2,9 +2,9 @@
 a refactor of the analyzer, the generator or the evaluation can be checked
 byte for byte.
 
-Each pin is the SHA-256 of a text: a catalog's `catalog_to_text` without
-its `# created` line, a synthetic corpus's `render_dob` output followed
-by one line per query, or a correlate or ratio CSV. The `analyze/` pins
+Each pin is the SHA-256 of a text: a catalog's `catalog_to_text`, a
+synthetic corpus's `render_dob` output followed by one line per query, or
+a correlate or ratio CSV. The `analyze/` pins
 cover the benchmark's cold start on its three bases: the catalog of the
 base read back from its `render_dob` text. The `csv/` pins run both
 experiments on the two scale-1 corpora, as `dobq bench` runs a corpus of
@@ -47,8 +47,7 @@ def _digest(text: str) -> str:
 
 
 def _catalog_digest(catalog) -> str:
-    lines = catalog_to_text(catalog).splitlines(keepends=True)
-    return _digest("".join(l for l in lines if not l.startswith("# created")))
+    return _digest(catalog_to_text(catalog))
 
 
 def _scaled(scale, seed, chain=0, star=0, subgoals=3) -> SynthConfig:

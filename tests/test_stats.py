@@ -75,7 +75,7 @@ def test_alpha_domain_errors():
 @pytest.mark.parametrize("d", [math.nan, math.inf, -math.inf])
 def test_non_finite_relative_error_is_refused(d):
     with pytest.raises(AnalyzerError, match="d must be positive and finite"):
-        SamplingConfig(d=d).validate()
+        SamplingConfig(d=d)
 
 
 def test_alpha_monotone_in_d_and_p():
@@ -87,14 +87,6 @@ def test_alpha_monotone_in_d_and_p():
     for d in ds:
         values = [alpha(SamplingConfig(d=d, p=p)) for p in ps]
         assert values == sorted(values)
-
-
-def test_alpha_normal_quantile_variant():
-    base_cfg = SamplingConfig(d=0.2, p=0.7, clt_factor=True)
-    z = 1.0364333894937898  # standard normal quantile at 0.85
-    assert alpha(base_cfg) == pytest.approx(0.24 * z)
-    with pytest.raises(AnalyzerError):
-        alpha(SamplingConfig(d=0.2, p=0.0, clt_factor=True))
 
 
 def domain_size(base, predicate: str, arg_position: int) -> int:
@@ -212,9 +204,35 @@ def test_catalog_roundtrip(cars_base):
     text = catalog_to_text(catalog)
     assert catalog_from_text(text) == catalog
     # a second serialization of the parsed catalog is byte-identical
-    reparsed = catalog_from_text(text)
-    reparsed.created_at = catalog.created_at
-    assert catalog_to_text(reparsed) == text
+    assert catalog_to_text(catalog_from_text(text)) == text
+
+
+@pytest.mark.parametrize("clt", ["0", "1"])
+def test_older_catalog_text_loads(cars_base, clt):
+    """A header as older versions wrote it, with a `clt=` token and a
+    `# created` line, loads as the same text without them."""
+    text = catalog_to_text(build_catalog(cars_base, SamplingConfig(seed=4)))
+    lines = text.splitlines(keepends=True)
+    assert lines[1].startswith("# config ")
+    lines[1] = lines[1].rstrip("\n") + f" clt={clt}\n"
+    lines.insert(2, "# created 2024-01-01T00:00:00+00:00\n")
+    assert catalog_from_text("".join(lines)) == catalog_from_text(text)
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("d=0", "relative error d must be positive and finite: 0.0"),
+    ("p=1", r"confidence p must lie in \[0, 1\): 1.0"),
+    ("k=0", "first-stage sample count must be >= 1: 0"),
+    ("mmax=0", "sample cap m_max must be >= 1: 0"),
+])
+def test_out_of_range_header_setting_is_refused(cars_base, setting, message):
+    lines = catalog_to_text(build_exact_catalog(cars_base)).splitlines()
+    key, value = setting.split("=")
+    fields = {"d": "0.2", "p": "0.7", "k": "7", "seed": "0", "mmax": "auto",
+              key: value}
+    lines[1] = "# config " + " ".join(f"{k}={v}" for k, v in fields.items())
+    with pytest.raises(AnalyzerError, match=f"^catalog line 2: {message}$"):
+        catalog_from_text("\n".join(lines))
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -241,13 +259,13 @@ def test_catalog_roundtrip(cars_base):
     ("isOntology | EOB | f | 3 | 4 | 3",
      "catalog line 4: cost of isOntology must equal its cardinality 3, "
      "got '4'"),
-    # the inserted row comes first, so the catalog's own row is the second
+    # the catalog's own row comes first, so the inserted row is the second
     ("isOntology | EOB | f | 3 | 3 | 3",
-     r"catalog line 5: second row for isOntology \(first on line 4\)"),
+     r"catalog line 4: second row for isOntology \(first on line 3\)"),
     ("areClasses | IOB | bf | 3.0 | 11.0 | 4.0 3.0",
-     r"catalog line 25: second row for areClasses bf \(first on line 4\)"),
+     r"catalog line 24: second row for areClasses bf \(first on line 4\)"),
     ("areClasses | IOB | bf | 3.0 | 11.0 | 4.0 2.0",
-     "catalog line 23: distinct values of areClasses differ from line 4"),
+     "catalog line 22: distinct values of areClasses differ from line 4"),
     ("areClasses | IOB | fff | 1.0 | 1.0 | 4.0 3.0",
      "catalog line 4: pattern of areClasses must have 2 letters, got 'fff'"),
 ])
@@ -309,7 +327,6 @@ def _catalogs(draw):
         k=draw(st.integers(min_value=1, max_value=10**6)),
         m_max=draw(st.none() | st.integers(min_value=1, max_value=10**6)),
         seed=draw(st.integers(min_value=0, max_value=2**63)),
-        clt_factor=draw(st.booleans()),
     )
     return StatisticsCatalog(entries, config)
 

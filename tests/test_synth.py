@@ -124,7 +124,7 @@ def test_config_validation_errors():
     with pytest.raises(SynthError):
         generate_synthetic(SynthConfig(query_subgoals=1))
     with pytest.raises(SynthError):
-        SynthConfig(constant_probability=1.5).validate()
+        SynthConfig(constant_probability=1.5)
     with pytest.raises(SynthError):
         generate_synthetic(
             SynthConfig(classes_per_ontology=2, ontologies=1,
@@ -137,7 +137,7 @@ def test_config_validation_errors():
 ])
 def test_negative_counts_are_refused(name):
     with pytest.raises(SynthError, match=f"^{name} must be nonnegative$"):
-        SynthConfig(**{name: -1}).validate()
+        SynthConfig(**{name: -1})
 
 
 def test_config_json_roundtrip():

@@ -1,12 +1,11 @@
 """Cost and cardinality estimation for single predicates and joins.
 
-Extensional predicates are costed from exact statistics: the expected
-number of matching facts under a binding pattern is the cardinality
-divided by the nKeys product of the bound arguments, and retrieval cost
-equals that expected match count. Intensional predicates are looked up
-from the sampled per-pattern statistics. Conjunctions combine the
-per-predicate numbers with a System-R-style reduction factor and one of
-two join strategies, nested loop and hash join.
+The expected number of matching facts under a binding pattern is
+`stats.pattern_cardinality`, for both predicate kinds. Extensional
+retrieval cost equals that expected match count; intensional cost is
+looked up from the sampled per-pattern statistics. Conjunctions combine
+the per-predicate numbers with a System-R-style reduction factor and one
+of two join strategies, nested loop and hash join.
 """
 
 from __future__ import annotations
@@ -15,7 +14,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .model import Atom, PredicateKind, SchemaError, schema_for
-from .stats import BindingPattern, EobStats, StatisticsCatalog
+from .stats import BindingPattern, StatisticsCatalog
+from .stats import distinct_counts, pattern_cardinality
 
 
 @dataclass(frozen=True)
@@ -65,31 +65,19 @@ def predicate_estimate(
     entry = catalog.entries.get(atom.predicate)
     if entry is None:
         raise SchemaError(f"catalog has no entry for {atom.predicate}")
-    if schema.kind is PredicateKind.EOB:
-        stats: EobStats = entry
-        card = float(stats.cardinality)
-        for pos in pattern.bound_positions:
-            card /= max(1, stats.n_keys[pos])
-        return Estimate(cost=card, cardinality=card)
-    return Estimate(
-        cost=entry.cost[pattern], cardinality=entry.cardinality[pattern]
-    )
-
-
-def _distinct_at(catalog: StatisticsCatalog, atom: Atom, pos: int) -> float:
-    entry = catalog.entries[atom.predicate]
-    if isinstance(entry, EobStats):
-        return max(1.0, float(entry.n_keys[pos]))
-    return max(1.0, entry.distinct_values[pos])
+    card = pattern_cardinality(entry, pattern)
+    cost = card if schema.kind is PredicateKind.EOB else entry.cost[pattern]
+    return Estimate(cost=cost, cardinality=card)
 
 
 def _atom_distinct(catalog: StatisticsCatalog, atom: Atom) -> dict[str, float]:
     """Distinct-value estimate of each variable of an atom, in
     `Atom.variables` order: the tightest count among its occurrences."""
+    counts = distinct_counts(catalog.entries[atom.predicate])
     distinct: dict[str, float] = {}
     for i, t in enumerate(atom.args):
         if t.is_var:
-            d = _distinct_at(catalog, atom, i)
+            d = max(1.0, float(counts[i]))
             best = distinct.get(t.value)
             distinct[t.value] = d if best is None else min(best, d)
     return distinct
@@ -187,24 +175,12 @@ class JoinTable:
         best_cost = best_strategy = None
         for strategy in strategies:
             if strategy.method is _NESTED_LOOP:
-                cost = nested_loop_cost(left_cost, left_card, inst_cost)
+                cost = left_cost + left_card * inst_cost
             else:
-                cost = hash_join_cost(left_cost, r_const.cost)
+                cost = left_cost + r_const.cost
             if best_cost is None or cost < best_cost:
                 best_cost, best_strategy = cost, strategy
-        card = join_cardinality(left_card, r_const.cardinality, rf)
-        return best_cost, card, best_strategy
-
-    def join(
-        self, left_estimate: Estimate, left: int, right: int, strategies
-    ) -> tuple[Estimate, JoinStrategy]:
-        """`extend` of a prefix with estimate `left_estimate`, as an
-        `Estimate` and the strategy chosen."""
-        cost, card, strategy = self.extend(
-            left_estimate.cost, left_estimate.cardinality, left, right,
-            strategies,
-        )
-        return Estimate(cost=cost, cardinality=card), strategy
+        return best_cost, left_card * r_const.cardinality * rf, best_strategy
 
     def fold(self, order, step_strategies):
         """Left-deep fold over the subgoals in `order`: yields the estimate
@@ -215,21 +191,12 @@ class JoinTable:
         left = 1 << order[0]
         yield estimate, None
         for idx, strategies in zip(order[1:], step_strategies):
-            estimate, strategy = self.join(estimate, left, idx, strategies)
+            cost, card, strategy = self.extend(
+                estimate.cost, estimate.cardinality, left, idx, strategies
+            )
+            estimate = Estimate(cost=cost, cardinality=card)
             left |= 1 << idx
             yield estimate, strategy
-
-
-def join_cardinality(left_card: float, right_card: float, rf: float) -> float:
-    return left_card * right_card * rf
-
-
-def nested_loop_cost(left_cost: float, left_card: float, inst_cost: float) -> float:
-    return left_cost + left_card * inst_cost
-
-
-def hash_join_cost(left_cost: float, right_cost: float) -> float:
-    return left_cost + right_cost
 
 
 def join_estimate(
@@ -244,7 +211,11 @@ def join_estimate(
     left_atoms = list(left_atoms)
     table = JoinTable(catalog, [*left_atoms, right_atom])
     n = len(left_atoms)
-    return table.join(left_estimate, (1 << n) - 1, n, (strategy,))[0]
+    cost, card, _ = table.extend(
+        left_estimate.cost, left_estimate.cardinality, (1 << n) - 1, n,
+        (strategy,),
+    )
+    return Estimate(cost=cost, cardinality=card)
 
 
 def plan_estimate(

@@ -19,6 +19,7 @@ from .model import (
     CONSTANT_RE,
     Atom,
     DobError,
+    PredicateKind,
     Query,
     SchemaError,
     Term,
@@ -166,7 +167,7 @@ _PLAIN_FACT_RE = re.compile(rf"({_NAME})\(({_NAME}(?:,{_NAME})*)\)\.")
 
 
 def parse_dob(text: str, filename: str = "<string>") -> list[Atom]:
-    """Parse the fact format: one ground built-in fact per line.
+    """Parse the fact format: one ground extensional fact per line.
 
     A plain line is read by one regex. Any other line (quoted constants,
     inner spaces, variables, malformed input) goes through the tokenizer,
@@ -193,7 +194,9 @@ def parse_dob(text: str, filename: str = "<string>") -> list[Atom]:
                     SourceLocation(filename, line_no, 1),
                 )
         try:
-            schema_for(atom.predicate, len(atom.args))
+            schema = schema_for(atom.predicate, len(atom.args))
+            if schema.kind is not PredicateKind.EOB:
+                raise SchemaError(f"cannot assert intensional fact: {atom}")
         except SchemaError as exc:
             raise ParseError(str(exc), SourceLocation(filename, line_no, 1))
         facts.append(atom)

@@ -2,13 +2,13 @@
 sampling estimates for intensional ones.
 
 Extensional statistics are cardinality and per-argument distinct counts
-(nKeys), computed by scan. Intensional cost and cardinality are estimated
-per binding pattern with an urn-model sampling procedure: the predicate's
-instantiation population is partitioned by one or more arguments, partitions
-are drawn uniformly with replacement and evaluated through the engine, and
-drawing stops once the accumulated metric sum z exceeds alpha * b(n), where
-b(n) is the maximum metric value among the first k samples (double
-sampling). The estimated mean is z / m.
+(nKeys), computed by scan. Intensional cost per binding pattern and
+all-free cardinality are estimated by an urn-model sampling procedure: the
+predicate's instantiation population is partitioned by one or more
+arguments, partitions are drawn uniformly with replacement and evaluated
+through the engine, and drawing stops once the accumulated metric sum z
+exceeds alpha * b(n), where b(n) is the maximum metric value among the
+first k samples (double sampling). The estimated mean is z / m.
 """
 
 from __future__ import annotations
@@ -79,11 +79,25 @@ class EobStats:
 
 @dataclass
 class IobStats:
-    arity: int
     distinct_values: tuple[float, ...]
-    cardinality: dict[BindingPattern, float]
+    cardinality: float  # all-free; other patterns: `pattern_cardinality`
     cost: dict[BindingPattern, float]
     low_confidence: bool = field(default=False, compare=False)
+
+
+def distinct_counts(st: EobStats | IobStats) -> tuple:
+    """Per-argument distinct counts: nKeys, or the IOB estimates."""
+    return st.n_keys if isinstance(st, EobStats) else st.distinct_values
+
+
+def pattern_cardinality(st: EobStats | IobStats, pattern) -> float:
+    """Expected matches under `pattern` (uniformity assumption): the
+    cardinality divided by each bound argument's distinct count, at
+    least 1, one position at a time."""
+    card, distinct = float(st.cardinality), distinct_counts(st)
+    for pos in pattern.bound_positions:
+        card /= max(1.0, distinct[pos])
+    return card
 
 
 @dataclass(frozen=True)
@@ -257,26 +271,16 @@ def _exhaustive_run(base, predicate, pattern, cache) -> SamplingRun:
     return SamplingRun(n=n, m=n, z=z, b_of_n=max(costs), mean=z / n)
 
 
-def _iob_stats(arity, card_free, distinct, cost_run, low_confidence):
-    """Cardinality and cost of an IOB predicate for every binding pattern.
-
-    Instantiated-pattern cardinality divides the all-free cardinality by
-    the distinct values of each bound argument (uniformity assumption).
-    Cost is the mean of `cost_run(pattern)` for patterns with bound
-    arguments, and mean * n over the most selective argument for the
-    all-free pattern.
-    """
-    cardinality: dict[BindingPattern, float] = {}
+def _iob_stats(card_free, distinct, cost_run, low_confidence):
+    """IOB statistics with the cost of every binding pattern: the mean of
+    `cost_run(pattern)` for patterns with bound arguments, and mean * n
+    over the most selective argument for the all-free pattern."""
     cost: dict[BindingPattern, float] = {}
-    for pattern in all_patterns(arity):
-        card = card_free
-        for pos in pattern.bound_positions:
-            card /= max(1.0, distinct[pos])
-        cardinality[pattern] = card
+    for pattern in all_patterns(len(distinct)):
         run = cost_run(pattern)
         low_confidence = low_confidence or run.low_confidence
         cost[pattern] = run.mean * run.n if pattern.all_free else run.mean
-    return IobStats(arity, distinct, cardinality, cost, low_confidence)
+    return IobStats(distinct, card_free, cost, low_confidence)
 
 
 def estimate_iob_stats(
@@ -304,7 +308,7 @@ def estimate_iob_stats(
         min(card_free, float(size)) if size else 0.0 for size in sizes
     )
     return _iob_stats(
-        schema.arity, card_free, distinct,
+        card_free, distinct,
         lambda pattern: adaptive_sample(
             base, predicate, pattern, "cost", config, sample_cache=cache
         ),
@@ -370,7 +374,7 @@ def build_exact_catalog(base: OntologyBase) -> StatisticsCatalog:
             float(len({row[i] for row in answers.rows})) for i in range(arity)
         )
         entries[name] = _iob_stats(
-            arity, float(len(answers)), distinct,
+            float(len(answers)), distinct,
             lambda pattern: _exhaustive_run(base, name, pattern, cache),
             False,
         )
@@ -384,8 +388,9 @@ def build_exact_catalog(base: OntologyBase) -> StatisticsCatalog:
 #   # config d=<f> p=<f> k=<i> seed=<i> mmax=<i|auto>
 #   pred | kind | pattern | cardinality | cost | per-arg tail
 # EOB rows carry one line (tail = nKeys); IOB rows carry one line per
-# binding pattern (tail = estimated distinct values per argument).
-# Unknown config keys and other comment lines are read and ignored.
+# binding pattern (tail = estimated distinct values per argument), its
+# cardinality `pattern_cardinality`'s. Unknown config keys and other
+# comment lines are read and ignored.
 
 CATALOG_HEADER = "# dob catalog v1"
 
@@ -403,19 +408,17 @@ def catalog_to_text(catalog: StatisticsCatalog) -> str:
         if st is None:
             continue
         if isinstance(st, EobStats):
-            tail = " ".join(str(k) for k in st.n_keys)
-            pattern = "f" * schema.arity
-            lines.append(
-                f"{name} | EOB | {pattern} | {st.cardinality} | "
-                f"{st.cardinality} | {tail}"
-            )
+            rows = [("f" * schema.arity, st.cardinality, st.cardinality)]
         else:
-            tail = " ".join(repr(v) for v in st.distinct_values)
-            for pattern in all_patterns(st.arity):
-                lines.append(
-                    f"{name} | IOB | {pattern} | "
-                    f"{st.cardinality[pattern]!r} | {st.cost[pattern]!r} | {tail}"
-                )
+            rows = [
+                (p, pattern_cardinality(st, p), st.cost[p])
+                for p in all_patterns(schema.arity)
+            ]
+        tail = " ".join(repr(v) for v in distinct_counts(st))
+        lines.extend(
+            f"{name} | {schema.kind.value} | {p} | {card!r} | {cost!r} | "
+            f"{tail}" for p, card, cost in rows
+        )
     return "\n".join(lines) + "\n"
 
 
@@ -457,13 +460,15 @@ def _count(text: str, what: str):
 
 
 def catalog_from_text(text: str) -> StatisticsCatalog:
-    """Parse `catalog_to_text` output. Each row must agree with the
-    schema and with the rows read before it: a pattern has one letter
-    per argument, an EOB row has the all-free pattern and its
-    cardinality as cost, no predicate (EOB) or (predicate, pattern)
-    (IOB) has a second row, and an IOB predicate's rows carry one
-    distinct-value tail. A fault names its line."""
-    config = SamplingConfig()
+    """Parse `catalog_to_text` output: the version header on line 1, one
+    `# config` line before the rows. Each row must agree with the schema
+    and with the rows read before it: a pattern has one letter per
+    argument, an EOB row has the all-free pattern and its cardinality as
+    cost, no predicate (EOB) or (predicate, pattern) (IOB) has a second
+    row, and an IOB predicate's rows carry one distinct-value tail and
+    `pattern_cardinality`'s cardinality. A fault names its line."""
+    config = None
+    config_no = 0  # line of the `# config` line, 0 before it is read
     entries: dict[str, EobStats | IobStats] = {}
     iob_rows: dict[str, dict[BindingPattern, tuple[float, float]]] = {}
     # pred -> (distinct values, line read from)
@@ -472,14 +477,25 @@ def catalog_from_text(text: str) -> StatisticsCatalog:
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line:
-            continue
         try:
-            if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if body.startswith("config "):
-                    config = _parse_config(body[len("config "):])
+            if line_no == 1 and line != CATALOG_HEADER:
+                raise AnalyzerError(
+                    f"expected {CATALOG_HEADER!r}, got {line!r}"
+                )
+            if not line:
                 continue
+            if line.startswith("#"):
+                key, _, settings = line.lstrip("#").strip().partition(" ")
+                if key == "config":
+                    if config_no:
+                        raise AnalyzerError(
+                            f"second '# config' line (first on line "
+                            f"{config_no})"
+                        )
+                    config, config_no = _parse_config(settings), line_no
+                continue
+            if not config_no:
+                raise AnalyzerError("no '# config' line before the first row")
             parts = [p.strip() for p in line.split("|")]
             if len(parts) != 6:
                 raise AnalyzerError("expected 6 columns")
@@ -550,16 +566,23 @@ def catalog_from_text(text: str) -> StatisticsCatalog:
     if missing:
         raise AnalyzerError(f"catalog has no entry for {', '.join(missing)}")
     for name, rows in iob_rows.items():
-        schema = schema_for(name)
-        expected = set(all_patterns(schema.arity))
-        if set(rows) != expected:
+        arity = schema_for(name).arity
+        if set(rows) != set(all_patterns(arity)):
             raise AnalyzerError(f"catalog is missing patterns for {name}")
-        entries[name] = IobStats(
-            arity=schema.arity,
+        entry = entries[name] = IobStats(
             distinct_values=iob_distinct[name][0],
-            cardinality={p: rows[p][0] for p in rows},
+            cardinality=rows[BindingPattern.free(arity)][0],
             cost={p: rows[p][1] for p in rows},
         )
+        for pattern, (card, _) in rows.items():
+            derived = pattern_cardinality(entry, pattern)
+            if card != derived:
+                raise AnalyzerError(
+                    f"catalog line {row_lines[(name, str(pattern))]}: "
+                    f"cardinality of {name} {pattern} must be {derived!r} "
+                    f"by its all-free cardinality and distinct values, "
+                    f"got {card!r}"
+                )
     return StatisticsCatalog(entries, config)
 
 

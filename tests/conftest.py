@@ -27,6 +27,7 @@ from dobquery import (
 )
 from dobquery.engine import EvaluationResult
 from dobquery.model import BUILTIN_SCHEMA, Term, schema_for
+from dobquery.stats import EobStats, IobStats, StatisticsCatalog, all_patterns
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -163,6 +164,51 @@ def random_query(rng, base) -> Query:
     body_vars = {v for a in body for v in a.variables}
     head = Atom("q", tuple(Term.var(v) for v in sorted(body_vars)))
     return Query(head, tuple(body))
+
+
+def random_catalog(rng: random.Random) -> StatisticsCatalog:
+    """Random statistics for every built-in predicate: EOB cardinality up
+    to 60 with nKeys up to it, IOB all-free cardinality up to 80 with
+    distinct values in [1, 40] and per-pattern costs up to 300."""
+    entries = {}
+    for name, schema in BUILTIN_SCHEMA.items():
+        if schema.kind is PredicateKind.EOB:
+            card = rng.randint(0, 60)
+            n_keys = tuple(
+                rng.randint(1, card) if card else 0
+                for _ in range(schema.arity)
+            )
+            entries[name] = EobStats(card, n_keys)
+        else:
+            card_free = rng.uniform(0, 80)
+            distinct = tuple(rng.uniform(1, 40) for _ in range(schema.arity))
+            costs = {p: rng.uniform(0, 300) for p in all_patterns(schema.arity)}
+            entries[name] = IobStats(distinct, card_free, costs)
+    return StatisticsCatalog(entries, SamplingConfig())
+
+
+def random_catalog_query(rng: random.Random, max_subgoals: int = 5):
+    """A query of 2 to `max_subgoals` subgoals over every built-in
+    predicate, for `random_catalog`: each argument is a variable of a pool
+    of 2-6 (three times in four) or one of ten constants. None when the
+    body has no variable."""
+    n = rng.randint(2, max_subgoals)
+    names = list(BUILTIN_SCHEMA)
+    var_pool = [f"V{i}" for i in range(rng.randint(2, 6))]
+    body = []
+    for _ in range(n):
+        name = rng.choice(names)
+        args = tuple(
+            Term.var(rng.choice(var_pool))
+            if rng.random() < 0.75
+            else Term.const(f"k{rng.randint(0, 9)}")
+            for _ in range(BUILTIN_SCHEMA[name].arity)
+        )
+        body.append(Atom(name, args))
+    body_vars = [v for a in body for v in a.variables]
+    if not body_vars:
+        return None
+    return Query(Atom("q", (Term.var(rng.choice(body_vars)),)), tuple(body))
 
 
 def match_eob(base: OntologyBase, pattern: Atom) -> list[Atom]:

@@ -35,7 +35,13 @@ from dobquery import (
 from dobquery.executor import execute
 from dobquery.model import Atom, BUILTIN_SCHEMA, IOB_PREDICATES, Query, Term
 from dobquery.stats import BindingPattern
-from conftest import bottom_up_oracle, execute_all_strategies, random_base
+from conftest import (
+    bottom_up_oracle,
+    execute_all_strategies,
+    random_base,
+    random_catalog,
+    random_catalog_query,
+)
 
 DATA = Path(__file__).parent / "data"
 NLJ = (JoinStrategy(JoinMethod.NESTED_LOOP),)
@@ -142,62 +148,13 @@ def test_criterion_3_estimator_guarantee():
                "(>= 60% required)", elapsed)
 
 
-def _random_catalog(rng):
-    from dobquery.model import PredicateKind
-    from dobquery.stats import EobStats, IobStats, StatisticsCatalog, all_patterns
-
-    entries = {}
-    for name, schema in BUILTIN_SCHEMA.items():
-        if schema.kind is PredicateKind.EOB:
-            card = rng.randint(0, 60)
-            n_keys = tuple(
-                rng.randint(1, card) if card else 0
-                for _ in range(schema.arity)
-            )
-            entries[name] = EobStats(card, n_keys)
-        else:
-            card_free = rng.uniform(0, 80)
-            distinct = tuple(rng.uniform(1, 40) for _ in range(schema.arity))
-            cards, costs = {}, {}
-            for p in all_patterns(schema.arity):
-                c = card_free
-                for pos in p.bound_positions:
-                    c /= max(1.0, min(card_free, distinct[pos]))
-                cards[p] = c
-                costs[p] = rng.uniform(0, 300)
-            entries[name] = IobStats(
-                schema.arity, distinct, cards, costs
-            )
-    return StatisticsCatalog(entries, SamplingConfig())
-
-
-def _random_query(rng, max_subgoals=5):
-    n = rng.randint(2, max_subgoals)
-    names = list(BUILTIN_SCHEMA)
-    var_pool = [f"V{i}" for i in range(rng.randint(2, 6))]
-    body = []
-    for _ in range(n):
-        name = rng.choice(names)
-        args = tuple(
-            Term.var(rng.choice(var_pool))
-            if rng.random() < 0.75
-            else Term.const(f"k{rng.randint(0, 9)}")
-            for _ in range(BUILTIN_SCHEMA[name].arity)
-        )
-        body.append(Atom(name, args))
-    body_vars = [v for a in body for v in a.variables]
-    if not body_vars:
-        return None
-    return Query(Atom("q", (Term.var(rng.choice(body_vars)),)), tuple(body))
-
-
 def test_criterion_4_optimizer_exactness():
     t0 = time.perf_counter()
     rng = random.Random(99)
     checked = 0
     while checked < 50:
-        catalog = _random_catalog(rng)
-        query = _random_query(rng)
+        catalog = random_catalog(rng)
+        query = random_catalog_query(rng)
         if query is None:
             continue
         plan = optimize(query, catalog)

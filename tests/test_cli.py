@@ -184,6 +184,19 @@ def test_data_error_exit_codes(tmp_path, capsys):
     assert "variable in fact" in err
 
 
+def test_intensional_fact_in_a_dob_file_is_a_data_error(tmp_path, capsys):
+    bad = tmp_path / "bad.dob"
+    bad.write_text("isOntology(o).\nareClasses(c,o).\n")
+    code, out, err = run(
+        capsys, "analyze", str(bad), "-o", str(tmp_path / "c")
+    )
+    assert code == 2
+    assert out == ""
+    assert f"{bad}:2:1: cannot assert intensional fact: areClasses(c,o)" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "c").exists()
+
+
 @pytest.mark.parametrize("header, detail", [
     ("# config d=0.2", "config is missing p, k, seed"),
     ("# config d=0.2 p=x k=7 seed=0", "could not convert string to float"),

@@ -24,7 +24,7 @@ from dobquery import (
 )
 from dobquery import costmodel
 from dobquery.costmodel import JoinTable
-from dobquery.model import Atom, BUILTIN_SCHEMA, PredicateKind, Query, Term
+from dobquery.model import Atom, BUILTIN_SCHEMA, Query, Term
 from dobquery.optimizer import (
     MAX_EXHAUSTIVE_SUBGOALS,
     MAX_OPTIMIZE_SUBGOALS,
@@ -32,13 +32,7 @@ from dobquery.optimizer import (
     Plan,
     plan_for_order,
 )
-from dobquery.stats import (
-    BindingPattern,
-    EobStats,
-    IobStats,
-    StatisticsCatalog,
-    all_patterns,
-)
+from conftest import random_catalog, random_catalog_query
 
 
 def test_optimize_cars_golden(cars_exact_catalog):
@@ -156,59 +150,12 @@ def test_optimize_costs_each_instantiation_once(monkeypatch, shape, subgoals):
         assert len(calls) <= n + len(pairs), query
 
 
-def _random_catalog(rng):
-    entries = {}
-    for name, schema in BUILTIN_SCHEMA.items():
-        if schema.kind is PredicateKind.EOB:
-            card = rng.randint(0, 60)
-            n_keys = tuple(
-                rng.randint(1, card) if card else 0 for _ in range(schema.arity)
-            )
-            entries[name] = EobStats(card, n_keys)
-        else:
-            card_free = rng.uniform(0, 80)
-            distinct = tuple(
-                rng.uniform(1, 40) for _ in range(schema.arity)
-            )
-            cards, costs = {}, {}
-            for p in all_patterns(schema.arity):
-                c = card_free
-                for pos in p.bound_positions:
-                    c /= max(1.0, min(card_free, distinct[pos]))
-                cards[p] = c
-                costs[p] = rng.uniform(0, 300)
-            entries[name] = IobStats(
-                schema.arity, distinct, cards, costs
-            )
-    return StatisticsCatalog(entries, SamplingConfig())
-
-
-def _random_query(rng, max_subgoals=5):
-    n = rng.randint(2, max_subgoals)
-    names = list(BUILTIN_SCHEMA)
-    var_pool = [f"V{i}" for i in range(rng.randint(2, 6))]
-    body = []
-    for _ in range(n):
-        name = rng.choice(names)
-        args = tuple(
-            Term.var(rng.choice(var_pool))
-            if rng.random() < 0.75
-            else Term.const(f"k{rng.randint(0, 9)}")
-            for _ in range(BUILTIN_SCHEMA[name].arity)
-        )
-        body.append(Atom(name, args))
-    body_vars = [v for a in body for v in a.variables]
-    if not body_vars:
-        return None
-    return Query(Atom("q", (Term.var(rng.choice(body_vars)),)), tuple(body))
-
-
 def test_optimize_matches_exhaustive_minimum():
     rng = random.Random(99)
     checked = 0
     while checked < 25:
-        catalog = _random_catalog(rng)
-        query = _random_query(rng)
+        catalog = random_catalog(rng)
+        query = random_catalog_query(rng)
         if query is None:
             continue
         plan = optimize(query, catalog)
@@ -291,7 +238,7 @@ def test_optimize_is_the_exhaustive_minimum(seed, data):
     """The DP's plan costs exactly the cheapest ordering, and its estimate
     is the left-deep fold of its own ordering, bit for bit. Of several
     equal-cost orderings it may return any one."""
-    catalog = _random_catalog(random.Random(seed))
+    catalog = random_catalog(random.Random(seed))
     query = _drawn_query(data)
     strategies = data.draw(st.sampled_from([
         None,
@@ -334,9 +281,11 @@ def _reference_optimize(query, catalog, strategies):
         for idx in range(n):
             if left >> idx & 1:
                 continue
-            estimate, strategy = joins.join(
-                prefix.estimate, left, idx, strategies
+            cost, card, strategy = joins.extend(
+                prefix.estimate.cost, prefix.estimate.cardinality, left, idx,
+                strategies,
             )
+            estimate = Estimate(cost, card)
             grown = left | 1 << idx
             best = kept.get(grown)
             if best is None or (estimate.cost, estimate.cardinality) < (
@@ -355,7 +304,7 @@ def test_optimize_equals_the_reference_dp(seed, data):
     the last-subgoal links gives the reference DP's plan: same order,
     same strategies, same estimate bit for bit, under every non-empty
     subset of the strategies."""
-    catalog = _random_catalog(random.Random(seed))
+    catalog = random_catalog(random.Random(seed))
     query = _drawn_query(data, max_subgoals=8)
     every = default_strategies()
     for size in range(1, len(every) + 1):
@@ -397,7 +346,7 @@ def test_one_plan_per_subgoal_set_is_exact(seed, data):
     subgoal set folds to the same cardinality, and each strategy's
     extension cost is nondecreasing in the left cost at a fixed left
     cardinality."""
-    catalog = _random_catalog(random.Random(seed))
+    catalog = random_catalog(random.Random(seed))
     query = _drawn_query(data)
     joins = JoinTable(catalog, query.body)
     n = len(query.body)
@@ -421,6 +370,6 @@ def test_one_plan_per_subgoal_set_is_exact(seed, data):
     card = data.draw(number)
     low, high = sorted((data.draw(number), data.draw(number)))
     for strategy in default_strategies():
-        cheap, _ = joins.join(Estimate(low, card), left, right, (strategy,))
-        dear, _ = joins.join(Estimate(high, card), left, right, (strategy,))
-        assert cheap.cost <= dear.cost
+        cheap = joins.extend(low, card, left, right, (strategy,))[0]
+        dear = joins.extend(high, card, left, right, (strategy,))[0]
+        assert cheap <= dear

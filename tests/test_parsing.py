@@ -45,6 +45,19 @@ def test_parse_dob_rejects_unknown_predicate():
         parse_dob("isWidget(a,b).\n")
 
 
+@pytest.mark.parametrize("line", [
+    "areClasses(c,o).", "areClasses( c , o ).", "areClasses('c',o).",
+], ids=["plain", "spaced", "quoted"])
+def test_parse_dob_refuses_an_intensional_fact_at_its_line(line):
+    """An IOB fact is derived by the rules, never stated: either reading
+    path refuses it at its line."""
+    with pytest.raises(ParseError) as err:
+        parse_dob(f"isOntology(o).\n{line}\n", filename="bad.dob")
+    assert str(err.value) == (
+        "bad.dob:2:1: cannot assert intensional fact: areClasses(c,o)"
+    )
+
+
 def test_parse_dob_reports_location():
     with pytest.raises(ParseError) as err:
         parse_dob("isOntology(a).\nisClass(vehicle carsOnt).\n", filename="f.dob")

@@ -31,6 +31,7 @@ from dobquery.stats import (
     all_patterns,
     catalog_from_text,
     catalog_to_text,
+    pattern_cardinality,
 )
 from conftest import bottom_up_oracle, random_base, scaled_config
 
@@ -156,16 +157,18 @@ def test_estimate_iob_stats_cars(cars_base):
     cfg = SamplingConfig(seed=17)
     stats = estimate_iob_stats(cars_base, "areClasses", cfg)
     ff, bf = BindingPattern.parse("ff"), BindingPattern.parse("bf")
-    assert stats.cardinality[ff] == pytest.approx(12.0)
+    assert stats.cardinality == pytest.approx(12.0)
     # bound-pattern cost is the sampled partition mean, free is mean * n
     assert stats.cost[ff] == pytest.approx(stats.cost[bf] * 4)
-    assert set(stats.cardinality) == set(all_patterns(2))
+    assert set(stats.cost) == set(all_patterns(2))
 
 
 def test_estimate_zero_domain_gives_zero(cars_base):
     cfg = SamplingConfig(seed=17)
     stats = estimate_iob_stats(cars_base, "areStatements", cfg)
-    assert all(v == 0.0 for v in stats.cardinality.values())
+    assert all(
+        pattern_cardinality(stats, p) == 0.0 for p in all_patterns(3)
+    )
     assert stats.low_confidence
 
 
@@ -176,9 +179,10 @@ def test_bound_cardinality_never_exceeds_free():
         base = random_base(rng)
         for pred in ("areClasses", "areIndividuals", "areStatements"):
             stats = estimate_iob_stats(base, pred, cfg)
-            free = stats.cardinality[BindingPattern.free(stats.arity)]
-            for pattern, value in stats.cardinality.items():
-                assert value <= free + 1e-9
+            for pattern in all_patterns(len(stats.distinct_values)):
+                assert pattern_cardinality(stats, pattern) <= (
+                    stats.cardinality + 1e-9
+                )
 
 
 def test_build_catalog_covers_all_predicates(cars_base):
@@ -189,9 +193,7 @@ def test_build_catalog_covers_all_predicates(cars_base):
     assert is_class.cardinality == 4
     are_classes = catalog.entries["areClasses"]
     assert isinstance(are_classes, IobStats)
-    assert are_classes.cardinality[
-        BindingPattern.free(2)
-    ] == pytest.approx(12.0)
+    assert are_classes.cardinality == pytest.approx(12.0)
 
 
 def test_build_catalog_deterministic_under_seed(cars_base):
@@ -276,6 +278,58 @@ def test_catalog_parse_errors_name_the_line(cars_base, bad, message):
         catalog_from_text("\n".join(lines))
 
 
+@pytest.mark.parametrize("line_no, row, message", [
+    (23, "areClasses | IOB | bf | 999.0 | 11.0 | 4.0 3.0",
+     "catalog line 23: cardinality of areClasses bf must be 3.0 by its "
+     "all-free cardinality and distinct values, got 999.0"),
+    # a changed all-free cardinality leaves the first bound row wrong
+    (21, "areClasses | IOB | ff | 13.0 | 44.0 | 4.0 3.0",
+     "catalog line 22: cardinality of areClasses fb must be "
+     "4.333333333333333 by its all-free cardinality and distinct values, "
+     "got 4.0"),
+], ids=["bound-row", "free-row"])
+def test_inconsistent_iob_cardinality_is_refused(cars_base, line_no, row,
+                                                 message):
+    """An IOB row's cardinality is the all-free row's divided by the
+    distinct values of its bound arguments; another value names its
+    line."""
+    lines = catalog_to_text(build_exact_catalog(cars_base)).splitlines()
+    assert lines[line_no - 1].startswith(row.split(" | ")[0])
+    lines[line_no - 1] = row
+    with pytest.raises(AnalyzerError) as info:
+        catalog_from_text("\n".join(lines))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: ["# dob catalog v9", *lines[1:]],
+     "catalog line 1: expected '# dob catalog v1', got '# dob catalog v9'"),
+    (lambda lines: lines[1:],
+     "catalog line 1: expected '# dob catalog v1', got '# config d=0.2 "
+     "p=0.7 k=7 seed=0 mmax=auto'"),
+    (lambda lines: lines[2:],
+     "catalog line 1: expected '# dob catalog v1', got 'isOntology | EOB "
+     "| f | 3 | 3 | 3'"),
+    (lambda lines: [lines[0], *lines[2:]],
+     "catalog line 2: no '# config' line before the first row"),
+    (lambda lines: [lines[0], *lines[2:], lines[1]],
+     "catalog line 2: no '# config' line before the first row"),
+    (lambda lines: [*lines, "# config d=0.5 p=0.7 k=7 seed=0"],
+     "catalog line 37: second '# config' line (first on line 2)"),
+    (lambda lines: [*lines[:2], "# config d=0.5 p=0.7 k=7 seed=0",
+                    *lines[2:]],
+     "catalog line 3: second '# config' line (first on line 2)"),
+], ids=["v9", "no-version", "no-comments", "no-config", "config-after-rows",
+        "second-config-after-rows", "second-config-before-rows"])
+def test_catalog_header_is_strict(cars_base, edit, message):
+    """Line 1 is the v1 header and one `# config` line comes before the
+    first row."""
+    lines = catalog_to_text(build_exact_catalog(cars_base)).splitlines()
+    with pytest.raises(AnalyzerError) as info:
+        catalog_from_text("\n".join(edit(lines)))
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("bad, what, text", [
     ("isClass | EOB | ff | inf | 4 | 4 1", "cardinality", "inf"),
     ("isClass | EOB | ff | -4 | 4 | 4 1", "cardinality", "-4"),
@@ -315,9 +369,8 @@ def _catalogs(draw):
             )
         else:
             entries[name] = IobStats(
-                n,
                 tuple(draw(_numbers) for _ in range(n)),
-                {p: draw(_numbers) for p in all_patterns(n)},
+                draw(_numbers),
                 {p: draw(_numbers) for p in all_patterns(n)},
             )
     config = SamplingConfig(
@@ -397,7 +450,7 @@ def test_exact_catalog_matches_oracle_cardinalities(cars_base):
         stats = catalog.entries[pred]
         assert isinstance(stats, IobStats)
         exact = sum(1 for a in oracle if a.predicate == pred)
-        assert stats.cardinality[BindingPattern.free(stats.arity)] == exact
+        assert stats.cardinality == exact
 
 
 def _refuse_answer_text(*_args):

@@ -61,10 +61,9 @@ from .optimizer import (
     explain_plan,
     optimize,
 )
-from .executor import execute, uniform_plan
+from .executor import execute
 from .synth import SynthConfig, generate_synthetic
 from .bench import (
-    compare_strategy_sets,
     pearson,
     run_correlation,
     run_ratio,

@@ -18,7 +18,7 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from .costmodel import JoinMethod, JoinStrategy, default_strategies
+from .costmodel import default_strategies
 from .executor import execute
 from .model import DobError
 from .optimizer import exhaustive_orderings, optimize
@@ -58,14 +58,6 @@ class ExperimentReport:
     log_correlation: float | None = None
     ratios: list[RatioRow] = field(default_factory=list)
 
-    @property
-    def estimate_vector(self) -> list[float]:
-        return [r.estimated_cost for r in self.rows]
-
-    @property
-    def actual_vector(self) -> list[float]:
-        return [float(r.actual_cost) for r in self.rows]
-
 
 def pearson(xs, ys) -> float | None:
     """Sample Pearson correlation; None when either vector is constant."""
@@ -92,7 +84,8 @@ def _median_low(values) -> int:
 def _query_orderings(bases, queries, config, strategies, catalogs):
     """(base, catalog, query, rows) per query in `queries[b]` of each
     `bases[b]`, one row per ordering of the query, executed once. The
-    catalogs are built from `config` unless given, one per base."""
+    catalogs are built from `config` unless given, one per base. An
+    error raised for a query is prefixed with the query's id."""
     if len(queries) != len(bases):
         raise BenchError(
             f"bases and queries differ in length: {len(bases)} and"
@@ -107,20 +100,25 @@ def _query_orderings(bases, queries, config, strategies, catalogs):
         )
     for b, (base, catalog) in enumerate(zip(bases, catalogs)):
         for query in queries[b]:
+            query_id = f"base{b}/{query.head.predicate}"
             rows = []
-            plans = exhaustive_orderings(query, catalog, strategies)
-            for i, plan in enumerate(plans):
-                t0 = time.perf_counter()
-                report = execute(base, plan)
-                rows.append(OrderingRow(
-                    base_id=f"base{b}",
-                    query_id=f"base{b}/{query.head.predicate}",
-                    ordering_index=i,
-                    order=plan.order,
-                    estimated_cost=plan.estimate.cost,
-                    actual_cost=report.actual_cost,
-                    wall_clock=time.perf_counter() - t0,
-                ))
+            try:
+                plans = exhaustive_orderings(query, catalog, strategies)
+                for i, plan in enumerate(plans):
+                    t0 = time.perf_counter()
+                    report = execute(base, plan)
+                    rows.append(OrderingRow(
+                        base_id=f"base{b}",
+                        query_id=query_id,
+                        ordering_index=i,
+                        order=plan.order,
+                        estimated_cost=plan.estimate.cost,
+                        actual_cost=report.actual_cost,
+                        wall_clock=time.perf_counter() - t0,
+                    ))
+            except DobError as err:
+                err.args = (f"{query_id}: {err}",)
+                raise
             yield base, catalog, query, rows
 
 
@@ -152,12 +150,14 @@ def run_correlation(
         )
         for row in rows
     ])
-    report.correlation = pearson(report.estimate_vector, report.actual_vector)
+    estimates = [r.estimated_cost for r in report.rows]
+    actuals = [float(r.actual_cost) for r in report.rows]
+    report.correlation = pearson(estimates, actuals)
     # Costs span orders of magnitude; the log-scale correlation is the
     # robust companion number (scatter plots of these pairs are log-log).
     report.log_correlation = pearson(
-        [math.log1p(x) for x in report.estimate_vector],
-        [math.log1p(y) for y in report.actual_vector],
+        [math.log1p(x) for x in estimates],
+        [math.log1p(y) for y in actuals],
     )
     return report
 
@@ -192,37 +192,6 @@ def run_ratio(
             )
         )
     return report
-
-
-def compare_strategy_sets(
-    bases, queries, config: SamplingConfig, *, catalogs=None,
-) -> dict[str, float]:
-    """Mean optimal/worst ratios of the nested-loop-only optimizer and the
-    optimizer that picks nested loop or hash join per step, against a
-    common baseline.
-
-    The baseline for both is the worst nested-loop ordering, so the
-    comparison isolates what the larger strategy search space buys: a
-    better chosen plan for the same query.
-    """
-    nlj_only = (JoinStrategy(JoinMethod.NESTED_LOOP),)
-    combined = default_strategies()
-    nlj_ratios: list[float] = []
-    combined_ratios: list[float] = []
-    for base, catalog, query, rows in _query_orderings(
-        bases, queries, config, nlj_only, catalogs
-    ):
-        worst = max(r.actual_cost for r in rows)
-        opt_nlj = _chosen_cost(rows, query, catalog, nlj_only)
-        opt_all = execute(base, optimize(query, catalog, combined)).actual_cost
-        nlj_ratios.append(opt_nlj / worst if worst else 1.0)
-        combined_ratios.append(opt_all / worst if worst else 1.0)
-    if not nlj_ratios:
-        raise BenchError("compare_strategy_sets needs at least one query")
-    return {
-        "nlj_mean_ratio": sum(nlj_ratios) / len(nlj_ratios),
-        "combined_mean_ratio": sum(combined_ratios) / len(combined_ratios),
-    }
 
 
 def write_correlation_csv(report: ExperimentReport, path) -> None:

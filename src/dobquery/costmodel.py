@@ -91,12 +91,11 @@ class JoinTable:
     estimate and per-variable distinct counts of each subgoal are read
     once from the catalog. Per subgoal set, the table keeps the smallest
     distinct count of each variable over the set's subgoals, filled
-    lazily from the set minus its highest subgoal: the optimizer's DP
-    visits sets in ascending integer order, so that smaller set is
-    always filled first, and each (left set, right subgoal) pair reads
-    its shared variables' counts instead of scanning their holders. The
-    instantiated cost is cached per (right subgoal, shared variables),
-    and so shared across left sets, join strategies and orderings.
+    lazily from the set minus its highest subgoal, so each (left set,
+    right subgoal) pair reads its shared variables' counts instead of
+    scanning their holders. The instantiated cost is cached per (right
+    subgoal, shared variables), and so shared across left sets, join
+    strategies and orderings.
     """
 
     def __init__(self, catalog: StatisticsCatalog, atoms):
@@ -110,25 +109,16 @@ class JoinTable:
 
     def _smallest_distinct(self, atom_set: int) -> dict[str, float]:
         """Smallest distinct count of each variable over the subgoals in
-        `atom_set`. A set is filled from the set minus its highest
-        subgoal, which the DP's integer order and a fold in written order
-        always fill first; any other set is filled from its members."""
+        `atom_set`, filled from the set minus its highest subgoal."""
         counts = self._set_distinct.get(atom_set)
         if counts is None:
-            high = 1 << atom_set.bit_length() - 1
-            parent = self._set_distinct.get(atom_set ^ high)
-            if parent is None:
-                parent, new = {}, atom_set
-            else:
-                new = high
-            counts = self._set_distinct[atom_set] = dict(parent)
-            while new:
-                low = new & -new
-                new ^= low
-                for var, d in self._distinct[low.bit_length() - 1].items():
-                    best = counts.get(var)
-                    if best is None or d < best:
-                        counts[var] = d
+            high = atom_set.bit_length() - 1
+            counts = dict(self._smallest_distinct(atom_set ^ 1 << high))
+            for var, d in self._distinct[high].items():
+                best = counts.get(var)
+                if best is None or d < best:
+                    counts[var] = d
+            self._set_distinct[atom_set] = counts
         return counts
 
     def inputs(self, left: int, right: int) -> tuple[float, float]:

@@ -92,6 +92,7 @@ from .model import (
     Atom,
     DobError,
     PredicateKind,
+    Rule,
     SchemaError,
     Term,
     builtin_iob_program,
@@ -237,13 +238,6 @@ class EvaluationResult:
         return self.inferred_fact_count + self.eob_access_count
 
 
-@dataclass
-class _CompiledRule:
-    text: str
-    head_vars: tuple[str, ...]
-    body: tuple[tuple[str, tuple[str, ...], bool], ...]  # (pred, args, is_eob)
-
-
 @dataclass(frozen=True, slots=True)
 class _Step:
     """One body atom, evaluated on substitutions of a fixed length n.
@@ -310,8 +304,8 @@ def _scan(args, bound_vars) -> _Scan:
     return _Scan(tuple(bound), tuple(new), tuple(same), tuple(shape))
 
 
-def _compile_rules(program) -> dict[str, list[_CompiledRule]]:
-    """A rule program as (pred, args, is_eob) bodies, by head predicate.
+def _compile_rules(program) -> dict[str, list[Rule]]:
+    """A rule program's rules, by head predicate.
 
     A rule kernel runs a body as nested loops over its EOB atoms and
     makes its tabled call in the innermost loop. That keeps the call
@@ -321,26 +315,18 @@ def _compile_rules(program) -> dict[str, list[_CompiledRule]]:
     distinct variables and its rules hold no constants, so its kernels
     hold no ids and serve every base.
     """
-    rules: dict[str, list[_CompiledRule]] = {}
+    rules: dict[str, list[Rule]] = {}
     for rule in program:
-        body = tuple(
-            (
-                atom.predicate,
-                tuple(t.value for t in atom.args),
-                schema_for(atom.predicate).kind is PredicateKind.EOB,
-            )
-            for atom in rule.body
-        )
-        if not all(eob for _, _, eob in body[:-1]):
+        if not all(map(_is_eob, rule.body[:-1])):
             raise SchemaError(
                 f"rule {rule}: only the last body atom may be intensional"
             )
-        rules.setdefault(rule.head.predicate, []).append(
-            _CompiledRule(
-                str(rule), tuple(t.value for t in rule.head.args), body
-            )
-        )
+        rules.setdefault(rule.head.predicate, []).append(rule)
     return rules
+
+
+def _is_eob(atom: Atom) -> bool:
+    return schema_for(atom.predicate).kind is PredicateKind.EOB
 
 
 _RULES = _compile_rules(builtin_iob_program())
@@ -399,19 +385,22 @@ def _kernel_source(pred: str, shape: tuple) -> tuple[str, dict]:
     ]
     for rule in _RULES.get(pred, []):
         local = {
-            var: f"k{i}" if p is None else f"p{p[1:]}"
-            for i, (var, p) in enumerate(zip(rule.head_vars, shape))
+            t.value: f"k{i}" if p is None else f"p{p[1:]}"
+            for i, (t, p) in enumerate(zip(rule.head.args, shape))
         }
         bound = {f"k{i}" for i, p in enumerate(shape) if p is None}
-        lines += [f"    # {rule.text}", "    out = []"]
+        lines += [f"    # {rule}", "    out = []"]
         loops: list[str] = []
         indent = "    "
-        for j, (b_pred, b_args, b_eob) in enumerate(rule.body):
-            b_args = tuple(local.get(a, f"v_{a}") for a in b_args)
+        for j, atom in enumerate(rule.body):
+            b_pred = atom.predicate
+            b_args = tuple(
+                local.get(t.value, f"v_{t.value}") for t in atom.args
+            )
             scan = _scan(b_args, bound)
             bound.update(b_args[pos] for pos in scan.new)
             rows = f"rows{j}"
-            if b_eob:
+            if _is_eob(atom):
                 access = (b_pred, scan.bound)
                 key = _tuple(b_args[pos] for pos in scan.bound)
                 # every probe the rule reads is fetched before its loops

@@ -59,8 +59,7 @@ from .engine import (
     compile_query,
     evaluate,
 )
-from .model import Query
-from .optimizer import Plan, checked_order
+from .optimizer import Plan
 from .store import _getter
 
 
@@ -203,18 +202,4 @@ def execute(base, plan: Plan) -> EvaluationResult:
         Answers.of(base.symbols, plan.query.head, var_slot, batch.expanded()),
         total.inferred_facts, total.eob_accesses, per_step,
     )
-
-
-def uniform_plan(
-    query: Query,
-    strategy: JoinStrategy,
-    order: tuple[int, ...] | None = None,
-) -> Plan:
-    """A plan using one strategy at every step. It is built without a
-    catalog, so its `estimate` is None; `explain_plan` folds the
-    estimates of any plan on a catalog."""
-    if order is None:
-        order = range(len(query.body))
-    order = checked_order(query, order)
-    return Plan(query, order, (strategy,) * (len(order) - 1), None)
 

@@ -32,7 +32,7 @@ MAX_EXHAUSTIVE_SUBGOALS = 6
 class Plan:
     """The body joined in `order`, each step after the first by its
     strategy. `estimate` is the cost model's estimate of the whole plan,
-    or None for a plan built without a catalog (`uniform_plan`)."""
+    or None for a plan built by hand, without a catalog."""
 
     query: Query
     order: tuple[int, ...]
@@ -128,18 +128,6 @@ def _plan_for_order(joins: JoinTable, query: Query, order, strategies) -> Plan:
     return Plan(query, order, tuple(s for _, s in steps[1:]), steps[-1][0])
 
 
-def checked_order(query: Query, order) -> tuple[int, ...]:
-    """`order` as a tuple, refused unless it is a permutation of the body
-    positions."""
-    order = tuple(order)
-    n = len(query.body)
-    if sorted(order) != list(range(n)):
-        raise OptimizerError(
-            f"order {order} is not a permutation of the {n} body positions"
-        )
-    return order
-
-
 def plan_for_order(
     query: Query,
     catalog: StatisticsCatalog,
@@ -147,9 +135,16 @@ def plan_for_order(
     enabled_strategies=None,
 ) -> Plan:
     """The plan joining the body in `order`, each step by its cheapest
-    enabled strategy."""
+    enabled strategy. An order that is not a permutation of the body
+    positions is refused."""
+    order = tuple(order)
+    n = len(query.body)
+    if sorted(order) != list(range(n)):
+        raise OptimizerError(
+            f"order {order} is not a permutation of the {n} body positions"
+        )
     return _plan_for_order(
-        JoinTable(catalog, query.body), query, checked_order(query, order),
+        JoinTable(catalog, query.body), query, order,
         _strategies(enabled_strategies),
     )
 
@@ -170,7 +165,7 @@ def exhaustive_orderings(
     if n > MAX_EXHAUSTIVE_SUBGOALS:
         raise OptimizerError(
             f"exhaustive enumeration is capped at {MAX_EXHAUSTIVE_SUBGOALS} "
-            "subgoals"
+            f"subgoals, the query has {n}"
         )
     joins = JoinTable(catalog, query.body)
     strategies = _strategies(enabled_strategies)

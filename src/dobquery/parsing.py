@@ -239,13 +239,9 @@ class PropertyDeclaration:
     is_object: bool  # an object property; else a datatype property
     domain: str | None = None
     range: str | None = None  # datatype properties carry none
+    transitive: bool = False
     # where its domain or range clause is
     location: SourceLocation | None = field(default=None, compare=False)
-
-
-@dataclass(frozen=True, slots=True)
-class TransitivePropertyDeclaration:
-    name: str
 
 
 @dataclass(frozen=True, slots=True)
@@ -258,7 +254,6 @@ class IndividualDeclaration:
 OwlStatement = (
     ClassDeclaration
     | PropertyDeclaration
-    | TransitivePropertyDeclaration
     | IndividualDeclaration
 )
 
@@ -342,7 +337,7 @@ def _parse_class_line(ts: _TokenStream) -> ClassDeclaration:
 
 def _parse_property_line(
     ts: _TokenStream, is_object: bool, seen: set
-) -> list[OwlStatement]:
+) -> PropertyDeclaration:
     """Read `( name [domain(x) | range(x) | Transitive] )`. `seen` holds
     the document's (is_object, name, clause) triples so far: a property
     takes one domain and one range. A transitive property is declared
@@ -350,16 +345,13 @@ def _parse_property_line(
     name = _opening(ts)
     kind, kw, loc = ts.next()
     if kind == ")":
-        return [PropertyDeclaration(name, is_object)]
+        return PropertyDeclaration(name, is_object)
     if kind != "name":
         raise ParseError(f"expected a property clause, found {kw!r}", loc)
     what = kw.lower()
     if what == "transitive":
         ts.expect(")")
-        return [
-            PropertyDeclaration(name, is_object),
-            TransitivePropertyDeclaration(name),
-        ]
+        return PropertyDeclaration(name, is_object, transitive=True)
     if what not in ("domain", "range"):
         _refuse(kw, "domain/range/Transitive", loc)
     value = _wrapped(ts)
@@ -373,7 +365,7 @@ def _parse_property_line(
             loc,
         )
     seen.add((is_object, name, what))
-    return [PropertyDeclaration(name, is_object, location=loc, **{what: value})]
+    return PropertyDeclaration(name, is_object, location=loc, **{what: value})
 
 
 def _parse_individual_line(ts: _TokenStream) -> IndividualDeclaration:
@@ -422,7 +414,7 @@ def parse_owl(text: str, filename: str = "<string>") -> OwlDocument:
             statements.append(_parse_class_line(ts))
         elif low in ("objectproperty", "datatypeproperty", "dataproperty"):
             is_object = low == "objectproperty"
-            statements += _parse_property_line(ts, is_object, seen)
+            statements.append(_parse_property_line(ts, is_object, seen))
         elif low == "property":
             name = _opening(ts)
             _, kw, kw_loc = ts.expect("name")
@@ -430,8 +422,7 @@ def parse_owl(text: str, filename: str = "<string>") -> OwlDocument:
                 raise ParseError(f"expected 'Transitive', found {kw!r}", kw_loc)
             ts.expect(")")
             # OWL Lite's TransitiveProperty is an ObjectProperty
-            statements += [PropertyDeclaration(name, True),
-                           TransitivePropertyDeclaration(name)]
+            statements.append(PropertyDeclaration(name, True, transitive=True))
         elif low == "individual":
             statements.append(_parse_individual_line(ts))
         else:
@@ -501,8 +492,8 @@ def translate_documents(docs) -> list[Atom]:
                             f"{first.location}",
                             st.location,
                         )
-            elif isinstance(st, TransitivePropertyDeclaration):
-                emit(_fact("isTransitive", st.name))
+                if st.transitive:
+                    emit(_fact("isTransitive", st.name))
             elif isinstance(st, IndividualDeclaration):
                 for cls in st.types:
                     emit(_fact("isIndividual", st.name, cls))

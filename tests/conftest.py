@@ -23,10 +23,10 @@ from dobquery import (
     parse_atom,
     parse_dob,
     parse_query,
-    uniform_plan,
 )
 from dobquery.engine import EvaluationResult
 from dobquery.model import BUILTIN_SCHEMA, Term, schema_for
+from dobquery.optimizer import Plan
 from dobquery.stats import EobStats, IobStats, StatisticsCatalog, all_patterns
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -233,6 +233,13 @@ def match_eob(base: OntologyBase, pattern: Atom) -> list[Atom]:
             ids.append(cid)
     rows = base.match_rows(pattern.predicate, tuple(ids), same)
     return [base.to_atom(pattern.predicate, row) for row in rows]
+
+
+def uniform_plan(query: Query, strategy, order=None) -> Plan:
+    """A plan built by hand, with `strategy` at every step and no
+    estimate, in `order` (written order by default)."""
+    order = tuple(range(len(query.body)) if order is None else order)
+    return Plan(query, order, (strategy,) * (len(order) - 1), None)
 
 
 def execute_all_strategies(

@@ -7,8 +7,11 @@ from dobquery import (
     JoinStrategy,
     SamplingConfig,
     SynthConfig,
-    compare_strategy_sets,
+    build_catalog,
+    default_strategies,
+    execute,
     generate_synthetic,
+    optimize,
     pearson,
     run_correlation,
     run_ratio,
@@ -72,20 +75,32 @@ def test_run_correlation_row_shape(tiny_corpus):
 
 def test_run_ratio_fields_consistent(tiny_corpus):
     bases, queries = tiny_corpus
-    report = run_ratio(bases, queries, SamplingConfig(seed=1), NLJ)
-    assert len(report.ratios) == 2
-    for row in report.ratios:
-        actuals = [
-            r.actual_cost for r in report.rows if r.query_id == row.query_id
+    config = SamplingConfig(seed=1)
+    catalogs = [build_catalog(b, config) for b in bases]
+    for strategies in (NLJ, default_strategies()):
+        report = run_ratio(
+            bases, queries, config, strategies, catalogs=catalogs
+        )
+        assert len(report.ratios) == 2
+        chosen = [
+            execute(base, optimize(query, catalog, strategies)).actual_cost
+            for base, qs, catalog in zip(bases, queries, catalogs)
+            for query in qs
         ]
-        assert row.worst_cost == max(actuals)
-        assert row.median_cost == _median_low(actuals)
-        if row.worst_cost:
-            assert row.opt_worst_ratio == pytest.approx(
-                row.optimal_cost / row.worst_cost
-            )
-        # the optimizer's plan is one of the evaluated orderings
-        assert min(actuals) <= row.optimal_cost <= max(actuals)
+        for row, optimal in zip(report.ratios, chosen, strict=True):
+            actuals = [
+                r.actual_cost for r in report.rows
+                if r.query_id == row.query_id
+            ]
+            assert row.worst_cost == max(actuals)
+            assert row.median_cost == _median_low(actuals)
+            if row.worst_cost:
+                assert row.opt_worst_ratio == pytest.approx(
+                    row.optimal_cost / row.worst_cost
+                )
+            # the optimizer's plan is one of the evaluated orderings
+            assert min(actuals) <= row.optimal_cost <= max(actuals)
+            assert row.optimal_cost == optimal
 
 
 def test_reports_reproducible(tiny_corpus):
@@ -126,26 +141,8 @@ def test_csv_outputs(tiny_corpus, tmp_path):
     assert corr_path.read_bytes() == corr_path2.read_bytes()
 
 
-def test_compare_strategy_sets_shape(tiny_corpus):
-    bases, queries = tiny_corpus
-    result = compare_strategy_sets(bases, queries, SamplingConfig(seed=1))
-    assert set(result) == {"nlj_mean_ratio", "combined_mean_ratio"}
-    assert result["nlj_mean_ratio"] > 0
-
-
-def test_compare_strategy_sets_needs_a_query(tiny_corpus):
-    bases, _queries = tiny_corpus
-    for bases, queries in ((bases, [[]]), ([], [])):
-        with pytest.raises(BenchError, match="needs at least one query"):
-            compare_strategy_sets(bases, queries, SamplingConfig(seed=1))
-
-
-@pytest.mark.parametrize(
-    "experiment", [run_ratio, run_correlation, compare_strategy_sets]
-)
+@pytest.mark.parametrize("experiment", [run_ratio, run_correlation])
 def test_experiments_refuse_lists_of_other_lengths(tiny_corpus, experiment):
-    from dobquery import build_catalog
-
     bases, queries = tiny_corpus
     config = SamplingConfig(seed=1)
     with pytest.raises(
@@ -160,8 +157,6 @@ def test_experiments_refuse_lists_of_other_lengths(tiny_corpus, experiment):
 
 
 def test_catalogs_can_be_prebuilt(tiny_corpus):
-    from dobquery import build_catalog
-
     bases, queries = tiny_corpus
     catalogs = [build_catalog(b, SamplingConfig(seed=1)) for b in bases]
     with_cat = run_correlation(
@@ -173,8 +168,6 @@ def test_catalogs_can_be_prebuilt(tiny_corpus):
 
 def test_experiments_build_no_text(tiny_corpus, monkeypatch):
     """The harness reads only counters, so no answer becomes text."""
-    from dobquery import build_catalog
-
     bases, queries = tiny_corpus
     catalogs = [build_catalog(b, SamplingConfig(seed=1)) for b in bases]
     monkeypatch.setattr(SymbolTable, "text", refuse_text)

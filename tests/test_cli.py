@@ -379,6 +379,24 @@ def test_query_past_the_optimizer_cap_is_a_data_error(workspace, capsys):
     assert "Traceback" not in err
 
 
+def test_bench_past_the_enumeration_cap_names_the_query(tmp_path, capsys):
+    """A query too long to enumerate stops the experiment with exit 2 and
+    a message naming the query and its size."""
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({"seed": 0, "query_subgoals": 7}))
+    corpus = tmp_path / "corpus"
+    assert run(capsys, "gen", str(config), "-o", str(corpus))[0] == 0
+    report = tmp_path / "ratio.csv"
+    code, out, err = run(capsys, "bench", "ratio", str(corpus), "-o", str(report))
+    assert code == 2
+    assert err == (
+        "error: base0/q0: exhaustive enumeration is capped at 6 subgoals,"
+        " the query has 7\n"
+    )
+    assert "Traceback" not in err
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("command, option, message", [
     ("query", ["--strategy", "bnlj"],
      "argument --strategy: invalid choice: 'bnlj' (choose from "),

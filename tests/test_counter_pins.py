@@ -26,7 +26,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import binding_patterns, random_base, random_query
+from conftest import (
+    binding_patterns, random_base, random_query, uniform_plan,
+)
 
 from dobquery import (
     Atom,
@@ -36,7 +38,6 @@ from dobquery import (
     execute,
     solve,
     solve_sequence,
-    uniform_plan,
 )
 from dobquery.model import BUILTIN_SCHEMA, IOB_PREDICATES
 

@@ -20,7 +20,6 @@ from dobquery import (
     parse_query,
     solve,
     solve_sequence,
-    uniform_plan,
 )
 from dobquery import engine
 from dobquery.engine import (
@@ -31,11 +30,11 @@ from dobquery.model import (
     BUILTIN_SCHEMA, EOB_PREDICATES, IOB_PREDICATES, ArgDomain, Atom, Query,
     Term,
 )
-from dobquery.optimizer import OptimizerError, Plan, plan_for_order
+from dobquery.optimizer import Plan, plan_for_order
 from dobquery.store import OntologyBase, SymbolTable, _getter
 from conftest import (
     SERVE_Q17, binding_patterns, execute_all_strategies, random_base,
-    random_query, refuse_text,
+    random_query, refuse_text, uniform_plan,
 )
 
 CARS_Q = "q(O):-areClasses(C,O),isDProperty(traction,C)."
@@ -118,17 +117,6 @@ def test_uniform_plan_has_no_estimate(cars_base, cars_exact_catalog):
         estimated, cars_exact_catalog
     )
     assert execute(cars_base, plan) == execute(cars_base, estimated)
-
-
-@pytest.mark.parametrize("order", [(0, 1), (0, 0, 1), (0, 1, 2, 3)])
-def test_uniform_plan_refuses_a_non_permutation(order):
-    query = parse_query(
-        "q(O):-areClasses(C,O),isDProperty(traction,C),isClass(C,O)."
-    )
-    with pytest.raises(
-        OptimizerError, match="is not a permutation of the 3 body positions"
-    ):
-        uniform_plan(query, _NLJ, order)
 
 
 @settings(max_examples=300)

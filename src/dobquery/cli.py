@@ -14,7 +14,7 @@ from . import bench as bench_mod
 from .costmodel import JoinMethod, JoinStrategy, default_strategies
 from .executor import execute
 from .model import DobError, read_text
-from .optimizer import explain_plan, optimize, plan_for_order
+from .optimizer import MAX_EXHAUSTIVE_SUBGOALS, explain_plan, optimize, plan_for_order
 from .parsing import (
     parse_dob,
     parse_owl,
@@ -105,6 +105,11 @@ def _cmd_query(args) -> int:
 def _cmd_gen(args) -> int:
     text = read_text(args.config)
     config = SynthConfig.from_json(text)
+    if config.query_subgoals > MAX_EXHAUSTIVE_SUBGOALS:  # dobq query can use it
+        print(f"warning: query_subgoals {config.query_subgoals} is past the "
+              f"exhaustive enumeration cap of {MAX_EXHAUSTIVE_SUBGOALS} subgoals;"
+              f" dobq bench correlate and dobq bench ratio will refuse this "
+              f"corpus", file=sys.stderr)
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     for rep in range(args.replicas):

@@ -145,8 +145,9 @@ class Answers:
     position of the head), unsorted until first read. `len()` reads only
     the collection; `rows` sorts it by id once and keeps that tuple, and
     equality with another `Answers` of the same symbol table and head
-    compares those. Iteration builds the `Atom`s, in the order of their
-    text, from one shared `Term` per constant.
+    compares those; any other `Answers` compares by its atoms. Iteration
+    builds the `Atom`s, in the order of their text, from one shared
+    `Term` per constant.
     """
 
     __slots__ = ("_rows", "_sorted", "symbols", "head")
@@ -215,12 +216,9 @@ class Answers:
         if (isinstance(other, Answers) and other.symbols is self.symbols
                 and other.head == self.head):
             return self.rows == other.rows
-        if isinstance(other, (Answers, list)):
+        if isinstance(other, Answers):
             return list(self) == list(other)
         return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"Answers({list(self)!r})"
 
 
 @dataclass

@@ -49,18 +49,20 @@ CONSTANT_RE = re.compile(r"[a-z][A-Za-z0-9_:.]*\Z")
 VARIABLE_RE = re.compile(r"[A-Z][A-Za-z0-9_]*\Z")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Term:
     """A constant or a variable; `kind` is 'const' or 'var'."""
 
     kind: str
     value: str
 
-    def __post_init__(self):
-        if self.kind not in ("const", "var"):
-            raise ValueError(f"bad term kind: {self.kind!r}")
-        if not self.value:
+    def __init__(self, kind: str, value: str):
+        if kind != "const" and kind != "var":
+            raise ValueError(f"bad term kind: {kind!r}")
+        if not value:
             raise ValueError("empty term value")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "value", value)
 
     @classmethod
     def const(cls, value: str) -> Term:
@@ -81,15 +83,16 @@ class Term:
         return f"'{escaped}'"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Atom:
     """A predicate applied to terms."""
 
     predicate: str
     args: tuple[Term, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
+    def __init__(self, predicate: str, args):
+        object.__setattr__(self, "predicate", predicate)
+        object.__setattr__(self, "args", tuple(args))
 
     @property
     def is_ground(self) -> bool:

@@ -119,6 +119,8 @@ def _term_of(name: str) -> Term:
 def _parse_term(ts: _TokenStream) -> Term:
     kind, value, loc = ts.next()
     if kind == "const":
+        if not value:
+            raise ParseError("empty quoted constant", loc)
         return Term.const(value)
     if kind == "name":
         return _term_of(value)
@@ -172,9 +174,11 @@ def parse_dob(text: str, filename: str = "<string>") -> list[Atom]:
     A plain line is read by one regex. Any other line (quoted constants,
     inner spaces, variables, malformed input) goes through the tokenizer,
     which reads a plain line to the same atom and reports every error.
+    Each (predicate, arity) is checked against the schema at its first line.
     """
     facts = []
     const = cache(Term.const)  # one Term per distinct constant text
+    checked: set[tuple[str, int]] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).strip() if "%" in raw else raw.strip()
         if not line:
@@ -193,12 +197,13 @@ def parse_dob(text: str, filename: str = "<string>") -> list[Atom]:
                     f"variable in fact: {atom}",
                     SourceLocation(filename, line_no, 1),
                 )
-        try:
-            schema = schema_for(atom.predicate, len(atom.args))
-            if schema.kind is not PredicateKind.EOB:
-                raise SchemaError(f"cannot assert intensional fact: {atom}")
-        except SchemaError as exc:
-            raise ParseError(str(exc), SourceLocation(filename, line_no, 1))
+        if (key := (atom.predicate, len(atom.args))) not in checked:
+            try:
+                if schema_for(*key).kind is not PredicateKind.EOB:
+                    raise SchemaError(f"cannot assert intensional fact: {atom}")
+            except SchemaError as exc:
+                raise ParseError(str(exc), SourceLocation(filename, line_no, 1))
+            checked.add(key)
         facts.append(atom)
     return facts
 

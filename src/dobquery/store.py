@@ -4,12 +4,13 @@ Constants are interned to integers. A pattern is answered from a hash
 probe built on demand, one per (predicate, bound positions) access
 pattern the first time it is used, so every later match is a single
 dict lookup (demand-driven indexing; Santos Costa, Sagonas & Lopes,
-ICLP 2007). An assertion drops the probes, and each is rebuilt the next
-time it is asked for. The store is append-only with set semantics.
+ICLP 2007). One loading loop adds facts; a load that adds one drops the
+probes, each rebuilt when next asked for. Append-only, set semantics.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from operator import itemgetter
 from typing import Callable
 
@@ -74,28 +75,40 @@ class OntologyBase:
         self._facts: dict[tuple[str, tuple[int, ...]], None] = {}
         # (pred, bound positions) -> probe (see `probe_index`)
         self.probes: dict[tuple[str, tuple[int, ...]], dict] = {}
+        self._pools: dict[ArgDomain, list[int]] = {}  # see `domain_values`
 
     @classmethod
     def from_facts(cls, facts) -> OntologyBase:
-        base = cls()
-        for f in facts:
-            base.assert_fact(f)
-        return base
+        """A base of `facts`, read by the one loading loop, `_load`."""
+        return cls()._load(facts)
 
     def assert_fact(self, fact: Atom) -> OntologyBase:
         """Add a ground EOB fact; duplicates are ignored (set semantics)."""
-        schema = schema_for(fact.predicate, len(fact.args))
-        if schema.kind is not PredicateKind.EOB:
-            raise SchemaError(f"cannot assert intensional fact: {fact}")
-        if not fact.is_ground:
-            raise NonGroundFactError(f"fact contains variables: {fact}")
-        row = tuple(self.symbols.intern(t.value) for t in fact.args)
-        key = (fact.predicate, row)
-        if key in self._facts:
-            return self
-        self._facts[key] = None
-        self._rows.setdefault(fact.predicate, []).append(row)
-        self.probes.clear()
+        return self._load((fact,))
+
+    def _load(self, facts) -> OntologyBase:
+        """The one loading loop: each (predicate, arity) is checked once,
+        and all of a fact's arguments before any is interned. A refused
+        fact adds nothing, and `from_facts` then returns no base."""
+        ids, intern = self.symbols._ids, self.symbols.intern
+        size = len(self._facts)
+        checked: set[tuple[str, int]] = set()
+        for fact in facts:
+            pred, args = fact.predicate, fact.args
+            if (pred, len(args)) not in checked:
+                if schema_for(pred, len(args)).kind is not PredicateKind.EOB:
+                    raise SchemaError(f"cannot assert intensional fact: {fact}")
+                checked.add((pred, len(args)))
+            texts = [t.value for t in args if t.kind == "const"]
+            if len(texts) != len(args):
+                raise NonGroundFactError(f"fact contains variables: {fact}")
+            row = tuple([ids[t] if t in ids else intern(t) for t in texts])
+            if (pred, row) not in self._facts:
+                self._facts[pred, row] = None
+                self._rows.setdefault(pred, []).append(row)
+        if len(self._facts) != size:
+            self.probes.clear()
+            self._pools.clear()
         return self
 
     def rows(self, predicate: str) -> list[tuple[int, ...]]:
@@ -139,20 +152,20 @@ class OntologyBase:
 
     def domain_values(self, domain: ArgDomain) -> list[int]:
         """Constant ids of a domain, one per defining fact (see
-        `DOMAIN_SOURCES`); a distinct domain lists each value once."""
-        sources, distinct = DOMAIN_SOURCES[domain]
-        ids = [row[pos] for pred, pos in sources for row in self.rows(pred)]
-        return list(dict.fromkeys(ids)) if distinct else ids
-
-    def to_atom(self, predicate: str, row: tuple[int, ...]) -> Atom:
-        return Atom(
-            predicate, tuple(Term.const(self.symbols.text(c)) for c in row)
-        )
+        `DOMAIN_SOURCES`); a distinct domain lists each value once. The
+        list is kept until the next fact is added. Do not mutate."""
+        if domain not in self._pools:
+            sources, distinct = DOMAIN_SOURCES[domain]
+            ids = [row[pos] for pred, pos in sources for row in self.rows(pred)]
+            self._pools[domain] = list(dict.fromkeys(ids)) if distinct else ids
+        return self._pools[domain]
 
     def facts(self):
-        """All facts as ground atoms, in global assertion order."""
+        """All facts as ground atoms, in global assertion order, with one
+        `Term` per distinct constant."""
+        term = cache(lambda cid: Term.const(self.symbols.text(cid)))
         for pred, row in self._facts:
-            yield self.to_atom(pred, row)
+            yield Atom(pred, tuple(map(term, row)))
 
     def __len__(self) -> int:
         return len(self._facts)

@@ -211,6 +211,13 @@ def random_catalog_query(rng: random.Random, max_subgoals: int = 5):
     return Query(Atom("q", (Term.var(rng.choice(body_vars)),)), tuple(body))
 
 
+def to_atom(base: OntologyBase, predicate: str, row) -> Atom:
+    """The fact of `predicate` whose constant ids are `row`."""
+    return Atom(
+        predicate, tuple(Term.const(base.symbols.text(c)) for c in row)
+    )
+
+
 def match_eob(base: OntologyBase, pattern: Atom) -> list[Atom]:
     """All facts unifying with `pattern`, in insertion order."""
     schema = schema_for(pattern.predicate, len(pattern.args))
@@ -232,7 +239,7 @@ def match_eob(base: OntologyBase, pattern: Atom) -> list[Atom]:
                 return []
             ids.append(cid)
     rows = base.match_rows(pattern.predicate, tuple(ids), same)
-    return [base.to_atom(pattern.predicate, row) for row in rows]
+    return [to_atom(base, pattern.predicate, row) for row in rows]
 
 
 def uniform_plan(query: Query, strategy, order=None) -> Plan:
@@ -325,7 +332,7 @@ def bottom_up_oracle(base: OntologyBase) -> set[Atom]:
     out = set()
     for pred, rows in derived.items():
         for row in rows:
-            out.add(base.to_atom(pred, row))
+            out.add(to_atom(base, pred, row))
     return out
 
 

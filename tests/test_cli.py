@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from dobquery import render_dob, save_catalog
+from dobquery import SynthConfig, generate_synthetic, render_dob, save_catalog
 from dobquery.cli import cli_main
 from dobquery.optimizer import MAX_OPTIMIZE_SUBGOALS
 from conftest import SERVE_Q17, STAR_400
@@ -195,6 +195,24 @@ def test_intensional_fact_in_a_dob_file_is_a_data_error(tmp_path, capsys):
     assert f"{bad}:2:1: cannot assert intensional fact: areClasses(c,o)" in err
     assert "Traceback" not in err
     assert not (tmp_path / "c").exists()
+
+
+def test_empty_quoted_constant_is_a_data_error(workspace, tmp_path, capsys):
+    """`''` in a fact file or a query is refused at its location with
+    exit 2, not a traceback."""
+    dob, catalog = workspace
+    bad = tmp_path / "bad.dob"
+    bad.write_text("isOntology(o).\nisOntology('').\n")
+    code, out, err = run(capsys, "analyze", str(bad), "-o", str(tmp_path / "c"))
+    assert (code, out) == (2, "")
+    assert err == f"error: {bad}:2:12: empty quoted constant\n"
+    assert not (tmp_path / "c").exists()
+    code, out, err = run(
+        capsys, "query", str(dob), "--catalog", str(catalog),
+        "-q", "q(X):-isClass(X,'').",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: <string>:1:17: empty quoted constant\n"
 
 
 @pytest.mark.parametrize("header, detail", [
@@ -395,6 +413,29 @@ def test_bench_past_the_enumeration_cap_names_the_query(tmp_path, capsys):
     )
     assert "Traceback" not in err
     assert not report.exists()
+
+
+@pytest.mark.parametrize("subgoals, warned", [(6, False), (7, True)])
+def test_gen_past_the_enumeration_cap_warns(tmp_path, capsys, subgoals, warned):
+    """A corpus whose queries the bench commands will refuse is still
+    written, the same files as ever, with a warning naming the cap."""
+    config = {"seed": 0, "query_subgoals": subgoals}
+    path = tmp_path / "synth.json"
+    path.write_text(json.dumps(config))
+    corpus = tmp_path / "corpus"
+    code, out, err = run(capsys, "gen", str(path), "-o", str(corpus))
+    assert (code, out) == (0, "")
+    warning = (
+        f"warning: query_subgoals {subgoals} is past the exhaustive"
+        f" enumeration cap of 6 subgoals; dobq bench correlate and dobq"
+        f" bench ratio will refuse this corpus\n"
+    )
+    assert err == (warning if warned else "") + f"wrote 1 corpora under {corpus}\n"
+    base, queries = generate_synthetic(SynthConfig(**config))
+    assert (corpus / "rep000" / "base.dob").read_text() == render_dob(base.facts())
+    assert (corpus / "rep000" / "queries.dq").read_text() == "".join(
+        f"{q}\n" for q in queries
+    )
 
 
 @pytest.mark.parametrize("command, option, message", [

@@ -119,7 +119,7 @@ def test_eob_atom_has_zero_inferred_count(cars_base):
 
 def test_unknown_constant_yields_empty(cars_base):
     result = solve(cars_base, parse_atom("areClasses(C,neverSeen)"))
-    assert result.answers == []
+    assert list(result.answers) == []
 
 
 def test_memo_hit_adds_zero_inferred(cars_base):

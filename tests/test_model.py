@@ -129,3 +129,12 @@ def test_recursion_limited_to_expected_predicates():
         if any(a.predicate == rule.head.predicate for a in rule.body):
             recursive.add(rule.head.predicate)
     assert recursive == {"areSubClasses", "areImpOntologies", "areStatements"}
+
+
+@pytest.mark.parametrize("kind, value, message", [
+    ("var", "", "empty term value"),
+    ("number", "1", "bad term kind: 'number'"),
+])
+def test_term_constructor_refusals(kind, value, message):
+    with pytest.raises(ValueError, match=message):
+        Term(kind, value)

@@ -393,3 +393,59 @@ def test_parse_query_constant_binding():
 def test_parse_atom_roundtrip():
     atom = parse_atom("isStatement(s1,price,'12 000')")
     assert parse_atom(str(atom)) == atom
+
+
+@pytest.mark.parametrize("read, text, where", [
+    (parse_dob, "isOntology(o).\nisOntology('').\n", "f:2:12"),
+    (parse_dob, 'isClass(a,"").\n', "f:1:11"),
+    (parse_query, "q(X):-isClass(X,'').", "f:1:17"),
+    (parse_atom, "isClass('',o)", "f:1:9"),
+], ids=["dob", "dob-double-quotes", "query", "atom"])
+def test_empty_quoted_constant_is_refused_at_its_location(read, text, where):
+    with pytest.raises(ParseError) as err:
+        read(text, filename="f")
+    assert str(err.value) == f"{where}: empty quoted constant"
+
+
+_DOB_TEXT = (
+    "isOntology('o').\n"
+    "isClass('SUV Model',carsOnt). % a 'comment'\n"
+    "isStatement(car1, hasPrice, \"50% off\").\n"
+)
+_QUERY_TEXTS = (
+    "q(O):-areClasses(C,O),isDProperty(traction,C).",
+    "q(X,'a b') :- isStatement(X,P,'5% off'), isClass(X,'c').",
+)
+# Characters the readers treat specially, drawn often, and any others.
+_EDIT_CHARS = st.one_of(
+    st.sampled_from("'\"%, ().:-\\\nXa_1"), st.characters()
+)
+
+
+@st.composite
+def _mutated(draw, text):
+    """`text` with one to four characters inserted, deleted or replaced."""
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if edit == "insert":
+            text = text[:at] + draw(_EDIT_CHARS) + text[at:]
+        elif edit == "delete":
+            text = text[:at] + text[at + 1:]
+        else:
+            text = text[:at] + draw(_EDIT_CHARS) + text[at + 1:]
+    return text
+
+
+@pytest.mark.parametrize("read, texts", [
+    (parse_dob, (_DOB_TEXT,)), (parse_query, _QUERY_TEXTS),
+], ids=["dob", "query"])
+@given(data=st.data())
+def test_readers_raise_only_dob_errors_on_mutated_text(read, texts, data):
+    """However a fact file or a query is garbled, the reader either reads
+    it or raises a `DobError`, which the CLI reports with exit 2."""
+    text = data.draw(st.sampled_from(texts).flatmap(_mutated))
+    try:
+        read(text, filename="f")
+    except DobError:
+        pass

@@ -461,7 +461,7 @@ def test_catalogs_build_no_answer_text(cars_base, monkeypatch):
     """The analyzer reads answer counts and id rows only: building either
     catalog makes no answer `Atom`."""
     bases = [cars_base, random_base(random.Random(5))]
-    monkeypatch.setattr(OntologyBase, "to_atom", _refuse_answer_text)
+    monkeypatch.setattr(OntologyBase, "facts", _refuse_answer_text)
     monkeypatch.setattr(Answers, "__iter__", _refuse_answer_text)
     for base in bases:
         build_catalog(base, SamplingConfig())

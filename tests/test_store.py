@@ -11,8 +11,11 @@ from dobquery import (
     SchemaError,
     Term,
     parse_atom,
+    parse_dob,
+    render_dob,
 )
-from conftest import match_eob, random_base
+from dobquery.model import ArgDomain
+from conftest import match_eob, random_base, to_atom
 
 
 def test_assert_and_match_single_fact():
@@ -208,5 +211,56 @@ def test_probes_match_a_naive_scan(before, after, patterns):
             got = base.match_rows(pred, tuple(pattern), same)
             assert got == _naive_match(base, pred, pattern, same)
             assert match_eob(base, _atom(pred, args)) == [
-                base.to_atom(pred, row) for row in got
+                to_atom(base, pred, row) for row in got
             ]
+
+
+# Constants that repeat, so facts repeat too, some of them written quoted.
+_LOADED_CONSTS = ["a", "b", "SUV", "a b", "x'y", "50% off"]
+_loaded_facts = st.sampled_from(sorted(_ARITY)).flatmap(
+    lambda pred: st.lists(
+        st.sampled_from(_LOADED_CONSTS).map(Term.const),
+        min_size=_ARITY[pred], max_size=_ARITY[pred],
+    ).map(lambda args: Atom(pred, tuple(args)))
+)
+
+
+def _loaded_state(base):
+    """What loading decides: the symbol ids, the rows of each predicate
+    and the order of the facts."""
+    return (
+        list(base.symbols._texts), dict(base.symbols._ids),
+        [(pred, list(rows)) for pred, rows in base._rows.items()],
+        list(base._facts),
+    )
+
+
+@given(st.lists(_loaded_facts, max_size=30))
+def test_loading_a_file_equals_asserting_each_fact(facts):
+    loaded = OntologyBase.from_facts(parse_dob(render_dob(facts)))
+    asserted = OntologyBase()
+    for fact in facts:
+        asserted.assert_fact(fact)
+    assert _loaded_state(loaded) == _loaded_state(asserted)
+
+
+@pytest.mark.parametrize("pred, args, error", [
+    ("isClass", ("new", "X"), NonGroundFactError),
+    ("isWidget", ("new",), SchemaError),
+    ("isClass", ("new", "a", "b"), SchemaError),
+    ("areClasses", ("new", "a"), SchemaError),
+], ids=["variable-after-new-constant", "unknown", "arity", "intensional"])
+@given(facts=st.lists(_loaded_facts, max_size=15))
+def test_a_refused_fact_leaves_the_base_unchanged(pred, args, error, facts):
+    base = OntologyBase.from_facts(facts)
+    for name, arity in _ARITY.items():
+        for positions in _position_sets(arity):
+            base.probe_index(name, positions)
+    state, probes = _loaded_state(base), dict(base.probes)
+    pools = {d: base.domain_values(d) for d in ArgDomain}
+    with pytest.raises(error):
+        base.assert_fact(_atom(pred, args))
+    assert _loaded_state(base) == state
+    assert base.probes.keys() == probes.keys()
+    assert all(base.probes[key] is probe for key, probe in probes.items())
+    assert all(base.domain_values(d) is pool for d, pool in pools.items())

@@ -3,12 +3,14 @@ optimal/worst and optimal/median ordering ratios.
 
 Every ordering of every query gets an estimate from the cost model and
 an actual cost from one execution; the actual cost of a run is the
-inferred fact count plus the extensional access count. The optimizer's
-plan is the plan of one of these orderings, so its actual cost is read
-from that ordering's row, not executed again. Reports are deterministic
-under fixed seeds; wall-clock times are carried in the in-memory report
-for diagnostics but kept out of the CSV rows so the files are
-reproducible bit for bit.
+inferred fact count plus the extensional access count. One query's
+orderings run in one `shared_prefixes` scope, so each resumes from the
+prefix of steps it shares with the previous ordering, with the counters
+of a fresh execution. The optimizer's plan is the plan of one of these
+orderings, so its actual cost is read from that ordering's row, not
+executed again. Reports are deterministic under fixed seeds; wall-clock
+times are carried in the in-memory report for diagnostics but kept out
+of the CSV rows so the files are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import time
 from dataclasses import dataclass, field
 
 from .costmodel import default_strategies
-from .executor import execute
+from .executor import execute, shared_prefixes
 from .model import DobError
 from .optimizer import exhaustive_orderings, optimize
 from .stats import SamplingConfig, build_catalog
@@ -31,6 +33,11 @@ class BenchError(DobError):
 
 @dataclass
 class OrderingRow:
+    """One ordering's estimate and actual cost. `wall_clock` is the time
+    of the steps it did not share with the previous ordering of its
+    query, so the rows' sum is the real evaluation time but one row's is
+    not its full execution's."""
+
     base_id: str
     query_id: str
     ordering_index: int
@@ -83,7 +90,8 @@ def _median_low(values) -> int:
 
 def _query_orderings(bases, queries, config, strategies, catalogs):
     """(base, catalog, query, rows) per query in `queries[b]` of each
-    `bases[b]`, one row per ordering of the query, executed once. The
+    `bases[b]`, one row per ordering of the query, executed once,
+    resuming from the prefix it shares with the previous ordering. The
     catalogs are built from `config` unless given, one per base. An
     error raised for a query is prefixed with the query's id."""
     if len(queries) != len(bases):
@@ -104,18 +112,19 @@ def _query_orderings(bases, queries, config, strategies, catalogs):
             rows = []
             try:
                 plans = exhaustive_orderings(query, catalog, strategies)
-                for i, plan in enumerate(plans):
-                    t0 = time.perf_counter()
-                    report = execute(base, plan)
-                    rows.append(OrderingRow(
-                        base_id=f"base{b}",
-                        query_id=query_id,
-                        ordering_index=i,
-                        order=plan.order,
-                        estimated_cost=plan.estimate.cost,
-                        actual_cost=report.actual_cost,
-                        wall_clock=time.perf_counter() - t0,
-                    ))
+                with shared_prefixes():
+                    for i, plan in enumerate(plans):
+                        t0 = time.perf_counter()
+                        report = execute(base, plan)
+                        rows.append(OrderingRow(
+                            base_id=f"base{b}",
+                            query_id=query_id,
+                            ordering_index=i,
+                            order=plan.order,
+                            estimated_cost=plan.estimate.cost,
+                            actual_cost=report.actual_cost,
+                            wall_clock=time.perf_counter() - t0,
+                        ))
             except DobError as err:
                 err.args = (f"{query_id}: {err}",)
                 raise

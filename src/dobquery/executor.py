@@ -1,6 +1,7 @@
 """Physical evaluation of a plan over the base, step by step.
 
-A fresh memo table backs each execution so the reported counters reflect
+A fresh memo table backs each execution (or resumes it in the state a
+fresh one reaches, see the end) so the reported counters reflect
 the chosen strategies honestly. The batch of partial answers holds the
 engine's substitution tuples: interned ids, one slot per variable in
 binding order. Every strategy runs its subgoal through the engine's
@@ -41,12 +42,29 @@ limit is on the batch, which keeps every variable, not on the answers:
 a head of few variables over a big batch is refused too.
 Execution ends with the engine's `Answers` of the query head and an
 `EvaluationResult` with per-step counters, as `solve` does.
+
+Inside a `shared_prefixes()` scope, an execution resumes from the state
+that the previous execution on the same base and query left after their
+longest common prefix of (subgoal, strategy) steps. Execution is
+deterministic, so that state is the one a fresh memo reaches there, and
+every counter is a fresh memo's. Execution only appends to what it
+grows: the memo's tables (each complete when its step ends, and never
+changed again), its unseen constants, the variable slots and the
+per-step counters; and a batch is never changed once built. So the
+state after a step is its batch, the lengths of those structures and
+the counter totals, and a resume cuts each structure back to its length
+after the shared prefix; nothing is copied. A fresh execution is the
+same loop started at step 0. Outside a scope nothing is kept; inside
+one, an execution that raises leaves nothing behind.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from itertools import chain, compress, repeat
 from operator import itemgetter, mul
+from typing import NamedTuple
 
 from .costmodel import JoinMethod, JoinStrategy
 from .engine import (
@@ -59,8 +77,9 @@ from .engine import (
     compile_query,
     evaluate,
 )
+from .model import Atom, Query
 from .optimizer import Plan
-from .store import _getter
+from .store import OntologyBase, _getter
 
 
 class _Batch:
@@ -160,46 +179,147 @@ def _equi_join(base, memo, counters, atom, batch, var_slot):
     return batch.joined(matches, lengths)
 
 
+class _State(NamedTuple):
+    """What an execution holds after a step: the step, its batch and
+    counters, the lengths of the memo's tables and unseen constants and
+    of the variable slots, and the memo's entry and counter totals."""
+
+    atom: Atom | None
+    strategy: JoinStrategy | None
+    batch: _Batch
+    counters: Counters | None
+    tables: int
+    unseen: int
+    slots: int
+    entries: int
+    inferred: int
+    eob: int
+
+
+_START = _State(None, None, _Batch([()], 0), None, 0, 0, 0, 0, 0, 0)
+_FIRST = JoinStrategy(JoinMethod.NESTED_LOOP)  # the first step's strategy
+
+
+def _cut(grown: dict, length: int):
+    """Drop the entries `grown` gained after it had `length` of them."""
+    for _ in range(len(grown) - length):
+        grown.popitem()
+
+
+class _Run:
+    """An execution's memo and variable slots, and its state before the
+    first step and after each step run so far."""
+
+    __slots__ = ("base", "query", "memo", "var_slot", "states")
+
+    def __init__(self, base: OntologyBase, query: Query):
+        self.base = base
+        self.query = query
+        self.memo = MemoTable()
+        self.memo.bind(base)
+        self.var_slot: dict[str, int] = {}
+        self.states = [_START]
+
+    def rewind(self, steps) -> _State:
+        """Cut the run back to the state after its longest common prefix
+        with the (atom, strategy) `steps`, and return that state."""
+        n = 0
+        for state, step in zip(self.states[1:], steps):
+            if (state.atom, state.strategy) != step:
+                break
+            n += 1
+        del self.states[n + 1:]
+        state = self.states[n]
+        memo = self.memo
+        _cut(memo.tables, state.tables)
+        _cut(memo._unseen, state.unseen)
+        _cut(self.var_slot, state.slots)
+        memo._entries = state.entries
+        return state
+
+
+class _Scope:
+    """The run of the last execution in a `shared_prefixes` scope."""
+
+    __slots__ = ("run",)
+
+    def __init__(self):
+        self.run: _Run | None = None
+
+
+_SCOPE: ContextVar[_Scope | None] = ContextVar("shared_prefixes", default=None)
+
+
+@contextmanager
+def shared_prefixes():
+    """Let each `execute` in the block resume from the previous one.
+
+    An execution on the same base and query as the previous one starts
+    after the longest prefix of (subgoal, strategy) steps the two share,
+    from the state that prefix left; its answers and counters are those
+    of a fresh execution. The block keeps the last execution's memo and
+    batches until it ends; a different base or query, or an execution
+    that raises, drops them."""
+    token = _SCOPE.set(_Scope())
+    try:
+        yield
+    finally:
+        _SCOPE.reset(token)
+
+
 def execute(base, plan: Plan) -> EvaluationResult:
     """Evaluate the plan's ordering with its per-step strategies.
 
     A step whose batch would pass `MAX_BATCH_ROWS` substitutions, or
     whose tables would pass the memo's entry cap, raises
-    `EngineLimitError` naming the step (from 1) and the limit."""
-    memo = MemoTable()
-    memo.bind(base)
-    total = Counters()
-    per_step: list[Counters] = []
-    var_slot: dict[str, int] = {}
-    batch = _Batch([()], 0)
-    first = JoinStrategy(JoinMethod.NESTED_LOOP)
+    `EngineLimitError` naming the step (from 1) and the limit. Inside
+    `shared_prefixes()`, steps shared with the previous execution are
+    not run again."""
+    steps = list(zip(plan.atoms, (_FIRST, *plan.strategies)))
+    scope = _SCOPE.get()
+    run = None
+    if scope is not None:
+        # taken out, so an execution that raises leaves no state behind
+        run, scope.run = scope.run, None
+    if run is None or run.base is not base or run.query != plan.query:
+        run, state = _Run(base, plan.query), _START
+    else:
+        state = run.rewind(steps)
+    memo, var_slot, states = run.memo, run.var_slot, run.states
+    done = len(states) - 1
+    total = Counters(state.inferred, state.eob)
+    batch = state.batch
     try:
-        for step, (atom, strategy) in enumerate(
-            zip(plan.atoms, (first, *plan.strategies)), start=1
-        ):
+        for step, (atom, strategy) in enumerate(steps[done:], start=done + 1):
             if not batch:
-                per_step.append(Counters())
-                continue
-            inferred0, eob0 = total.inferred_facts, total.eob_accesses
-            if strategy.method is JoinMethod.NESTED_LOOP:
-                steps = compile_query(memo, [atom], var_slot)
-                batch = _Batch(
-                    evaluate(base, memo, total, steps, batch.expanded()),
-                    len(var_slot),
-                )
+                counters = Counters()
             else:
-                batch = _equi_join(base, memo, total, atom, batch, var_slot)
-            per_step.append(
-                Counters(
-                    total.inferred_facts - inferred0, total.eob_accesses - eob0
+                inferred0, eob0 = total.inferred_facts, total.eob_accesses
+                if strategy.method is JoinMethod.NESTED_LOOP:
+                    compiled = compile_query(memo, [atom], var_slot)
+                    batch = _Batch(
+                        evaluate(base, memo, total, compiled, batch.expanded()),
+                        len(var_slot),
+                    )
+                else:
+                    batch = _equi_join(base, memo, total, atom, batch, var_slot)
+                counters = Counters(
+                    total.inferred_facts - inferred0,
+                    total.eob_accesses - eob0,
                 )
-            )
+            states.append(_State(
+                atom, strategy, batch, counters, len(memo.tables),
+                len(memo._unseen), len(var_slot), memo._entries,
+                total.inferred_facts, total.eob_accesses,
+            ))
     except EngineLimitError as err:
         err.args = (f"plan step {step}: {err}",)
         raise
 
+    if scope is not None:
+        scope.run = run
     return EvaluationResult(
         Answers.of(base.symbols, plan.query.head, var_slot, batch.expanded()),
-        total.inferred_facts, total.eob_accesses, per_step,
+        total.inferred_facts, total.eob_accesses,
+        [s.counters for s in states[1:]],
     )
-

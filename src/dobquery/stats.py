@@ -567,8 +567,11 @@ def catalog_from_text(text: str) -> StatisticsCatalog:
         raise AnalyzerError(f"catalog has no entry for {', '.join(missing)}")
     for name, rows in iob_rows.items():
         arity = schema_for(name).arity
-        if set(rows) != set(all_patterns(arity)):
-            raise AnalyzerError(f"catalog is missing patterns for {name}")
+        lacking = [str(p) for p in all_patterns(arity) if p not in rows]
+        if lacking:
+            raise AnalyzerError(
+                f"catalog is missing patterns for {name}: {', '.join(lacking)}"
+            )
         entry = entries[name] = IobStats(
             distinct_values=iob_distinct[name][0],
             cardinality=rows[BindingPattern.free(arity)][0],

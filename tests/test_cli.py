@@ -260,6 +260,22 @@ def test_incomplete_catalog_is_data_error(workspace, capsys):
     assert "areClasses" in err
 
 
+def test_catalog_missing_a_pattern_row_is_data_error(workspace, capsys):
+    dob, catalog = workspace
+    lines = catalog.read_text().splitlines()
+    kept = [ln for ln in lines if not ln.startswith("areClasses | IOB | bf ")]
+    assert len(kept) == len(lines) - 1
+    catalog.write_text("\n".join(kept) + "\n")
+    code, out, err = run(
+        capsys,
+        "query", str(dob), "--catalog", str(catalog),
+        "-q", "q(C):-areClasses(C,carsOnt).",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: catalog is missing patterns for areClasses: bf\n"
+
+
 def test_query_parse_error_is_data_error(workspace, capsys):
     dob, catalog = workspace
     code, _, err = run(

@@ -11,6 +11,7 @@ from dobquery import (
     Atom,
     DobError,
     ParseError,
+    SynthConfig,
     Term,
     parse_atom,
     parse_dob,
@@ -22,6 +23,8 @@ from dobquery import (
 from dobquery.model import (
     BUILTIN_SCHEMA, EOB_PREDICATES, PredicateKind, schema_for,
 )
+from dobquery.stats import catalog_from_text, catalog_to_text
+from conftest import random_catalog
 
 
 def test_parse_dob_single_fact():
@@ -439,13 +442,16 @@ def _mutated(draw, text):
 
 @pytest.mark.parametrize("read, texts", [
     (parse_dob, (_DOB_TEXT,)), (parse_query, _QUERY_TEXTS),
-], ids=["dob", "query"])
+    (catalog_from_text, (catalog_to_text(random_catalog(random.Random(0))),)),
+    (SynthConfig.from_json, (SynthConfig().to_json(),)),
+], ids=["dob", "query", "catalog", "synth-config"])
 @given(data=st.data())
 def test_readers_raise_only_dob_errors_on_mutated_text(read, texts, data):
-    """However a fact file or a query is garbled, the reader either reads
-    it or raises a `DobError`, which the CLI reports with exit 2."""
+    """However a fact file, a query, a catalog or a generator config is
+    garbled, the reader either reads it or raises a `DobError`, which the
+    CLI reports with exit 2."""
     text = data.draw(st.sampled_from(texts).flatmap(_mutated))
     try:
-        read(text, filename="f")
+        read(text)
     except DobError:
         pass

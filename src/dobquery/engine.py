@@ -37,8 +37,16 @@ nested loops over the rule's EOB atoms with its variables in locals:
 each EOB atom makes one lookup in the base's hash probe for its bound
 positions, and the rule's last atom, its one tabled call if it has one,
 gives the head rows (data-centric code generation, Neumann, VLDB 2011;
-specialised Datalog code, Jordan, Scholz & Subotic, CAV 2016). Each
-kernel is compiled under a filename naming it, such as
+specialised Datalog code, Jordan, Scholz & Subotic, CAV 2016). The
+exception is a transitive closure called with every argument bound but
+the last, such as `areSubClasses(c,?0)` or `areStatements(i,p,?0)`: its
+kernel runs the recursive rule in the equivalent left-linear form
+(`_rules_for`), whose one IOB atom is the call itself, as a semi-naive
+loop over the call's own table (Bancilhon & Ramakrishnan, 1986). Each
+round probes the edge relation once per row the last round added, so
+such a call reads no other table, nests no call and completes in one
+run, with one inferred fact per answer. Each kernel is compiled under a
+filename naming it, such as
 `<dobquery kernel areStatements(b,b,?0)>`, so tracebacks and profilers
 tell kernels apart. Tables hold the call's free values, in placeholder
 order: a row of `areSubClasses(c,?0)` is `(x,)`, not `(c, x)`, so the
@@ -56,9 +64,10 @@ EOB one, or several IOB atoms, and the counted cost of a recursive group
 depends on the order its members are first called, so nested loops over
 a query body would change its counters. A rule kernel keeps the order of
 this batch evaluation because a rule has at most one IOB atom, and it is
-the last (`_compile_rules` refuses any other rule). An IOB row of a
-query step is exactly the values the step binds, so the step appends it
-to its substitution unchanged.
+the last (`_compile_rules` refuses any other written rule, and a
+left-linear rule's IOB atom reads only the call's own table). An IOB
+row of a query step is exactly the values the step binds, so the step
+appends it to its substitution unchanged.
 
 Callers outside the engine use only its public core: `compile_query`
 turns query atoms into steps, interning their constants through a memo,
@@ -330,6 +339,44 @@ def _is_eob(atom: Atom) -> bool:
 _RULES = _compile_rules(builtin_iob_program())
 
 
+def _rules_for(pred: str, shape: tuple) -> list[Rule]:
+    """The rules the kernel of `pred` runs for calls of `shape`.
+
+    A closure written right-linearly, `p(X,M…,Y) :- e(X,M…,Y)` and
+    `p(X,M…,Y) :- G…, e(X,M…,Z), p(Z,M…,Y)` with guards G over M only,
+    and called with every argument bound but the last, runs its
+    recursive rule as the equivalent left-linear `p(X,M…,Y) :- G…,
+    p(X,M…,Z), e(Z,M…,Y)` (Naughton, Ramakrishnan, Sagiv & Ullman,
+    SIGMOD 1989), whose one IOB atom is the call itself. The two forms
+    agree only when these are all of p's rules. Any other rules and
+    shapes run as written.
+    """
+    rules = _RULES.get(pred, [])
+    if (len(rules) != 2 or len(shape) < 2
+            or shape != (None,) * (len(shape) - 1) + ("?0",)):
+        return rules
+    base, rec = sorted(rules, key=lambda r: len(r.body))
+    if len(base.body) != 1 or len(rec.body) < 2:
+        return rules
+    x, *m, y = rec.head.args
+    *guards, step, call = rec.body
+    z = call.args[0]
+    e = base.body[0].predicate
+    if not (
+        _distinct_vars(base.head.args) and base.body == (Atom(e, base.head.args),)
+        and _distinct_vars((x, *m, y, z))
+        and step == Atom(e, (x, *m, z)) and call == Atom(pred, (z, *m, y))
+        and all(set(g.args) <= set(m) for g in guards)
+    ):
+        return rules
+    return [base, Rule(rec.head, (*guards, Atom(pred, (x, *m, z)),
+                                  Atom(e, (z, *m, y))))]
+
+
+def _distinct_vars(args) -> bool:
+    return all(t.is_var for t in args) and len(set(args)) == len(args)
+
+
 def _tuple(items) -> str:
     """Python source of a tuple display of the expressions `items`."""
     items = list(items)
@@ -352,7 +399,10 @@ def _kernel_source(pred: str, shape: tuple) -> tuple[str, dict]:
     head pass through as they are. A rule's head rows are buffered and
     added to the call's table after the rule, with one `memo._added`, so
     a call that reads the active table in mid-rule sees the table as the
-    rule began.
+    rule began. A left-linear rule (`_rules_for`) reads the call itself:
+    from there on its loops run in rounds, the first over the rows the
+    table holds and each later one over the rows the last round added,
+    and each round adds its new rows with one `memo._added`.
 
     An IOB call looks its table up in `memo.tables`. A table whose call
     is not in `memo._active` is complete and read as it is; an active
@@ -381,15 +431,17 @@ def _kernel_source(pred: str, shape: tuple) -> tuple[str, dict]:
         "    probes = base.probes",
         "    eob = 0",
     ]
-    for rule in _RULES.get(pred, []):
+    consts = [f"k{i}" for i, p in enumerate(shape) if p is None]
+    for rule in _rules_for(pred, shape):
         local = {
             t.value: f"k{i}" if p is None else f"p{p[1:]}"
             for i, (t, p) in enumerate(zip(rule.head.args, shape))
         }
-        bound = {f"k{i}" for i, p in enumerate(shape) if p is None}
-        lines += [f"    # {rule}", "    out = []"]
+        bound = set(consts)
+        lines.append(f"    # {rule}")
         loops: list[str] = []
         indent = "    "
+        rounds = None  # indent of the delta loop of a left-linear rule
         for j, atom in enumerate(rule.body):
             b_pred = atom.predicate
             b_args = tuple(
@@ -398,7 +450,21 @@ def _kernel_source(pred: str, shape: tuple) -> tuple[str, dict]:
             scan = _scan(b_args, bound)
             bound.update(b_args[pos] for pos in scan.new)
             rows = f"rows{j}"
-            if _is_eob(atom):
+            if (b_pred, scan.shape) == (pred, shape) and [
+                b_args[pos] for pos in scan.bound
+            ] == consts:
+                # The call itself (`_rules_for`): each round joins the
+                # rows the last one added; the first, the rows so far.
+                rounds = f"{indent}    "
+                rows = "delta"
+                loops += [
+                    f"{indent}delta = list(table)",
+                    f"{indent}while delta:",
+                    f"{rounds}out = []",
+                ]
+                row_vars = [b_args[pos] for pos in scan.new]
+                targets = _tuple(row_vars)
+            elif _is_eob(atom):
                 access = (b_pred, scan.bound)
                 key = _tuple(b_args[pos] for pos in scan.bound)
                 # every probe the rule reads is fetched before its loops
@@ -460,19 +526,29 @@ def _kernel_source(pred: str, shape: tuple) -> tuple[str, dict]:
             chunk = f"({_tuple(head)},)"
         else:
             chunk = f"[{_tuple(head)} for {targets} in {rows}]"
-        lines += [
-            *loops,
-            f"{indent}out.append({chunk})",
-            "    if out:",
-            "        size = len(table)",
-            "        for chunk in out:",
-            # a completed sub-table passed through is a table already
-            "            table.update(",
-            "                chunk if type(chunk) is dict"
-            " else dict.fromkeys(chunk)",
-            "            )",
-            "        memo._added(len(table) - size, counters)",
-        ]
+        if rounds is None:
+            lines += [
+                "    out = []",
+                *loops,
+                f"{indent}out.append({chunk})",
+                "    if out:",
+                "        size = len(table)",
+                "        for chunk in out:",
+                # a completed sub-table passed through is a table already
+                "            table.update(",
+                "                chunk if type(chunk) is dict"
+                " else dict.fromkeys(chunk)",
+                "            )",
+                "        memo._added(len(table) - size, counters)",
+            ]
+        else:
+            lines += [
+                *loops,
+                f"{indent}out += {chunk}",
+                f"{rounds}delta = {{r: None for r in out if r not in table}}",
+                f"{rounds}table.update(delta)",
+                f"{rounds}memo._added(len(delta), counters)",
+            ]
     lines.append("    counters.eob_accesses += eob")
     namespace = {"_complete": _complete, **getters}
     for (callee, callee_shape), name in callees.items():

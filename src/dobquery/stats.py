@@ -595,4 +595,10 @@ def save_catalog(catalog: StatisticsCatalog, path) -> None:
 
 
 def load_catalog(path) -> StatisticsCatalog:
-    return catalog_from_text(read_text(path))
+    """The catalog saved at `path`; a refusal of its text names the file,
+    as in `cars.cat: catalog line 4: ...`."""
+    text = read_text(path)
+    try:
+        return catalog_from_text(text)
+    except AnalyzerError as exc:
+        raise AnalyzerError(f"{path}: {exc}") from None

@@ -336,6 +336,43 @@ def bottom_up_oracle(base: OntologyBase) -> set[Atom]:
     return out
 
 
+# The closures of the built-in program: each predicate's edge predicate
+# and the guard its recursive rule checks on the arguments between its
+# first and last, if any.
+CLOSURES = {
+    "areSubClasses": ("subClassOf", None),
+    "areImpOntologies": ("impOntology", None),
+    "areStatements": ("isStatement", "isTransitive"),
+}
+
+
+def closure_counts(base: OntologyBase, oracle, pred: str, consts) -> tuple:
+    """Inferred facts and EOB accesses of a closure call of `pred` whose
+    arguments but the last are the constant texts `consts`, evaluated
+    left-linearly: one inferred fact per answer (the closure, taken from
+    `oracle`, the `bottom_up_oracle` set); as accesses, the rows of
+    edge(x,M...,_), the guard's rows once and, if the guard holds, the
+    rows of edge(z,M...,_) for each answer z."""
+    edge, guard = CLOSURES[pred]
+    x, *m = consts
+    out: dict[tuple, int] = {}
+    guard_rows = 0
+    for fact in base.facts():
+        args = tuple(t.value for t in fact.args)
+        if fact.predicate == edge:
+            out[args[:-1]] = out.get(args[:-1], 0) + 1
+        elif fact.predicate == guard and list(args) == m:
+            guard_rows += 1
+    answers = {
+        a.args[-1].value for a in oracle if a.predicate == pred
+        and [t.value for t in a.args[:-1]] == [x, *m]
+    }
+    eob = out.get((x, *m), 0) + guard_rows
+    if guard is None or guard_rows:
+        eob += sum(out.get((z, *m), 0) for z in answers)
+    return len(answers), eob
+
+
 # Property tests draw the same examples on every run and stay within the
 # tier-1 time budget. The `wide` profile draws new random examples on
 # every run, many more of them; `HYPOTHESIS_PROFILE` names the profile.

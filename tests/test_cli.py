@@ -240,7 +240,7 @@ def test_bad_catalog_header_is_data_error(workspace, capsys, header, detail):
         "-q", "q(C):-areClasses(C,carsOnt).",
     )
     assert code == 2
-    assert f"catalog line 2: {detail}" in err
+    assert err.startswith(f"error: {catalog}: catalog line 2: {detail}")
     assert "Traceback" not in err
 
 
@@ -273,7 +273,9 @@ def test_catalog_missing_a_pattern_row_is_data_error(workspace, capsys):
     )
     assert code == 2
     assert out == ""
-    assert err == "error: catalog is missing patterns for areClasses: bf\n"
+    assert err == (
+        f"error: {catalog}: catalog is missing patterns for areClasses: bf\n"
+    )
 
 
 def test_query_parse_error_is_data_error(workspace, capsys):
@@ -323,8 +325,9 @@ def test_gen_and_bench_pipeline(tmp_path, capsys):
 
 
 def test_query_deep_chain_hits_table_cap_cleanly(workspace, tmp_path, capsys):
-    # The right-recursive areSubClasses program tables one call per chain
-    # node, so a 3000-deep chain derives about 4.5M answers.
+    # With both arguments free, areSubClasses tables one call per chain
+    # node, each holding the node's ancestors, so a 3000-deep chain
+    # derives about 4.5M answers.
     _dob, catalog = workspace
     chain = tmp_path / "chain.dob"
     chain.write_text("".join(
@@ -333,7 +336,7 @@ def test_query_deep_chain_hits_table_cap_cleanly(workspace, tmp_path, capsys):
     code, out, err = run(
         capsys,
         "query", str(chain), "--catalog", str(catalog),
-        "-q", "q(X):-areSubClasses(c0,X).",
+        "-q", "q(X,Y):-areSubClasses(X,Y).",
         "--no-optimize", "--strategy", "nlj",
     )
     assert code == 2
@@ -350,13 +353,14 @@ def test_query_past_the_recursion_limit_is_a_data_error(
     chain.write_text("".join(
         f"subClassOf(c{i},c{i + 1}).\n" for i in range(3000)
     ))
+    # each fully bound call areSubClasses(c<i>,c3000) nests the next one
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
         code, out, err = run(
             capsys,
             "query", str(chain), "--catalog", str(catalog),
-            "-q", "q(X):-areSubClasses(c0,X).",
+            "-q", "q(X):-areSubClasses(X,c3000).",
         )
     finally:
         sys.setrecursionlimit(limit)
@@ -575,7 +579,7 @@ def test_catalog_row_disagreeing_with_the_schema_is_a_data_error(
     )
     assert code == 2
     assert out == ""
-    assert f"catalog line {at[0] + 1}: {detail}" in err
+    assert err.startswith(f"error: {catalog}: catalog line {at[0] + 1}: {detail}")
     assert "Traceback" not in err
 
 
@@ -593,6 +597,20 @@ def test_corpus_without_queries_is_a_data_error(tmp_path, capsys, mode):
     assert code == 2
     assert f"no queries found in the corpora under {corpus}" in err
     assert "Traceback" not in err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("mode", ["correlate", "ratio"])
+def test_bench_of_a_directory_without_corpora_is_a_data_error(
+    tmp_path, capsys, mode
+):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    report = tmp_path / "report.csv"
+    code, out, err = run(capsys, "bench", mode, str(empty), "-o", str(report))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: no corpora found under {empty}\n"
     assert not report.exists()
 
 
@@ -621,7 +639,7 @@ def test_catalog_number_out_of_range_is_a_data_error(
     )
     assert code == 2
     assert out == ""
-    assert f"catalog line {at + 1}: {detail}" in err
+    assert err == f"error: {catalog}: catalog line {at + 1}: {detail}\n"
     assert "Traceback" not in err
 
 

@@ -34,7 +34,8 @@ from dobquery.model import (
 )
 from dobquery.store import _same_rows
 from conftest import (
-    SERVE_Q17, binding_patterns, bottom_up_oracle, random_base, random_query,
+    CLOSURES, SERVE_Q17, binding_patterns, bottom_up_oracle, closure_counts,
+    random_base, random_query,
 )
 
 
@@ -220,11 +221,13 @@ def test_memo_usable_after_table_entry_cap_error(monkeypatch):
     monkeypatch.setattr(engine, "MAX_TABLE_ENTRIES", 40)
     memo = MemoTable()
     with pytest.raises(EngineLimitError):
-        solve(base, parse_atom("areSubClasses(c0,X)"), memo)
-    # the partial tables of the aborted group are gone; complete ones stay,
-    # and no frame of the aborted calls is left on the dependency stack
+        solve(base, parse_atom("areSubClasses(X,c30)"), memo)
+    # the partial tables of the aborted call are gone; the 30 complete
+    # areSubClasses(c<i>,c30) tables stay, and no frame of the aborted
+    # calls is left on the dependency stack
     assert not memo._active
     assert not memo._dep_stack
+    assert len(memo.tables) == 30
     assert memo._entries == sum(len(t) for t in memo.tables.values())
     monkeypatch.setattr(engine, "MAX_TABLE_ENTRIES", 1_000_000)
     for start, ancestors in (("c20", 10), ("c0", 30)):
@@ -299,8 +302,9 @@ def _complete_entries(run) -> int:
 
 
 def test_calls_past_the_recursion_limit_are_an_engine_limit():
-    """A chain deeper than the interpreter's recursion limit is refused
-    as `EngineLimitError`, and the memo still answers shallow calls."""
+    """A fully bound call on a chain deeper than the interpreter's
+    recursion limit nests one call per node and is refused as
+    `EngineLimitError`, and the memo still answers shallow calls."""
     base = OntologyBase.from_facts(
         parse_atom(f"subClassOf(c{i},c{i + 1})") for i in range(3000)
     )
@@ -311,16 +315,16 @@ def test_calls_past_the_recursion_limit_are_an_engine_limit():
         with pytest.raises(EngineLimitError, match=(
             "^calls nest deeper than the recursion limit of 1000$"
         )):
-            solve(base, parse_atom("areSubClasses(c0,X)"), memo)
+            solve(base, parse_atom("areSubClasses(c0,c3000)"), memo)
         assert not memo._active
         assert not memo._dep_stack
-        atom = parse_atom("areSubClasses(c2990,X)")
+        atom = parse_atom("areSubClasses(c2990,c3000)")
         got = solve(base, atom, memo)
     finally:
         sys.setrecursionlimit(limit)
     want = solve(base, atom, MemoTable())
     assert list(got.answers) == list(want.answers)
-    assert len(got.answers) == 10
+    assert len(got.answers) == 1
     assert got.actual_cost == want.actual_cost
 
 
@@ -330,12 +334,12 @@ def test_kernels_complete_one_pass_calls_inline():
     and its caller's kernel completes it in place."""
     base = _subclass_chain(50)
     memo = MemoTable()
-    atom = parse_atom("areSubClasses(c0,X)")
+    atom = parse_atom("areSubClasses(c0,c50)")
     results = []
     assert _complete_entries(
         lambda: results.append(solve(base, atom, memo))
     ) == 1
-    assert len(results[0].answers) == 50
+    assert len(results[0].answers) == 1
     assert len(memo.tables) == 51
     assert not memo._active and not memo._dep_stack
 
@@ -347,11 +351,12 @@ def test_entry_cap_in_an_inlined_callee_leaves_the_memo_usable(
     """The cap is hit in a kernel that nested kernels called inline, on
     an acyclic chain and inside a cycle: the aborted calls leave no
     active table and no frame, and the memo still answers correctly."""
-    base = _subclass_chain(12 if back else 30, back)
-    monkeypatch.setattr(engine, "MAX_TABLE_ENTRIES", 40)
+    n = 12 if back else 30
+    base = _subclass_chain(n, back)
+    monkeypatch.setattr(engine, "MAX_TABLE_ENTRIES", 5)
     memo = MemoTable()
     with pytest.raises(EngineLimitError) as info:
-        solve(base, parse_atom("areSubClasses(c0,X)"), memo)
+        solve(base, parse_atom(f"areSubClasses(c0,c{n})"), memo)
     names = [frame.name for frame in traceback.extract_tb(info.value.__traceback__)]
     inline = names[names.index("evaluate") + 1:]
     # three or more calls below the call the query step made, none of
@@ -363,8 +368,9 @@ def test_entry_cap_in_an_inlined_callee_leaves_the_memo_usable(
     assert memo._entries == sum(len(t) for t in memo.tables.values())
     monkeypatch.setattr(engine, "MAX_TABLE_ENTRIES", 1_000_000)
     for start in range(0, 12, 3):
-        atom = parse_atom(f"areSubClasses(c{start},X)")
-        assert solve(base, atom, memo).answers == solve(base, atom).answers
+        for end in ("X", f"c{n}"):
+            atom = parse_atom(f"areSubClasses(c{start},{end})")
+            assert solve(base, atom, memo).answers == solve(base, atom).answers
 
 
 def _renamed(base, name, pad=0):
@@ -459,8 +465,37 @@ def test_kernel_frames_name_their_call_shape(monkeypatch):
         if frame.filename.startswith("<dobquery kernel")
     ][-1] == (
         "<dobquery kernel areSubClasses(b,?0)>",
-        "memo._added(len(table) - size, counters)",
+        "memo._added(len(delta), counters)",
     )
+
+
+def test_only_first_bound_closure_calls_run_the_left_linear_rule():
+    """Of every IOB call shape, the three closures bound in all but
+    their last argument run their recursive rule left-linearly, with the
+    call itself as its one IOB atom; every other shape runs the rules as
+    written."""
+    rewritten = {}
+    for pred in IOB_PREDICATES:
+        for pattern in binding_patterns(BUILTIN_SCHEMA[pred].arity):
+            shape = tuple(None if v is None else f"?{v}" for v in pattern)
+            rules = engine._rules_for(pred, shape)
+            if rules != engine._RULES[pred]:
+                rewritten[str(Atom(pred, tuple(
+                    Term.var("B") if p is None else Term.var("F") for p in shape
+                )))] = [str(r) for r in rules[1:]]
+    assert rewritten == {
+        "areSubClasses(B,F)": [
+            "areSubClasses(C1,C2) :- areSubClasses(C1,C3), subClassOf(C3,C2)",
+        ],
+        "areImpOntologies(B,F)": [
+            "areImpOntologies(O1,O2) :- areImpOntologies(O1,O3),"
+            " impOntology(O3,O2)",
+        ],
+        "areStatements(B,B,F)": [
+            "areStatements(I,P,J) :- isTransitive(P), areStatements(I,P,K),"
+            " isStatement(K,P,J)",
+        ],
+    }
 
 
 @pytest.mark.parametrize("body", [
@@ -554,9 +589,10 @@ def test_chain_tables_are_expanded_once():
     )
     result = solve(base, parse_atom("areSubClasses(c0,X)"))
     assert len(result.answers) == 10
-    # one table per node c0..c10 holding its 10-i ancestors; each of the
-    # ten nodes with an edge reads it once per rule
-    assert _counts(result) == (55, 20)
+    # one table, of the ten ancestors; c0's edge is read by the base
+    # rule, and each ancestor's edge once by the left-linear rule (c10
+    # has none)
+    assert _counts(result) == (10, 10)
 
 
 def _deep_chain_base(depth=300):
@@ -568,21 +604,35 @@ def _deep_chain_base(depth=300):
 
 
 @pytest.mark.parametrize("query, answers, counts", [
-    ("areSubClasses(c0,X)", 300, (45150, 600)),
-    ("areSubClasses(c150,X)", 150, (11325, 300)),
-    ("areSubClasses(c290,X)", 10, (55, 20)),
-    ("areStatements(s0,p,X)", 300, (45150, 901)),
-    ("areStatements(s150,p,X)", 150, (11325, 451)),
-    ("areStatements(s290,p,X)", 10, (55, 31)),
+    ("areSubClasses(c0,X)", 300, (300, 300)),
+    ("areSubClasses(c150,X)", 150, (150, 150)),
+    ("areSubClasses(c290,X)", 10, (10, 10)),
+    ("areStatements(s0,p,X)", 300, (300, 301)),
+    ("areStatements(s150,p,X)", 150, (150, 151)),
+    ("areStatements(s290,p,X)", 10, (10, 11)),
 ])
 def test_deep_chain_counters(query, answers, counts):
-    """n = 300 - k nodes below the call: one table per node, n(n+1)/2
-    answers. Each node with an edge reads one row per rule (2n accesses);
-    areStatements also reads isTransitive(p) once per node, the last one
-    included (3n + 1)."""
+    """n = 300 - k nodes above the call: one table of n answers. The
+    call's edge and each answer's edge but the last's is read once (n
+    accesses); areStatements also reads isTransitive(p) once (n + 1)."""
     result = solve(_deep_chain_base(), parse_atom(query))
     assert len(result.answers) == answers
     assert _counts(result) == counts
+
+
+def test_a_chain_deeper_than_the_recursion_limit_answers_a_first_bound_call():
+    """A closure call bound in all but its last argument runs its
+    recursive rule as a loop over its own table and nests no call, so a
+    chain ten times deeper than the recursion limit answers."""
+    base = _subclass_chain(10_000)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        result = solve(base, parse_atom("areSubClasses(c0,X)"))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(result.answers) == 10_000
+    assert _counts(result) == (10_000, 10_000)
 
 
 def _typed_chain_base(depth=300):
@@ -601,7 +651,7 @@ def _typed_chain_base(depth=300):
 @pytest.mark.parametrize("queries, answers, counts", [
     (["areIndividuals(X,c150)"], 151, (301, 904)),
     # an IOB step followed by another step extends each substitution
-    (["areSubClasses(c150,X)", "isClass(X,O)"], 150, (11325, 450)),
+    (["areSubClasses(c150,X)", "isClass(X,O)"], 150, (150, 300)),
     (["areIndividuals(I,c150)", "isIndividual(I,C)"], 151, (301, 1055)),
 ])
 def test_typed_chain_counters(queries, answers, counts):
@@ -636,16 +686,35 @@ def test_fully_bound_call_on_cycle(query, answers, counts):
     assert _counts(result) == counts
 
 
-def test_cyclic_group_is_reexpanded_to_fixpoint():
+def test_first_bound_call_on_cycle_reads_only_its_own_table():
+    """The left-linear closure of a on the 3-cycle: one table of three
+    answers, a's edge read by the base rule and each answer's edge once
+    (4 accesses), no other table and no recursive group."""
     base = OntologyBase.from_facts(parse_atom(f) for f in _CYCLE)
-    result = solve(base, parse_atom("areSubClasses(a,X)"))
-    assert {str(a) for a in result.answers} == {
+    memo = MemoTable()
+    results = []
+    assert _complete_entries(lambda: results.append(
+        solve(base, parse_atom("areSubClasses(a,X)"), memo)
+    )) == 1
+    assert {str(a) for a in results[0].answers} == {
         "areSubClasses(a,a)", "areSubClasses(a,b)", "areSubClasses(a,c)",
     }
-    # three tables of three answers. Each call reads 2 rows per pass and
-    # makes two passes (the second finds nothing new): 12. Then the group
-    # leader saturates the group in two rounds over its three calls: 12.
-    assert _counts(result) == (9, 24)
+    assert _counts(results[0]) == (3, 4)
+    assert len(memo.tables) == 1
+
+
+def test_cyclic_group_is_reexpanded_to_fixpoint():
+    base = OntologyBase.from_facts(parse_atom(f) for f in _CYCLE)
+    result = solve(base, parse_atom("areSubClasses(X,a)"))
+    assert {str(a) for a in result.answers} == {
+        "areSubClasses(a,a)", "areSubClasses(b,a)", "areSubClasses(c,a)",
+    }
+    # the call and the fully bound calls it makes, areSubClasses(b,a),
+    # (c,a) and (a,a), read each other round the cycle: one recursive
+    # group of four tables and six answers. One pass over each call's
+    # rules reads 8 rows; members re-run until their tables stop growing
+    # and the leader then re-runs the group until no table grows: 31.
+    assert _counts(result) == (6, 31)
 
 
 def test_repeated_variable_call_on_cycle():
@@ -822,6 +891,33 @@ def test_shared_memo_holds_only_complete_tables_between_calls(base, data):
                 assert set(answers) == _instances(atom, oracle), atom
         assert not memo._active and not memo._dep_stack
         assert memo._entries == sum(map(len, memo.tables.values()))
+
+
+@given(st.integers(0, 2**32 - 1), st.randoms(use_true_random=False))
+def test_first_bound_closures_match_the_closed_form(seed, rnd):
+    """Every closure call bound in all but its last argument, on a random
+    base (cycles included) and on its facts in another insertion order:
+    every constant as the first argument and, for areStatements, every
+    property as the second. Its answers are the oracle's and its counters
+    the closed form `closure_counts`."""
+    base = random_base(random.Random(seed))
+    facts = list(base.facts())
+    rnd.shuffle(facts)
+    shuffled = OntologyBase.from_facts(facts)
+    oracle = bottom_up_oracle(base)
+    texts = [base.symbols.text(c) for c in range(len(base.symbols))]
+    for pred in CLOSURES:
+        middle = [
+            sorted({base.symbols.text(c) for c in base.domain_values(d)})
+            for d in BUILTIN_SCHEMA[pred].arg_domains[1:-1]
+        ]
+        for consts in itertools.product(texts, *middle):
+            atom = Atom(pred, (*map(Term.const, consts), Term.var("X")))
+            want = closure_counts(base, oracle, pred, consts)
+            for b in (base, shuffled):
+                result = solve(b, atom)
+                assert set(result.answers) == _instances(atom, oracle), atom
+                assert _counts(result) == want, atom
 
 
 def _reference_evaluate(base, memo, counters, steps, substs):

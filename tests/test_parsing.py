@@ -398,6 +398,14 @@ def test_parse_atom_roundtrip():
     assert parse_atom(str(atom)) == atom
 
 
+def test_parse_atom_without_a_predicate_name_is_refused_at_its_start():
+    with pytest.raises(ParseError) as info:
+        parse_atom("(x)")
+    assert str(info.value) == (
+        "<string>:1:1: expected a predicate name, found '('"
+    )
+
+
 @pytest.mark.parametrize("read, text, where", [
     (parse_dob, "isOntology(o).\nisOntology('').\n", "f:2:12"),
     (parse_dob, 'isClass(a,"").\n', "f:1:11"),

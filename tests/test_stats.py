@@ -31,6 +31,7 @@ from dobquery.stats import (
     all_patterns,
     catalog_from_text,
     catalog_to_text,
+    load_catalog,
     pattern_cardinality,
 )
 from conftest import bottom_up_oracle, random_base, scaled_config
@@ -235,6 +236,28 @@ def test_out_of_range_header_setting_is_refused(cars_base, setting, message):
     lines[1] = "# config " + " ".join(f"{k}={v}" for k, v in fields.items())
     with pytest.raises(AnalyzerError, match=f"^catalog line 2: {message}$"):
         catalog_from_text("\n".join(lines))
+
+
+def test_a_loaded_catalogs_refusals_name_its_file(cars_base, tmp_path):
+    """`load_catalog` puts the file before every refusal of the text;
+    `catalog_from_text` has no file to name."""
+    lines = catalog_to_text(build_exact_catalog(cars_base)).splitlines()
+    missing = "\n".join(
+        ln for ln in lines if not ln.startswith("areClasses | IOB | bf ")
+    )
+    bad_row = "\n".join([*lines[:3], "isClass | EOB | ff | 4 | 4", *lines[3:]])
+    for text, message in (
+        (missing, "catalog is missing patterns for areClasses: bf"),
+        (bad_row, "catalog line 4: expected 6 columns"),
+    ):
+        path = tmp_path / "cars.cat"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(AnalyzerError) as info:
+            load_catalog(path)
+        assert str(info.value) == f"{path}: {message}"
+        with pytest.raises(AnalyzerError) as info:
+            catalog_from_text(text)
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize("bad, message", [

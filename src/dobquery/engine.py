@@ -8,25 +8,26 @@ which plays the completion stack of the SLG-WAM. A call whose rules read
 only complete tables is complete after one pass over its rules. A call
 that read an active (incomplete) table, itself included, is re-expanded
 until its table stops growing, and it stays active while a table it read
-is active; the outermost active call then re-expands the whole active
-group until no table grows and completes the group by clearing the
-active set (SLG-style completion, Chen & Warren, JACM 1996). This
-terminates on cyclic subclass/import graphs and never returns an
-incomplete answer set.
+is active; the query step that made the outermost call then re-expands
+the whole active group until no table grows and completes the group by
+clearing the active set (SLG-style completion, Chen & Warren, JACM
+1996). This terminates on cyclic subclass/import graphs and never
+returns an incomplete answer set.
 
 The one-pass call is the common one (building a catalog, nearly every
 table completes in one pass and stays empty), so it is the cheap path: a
 call with a complete table is read straight from the memo, and a rule
 kernel completes a one-pass call in place (early completion, as in the
 SLG-WAM; Sagonas & Swift, TOPLAS 1998). It creates the callee's table,
-marks it active, pushes a None frame on the dependency stack and runs
-the callee's kernel directly; if the frame is still None, the callee
-read only complete tables, and its call leaves the active set. A call
-builds a dependency set only when it reads an active table, and only
-such a first pass leaves the kernel, for `_complete`, which holds the
-revision loop and the group completion once. No call keeps cleanup of
-its own: an evaluation that raises drops the active tables and the
-dependency stack at its entry (`evaluate`).
+marks it active and runs the callee's kernel directly. A kernel returns
+None, or the set of active calls it read; if the callee returned None,
+it read only complete tables, and its call leaves the active set. Only a
+first pass that read an active table leaves the kernel, for `_complete`,
+which holds the revision loop. A call made in a kernel never leads a
+recursive group, since its caller is still running, so is active and is
+older; only a query step's call can, so the group loop is in `evaluate`
+alone. No call keeps cleanup of its own: an evaluation that raises drops
+the active tables at its entry (`evaluate`).
 
 The built-in rule program is compiled once per process into rule
 kernels: one generated Python function per IOB predicate and call shape
@@ -93,7 +94,6 @@ import linecache
 import sys
 from collections.abc import Collection, Iterator
 from dataclasses import dataclass
-from functools import cache
 from itertools import chain
 from typing import Callable, NamedTuple
 
@@ -383,10 +383,11 @@ def _tuple(items) -> str:
     return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
 
 
-def _kernel_source(pred: str, shape: tuple) -> tuple[str, dict]:
-    """Source of the kernel of `pred` for calls of `shape`, and the
-    globals it reads: row getters `g<i>`, the kernels it calls `c<i>`
-    and `_complete`.
+def _kernel_source(pred: str, shape: tuple) -> tuple[str, dict, dict]:
+    """Source of the kernel of `pred` for calls of `shape`, the globals
+    it reads but its callees (row getters `g<i>` and `_complete`), and
+    the global `c<i>` it calls each callee by, keyed by the callee's
+    (predicate, shape).
 
     Each rule runs once, as nested loops over its EOB atoms, with every
     variable in a local: `k<i>` is the constant at call argument i, read
@@ -404,17 +405,15 @@ def _kernel_source(pred: str, shape: tuple) -> tuple[str, dict]:
     table holds and each later one over the rows the last round added,
     and each round adds its new rows with one `memo._added`.
 
-    An IOB call looks its table up in `memo.tables`. A table whose call
-    is not in `memo._active` is complete and read as it is; an active
-    one is noted as a dependency of the running call and read as a
-    snapshot list, since evaluation may still add to it. A call with no
+    An IOB call looks its table up in `memo.tables`. A call with no
     table gets a fresh one, is marked active and runs its callee's
-    kernel `c<i>` directly under a None dependency frame; a frame still
-    None after that pass means the callee read only complete tables, and
-    its call leaves the active set here. A first pass that read an
-    active table is finished by `_complete`. Each `c<i>` starts as a
-    stand-in that binds the callee's kernel on first use
-    (`_first_call`).
+    kernel `c<i>` directly. A callee that returns None read only
+    complete tables, and its call leaves the active set here; one that
+    returns the active calls it read is finished by `_complete`. Then a
+    table whose call is not in `memo._active` is complete and read as it
+    is; an active one, found so or left so by its callee, is added to
+    the active calls this kernel read, `deps`, which it returns, and is
+    read as a snapshot list, since evaluation may still add to it.
     """
     head = [f"p{p[1:]}" for p in dict.fromkeys(p for p in shape if p)]
     getters: dict[str, Callable] = {}
@@ -427,9 +426,9 @@ def _kernel_source(pred: str, shape: tuple) -> tuple[str, dict]:
         "    tables = memo.tables",
         "    table = tables[key]",
         "    active = memo._active",
-        "    stack = memo._dep_stack",
         "    probes = base.probes",
         "    eob = 0",
+        "    deps = None",
     ]
     consts = [f"k{i}" for i, p in enumerate(shape) if p is None]
     for rule in _rules_for(pred, shape):
@@ -495,18 +494,18 @@ def _kernel_source(pred: str, shape: tuple) -> tuple[str, dict]:
                     f"{indent}if {rows} is None:",
                     f"{indent}    {rows} = tables[call] = {{}}",
                     f"{indent}    active[call] = {callee}",
-                    f"{indent}    stack.append(None)",
                     f"{indent}    entries = memo._entries",
-                    f"{indent}    {callee}(base, memo, counters, call)",
-                    f"{indent}    if stack[-1] is None:",
-                    f"{indent}        stack.pop()",
+                    f"{indent}    read = {callee}(base, memo, counters, call)",
+                    f"{indent}    if read is None:",
                     f"{indent}        del active[call]",
                     f"{indent}    else:",
-                    f"{indent}        {rows} = _complete(base, memo,"
-                    f" counters, call, entries)",
-                    f"{indent}elif call in active:",
-                    f"{indent}    memo._note_dependency(call)",
+                    f"{indent}        _complete(base, memo, counters, call,"
+                    f" entries, read)",
+                    f"{indent}if call in active:",
                     f"{indent}    {rows} = list({rows})",
+                    f"{indent}    if deps is None:",
+                    f"{indent}        deps = set()",
+                    f"{indent}    deps.add(call)",
                     f"{indent}if {rows}:",
                 ]
                 # an IOB row holds the values of the variables it binds
@@ -549,48 +548,41 @@ def _kernel_source(pred: str, shape: tuple) -> tuple[str, dict]:
                 f"{rounds}table.update(delta)",
                 f"{rounds}memo._added(len(delta), counters)",
             ]
-    lines.append("    counters.eob_accesses += eob")
+    lines += ["    counters.eob_accesses += eob", "    return deps"]
     namespace = {"_complete": _complete, **getters}
-    for (callee, callee_shape), name in callees.items():
-        namespace[name] = _first_call(namespace, name, callee, callee_shape)
-    return "\n".join(lines) + "\n", namespace
+    return "\n".join(lines) + "\n", namespace, callees
 
 
-def _first_call(namespace: dict, name: str, pred: str, shape: tuple):
-    """Stand-in for the kernel of `pred` for calls of `shape`, bound to
-    `name` among a kernel's globals.
-
-    Its first call builds that kernel, rebinds `name` to it and maps the
-    call it runs to it in `memo._active`, so a kernel is compiled only
-    for a shape some call reaches, and recursive kernels can name each
-    other before either exists.
-    """
-    def first_call(base, memo, counters, key):
-        kernel = namespace[name] = _plan(pred, shape)
-        memo._active[key] = kernel
-        return kernel(base, memo, counters, key)
-    return first_call
+# (pred, shape) -> its kernel, for every shape compiled in this process
+_KERNELS: dict[tuple, Callable] = {}
 
 
-@cache
 def _plan(pred: str, shape: tuple) -> Callable:
     """The kernel of `pred` for calls of one shape, built once per process.
 
     A shape marks each constant argument None and each free argument
     with its placeholder. The kernel, `kernel(base, memo, counters,
     key)`, runs every rule of `pred` once for the call `key` of that
-    shape and adds the new rows to its table (see `_kernel_source`). Its
-    code names no constant, so one kernel serves every memo and base.
+    shape, adds the new rows to its table and returns None or the
+    active calls it read (see `_kernel_source`). Its code names no
+    constant, so one kernel serves every memo and base. Building it
+    builds the kernels of the calls it can make; it is cached before
+    they are bound, so recursive kernels find each other.
     """
-    name = f"{pred}({','.join(p or 'b' for p in shape)})"
-    filename = f"<dobquery kernel {name}>"
-    source, namespace = _kernel_source(pred, shape)
-    exec(compile(source, filename, "exec"), namespace)
-    # tracebacks, profilers and `inspect` find the source by its filename
-    linecache.cache[filename] = (
-        len(source), None, source.splitlines(True), filename
-    )
-    return namespace["kernel"]
+    kernel = _KERNELS.get((pred, shape))
+    if kernel is None:
+        name = f"{pred}({','.join(p or 'b' for p in shape)})"
+        filename = f"<dobquery kernel {name}>"
+        source, namespace, callees = _kernel_source(pred, shape)
+        exec(compile(source, filename, "exec"), namespace)
+        # tracebacks, profilers and `inspect` find the source by its filename
+        linecache.cache[filename] = (
+            len(source), None, source.splitlines(True), filename
+        )
+        kernel = _KERNELS[pred, shape] = namespace["kernel"]
+        for call, name in callees.items():
+            namespace[name] = _plan(*call)
+    return kernel
 
 
 class MemoTable:
@@ -599,7 +591,6 @@ class MemoTable:
     def __init__(self):
         self.tables: dict[tuple, dict[tuple[int, ...], None]] = {}
         self._active: dict[tuple, Callable] = {}
-        self._dep_stack: list[set[tuple] | None] = []
         # Answers in all tables. It falls only when `_drop_active` drops an
         # aborted evaluation's tables, so within a call it measures growth.
         self._entries = 0
@@ -637,16 +628,6 @@ class MemoTable:
         for key in self._active:
             self._entries -= len(self.tables.pop(key))
         self._active.clear()
-        self._dep_stack.clear()
-
-    def _note_dependency(self, key: tuple):
-        """Record that the innermost running call read active `key`."""
-        stack = self._dep_stack
-        if stack:
-            if stack[-1] is None:
-                stack[-1] = {key}
-            else:
-                stack[-1].add(key)
 
     def _added(self, count: int, counters: Counters):
         """Account for `count` new answers just added to a table."""
@@ -669,17 +650,18 @@ def evaluate(base, memo, counters, steps, substs):
     does it build its substitutions. An EOB step's rows are its probe
     buckets after the repeated-variable filter. An IOB step answers a
     call from its table in `memo.tables`, and a call with no table gets
-    one, a first pass of its kernel and `_complete`. No kernel calls
-    `evaluate`, so `memo._active` is empty whenever a step looks a call
-    up: a call the step starts is the oldest active call, and
-    `_complete` returns for it only once it, and with it every call left
-    active, is complete. A table a step finds is therefore complete.
+    one and a first pass of its kernel, finished by `_complete` if that
+    pass read an active table. No kernel calls `evaluate`, so
+    `memo._active` is empty whenever a step looks a call up: a call the
+    step starts is the oldest active call, and every call still active
+    after it returns is in its recursive group. The step re-runs them
+    all until no table grows and completes them by clearing the active
+    set. A table a step finds is therefore complete.
 
     If evaluation raises (say, at the entry cap), the tables it left
-    active are dropped and the dependency stack is cleared, so the memo
-    can still be used; tabled calls keep no cleanup of their own. Calls
-    nested deeper than the interpreter's recursion limit raise
-    `EngineLimitError`.
+    active are dropped, so the memo can still be used; tabled calls keep
+    no cleanup of their own. Calls nested deeper than the interpreter's
+    recursion limit raise `EngineLimitError`.
     """
     try:
         for step in steps:
@@ -687,27 +669,35 @@ def evaluate(base, memo, counters, steps, substs):
                 break
             args, extras, new = step.args, step.extras, step.new
             if step.eob:
-                probe = base.probes.get(step.access)
-                if probe is None:
-                    probe = base.probe_index(*step.access)
-                get, same = probe.get, step.same
+                get, same = base.probe_index(*step.access).get, step.same
                 matches = [get(args(s + extras), ()) for s in substs]
                 if same:
                     matches = [_same_rows(rows, same) for rows in matches]
             else:
-                pred, shape, tables = step.pred, step.shape, memo.tables
+                pred, tables, active = step.pred, memo.tables, memo._active
+                kernel = _plan(pred, step.shape)
                 matches = []
                 for s in substs:
                     key = (pred, args(s + extras))
                     rows = tables.get(key)
                     if rows is None:
-                        kernel = _plan(pred, shape)
-                        tables[key] = {}
-                        memo._active[key] = kernel
-                        memo._dep_stack.append(None)
+                        rows = tables[key] = {}
+                        active[key] = kernel
                         size = memo._entries
-                        kernel(base, memo, counters, key)
-                        rows = _complete(base, memo, counters, key, size)
+                        deps = kernel(base, memo, counters, key)
+                        if deps is None:
+                            del active[key]
+                        else:
+                            _complete(base, memo, counters, key, size, deps)
+                        # saturate the recursive group the call leads,
+                        # re-running members whose inputs grew after they
+                        # stabilized
+                        while active:
+                            size = memo._entries
+                            for other, other_kernel in list(active.items()):
+                                other_kernel(base, memo, counters, other)
+                            if memo._entries == size:
+                                active.clear()
                     matches.append(rows)
             total = sum(map(len, matches))
             check_batch(step.atom, total)
@@ -730,52 +720,31 @@ def evaluate(base, memo, counters, steps, substs):
         raise
 
 
-def _complete(base, memo, counters, key, size):
-    """Finish the call `key` after the first pass of its kernel, whose
-    frame is on top of the dependency stack; `size` is `memo._entries`
-    before that pass.
+def _complete(base, memo, counters, key, size, deps):
+    """Finish the call `key` after the first pass of its kernel, which
+    read the active calls `deps`; `size` is `memo._entries` before that
+    pass.
 
-    A call whose frame stayed None read only complete tables and is
-    complete. One that read an active table is re-expanded until its
-    table stops growing; it is then complete, the outermost call of a
-    recursive group that saturates its group, or a member that stays
-    active and returns a snapshot list of its table.
+    The call is re-expanded until its table stops growing. If it read
+    no active call but itself, it is complete and leaves `memo._active`;
+    otherwise it stays active, in the recursive group that the query
+    step saturates (`evaluate`), and its table stays in `memo.tables`
+    either way.
 
-    A call completes by leaving `memo._active`, and a group by clearing
-    it; its table stays in `memo.tables`. No table this call read while
-    it was active completes during its loop: active tables complete only
-    when the oldest active call returns, and that call is an ancestor of
-    every running call. So the dependencies need no completeness test.
+    No table this call read while it was active completes during its
+    loop: active tables complete only when the query step's call
+    returns, and that call is an ancestor of every running call. So the
+    dependencies need no completeness test, and a later pass reads the
+    same active calls as the first: the base does not change, so each
+    pass makes the same calls, and every call the first pass made now
+    has a table.
     """
-    stack = memo._dep_stack
-    deps = stack[-1]
-    if deps is not None:
-        kernel = memo._active[key]
-        # `deps` is the frame itself, so it grows with each pass
-        while memo._entries != size:
-            size = memo._entries
-            kernel(base, memo, counters, key)
-        deps = deps - {key}
-    stack.pop()
-
-    if not deps:
+    kernel = memo._active[key]
+    while memo._entries != size:
+        size = memo._entries
+        kernel(base, memo, counters, key)
+    if not deps - {key}:
         del memo._active[key]
-    elif next(iter(memo._active)) == key:
-        # Outermost call of a recursive group: saturate the whole group,
-        # re-running members whose inputs grew after they stabilized.
-        while True:
-            size = memo._entries
-            for other, other_kernel in list(memo._active.items()):
-                stack.append(None)
-                other_kernel(base, memo, counters, other)
-                stack.pop()
-            if memo._entries == size:
-                break
-        memo._active.clear()
-    else:
-        memo._note_dependency(key)
-        return list(memo.tables[key])
-    return memo.tables[key]
 
 
 def compile_query(memo, atoms, var_slot: dict[str, int]) -> tuple[_Step, ...]:

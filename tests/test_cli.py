@@ -817,3 +817,25 @@ def test_query_stdout_pin_with_quoted_constants(tmp_path, capsys):
     assert code == 0, err
     assert out == PINNED_QUOTED_OUT
     assert "answers: 18" in err
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"transitive_properties": 5},
+     "transitive_properties cannot exceed object_properties"),
+    ({"subclass_edges": 100000},
+     "100000 subclass edges exceed the 225 available class pairs"),
+    ({"ontologies": 0, "import_edges": 0, "subclass_edges": 0},
+     "could not build 3 chain queries; the base has too few populated"
+     " predicate domains"),
+])
+def test_ungeneratable_gen_config_is_a_data_error(
+    tmp_path, capsys, config, message
+):
+    """A config the generator cannot build exits 2 with one line naming
+    why, and writes nothing to stdout."""
+    path = tmp_path / "synth.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run(capsys, "gen", str(path), "-o", str(tmp_path / "o"))
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+    assert "Traceback" not in err

@@ -222,11 +222,9 @@ def test_memo_usable_after_table_entry_cap_error(monkeypatch):
     memo = MemoTable()
     with pytest.raises(EngineLimitError):
         solve(base, parse_atom("areSubClasses(X,c30)"), memo)
-    # the partial tables of the aborted call are gone; the 30 complete
-    # areSubClasses(c<i>,c30) tables stay, and no frame of the aborted
-    # calls is left on the dependency stack
+    # the partial tables of the aborted call are gone, and no call is
+    # left active; the 30 complete areSubClasses(c<i>,c30) tables stay
     assert not memo._active
-    assert not memo._dep_stack
     assert len(memo.tables) == 30
     assert memo._entries == sum(len(t) for t in memo.tables.values())
     monkeypatch.setattr(engine, "MAX_TABLE_ENTRIES", 1_000_000)
@@ -251,7 +249,7 @@ def test_solve_sequence_stops_at_the_batch_limit(serve_base):
     )):
         solve_sequence(serve_base, SERVE_Q17.body, memo=memo)
     assert time.perf_counter() - start < 1
-    assert not memo._active and not memo._dep_stack
+    assert not memo._active
     assert memo._entries == sum(map(len, memo.tables.values()))
     prefix = SERVE_Q17.body[:5]
     substs, counters = solve_sequence(serve_base, prefix, memo=memo)
@@ -317,7 +315,6 @@ def test_calls_past_the_recursion_limit_are_an_engine_limit():
         )):
             solve(base, parse_atom("areSubClasses(c0,c3000)"), memo)
         assert not memo._active
-        assert not memo._dep_stack
         atom = parse_atom("areSubClasses(c2990,c3000)")
         got = solve(base, atom, memo)
     finally:
@@ -329,19 +326,19 @@ def test_calls_past_the_recursion_limit_are_an_engine_limit():
 
 
 def test_kernels_complete_one_pass_calls_inline():
-    """Only the call the query step makes enters `_complete`: each of
-    the 50 nested calls on an acyclic chain reads complete tables only,
-    and its caller's kernel completes it in place."""
+    """No call enters `_complete`: each of the 50 nested calls on an
+    acyclic chain reads complete tables only, and its caller's kernel
+    completes it in place, as the query step does its own call."""
     base = _subclass_chain(50)
     memo = MemoTable()
     atom = parse_atom("areSubClasses(c0,c50)")
     results = []
     assert _complete_entries(
         lambda: results.append(solve(base, atom, memo))
-    ) == 1
+    ) == 0
     assert len(results[0].answers) == 1
     assert len(memo.tables) == 51
-    assert not memo._active and not memo._dep_stack
+    assert not memo._active
 
 
 @pytest.mark.parametrize("back", [None, 4])
@@ -350,7 +347,7 @@ def test_entry_cap_in_an_inlined_callee_leaves_the_memo_usable(
 ):
     """The cap is hit in a kernel that nested kernels called inline, on
     an acyclic chain and inside a cycle: the aborted calls leave no
-    active table and no frame, and the memo still answers correctly."""
+    active table, and the memo still answers correctly."""
     n = 12 if back else 30
     base = _subclass_chain(n, back)
     monkeypatch.setattr(engine, "MAX_TABLE_ENTRIES", 5)
@@ -364,7 +361,6 @@ def test_entry_cap_in_an_inlined_callee_leaves_the_memo_usable(
     assert inline.count("kernel") >= 4
     assert "_complete" not in inline
     assert not memo._active
-    assert not memo._dep_stack
     assert memo._entries == sum(len(t) for t in memo.tables.values())
     monkeypatch.setattr(engine, "MAX_TABLE_ENTRIES", 1_000_000)
     for start in range(0, 12, 3):
@@ -392,7 +388,7 @@ def test_rule_program_is_compiled_once_per_process(cars_base):
     assert _counts(solve(cars_base, atom, first)) == _counts(
         solve(cars_base, atom, second)
     )
-    compiled = engine._plan.cache_info()
+    compiled = dict(engine._KERNELS)
 
     # a memo on another base reuses the same kernels, even after the base
     # grows past the memo's binding
@@ -401,13 +397,12 @@ def test_rule_program_is_compiled_once_per_process(cars_base):
     memo.bind(base)
     base.assert_fact(parse_atom("isClass(b,o)"))
     assert len(solve(base, atom, memo).answers) == 2
-    after = engine._plan.cache_info()
-    assert after.misses == compiled.misses
+    assert engine._KERNELS == compiled
 
     # one kernel per (predicate, call shape): two bases of one structure,
     # with other constant texts and ids, one of them Python syntax, reach
     # the same shapes, and the second compiles nothing
-    engine._plan.cache_clear()
+    engine._KERNELS.clear()
     template = random_base(random.Random(5))
     tricky = "x') or __import__('os').system('true') #"
     names = [lambda t: f"a_{t}", lambda t: tricky if t == "o0" else f"b_{t}"]
@@ -433,10 +428,10 @@ def test_rule_program_is_compiled_once_per_process(cars_base):
             for pred, args in memo.tables
         }
         if len(counts) == 1:
-            built = engine._plan.cache_info()
-            assert built.misses == built.currsize == len(reached)
-    after = engine._plan.cache_info()
-    assert (after.misses, after.currsize) == (built.misses, len(reached))
+            built = dict(engine._KERNELS)
+            # a kernel is built with the kernels of the calls it can make
+            assert reached <= built.keys()
+    assert engine._KERNELS == built
     assert counts[0] == counts[1]
     assert any(
         bases[1].symbols.text(a) == tricky
@@ -695,7 +690,7 @@ def test_first_bound_call_on_cycle_reads_only_its_own_table():
     results = []
     assert _complete_entries(lambda: results.append(
         solve(base, parse_atom("areSubClasses(a,X)"), memo)
-    )) == 1
+    )) == 0
     assert {str(a) for a in results[0].answers} == {
         "areSubClasses(a,a)", "areSubClasses(a,b)", "areSubClasses(a,c)",
     }
@@ -713,7 +708,7 @@ def test_cyclic_group_is_reexpanded_to_fixpoint():
     # (c,a) and (a,a), read each other round the cycle: one recursive
     # group of four tables and six answers. One pass over each call's
     # rules reads 8 rows; members re-run until their tables stop growing
-    # and the leader then re-runs the group until no table grows: 31.
+    # and the query step then re-runs the group until no table grows: 31.
     assert _counts(result) == (6, 31)
 
 
@@ -869,10 +864,9 @@ def test_counters_invariant_under_variable_renaming(base, data):
 @given(_bases, st.data())
 def test_shared_memo_holds_only_complete_tables_between_calls(base, data):
     """Between evaluations every table of a shared memo is complete: no
-    call is active, no dependency frame is left and the entry count is
-    the tables' size, whether a call returned or stopped at a small
-    entry cap. Every call that returns agrees with the oracle, whatever
-    the memo held before it."""
+    call is active and the entry count is the tables' size, whether a
+    call returned or stopped at a small entry cap. Every call that
+    returns agrees with the oracle, whatever the memo held before it."""
     oracle = bottom_up_oracle(base)
     atoms = data.draw(st.permutations(
         [atom for pred in IOB_PREDICATES for atom in _call_atoms(pred, data)]
@@ -889,7 +883,7 @@ def test_shared_memo_holds_only_complete_tables_between_calls(base, data):
                 assert cap is not None
             else:
                 assert set(answers) == _instances(atom, oracle), atom
-        assert not memo._active and not memo._dep_stack
+        assert not memo._active
         assert memo._entries == sum(map(len, memo.tables.values()))
 
 
@@ -922,7 +916,9 @@ def test_first_bound_closures_match_the_closed_form(seed, rnd):
 
 def _reference_evaluate(base, memo, counters, steps, substs):
     """`evaluate` as it ran before steps were sized: it extends the
-    batch one substitution at a time and has no batch limit."""
+    batch one substitution at a time and has no batch limit on EOB
+    steps. An IOB step runs `engine.evaluate` on one substitution at a
+    time."""
     try:
         for step in steps:
             if not substs:
@@ -942,22 +938,8 @@ def _reference_evaluate(base, memo, counters, steps, substs):
                         out.extend(map(s.__add__, map(new, rows)))
                 counters.eob_accesses += len(out)
             else:
-                pred, shape, tables = step.pred, step.shape, memo.tables
                 for s in substs:
-                    key = (pred, args(s + extras))
-                    rows = tables.get(key)
-                    if rows is None:
-                        kernel = engine._plan(pred, shape)
-                        tables[key] = {}
-                        memo._active[key] = kernel
-                        memo._dep_stack.append(None)
-                        size = memo._entries
-                        kernel(base, memo, counters, key)
-                        rows = engine._complete(
-                            base, memo, counters, key, size
-                        )
-                    if rows:
-                        out.extend(map(s.__add__, rows))
+                    out += engine.evaluate(base, memo, counters, [step], [s])
             substs = out
         return substs
     except BaseException:
@@ -991,3 +973,9 @@ def test_sized_evaluate_matches_the_reference(seed, data):
             )
         runs.append((batches, len(memo.tables)))
     assert runs[0] == runs[1], body
+
+
+def test_solve_sequence_refuses_an_empty_body(cars_base):
+    with pytest.raises(SchemaError) as info:
+        solve_sequence(cars_base, [])
+    assert str(info.value) == "solve_sequence requires at least one atom"

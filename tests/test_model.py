@@ -11,7 +11,7 @@ from dobquery import (
     UnsafeRuleError,
     builtin_iob_program,
 )
-from dobquery.model import schema_for
+from dobquery.model import ArgDomain, PredicateSchema, schema_for
 
 
 def test_term_kinds():
@@ -138,3 +138,20 @@ def test_recursion_limited_to_expected_predicates():
 def test_term_constructor_refusals(kind, value, message):
     with pytest.raises(ValueError, match=message):
         Term(kind, value)
+
+
+@pytest.mark.parametrize("make, message", [
+    (Query, "query q(X) has an empty body"),
+    (Rule, "rule for q(X) has an empty body"),
+])
+def test_empty_body_is_refused(make, message):
+    head = Atom("q", (Term.var("X"),))
+    with pytest.raises(UnsafeRuleError) as info:
+        make(head, ())
+    assert str(info.value) == message
+
+
+def test_schema_needs_one_domain_per_argument():
+    with pytest.raises(SchemaError) as info:
+        PredicateSchema("p", 2, PredicateKind.EOB, (ArgDomain.CLASS,))
+    assert str(info.value) == "p: 2 args, 1 domains"

@@ -534,3 +534,12 @@ def test_build_exact_catalog_reports_the_work_of_its_solve_calls(monkeypatch):
     catalog = build_exact_catalog(base)
     assert solved.inferred_facts > 0 and solved.eob_accesses > 0
     assert catalog.counters == solved
+
+
+def test_adaptive_sample_refuses_a_pattern_of_another_arity(cars_base):
+    with pytest.raises(AnalyzerError) as info:
+        adaptive_sample(
+            cars_base, "areSubClasses", BindingPattern.parse("bbb"), "cost",
+            SamplingConfig(seed=1),
+        )
+    assert str(info.value) == "pattern arity mismatch for areSubClasses"

@@ -110,15 +110,19 @@ def _cmd_gen(args) -> int:
               f"exhaustive enumeration cap of {MAX_EXHAUSTIVE_SUBGOALS} subgoals;"
               f" dobq bench correlate and dobq bench ratio will refuse this "
               f"corpus", file=sys.stderr)
-    out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # every replica is generated before anything is written, so a config
+    # the generator refuses leaves no directory behind
+    replicas = []
     for rep in range(args.replicas):
         rep_config = SynthConfig(
             **{**config.__dict__, "seed": config.seed + rep}
         )
         base, queries = generate_synthetic(rep_config)
+        replicas.append((rep_config, base, queries))
+    out_dir = Path(args.output)
+    for rep, (rep_config, base, queries) in enumerate(replicas):
         rep_dir = out_dir / f"rep{rep:03d}"
-        rep_dir.mkdir(exist_ok=True)
+        rep_dir.mkdir(parents=True, exist_ok=True)
         (rep_dir / "base.dob").write_text(
             render_dob(base.facts()), encoding="utf-8"
         )

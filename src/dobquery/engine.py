@@ -38,18 +38,22 @@ nested loops over the rule's EOB atoms with its variables in locals:
 each EOB atom makes one lookup in the base's hash probe for its bound
 positions, and the rule's last atom, its one tabled call if it has one,
 gives the head rows (data-centric code generation, Neumann, VLDB 2011;
-specialised Datalog code, Jordan, Scholz & Subotic, CAV 2016). The
-exception is a transitive closure called with every argument bound but
-the last, such as `areSubClasses(c,?0)` or `areStatements(i,p,?0)`: its
-kernel runs the recursive rule in the equivalent left-linear form
-(`_rules_for`), whose one IOB atom is the call itself, as a semi-naive
-loop over the call's own table (Bancilhon & Ramakrishnan, 1986). Each
+specialised Datalog code, Jordan, Scholz & Subotic, CAV 2016). Three
+exceptions are picked per call shape by `_rules_for`. A transitive
+closure called with every argument bound but the last, such as
+`areSubClasses(c,?0)` or `areStatements(i,p,?0)`, runs its recursive
+rule in the equivalent left-linear form, whose one IOB atom is the call
+itself, as a semi-naive loop over the call's own table (Bancilhon &
+Ramakrishnan, 1986); bound in all but the first, such as
+`areSubClasses(?0,c)`, it runs the mirror order over the in-edges. Each
 round probes the edge relation once per row the last round added, so
 such a call reads no other table, nests no call and completes in one
-run, with one inferred fact per answer. Each kernel is compiled under a
-filename naming it, such as
-`<dobquery kernel areStatements(b,b,?0)>`, so tracebacks and profilers
-tell kernels apart. Tables hold the call's free values, in placeholder
+run, with one inferred fact per answer. And two `areIndividuals` shapes
+run one rule with its tabled call first, so it makes that call once,
+before its loops, instead of once per row of a scan. Each kernel is
+compiled under a filename naming it, such as `<dobquery kernel
+areStatements(b,b,?0)>`, so tracebacks and profilers tell kernels
+apart. Tables hold the call's free values, in placeholder
 order: a row of `areSubClasses(c,?0)` is `(x,)`, not `(c, x)`, so the
 constants and repeated variables the canonical pattern encodes are
 stored once per table, not once per answer (substitution factoring;
@@ -65,8 +69,10 @@ EOB one, or several IOB atoms, and the counted cost of a recursive group
 depends on the order its members are first called, so nested loops over
 a query body would change its counters. A rule kernel keeps the order of
 this batch evaluation because a rule has at most one IOB atom, and it is
-the last (`_compile_rules` refuses any other written rule, and a
-left-linear rule's IOB atom reads only the call's own table). An IOB
+the last (`_compile_rules` refuses any other written rule), or it is
+made once per call of the rule's head: a closure's reordered rule reads
+only the call's own table, and a rule of `_TABLED_CALL_FIRST` makes its
+one call before any loop, with the call's constants only. An IOB
 row of a query step is exactly the values the step binds, so the step
 appends it to its substitution unchanged.
 
@@ -104,6 +110,7 @@ from .model import (
     Rule,
     SchemaError,
     Term,
+    _r,
     builtin_iob_program,
     schema_for,
 )
@@ -318,7 +325,10 @@ def _compile_rules(program) -> dict[str, list[Rule]]:
     makes its tabled call in the innermost loop. That keeps the call
     order, and so the counters of a recursive group, of step-by-step
     evaluation only when a body has at most one IOB atom and it is the
-    last, so any other rule is refused. The built-in program's heads use
+    last, so any other rule is refused. The orders `_rules_for` picks per
+    call shape are not written rules and keep that call order too: each
+    reads only the call's own table or makes its one call first, once
+    per call of the head (see there). The built-in program's heads use
     distinct variables and its rules hold no constants, so its kernels
     hold no ids and serve every base.
     """
@@ -339,21 +349,54 @@ def _is_eob(atom: Atom) -> bool:
 _RULES = _compile_rules(builtin_iob_program())
 
 
+# Rules whose kernel, for calls of one shape, makes the rule's one tabled
+# call before its EOB atoms, which it then probes with the call's values
+# bound: (pred, shape) -> those rules, each a written rule of pred with its
+# body in another order.
+_TABLED_CALL_FIRST = {
+    ("areIndividuals", ("?0", None)): (
+        _r("areIndividuals(I,C2)", "areSubClasses(C1,C2)",
+           "isIndividual(I,C1)"),
+    ),
+    ("areIndividuals", (None, "?0")): (
+        _r("areIndividuals(J,C)", "areStatements(I,P,J)",
+           "allValuesFrom(C1,P,C)", "isIndividual(I,C1)"),
+    ),
+}
+
+
 def _rules_for(pred: str, shape: tuple) -> list[Rule]:
-    """The rules the kernel of `pred` runs for calls of `shape`.
+    """The rules the kernel of `pred` runs for calls of `shape`, in the
+    written rule order.
 
     A closure written right-linearly, `p(X,M…,Y) :- e(X,M…,Y)` and
     `p(X,M…,Y) :- G…, e(X,M…,Z), p(Z,M…,Y)` with guards G over M only,
-    and called with every argument bound but the last, runs its
-    recursive rule as the equivalent left-linear `p(X,M…,Y) :- G…,
-    p(X,M…,Z), e(Z,M…,Y)` (Naughton, Ramakrishnan, Sagiv & Ullman,
-    SIGMOD 1989), whose one IOB atom is the call itself. The two forms
-    agree only when these are all of p's rules. Any other rules and
+    runs its recursive rule with the call itself as its one IOB atom
+    when called with every argument bound but one end (Naughton,
+    Ramakrishnan, Sagiv & Ullman, SIGMOD 1989). Bound in all but the
+    last, it runs the equivalent left-linear `p(X,M…,Y) :- G…,
+    p(X,M…,Z), e(Z,M…,Y)`; bound in all but the first, the mirror order
+    `p(X,M…,Y) :- G…, p(Z,M…,Y), e(X,M…,Z)`, whose call has the shape
+    and constants of the call itself. The forms agree only when these
+    are all of p's rules. A rule of `_TABLED_CALL_FIRST` replaces the
+    written rule whose body it reorders, for its shape only (sideways
+    information passing, Beeri & Ramakrishnan, JLP 1991): its one tabled
+    call comes first and binds the EOB atoms' join values, so the call is
+    made once per call of `pred`, before any loop. Any other rules and
     shapes run as written.
     """
     rules = _RULES.get(pred, [])
-    if (len(rules) != 2 or len(shape) < 2
-            or shape != (None,) * (len(shape) - 1) + ("?0",)):
+    reordered = _TABLED_CALL_FIRST.get((pred, shape))
+    if reordered:
+        return [
+            next((n for n in reordered
+                  if n.head == r.head and set(n.body) == set(r.body)), r)
+            for r in rules
+        ]
+    ends = (None,) * (len(shape) - 1)
+    if len(rules) != 2 or len(shape) < 2 or shape not in (
+        ends + ("?0",), ("?0",) + ends
+    ):
         return rules
     base, rec = sorted(rules, key=lambda r: len(r.body))
     if len(base.body) != 1 or len(rec.body) < 2:
@@ -369,8 +412,11 @@ def _rules_for(pred: str, shape: tuple) -> list[Rule]:
         and all(set(g.args) <= set(m) for g in guards)
     ):
         return rules
-    return [base, Rule(rec.head, (*guards, Atom(pred, (x, *m, z)),
-                                  Atom(e, (z, *m, y))))]
+    if shape[0] is None:
+        body = (*guards, Atom(pred, (x, *m, z)), Atom(e, (z, *m, y)))
+    else:
+        body = (*guards, call, step)
+    return [Rule(r.head, body) if r is rec else r for r in rules]
 
 
 def _distinct_vars(args) -> bool:
@@ -400,10 +446,10 @@ def _kernel_source(pred: str, shape: tuple) -> tuple[str, dict, dict]:
     head pass through as they are. A rule's head rows are buffered and
     added to the call's table after the rule, with one `memo._added`, so
     a call that reads the active table in mid-rule sees the table as the
-    rule began. A left-linear rule (`_rules_for`) reads the call itself:
-    from there on its loops run in rounds, the first over the rows the
-    table holds and each later one over the rows the last round added,
-    and each round adds its new rows with one `memo._added`.
+    rule began. A closure's reordered rule (`_rules_for`) reads the call
+    itself: from there on its loops run in rounds, the first over the
+    rows the table holds and each later one over the rows the last round
+    added, and each round adds its new rows with one `memo._added`.
 
     An IOB call looks its table up in `memo.tables`. A call with no
     table gets a fresh one, is marked active and runs its callee's

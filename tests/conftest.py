@@ -346,30 +346,39 @@ CLOSURES = {
 }
 
 
-def closure_counts(base: OntologyBase, oracle, pred: str, consts) -> tuple:
+def closure_counts(
+    base: OntologyBase, oracle, pred: str, consts, free: int = -1
+) -> tuple:
     """Inferred facts and EOB accesses of a closure call of `pred` whose
-    arguments but the last are the constant texts `consts`, evaluated
-    left-linearly: one inferred fact per answer (the closure, taken from
-    `oracle`, the `bottom_up_oracle` set); as accesses, the rows of
-    edge(x,M...,_), the guard's rows once and, if the guard holds, the
-    rows of edge(z,M...,_) for each answer z."""
+    arguments but one end, the last (`free=-1`) or the first (`free=0`),
+    are the constant texts `consts`, evaluated over the call's own table:
+    one inferred fact per answer (the closure, taken from `oracle`, the
+    `bottom_up_oracle` set); as accesses, the rows of edge(x,M...,_)
+    (edge(_,M...,y) when the first is free), the guard's rows once and,
+    if the guard holds, the rows of edge(z,M...,_) (edge(_,M...,z)) for
+    each answer z."""
     edge, guard = CLOSURES[pred]
-    x, *m = consts
+    if free == -1:
+        m, fixed = consts[1:], slice(None, -1)
+    else:
+        m, fixed = consts[:-1], slice(1, None)
     out: dict[tuple, int] = {}
     guard_rows = 0
     for fact in base.facts():
         args = tuple(t.value for t in fact.args)
         if fact.predicate == edge:
-            out[args[:-1]] = out.get(args[:-1], 0) + 1
-        elif fact.predicate == guard and list(args) == m:
+            out[args[fixed]] = out.get(args[fixed], 0) + 1
+        elif fact.predicate == guard and list(args) == list(m):
             guard_rows += 1
     answers = {
-        a.args[-1].value for a in oracle if a.predicate == pred
-        and [t.value for t in a.args[:-1]] == [x, *m]
+        a.args[free].value for a in oracle if a.predicate == pred
+        and [t.value for t in a.args[fixed]] == list(consts)
     }
-    eob = out.get((x, *m), 0) + guard_rows
+    eob = out.get(tuple(consts), 0) + guard_rows
     if guard is None or guard_rows:
-        eob += sum(out.get((z, *m), 0) for z in answers)
+        eob += sum(
+            out.get((z, *m) if free == -1 else (*m, z), 0) for z in answers
+        )
     return len(answers), eob
 
 

@@ -105,9 +105,9 @@ def test_query_explain_header_is_the_folded_estimate(workspace, capsys):
     )
     assert code == 0
     assert err.splitlines()[:3] == [
-        "plan for q(O)  (cost=50.000, card=3.000)",
-        "  1. areClasses(C,O)  [cost=44.000, card=12.000]",
-        "  2. isDProperty(traction,C)  via nlj  [cost=50.000, card=3.000]",
+        "plan for q(O)  (cost=42.000, card=3.000)",
+        "  1. areClasses(C,O)  [cost=36.000, card=12.000]",
+        "  2. isDProperty(traction,C)  via nlj  [cost=42.000, card=3.000]",
     ]
 
 
@@ -360,7 +360,7 @@ def test_query_past_the_recursion_limit_is_a_data_error(
         code, out, err = run(
             capsys,
             "query", str(chain), "--catalog", str(catalog),
-            "-q", "q(X):-areSubClasses(X,c3000).",
+            "-q", "q(c0):-areSubClasses(c0,c3000).",
         )
     finally:
         sys.setrecursionlimit(limit)
@@ -832,10 +832,14 @@ def test_ungeneratable_gen_config_is_a_data_error(
     tmp_path, capsys, config, message
 ):
     """A config the generator cannot build exits 2 with one line naming
-    why, and writes nothing to stdout."""
+    why, writes nothing to stdout and leaves no output directory."""
     path = tmp_path / "synth.json"
     path.write_text(json.dumps(config))
-    code, out, err = run(capsys, "gen", str(path), "-o", str(tmp_path / "o"))
+    code, out, err = run(
+        capsys, "gen", str(path), "-o", str(tmp_path / "o" / "corpus"),
+        "--replicas", "3",
+    )
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
     assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()

@@ -9,8 +9,17 @@ the 10,500 `solve` rows and 387 of the 1,200 query rows moved, and no
 answer count did. Nearly every moved row fell; a few read more EOB rows
 (9 `solve` rows, 11 query columns), where one evaluation makes such a
 call at several nodes of one chain and each call walks its own closure
-instead of reading the tables of the nodes below it. Every nested-loop
-row equals its `solve_sequence` row.
+instead of reading the tables of the nodes below it. They were recorded
+a third time when the closures bound in all but their first argument
+began to run the mirror order over their own table and two
+`areIndividuals` shapes began to make their tabled call first: 1,917
+`solve` rows and 251 query rows moved, and no answer count did. Of the
+167 `solve` rows that rose, 156 are `areIndividuals(b,?0)`, whose one
+`areStatements(?0,?1,b)` call tables every statement into its constant
+where the written order reached only the pairs `allValuesFrom` names,
+and 11 are `areIndividuals(?0,b)`, whose one call tables every subclass,
+with or without individuals. Every nested-loop row equals its
+`solve_sequence` row.
 
   * `solve`: every IOB predicate under every binding pattern, repeated
     variables included, on a fresh memo, on `random_base` seeds 0-299.

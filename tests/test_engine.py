@@ -218,19 +218,22 @@ def test_memo_usable_after_table_entry_cap_error(monkeypatch):
     base = OntologyBase.from_facts(
         parse_atom(f"subClassOf(c{i},c{i + 1})") for i in range(30)
     )
-    monkeypatch.setattr(engine, "MAX_TABLE_ENTRIES", 40)
+    monkeypatch.setattr(engine, "MAX_TABLE_ENTRIES", 20)
     memo = MemoTable()
     with pytest.raises(EngineLimitError):
-        solve(base, parse_atom("areSubClasses(X,c30)"), memo)
-    # the partial tables of the aborted call are gone, and no call is
-    # left active; the 30 complete areSubClasses(c<i>,c30) tables stay
+        solve(base, parse_atom("areSubClasses(c0,c30)"), memo)
+    # the fully bound call nests one call per node, and the deepest
+    # complete first: the 20 complete areSubClasses(c<i>,c30) tables for
+    # i >= 10 stay, with the empty areSubClasses(c30,c30); the partial
+    # tables of the aborted calls are gone, and no call is left active
     assert not memo._active
-    assert len(memo.tables) == 30
-    assert memo._entries == sum(len(t) for t in memo.tables.values())
+    assert sorted(args[0] for _, args in memo.tables) == list(range(10, 31))
+    assert memo._entries == sum(len(t) for t in memo.tables.values()) == 20
     monkeypatch.setattr(engine, "MAX_TABLE_ENTRIES", 1_000_000)
-    for start, ancestors in (("c20", 10), ("c0", 30)):
-        atom = parse_atom(f"areSubClasses({start},X)")
-        assert len(solve(base, atom, memo).answers) == ancestors
+    for query, answers in (("c20,X", 10), ("c0,X", 30), ("X,c30", 30),
+                           ("c0,c30", 1)):
+        atom = parse_atom(f"areSubClasses({query})")
+        assert len(solve(base, atom, memo).answers) == answers
     atom = parse_atom("areSubClasses(c10,X)")
     assert len(solve_sequence(base, [atom], memo=memo)[0]) == 20
 
@@ -466,29 +469,51 @@ def test_kernel_frames_name_their_call_shape(monkeypatch):
 
 def test_only_first_bound_closure_calls_run_the_left_linear_rule():
     """Of every IOB call shape, the three closures bound in all but
-    their last argument run their recursive rule left-linearly, with the
-    call itself as its one IOB atom; every other shape runs the rules as
+    their last argument run their recursive rule left-linearly, and
+    bound in all but their first in the mirror order, with the call
+    itself as its one IOB atom; two `areIndividuals` shapes make one
+    rule's tabled call first. Every other shape and rule runs as
     written."""
     rewritten = {}
     for pred in IOB_PREDICATES:
         for pattern in binding_patterns(BUILTIN_SCHEMA[pred].arity):
             shape = tuple(None if v is None else f"?{v}" for v in pattern)
             rules = engine._rules_for(pred, shape)
-            if rules != engine._RULES[pred]:
+            assert len(rules) == len(engine._RULES[pred])
+            moved = [r for r in rules if r not in engine._RULES[pred]]
+            if moved:
                 rewritten[str(Atom(pred, tuple(
                     Term.var("B") if p is None else Term.var("F") for p in shape
-                )))] = [str(r) for r in rules[1:]]
+                )))] = [str(r) for r in moved]
     assert rewritten == {
         "areSubClasses(B,F)": [
             "areSubClasses(C1,C2) :- areSubClasses(C1,C3), subClassOf(C3,C2)",
+        ],
+        "areSubClasses(F,B)": [
+            "areSubClasses(C1,C2) :- areSubClasses(C3,C2), subClassOf(C1,C3)",
         ],
         "areImpOntologies(B,F)": [
             "areImpOntologies(O1,O2) :- areImpOntologies(O1,O3),"
             " impOntology(O3,O2)",
         ],
+        "areImpOntologies(F,B)": [
+            "areImpOntologies(O1,O2) :- areImpOntologies(O3,O2),"
+            " impOntology(O1,O3)",
+        ],
+        "areIndividuals(F,B)": [
+            "areIndividuals(I,C2) :- areSubClasses(C1,C2), isIndividual(I,C1)",
+        ],
+        "areIndividuals(B,F)": [
+            "areIndividuals(J,C) :- areStatements(I,P,J),"
+            " allValuesFrom(C1,P,C), isIndividual(I,C1)",
+        ],
         "areStatements(B,B,F)": [
             "areStatements(I,P,J) :- isTransitive(P), areStatements(I,P,K),"
             " isStatement(K,P,J)",
+        ],
+        "areStatements(F,B,B)": [
+            "areStatements(I,P,J) :- isTransitive(P), areStatements(K,P,J),"
+            " isStatement(I,P,K)",
         ],
     }
 
@@ -605,9 +630,13 @@ def _deep_chain_base(depth=300):
     ("areStatements(s0,p,X)", 300, (300, 301)),
     ("areStatements(s150,p,X)", 150, (150, 151)),
     ("areStatements(s290,p,X)", 10, (10, 11)),
+    ("areSubClasses(X,c300)", 300, (300, 300)),
+    ("areSubClasses(X,c10)", 10, (10, 10)),
+    ("areStatements(X,p,s300)", 300, (300, 301)),
 ])
 def test_deep_chain_counters(query, answers, counts):
-    """n = 300 - k nodes above the call: one table of n answers. The
+    """n = 300 - k nodes above the call c<k> (or s<k>), and n = k below
+    the call with its first argument free: one table of n answers. The
     call's edge and each answer's edge but the last's is read once (n
     accesses); areStatements also reads isTransitive(p) once (n + 1)."""
     result = solve(_deep_chain_base(), parse_atom(query))
@@ -630,6 +659,28 @@ def test_a_chain_deeper_than_the_recursion_limit_answers_a_first_bound_call():
     assert _counts(result) == (10_000, 10_000)
 
 
+def test_a_chain_deeper_than_the_recursion_limit_answers_a_last_bound_call():
+    """The mirror closure nests no call either, and `areIndividuals`
+    with its class bound makes its one areSubClasses call first: on a
+    chain ten times deeper than the recursion limit, with one individual
+    per class, both answer. areIndividuals(X,c10000) infers the 10,000
+    subclasses and its 10,001 answers; it reads the closure's 10,000
+    edges, the 10,001 individuals of its own and its subclasses' classes
+    and, for the allValuesFrom rule as written, every individual again."""
+    base = _typed_chain_base(10_000)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        results = [
+            solve(base, parse_atom(q))
+            for q in ("areSubClasses(X,c10000)", "areIndividuals(X,c10000)")
+        ]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [len(r.answers) for r in results] == [10_000, 10_001]
+    assert list(map(_counts, results)) == [(10_000, 10_000), (20_001, 30_002)]
+
+
 def _typed_chain_base(depth=300):
     """`_deep_chain_base` plus one ontology, each chain class in it and
     one individual of each chain class."""
@@ -644,12 +695,17 @@ def _typed_chain_base(depth=300):
 
 
 @pytest.mark.parametrize("queries, answers, counts", [
-    (["areIndividuals(X,c150)"], 151, (301, 904)),
+    (["areIndividuals(X,c150)"], 151, (301, 602)),
     # an IOB step followed by another step extends each substitution
     (["areSubClasses(c150,X)", "isClass(X,O)"], 150, (150, 300)),
-    (["areIndividuals(I,c150)", "isIndividual(I,C)"], 151, (301, 1055)),
+    (["areIndividuals(I,c150)", "isIndividual(I,C)"], 151, (301, 753)),
 ])
 def test_typed_chain_counters(queries, answers, counts):
+    """areIndividuals(X,c150) calls areSubClasses(C1,c150) first: 150
+    subclasses in 150 accesses, then one isIndividual probe per class
+    (151 rows, c150's own included) and, for the allValuesFrom rule as
+    written, all 301 individuals; the 151 answers make 301 inferred
+    facts."""
     atoms = [parse_atom(q) for q in queries]
     base = _typed_chain_base()
     if len(atoms) == 1:
@@ -699,17 +755,31 @@ def test_first_bound_call_on_cycle_reads_only_its_own_table():
 
 
 def test_cyclic_group_is_reexpanded_to_fixpoint():
-    base = OntologyBase.from_facts(parse_atom(f) for f in _CYCLE)
-    result = solve(base, parse_atom("areSubClasses(X,a)"))
-    assert {str(a) for a in result.answers} == {
-        "areSubClasses(a,a)", "areSubClasses(b,a)", "areSubClasses(c,a)",
-    }
-    # the call and the fully bound calls it makes, areSubClasses(b,a),
-    # (c,a) and (a,a), read each other round the cycle: one recursive
-    # group of four tables and six answers. One pass over each call's
-    # rules reads 8 rows; members re-run until their tables stop growing
-    # and the query step then re-runs the group until no table grows: 31.
-    assert _counts(result) == (6, 31)
+    """A fully bound call still nests one call per node. On a -> c,
+    a -> b, b -> t and c -> a, areSubClasses(a,t) first calls (c,t),
+    which reads (a,t) while its table is still empty; (b,t) then answers
+    (a,t). The four tables form one recursive group, and (c,t) holds its
+    answer only because the group is re-expanded until no table grows."""
+    base = OntologyBase.from_facts(parse_atom(f) for f in (
+        "subClassOf(a,c)", "subClassOf(a,b)", "subClassOf(b,t)",
+        "subClassOf(c,a)",
+    ))
+    memo = MemoTable()
+    results = []
+    assert _complete_entries(lambda: results.append(
+        solve(base, parse_atom("areSubClasses(a,t)"), memo)
+    )) == 2
+    assert [str(a) for a in results[0].answers] == ["areSubClasses(a,t)"]
+    assert {
+        base.symbols.text(args[0]): len(rows)
+        for (_, args), rows in memo.tables.items()
+    } == {"a": 1, "b": 1, "c": 1, "t": 0}
+    # three answers; one pass over each call's rules reads 7 rows, and
+    # the re-runs of the members and of the group read the rest
+    assert _counts(results[0]) == (3, 13)
+    assert not memo._active
+    again = solve(base, parse_atom("areSubClasses(c,t)"), memo)
+    assert len(again.answers) == 1 and _counts(again) == (0, 0)
 
 
 def test_repeated_variable_call_on_cycle():
@@ -887,13 +957,12 @@ def test_shared_memo_holds_only_complete_tables_between_calls(base, data):
         assert memo._entries == sum(map(len, memo.tables.values()))
 
 
-@given(st.integers(0, 2**32 - 1), st.randoms(use_true_random=False))
-def test_first_bound_closures_match_the_closed_form(seed, rnd):
-    """Every closure call bound in all but its last argument, on a random
+def _check_closures(seed, rnd, free):
+    """Every closure call bound in all but its `free` end, on a random
     base (cycles included) and on its facts in another insertion order:
-    every constant as the first argument and, for areStatements, every
-    property as the second. Its answers are the oracle's and its counters
-    the closed form `closure_counts`."""
+    every constant at that end's opposite and, for areStatements, every
+    property as the second argument. Its answers are the oracle's and its
+    counters the closed form `closure_counts`."""
     base = random_base(random.Random(seed))
     facts = list(base.facts())
     rnd.shuffle(facts)
@@ -905,13 +974,31 @@ def test_first_bound_closures_match_the_closed_form(seed, rnd):
             sorted({base.symbols.text(c) for c in base.domain_values(d)})
             for d in BUILTIN_SCHEMA[pred].arg_domains[1:-1]
         ]
-        for consts in itertools.product(texts, *middle):
-            atom = Atom(pred, (*map(Term.const, consts), Term.var("X")))
-            want = closure_counts(base, oracle, pred, consts)
+        ends = (texts, *middle) if free == -1 else (*middle, texts)
+        for consts in itertools.product(*ends):
+            args = [*map(Term.const, consts)]
+            args.insert(len(args) if free == -1 else 0, Term.var("X"))
+            atom = Atom(pred, tuple(args))
+            want = closure_counts(base, oracle, pred, consts, free)
             for b in (base, shuffled):
                 result = solve(b, atom)
                 assert set(result.answers) == _instances(atom, oracle), atom
                 assert _counts(result) == want, atom
+
+
+@given(st.integers(0, 2**32 - 1), st.randoms(use_true_random=False))
+def test_first_bound_closures_match_the_closed_form(seed, rnd):
+    """Closure calls with only their last argument free run
+    left-linearly (`_check_closures`)."""
+    _check_closures(seed, rnd, -1)
+
+
+@given(st.integers(0, 2**32 - 1), st.randoms(use_true_random=False))
+def test_last_bound_closures_match_the_closed_form(seed, rnd):
+    """Closure calls with only their first argument free run in the
+    mirror order: as accesses, the in-edges of the call's last constant,
+    the guard once and the in-edges of each answer (`_check_closures`)."""
+    _check_closures(seed, rnd, 0)
 
 
 def _reference_evaluate(base, memo, counters, steps, substs):

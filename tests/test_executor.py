@@ -204,9 +204,9 @@ _HASH = JoinStrategy(JoinMethod.HASH_JOIN)
 
 
 @pytest.mark.parametrize("text, strategy, cost, steps", [
-    (CARS_Q, _NLJ, 29, [(14, 12), (0, 3)]),
-    (CARS_Q, _HASH, 27, [(14, 12), (0, 1)]),
-    (CARS_Q_PRIME, _NLJ, 12, [(0, 1), (5, 6)]),
+    (CARS_Q, _NLJ, 27, [(14, 10), (0, 3)]),
+    (CARS_Q, _HASH, 25, [(14, 10), (0, 1)]),
+    (CARS_Q_PRIME, _NLJ, 10, [(0, 1), (5, 4)]),
     (_CROSS_Q, _HASH, 5, [(0, 2), (0, 3)]),
 ])
 def test_pinned_step_counters_on_cars(cars_base, text, strategy, cost, steps):

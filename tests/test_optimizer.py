@@ -191,7 +191,7 @@ def test_explain_plan_lists_steps(cars_exact_catalog):
 PLAN_PINS = Path(__file__).parent / "data" / "serve_plan_pins.json"
 
 
-def test_serve_style_plans_are_pinned():
+def serve_plans() -> list:
     """Order, strategies and exact estimate of the optimized plan for the
     synthetic chain and star queries of 3-7 subgoals (scale 1, corpus
     seed 0, default sampling)."""
@@ -208,7 +208,11 @@ def test_serve_style_plans_are_pinned():
                 str(q), list(plan.order),
                 [str(s) for s in plan.strategies], repr(plan.estimate),
             ])
-    assert got == json.loads(PLAN_PINS.read_text())
+    return got
+
+
+def test_serve_style_plans_are_pinned():
+    assert serve_plans() == json.loads(PLAN_PINS.read_text())
 
 
 def _drawn_query(data, max_subgoals=5):
@@ -373,3 +377,8 @@ def test_one_plan_per_subgoal_set_is_exact(seed, data):
         cheap = joins.extend(low, card, left, right, (strategy,))[0]
         dear = joins.extend(high, card, left, right, (strategy,))[0]
         assert cheap <= dear
+
+
+if __name__ == "__main__":
+    # Run this file as a script to print fresh serve plan pins.
+    print(json.dumps(serve_plans(), indent=1))

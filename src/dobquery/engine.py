@@ -40,13 +40,14 @@ positions, and the rule's last atom, its one tabled call if it has one,
 gives the head rows (data-centric code generation, Neumann, VLDB 2011;
 specialised Datalog code, Jordan, Scholz & Subotic, CAV 2016). Three
 exceptions are picked per call shape by `_rules_for`. A transitive
-closure called with every argument bound but the last, such as
-`areSubClasses(c,?0)` or `areStatements(i,p,?0)`, runs its recursive
-rule in the equivalent left-linear form, whose one IOB atom is the call
-itself, as a semi-naive loop over the call's own table (Bancilhon &
-Ramakrishnan, 1986); bound in all but the first, such as
-`areSubClasses(?0,c)`, it runs the mirror order over the in-edges. Each
-round probes the edge relation once per row the last round added, so
+closure whose last argument is free and occurs once in the call, such
+as `areSubClasses(c,?0)`, `areSubClasses(?0,?1)` or
+`areStatements(?0,?1,?2)`, runs its recursive rule in the equivalent
+left-linear form, whose one IOB atom is the call itself, as a
+semi-naive loop over the call's own table (Bancilhon & Ramakrishnan,
+1986); else, if its first argument is, such as `areSubClasses(?0,c)` or
+`areStatements(?0,?1,b)`, it runs the mirror order over the in-edges.
+Each round probes the edge relation once per row the last round added, so
 such a call reads no other table, nests no call and completes in one
 run, with one inferred fact per answer. And two `areIndividuals` shapes
 run one rule with its tabled call first, so it makes that call once,
@@ -372,18 +373,21 @@ def _rules_for(pred: str, shape: tuple) -> list[Rule]:
     A closure written right-linearly, `p(X,M…,Y) :- e(X,M…,Y)` and
     `p(X,M…,Y) :- G…, e(X,M…,Z), p(Z,M…,Y)` with guards G over M only,
     runs its recursive rule with the call itself as its one IOB atom
-    when called with every argument bound but one end (Naughton,
-    Ramakrishnan, Sagiv & Ullman, SIGMOD 1989). Bound in all but the
-    last, it runs the equivalent left-linear `p(X,M…,Y) :- G…,
-    p(X,M…,Z), e(Z,M…,Y)`; bound in all but the first, the mirror order
-    `p(X,M…,Y) :- G…, p(Z,M…,Y), e(X,M…,Z)`, whose call has the shape
-    and constants of the call itself. The forms agree only when these
-    are all of p's rules. A rule of `_TABLED_CALL_FIRST` replaces the
-    written rule whose body it reorders, for its shape only (sideways
-    information passing, Beeri & Ramakrishnan, JLP 1991): its one tabled
-    call comes first and binds the EOB atoms' join values, so the call is
-    made once per call of `pred`, before any loop. Any other rules and
-    shapes run as written.
+    when the call has a lone free end: a last, or else first, argument
+    that is a placeholder occurring once in the shape (Naughton,
+    Ramakrishnan, Sagiv & Ullman, SIGMOD 1989). With a lone last end it
+    runs the equivalent left-linear `p(X,M…,Y) :- G…, p(X,M…,Z),
+    e(Z,M…,Y)`; else the mirror order `p(X,M…,Y) :- G…, p(Z,M…,Y),
+    e(X,M…,Z)`, whose call has the shape and constants of the call
+    itself. If an argument in M is free, the guards follow that call
+    instead, since placed first they would bind it and change the call's
+    shape; they are then probed once per row of the call's table. The
+    forms agree only when these are all of p's rules. A rule of
+    `_TABLED_CALL_FIRST` replaces the written rule whose body it
+    reorders, for its shape only (sideways information passing, Beeri &
+    Ramakrishnan, JLP 1991): its one tabled call comes first and binds
+    the EOB atoms' join values, so the call is made once per call of
+    `pred`, before any loop. Any other rules and shapes run as written.
     """
     rules = _RULES.get(pred, [])
     reordered = _TABLED_CALL_FIRST.get((pred, shape))
@@ -393,10 +397,8 @@ def _rules_for(pred: str, shape: tuple) -> list[Rule]:
                   if n.head == r.head and set(n.body) == set(r.body)), r)
             for r in rules
         ]
-    ends = (None,) * (len(shape) - 1)
-    if len(rules) != 2 or len(shape) < 2 or shape not in (
-        ends + ("?0",), ("?0",) + ends
-    ):
+    lone = [p is not None and shape.count(p) == 1 for p in shape]
+    if len(rules) != 2 or len(shape) < 2 or not (lone[0] or lone[-1]):
         return rules
     base, rec = sorted(rules, key=lambda r: len(r.body))
     if len(base.body) != 1 or len(rec.body) < 2:
@@ -412,10 +414,10 @@ def _rules_for(pred: str, shape: tuple) -> list[Rule]:
         and all(set(g.args) <= set(m) for g in guards)
     ):
         return rules
-    if shape[0] is None:
-        body = (*guards, Atom(pred, (x, *m, z)), Atom(e, (z, *m, y)))
-    else:
-        body = (*guards, call, step)
+    if lone[-1]:
+        call, step = Atom(pred, (x, *m, z)), Atom(e, (z, *m, y))
+    free_middle = any(shape[1:-1])
+    body = (call, *guards, step) if free_middle else (*guards, call, step)
     return [Rule(r.head, body) if r is rec else r for r in rules]
 
 

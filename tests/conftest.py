@@ -346,39 +346,57 @@ CLOSURES = {
 }
 
 
-def closure_counts(
-    base: OntologyBase, oracle, pred: str, consts, free: int = -1
-) -> tuple:
-    """Inferred facts and EOB accesses of a closure call of `pred` whose
-    arguments but one end, the last (`free=-1`) or the first (`free=0`),
-    are the constant texts `consts`, evaluated over the call's own table:
-    one inferred fact per answer (the closure, taken from `oracle`, the
-    `bottom_up_oracle` set); as accesses, the rows of edge(x,M...,_)
-    (edge(_,M...,y) when the first is free), the guard's rows once and,
-    if the guard holds, the rows of edge(z,M...,_) (edge(_,M...,z)) for
-    each answer z."""
-    edge, guard = CLOSURES[pred]
-    if free == -1:
-        m, fixed = consts[1:], slice(None, -1)
-    else:
-        m, fixed = consts[:-1], slice(1, None)
-    out: dict[tuple, int] = {}
-    guard_rows = 0
-    for fact in base.facts():
-        args = tuple(t.value for t in fact.args)
+def instances(atom: Atom, facts) -> set[Atom]:
+    """Facts that instantiate `atom`: equal at its constants, and equal
+    wherever it repeats a variable."""
+
+    def matches(fact):
+        binding = {}
+        for t, f in zip(atom.args, fact.args):
+            value = binding.setdefault(t.value, f.value) if t.is_var else t.value
+            if value != f.value:
+                return False
+        return True
+
+    return {f for f in facts if f.predicate == atom.predicate and matches(f)}
+
+
+def closure_counts(base: OntologyBase, oracle, atom: Atom) -> tuple:
+    """Inferred facts and EOB accesses of a closure call `atom` whose
+    last argument, or else its first, is a variable it holds once (its
+    lone free end), evaluated as a loop over the call's own table: one
+    inferred fact per answer (taken from `oracle`, the `bottom_up_oracle`
+    set). Its accesses are the edge rows that instantiate `atom` (the
+    base rule), then, for each answer (x,M...,y), the rows of
+    edge(y,M...,_) (of edge(_,M...,x) when the lone free end is the
+    first) if the guard holds on M. With the arguments between the ends
+    bound, the guard's rows are read once; with one of them free, once
+    per answer."""
+    edge, guard = CLOSURES[atom.predicate]
+    args = atom.args
+    last = args[-1].is_var and args.count(args[-1]) == 1
+    facts = [f for f in base.facts() if f.predicate in (edge, guard)]
+    out: dict[tuple, int] = {}  # (joined end, M...) -> edge rows
+    guard_rows: dict[tuple, int] = {}
+    for fact in facts:
+        values = tuple(t.value for t in fact.args)
         if fact.predicate == edge:
-            out[args[fixed]] = out.get(args[fixed], 0) + 1
-        elif fact.predicate == guard and list(args) == list(m):
-            guard_rows += 1
-    answers = {
-        a.args[free].value for a in oracle if a.predicate == pred
-        and [t.value for t in a.args[fixed]] == list(consts)
-    }
-    eob = out.get(tuple(consts), 0) + guard_rows
-    if guard is None or guard_rows:
-        eob += sum(
-            out.get((z, *m) if free == -1 else (*m, z), 0) for z in answers
-        )
+            key = (values[0] if last else values[-1], *values[1:-1])
+            out[key] = out.get(key, 0) + 1
+        else:
+            guard_rows[values] = guard_rows.get(values, 0) + 1
+    eob = len(instances(Atom(edge, args), facts))
+    middle_free = any(t.is_var for t in args[1:-1])
+    if guard and not middle_free:
+        eob += guard_rows.get(tuple(t.value for t in args[1:-1]), 0)
+    answers = instances(atom, oracle)
+    for fact in answers:
+        m = tuple(t.value for t in fact.args[1:-1])
+        holds = 1 if guard is None else guard_rows.get(m, 0)
+        if guard and middle_free:
+            eob += holds
+        if holds:
+            eob += out.get((fact.args[-1 if last else 0].value, *m), 0)
     return len(answers), eob
 
 

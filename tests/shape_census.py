@@ -1,0 +1,95 @@
+"""Per-shape census of two recordings of `engine_counter_pins.json`.
+
+For each IOB predicate and call shape of the pins' `solve` rows, it
+prints the total inferred facts and EOB accesses over the 300 seeds in
+the parent's recording and in the change's, and in how many seeds each
+counter rose (+) and fell (-). Shapes are written as the kernels name
+them: `b` for a constant, `?n` for a free argument. A last line counts
+the query rows that moved, and any seed whose answer count moved is
+named, since a change to the counters must not move one.
+
+Run this file as a script: `python tests/shape_census.py PARENT.json
+[CHANGE.json]`; CHANGE.json defaults to this tree's pins.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+from conftest import binding_patterns
+
+from dobquery.model import BUILTIN_SCHEMA, IOB_PREDICATES
+
+PINS = Path(__file__).parent / "data" / "engine_counter_pins.json"
+
+
+def call_shapes() -> list[str]:
+    """The call of each `solve` row of a seed, in the pins' row order."""
+    return [
+        f"{pred}(" + ",".join(
+            "b" if v is None else f"?{v}" for v in pattern
+        ) + ")"
+        for pred in IOB_PREDICATES
+        for pattern in binding_patterns(BUILTIN_SCHEMA[pred].arity)
+    ]
+
+
+def census(parent: dict, change: dict) -> list[list]:
+    """Per call shape: [shape, seeds whose answer count moved, and for
+    inferred facts and then EOB accesses: parent total, change total,
+    seeds up, seeds down]."""
+    out = []
+    for i, shape in enumerate(call_shapes()):
+        pairs = [
+            (rows[i], change["solve"][seed][i])
+            for seed, rows in parent["solve"].items()
+        ]
+        row = [shape, sum(old[0] != new[0] for old, new in pairs)]
+        for k in (1, 2):
+            row += [
+                sum(old[k] for old, _ in pairs),
+                sum(new[k] for _, new in pairs),
+                sum(new[k] > old[k] for old, new in pairs),
+                sum(new[k] < old[k] for old, new in pairs),
+            ]
+        out.append(row)
+    return out
+
+
+def main(argv: list[str]) -> int:
+    if not 1 <= len(argv) <= 2:
+        print("usage: python tests/shape_census.py PARENT.json"
+              " [CHANGE.json]", file=sys.stderr)
+        return 2
+    parent, change = (
+        json.loads(Path(p).read_text()) for p in (*argv, PINS)[:2]
+    )
+    print(f"{'call shape':<28} {'inferred facts':>17} {'+':>4} {'-':>4}"
+          f" {'EOB accesses':>17} {'+':>4} {'-':>4}")
+    moved_answers = []
+    for shape, answers, *counts in census(parent, change):
+        if answers:
+            moved_answers.append(f"{shape} in {answers} seeds")
+        cells = []
+        for old, new, up, down in (counts[:4], counts[4:]):
+            cells.append(f"{old:>7,} -> {new:>7,} {up:>4} {down:>4}")
+        print(f"{shape:<28} {cells[0]} {cells[1]}")
+    columns = [
+        (seed, old, new)
+        for seed, rows in parent["queries"].items()
+        for row, new_row in zip(rows, change["queries"][seed])
+        for old, new in zip(row, new_row)
+    ]
+    moved = sum(old != new for _, old, new in columns)
+    print(f"queries: {moved} of {len(columns)} columns moved")
+    moved_answers += [
+        f"query seed {seed}" for seed, o, n in columns if o[0] != n[0]
+    ]
+    if moved_answers:
+        print("answer counts moved: " + "; ".join(moved_answers))
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -53,8 +53,7 @@ def _report(num, text, elapsed):
     print(f"\nACCEPTANCE {num} PASS: {text} [{elapsed:.2f}s]")
 
 
-@pytest.fixture(scope="module")
-def corpus():
+def acceptance_corpus():
     """10 synthetic ontologies x 6 three-subgoal queries, with catalogs."""
     bases, queries = [], []
     for seed in range(10):
@@ -63,6 +62,11 @@ def corpus():
         queries.append(qs)
     catalogs = [build_catalog(b, CORPUS_SAMPLING) for b in bases]
     return bases, queries, catalogs
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return acceptance_corpus()
 
 
 def test_criterion_1_motivating_example():

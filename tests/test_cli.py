@@ -325,9 +325,9 @@ def test_gen_and_bench_pipeline(tmp_path, capsys):
 
 
 def test_query_deep_chain_hits_table_cap_cleanly(workspace, tmp_path, capsys):
-    # With both arguments free, areSubClasses tables one call per chain
-    # node, each holding the node's ancestors, so a 3000-deep chain
-    # derives about 4.5M answers.
+    # With both arguments free, areSubClasses keeps one table of every
+    # (subclass, ancestor) pair, which on a 3000-deep chain is about 4.5M
+    # answers.
     _dob, catalog = workspace
     chain = tmp_path / "chain.dob"
     chain.write_text("".join(

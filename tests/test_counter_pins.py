@@ -18,8 +18,17 @@ began to run the mirror order over their own table and two
 `areStatements(?0,?1,b)` call tables every statement into its constant
 where the written order reached only the pairs `allValuesFrom` names,
 and 11 are `areIndividuals(?0,b)`, whose one call tables every subclass,
-with or without individuals. Every nested-loop row equals its
-`solve_sequence` row.
+with or without individuals. They were recorded a fourth time when
+every closure call with a lone free end (its last argument, or else its
+first, a variable it holds once) began to run over its own table,
+whatever its other arguments: 2,151 `solve` rows and 439 query rows
+moved, and no answer count did. Of the 12 `solve` rows whose cost rose,
+3 are `areStatements(?0,?1,?2)`, which now reads `isTransitive` once
+per answer, and 9 are `areIndividuals` calls whose
+`areStatements(?0,b,?1)` call no longer leaves behind the
+`areStatements(b,b,?0)` tables that another of their rules then reads.
+`python tests/shape_census.py` prints such moves per call shape. Every
+nested-loop row equals its `solve_sequence` row.
 
   * `solve`: every IOB predicate under every binding pattern, repeated
     variables included, on a fresh memo, on `random_base` seeds 0-299.

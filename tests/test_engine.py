@@ -35,7 +35,7 @@ from dobquery.model import (
 from dobquery.store import _same_rows
 from conftest import (
     CLOSURES, SERVE_Q17, binding_patterns, bottom_up_oracle, closure_counts,
-    random_base, random_query,
+    instances, random_base, random_query,
 )
 
 
@@ -467,11 +467,13 @@ def test_kernel_frames_name_their_call_shape(monkeypatch):
     )
 
 
-def test_only_first_bound_closure_calls_run_the_left_linear_rule():
-    """Of every IOB call shape, the three closures bound in all but
-    their last argument run their recursive rule left-linearly, and
-    bound in all but their first in the mirror order, with the call
-    itself as its one IOB atom; two `areIndividuals` shapes make one
+def test_only_lone_free_end_closures_and_two_areindividuals_shapes_are_reordered():
+    """Of every IOB call shape, the 14 closure shapes whose last
+    argument, or else first, is a placeholder that occurs once (a lone
+    free end) run their recursive rule left-linearly, or in the mirror
+    order, with the call itself as its one IOB atom. The guard comes
+    first when the arguments between the ends are bound, and after the
+    call when one of them is free. Two `areIndividuals` shapes make one
     rule's tabled call first. Every other shape and rule runs as
     written."""
     rewritten = {}
@@ -482,38 +484,46 @@ def test_only_first_bound_closure_calls_run_the_left_linear_rule():
             assert len(rules) == len(engine._RULES[pred])
             moved = [r for r in rules if r not in engine._RULES[pred]]
             if moved:
-                rewritten[str(Atom(pred, tuple(
-                    Term.var("B") if p is None else Term.var("F") for p in shape
-                )))] = [str(r) for r in moved]
+                name = ",".join("b" if p is None else p for p in shape)
+                rewritten[f"{pred}({name})"] = [str(r) for r in moved]
+    sub_left = ["areSubClasses(C1,C2) :- areSubClasses(C1,C3),"
+                " subClassOf(C3,C2)"]
+    sub_mirror = ["areSubClasses(C1,C2) :- areSubClasses(C3,C2),"
+                  " subClassOf(C1,C3)"]
+    imp_left = ["areImpOntologies(O1,O2) :- areImpOntologies(O1,O3),"
+                " impOntology(O3,O2)"]
+    imp_mirror = ["areImpOntologies(O1,O2) :- areImpOntologies(O3,O2),"
+                  " impOntology(O1,O3)"]
+    head = "areStatements(I,P,J) :- "
+    guard_left = [head + "isTransitive(P), areStatements(I,P,K),"
+                  " isStatement(K,P,J)"]
+    left_guard = [head + "areStatements(I,P,K), isTransitive(P),"
+                  " isStatement(K,P,J)"]
+    guard_mirror = [head + "isTransitive(P), areStatements(K,P,J),"
+                    " isStatement(I,P,K)"]
+    mirror_guard = [head + "areStatements(K,P,J), isTransitive(P),"
+                    " isStatement(I,P,K)"]
     assert rewritten == {
-        "areSubClasses(B,F)": [
-            "areSubClasses(C1,C2) :- areSubClasses(C1,C3), subClassOf(C3,C2)",
-        ],
-        "areSubClasses(F,B)": [
-            "areSubClasses(C1,C2) :- areSubClasses(C3,C2), subClassOf(C1,C3)",
-        ],
-        "areImpOntologies(B,F)": [
-            "areImpOntologies(O1,O2) :- areImpOntologies(O1,O3),"
-            " impOntology(O3,O2)",
-        ],
-        "areImpOntologies(F,B)": [
-            "areImpOntologies(O1,O2) :- areImpOntologies(O3,O2),"
-            " impOntology(O1,O3)",
-        ],
-        "areIndividuals(F,B)": [
+        "areSubClasses(b,?0)": sub_left,
+        "areSubClasses(?0,?1)": sub_left,
+        "areSubClasses(?0,b)": sub_mirror,
+        "areImpOntologies(b,?0)": imp_left,
+        "areImpOntologies(?0,?1)": imp_left,
+        "areImpOntologies(?0,b)": imp_mirror,
+        "areStatements(b,b,?0)": guard_left,
+        "areStatements(?0,b,?1)": guard_left,
+        "areStatements(b,?0,?1)": left_guard,
+        "areStatements(?0,?0,?1)": left_guard,
+        "areStatements(?0,?1,?2)": left_guard,
+        "areStatements(?0,b,b)": guard_mirror,
+        "areStatements(?0,?1,b)": mirror_guard,
+        "areStatements(?0,?1,?1)": mirror_guard,
+        "areIndividuals(?0,b)": [
             "areIndividuals(I,C2) :- areSubClasses(C1,C2), isIndividual(I,C1)",
         ],
-        "areIndividuals(B,F)": [
+        "areIndividuals(b,?0)": [
             "areIndividuals(J,C) :- areStatements(I,P,J),"
             " allValuesFrom(C1,P,C), isIndividual(I,C1)",
-        ],
-        "areStatements(B,B,F)": [
-            "areStatements(I,P,J) :- isTransitive(P), areStatements(I,P,K),"
-            " isStatement(K,P,J)",
-        ],
-        "areStatements(F,B,B)": [
-            "areStatements(I,P,J) :- isTransitive(P), areStatements(K,P,J),"
-            " isStatement(I,P,K)",
         ],
     }
 
@@ -633,12 +643,19 @@ def _deep_chain_base(depth=300):
     ("areSubClasses(X,c300)", 300, (300, 300)),
     ("areSubClasses(X,c10)", 10, (10, 10)),
     ("areStatements(X,p,s300)", 300, (300, 301)),
+    ("areSubClasses(X,Y)", 45_150, (45_150, 45_150)),
+    ("areStatements(X,p,Y)", 45_150, (45_150, 45_151)),
+    ("areStatements(X,P,Y)", 45_150, (45_150, 90_300)),
 ])
 def test_deep_chain_counters(query, answers, counts):
     """n = 300 - k nodes above the call c<k> (or s<k>), and n = k below
     the call with its first argument free: one table of n answers. The
     call's edge and each answer's edge but the last's is read once (n
-    accesses); areStatements also reads isTransitive(p) once (n + 1)."""
+    accesses); areStatements also reads isTransitive(p) once (n + 1).
+    With both ends free, one table of the d(d+1)/2 = 45,150 pairs: the
+    base rule reads the 300 edges and each pair (x,y) the edge out of y,
+    which 44,850 pairs have. With the property free too, the call comes
+    before isTransitive, which it reads once per pair."""
     result = solve(_deep_chain_base(), parse_atom(query))
     assert len(result.answers) == answers
     assert _counts(result) == counts
@@ -872,29 +889,15 @@ def _call_atoms(pred, data, variables=("X", "Y")):
         ))
 
 
-def _instances(atom, facts):
-    """Facts that instantiate `atom`."""
-
-    def matches(fact):
-        binding = {}
-        for t, f in zip(atom.args, fact.args):
-            value = binding.setdefault(t.value, f.value) if t.is_var else t.value
-            if value != f.value:
-                return False
-        return True
-
-    return {f for f in facts if f.predicate == atom.predicate and matches(f)}
-
-
 @given(_bases, st.data())
 def test_engine_matches_oracle_for_every_binding_pattern(base, data):
     oracle = bottom_up_oracle(base)
     for pred in IOB_PREDICATES:
         for atom in _call_atoms(pred, data):
             answers = solve(base, atom).answers
-            assert set(answers) == _instances(atom, oracle), atom
+            assert set(answers) == instances(atom, oracle), atom
             assert list(answers) == sorted(
-                _instances(atom, oracle), key=str
+                instances(atom, oracle), key=str
             ), atom
 
 
@@ -952,17 +955,26 @@ def test_shared_memo_holds_only_complete_tables_between_calls(base, data):
             except EngineLimitError:
                 assert cap is not None
             else:
-                assert set(answers) == _instances(atom, oracle), atom
+                assert set(answers) == instances(atom, oracle), atom
         assert not memo._active
         assert memo._entries == sum(map(len, memo.tables.values()))
 
 
-def _check_closures(seed, rnd, free):
-    """Every closure call bound in all but its `free` end, on a random
-    base (cycles included) and on its facts in another insertion order:
-    every constant at that end's opposite and, for areStatements, every
-    property as the second argument. Its answers are the oracle's and its
-    counters the closed form `closure_counts`."""
+def _lone_free_end(pattern) -> bool:
+    """Whether a binding pattern's last argument, or else its first, is
+    a variable that occurs once in it."""
+    return any(
+        v is not None and pattern.count(v) == 1
+        for v in (pattern[0], pattern[-1])
+    )
+
+
+def _check_closures(seed, rnd, wanted):
+    """Every closure call of each lone-free-end binding pattern that
+    `wanted` accepts, on a random base (cycles included) and on its facts
+    in another insertion order: every constant at a bound end and, for
+    areStatements, every property as a bound second argument. Its answers
+    are the oracle's and its counters the closed form `closure_counts`."""
     base = random_base(random.Random(seed))
     facts = list(base.facts())
     rnd.shuffle(facts)
@@ -970,27 +982,34 @@ def _check_closures(seed, rnd, free):
     oracle = bottom_up_oracle(base)
     texts = [base.symbols.text(c) for c in range(len(base.symbols))]
     for pred in CLOSURES:
-        middle = [
+        domains = BUILTIN_SCHEMA[pred].arg_domains
+        values = [texts] + [
             sorted({base.symbols.text(c) for c in base.domain_values(d)})
-            for d in BUILTIN_SCHEMA[pred].arg_domains[1:-1]
-        ]
-        ends = (texts, *middle) if free == -1 else (*middle, texts)
-        for consts in itertools.product(*ends):
-            args = [*map(Term.const, consts)]
-            args.insert(len(args) if free == -1 else 0, Term.var("X"))
-            atom = Atom(pred, tuple(args))
-            want = closure_counts(base, oracle, pred, consts, free)
-            for b in (base, shuffled):
-                result = solve(b, atom)
-                assert set(result.answers) == _instances(atom, oracle), atom
-                assert _counts(result) == want, atom
+            for d in domains[1:-1]
+        ] + [texts]
+        for pattern in binding_patterns(len(domains)):
+            if not (_lone_free_end(pattern) and wanted(pattern)):
+                continue
+            bound = [pos for pos, v in enumerate(pattern) if v is None]
+            for consts in itertools.product(*(values[pos] for pos in bound)):
+                at = dict(zip(bound, consts))
+                atom = Atom(pred, tuple(
+                    Term.const(at[pos]) if v is None else Term.var(f"V{v}")
+                    for pos, v in enumerate(pattern)
+                ))
+                want = closure_counts(base, oracle, atom)
+                for b in (base, shuffled):
+                    result = solve(b, atom)
+                    assert set(result.answers) == instances(atom, oracle), atom
+                    assert _counts(result) == want, atom
 
 
 @given(st.integers(0, 2**32 - 1), st.randoms(use_true_random=False))
 def test_first_bound_closures_match_the_closed_form(seed, rnd):
     """Closure calls with only their last argument free run
     left-linearly (`_check_closures`)."""
-    _check_closures(seed, rnd, -1)
+    _check_closures(seed, rnd, lambda p: p.count(None) == len(p) - 1
+                    and p[-1] is not None)
 
 
 @given(st.integers(0, 2**32 - 1), st.randoms(use_true_random=False))
@@ -998,7 +1017,21 @@ def test_last_bound_closures_match_the_closed_form(seed, rnd):
     """Closure calls with only their first argument free run in the
     mirror order: as accesses, the in-edges of the call's last constant,
     the guard once and the in-edges of each answer (`_check_closures`)."""
-    _check_closures(seed, rnd, 0)
+    _check_closures(seed, rnd, lambda p: p.count(None) == len(p) - 1
+                    and p[0] is not None)
+
+
+@given(st.integers(0, 2**32 - 1), st.randoms(use_true_random=False))
+def test_lone_free_end_closures_with_more_free_arguments_match_the_closed_form(
+    seed, rnd
+):
+    """The closure calls with a lone free end and at least one more free
+    argument: `areSubClasses(X,Y)`, `areImpOntologies(X,Y)` and six
+    `areStatements` shapes. They run left-linearly when the last argument
+    is the lone free end, else in the mirror order. With a free property
+    the call comes before the guard, so `isTransitive` is read once per
+    answer (`_check_closures`)."""
+    _check_closures(seed, rnd, lambda p: p.count(None) < len(p) - 1)
 
 
 def _reference_evaluate(base, memo, counters, steps, substs):

@@ -49,12 +49,16 @@ semi-naive loop over the call's own table (Bancilhon & Ramakrishnan,
 `areStatements(?0,?1,b)`, it runs the mirror order over the in-edges.
 Each round probes the edge relation once per row the last round added, so
 such a call reads no other table, nests no call and completes in one
-run, with one inferred fact per answer. And two `areIndividuals` shapes
-run one rule with its tabled call first, so it makes that call once,
-before its loops, instead of once per row of a scan. Each kernel is
-compiled under a filename naming it, such as `<dobquery kernel
-areStatements(b,b,?0)>`, so tracebacks and profilers tell kernels
-apart. Tables hold the call's free values, in placeholder
+run, with one inferred fact per answer. And three `areIndividuals`
+shapes run some rules in another body order (`_BODY_ORDERS`):
+`areIndividuals(?0,c)` runs one rule, and `areIndividuals(i,?0)` all
+four of its property rules, with the tabled call first, so each such
+call is made once, before the rule's loops, instead of once per row of
+a scan; `areIndividuals(i,c)` probes its `allValuesFrom` rule's EOB
+atoms bound-first, before the tabled call it still makes last. Each
+kernel is compiled under a filename naming it, such as `<dobquery
+kernel areStatements(b,b,?0)>`, so tracebacks and profilers tell
+kernels apart. Tables hold the call's free values, in placeholder
 order: a row of `areSubClasses(c,?0)` is `(x,)`, not `(c, x)`, so the
 constants and repeated variables the canonical pattern encodes are
 stored once per table, not once per answer (substitution factoring;
@@ -72,10 +76,10 @@ a query body would change its counters. A rule kernel keeps the order of
 this batch evaluation because a rule has at most one IOB atom, and it is
 the last (`_compile_rules` refuses any other written rule), or it is
 made once per call of the rule's head: a closure's reordered rule reads
-only the call's own table, and a rule of `_TABLED_CALL_FIRST` makes its
-one call before any loop, with the call's constants only. An IOB
-row of a query step is exactly the values the step binds, so the step
-appends it to its substitution unchanged.
+only the call's own table, and a rule of `_BODY_ORDERS` whose tabled
+call comes first makes it before any loop, with the call's constants
+only. An IOB row of a query step is exactly the values the step binds,
+so the step appends it to its substitution unchanged.
 
 Callers outside the engine use only its public core: `compile_query`
 turns query atoms into steps, interning their constants through a memo,
@@ -328,10 +332,10 @@ def _compile_rules(program) -> dict[str, list[Rule]]:
     evaluation only when a body has at most one IOB atom and it is the
     last, so any other rule is refused. The orders `_rules_for` picks per
     call shape are not written rules and keep that call order too: each
-    reads only the call's own table or makes its one call first, once
-    per call of the head (see there). The built-in program's heads use
-    distinct variables and its rules hold no constants, so its kernels
-    hold no ids and serve every base.
+    reads only the call's own table, makes its one call first, once per
+    call of the head, or keeps that call last (see there). The built-in
+    program's heads use distinct variables and its rules hold no
+    constants, so its kernels hold no ids and serve every base.
     """
     rules: dict[str, list[Rule]] = {}
     for rule in program:
@@ -350,18 +354,29 @@ def _is_eob(atom: Atom) -> bool:
 _RULES = _compile_rules(builtin_iob_program())
 
 
-# Rules whose kernel, for calls of one shape, makes the rule's one tabled
-# call before its EOB atoms, which it then probes with the call's values
-# bound: (pred, shape) -> those rules, each a written rule of pred with its
-# body in another order.
-_TABLED_CALL_FIRST = {
+# Body orders per call shape: (pred, shape) -> rules, each a written rule
+# of pred with its body in another order, which the kernel for calls of
+# that shape runs in its stead. A rule whose first atom is tabled makes
+# that one call before its EOB atoms, which it then probes with the
+# call's values bound; any other rule keeps its tabled call last.
+_BODY_ORDERS = {
     ("areIndividuals", ("?0", None)): (
         _r("areIndividuals(I,C2)", "areSubClasses(C1,C2)",
            "isIndividual(I,C1)"),
     ),
     ("areIndividuals", (None, "?0")): (
+        _r("areIndividuals(I,C)", "areStatements(I,P,J)",
+           "isOProperty(P,C,R)"),
+        _r("areIndividuals(J,C)", "areStatements(I,P,J)",
+           "isOProperty(P,D,C)"),
+        _r("areIndividuals(I,C)", "areStatements(I,P,J)",
+           "isDProperty(P,C)"),
         _r("areIndividuals(J,C)", "areStatements(I,P,J)",
            "allValuesFrom(C1,P,C)", "isIndividual(I,C1)"),
+    ),
+    ("areIndividuals", (None, None)): (
+        _r("areIndividuals(J,C)", "allValuesFrom(C1,P,C)",
+           "isIndividual(I,C1)", "areStatements(I,P,J)"),
     ),
 }
 
@@ -383,14 +398,17 @@ def _rules_for(pred: str, shape: tuple) -> list[Rule]:
     instead, since placed first they would bind it and change the call's
     shape; they are then probed once per row of the call's table. The
     forms agree only when these are all of p's rules. A rule of
-    `_TABLED_CALL_FIRST` replaces the written rule whose body it
-    reorders, for its shape only (sideways information passing, Beeri &
-    Ramakrishnan, JLP 1991): its one tabled call comes first and binds
-    the EOB atoms' join values, so the call is made once per call of
-    `pred`, before any loop. Any other rules and shapes run as written.
+    `_BODY_ORDERS` replaces the written rule whose body it reorders, for
+    its shape only (sideways information passing, Beeri & Ramakrishnan,
+    JLP 1991). If its tabled call comes first, that call binds the EOB
+    atoms' join values and is made once per call of `pred`, before any
+    loop: `areIndividuals(i,?0)` makes at most two `areStatements`
+    calls, `(i,?0,?1)` and `(?0,?1,i)`, not one per property. Else its
+    EOB atoms come bound-first and its tabled call stays last. Any other
+    rules and shapes run as written.
     """
     rules = _RULES.get(pred, [])
-    reordered = _TABLED_CALL_FIRST.get((pred, shape))
+    reordered = _BODY_ORDERS.get((pred, shape))
     if reordered:
         return [
             next((n for n in reordered

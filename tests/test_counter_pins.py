@@ -27,6 +27,18 @@ moved, and no answer count did. Of the 12 `solve` rows whose cost rose,
 per answer, and 9 are `areIndividuals` calls whose
 `areStatements(?0,b,?1)` call no longer leaves behind the
 `areStatements(b,b,?0)` tables that another of their rules then reads.
+They were recorded a fifth time when `areIndividuals(b,?0)` began to run
+its three property rules with the tabled call first, and
+`areIndividuals(b,b)` its `allValuesFrom` rule with its EOB atoms
+bound-first: 578 `solve` rows and 66 query rows moved, all of them
+calls of those two shapes, and no answer count did. Of the 85 `solve`
+rows whose cost rose, 78 are `areIndividuals(b,?0)` on tiny bases: it
+reads a property's `isOProperty` or `isDProperty` rows once per row of
+its `areStatements` calls, where the written order read each such fact
+once;
+7 are `areIndividuals(b,b)`, where the class's `allValuesFrom` facts
+outnumber the `isIndividual` rows the written order scanned, and 6 of
+them are re-run in a recursive group, once per round.
 `python tests/shape_census.py` prints such moves per call shape. Every
 nested-loop row equals its `solve_sequence` row.
 

@@ -467,15 +467,16 @@ def test_kernel_frames_name_their_call_shape(monkeypatch):
     )
 
 
-def test_only_lone_free_end_closures_and_two_areindividuals_shapes_are_reordered():
+def test_only_lone_free_end_closures_and_three_areindividuals_shapes_are_reordered():
     """Of every IOB call shape, the 14 closure shapes whose last
     argument, or else first, is a placeholder that occurs once (a lone
     free end) run their recursive rule left-linearly, or in the mirror
     order, with the call itself as its one IOB atom. The guard comes
     first when the arguments between the ends are bound, and after the
-    call when one of them is free. Two `areIndividuals` shapes make one
-    rule's tabled call first. Every other shape and rule runs as
-    written."""
+    call when one of them is free. `areIndividuals(?0,b)` makes one
+    rule's tabled call first and `areIndividuals(b,?0)` four, and
+    `areIndividuals(b,b)` runs its `allValuesFrom` rule with its EOB
+    atoms bound-first. Every other shape and rule runs as written."""
     rewritten = {}
     for pred in IOB_PREDICATES:
         for pattern in binding_patterns(BUILTIN_SCHEMA[pred].arity):
@@ -522,10 +523,140 @@ def test_only_lone_free_end_closures_and_two_areindividuals_shapes_are_reordered
             "areIndividuals(I,C2) :- areSubClasses(C1,C2), isIndividual(I,C1)",
         ],
         "areIndividuals(b,?0)": [
+            "areIndividuals(I,C) :- areStatements(I,P,J), isOProperty(P,C,R)",
+            "areIndividuals(J,C) :- areStatements(I,P,J), isOProperty(P,D,C)",
+            "areIndividuals(I,C) :- areStatements(I,P,J), isDProperty(P,C)",
             "areIndividuals(J,C) :- areStatements(I,P,J),"
             " allValuesFrom(C1,P,C), isIndividual(I,C1)",
         ],
+        "areIndividuals(b,b)": [
+            "areIndividuals(J,C) :- allValuesFrom(C1,P,C),"
+            " isIndividual(I,C1), areStatements(I,P,J)",
+        ],
     }
+
+
+def test_every_body_order_reorders_one_written_rule():
+    """An entry of `_BODY_ORDERS` runs in place of the written rule of
+    its predicate with the same head and body atoms, so a mistyped entry
+    would run the written rule instead; each entry must find exactly
+    one, and no two entries of a shape the same one. Its one tabled call
+    comes first or last. Coming first, it is made once per call, before
+    any loop of its rule, and reads only the call's constant positions:
+    the kernel makes it with the key's constants `k<i>` and placeholders
+    only, and with at least one constant, so the call is narrowed by
+    them."""
+    assert engine._BODY_ORDERS
+    for (pred, shape), entries in engine._BODY_ORDERS.items():
+        written = engine._RULES[pred]
+        replaced = []
+        for entry in entries:
+            text = str(entry)
+            same = [
+                r for r in written if r.head == entry.head
+                and sorted(map(str, r.body)) == sorted(map(str, entry.body))
+            ]
+            assert len(same) == 1, text
+            assert same[0] != entry, text
+            replaced += same
+            iob = [
+                j for j, a in enumerate(entry.body) if not engine._is_eob(a)
+            ]
+            assert iob in ([0], [len(entry.body) - 1]), text
+        assert len(set(replaced)) == len(replaced), (pred, shape)
+
+        source = engine._kernel_source(pred, shape)[0]
+        for entry in entries:
+            text = str(entry)
+            if engine._is_eob(entry.body[0]):
+                continue
+            rule_source = source.split(f"    # {text}\n")[1].split("    # ")[0]
+            calls = [
+                ast.parse(line.split(" = ", 1)[1]).body[0].value
+                for line in rule_source.splitlines()
+                if line.startswith("    call = ")
+            ]
+            assert len(calls) == 1, text
+            name, args = calls[0].elts
+            assert name.value == entry.body[0].predicate
+            assert all(
+                isinstance(a, ast.Name) and re.fullmatch(r"k\d+", a.id)
+                or isinstance(a, ast.Constant) and a.value.startswith("?")
+                for a in args.elts
+            ), text
+            assert any(isinstance(a, ast.Name) for a in args.elts), text
+
+
+def _tables(base, memo) -> set[str]:
+    return {
+        f"{pred}(" + ",".join(
+            a if isinstance(a, str) else base.symbols.text(a) for a in args
+        ) + ")"
+        for pred, args in memo.tables
+    }
+
+
+def test_areindividuals_of_an_individual_makes_two_statement_tables():
+    """areIndividuals(i,X) makes its `areStatements` calls first, with i
+    bound: its object- and datatype-property rules read
+    `areStatements(i,?0,?1)`, and the rules that reach i as a statement's
+    value `areStatements(?0,?1,i)`, and then probe the property facts by
+    each row's property. No call is made per property.
+
+    Counted by hand, without `isTransitive` facts:
+      * isIndividual(i,c1) gives c1 (1 access, 1 inferred fact), and is
+        read again by the subclass rule, whose one call
+        `areSubClasses(c1,?0)` finds no edge (1 access);
+      * `areStatements(i,?0,?1)` holds (p1,j) and (q1,v) (2 accesses, 2
+        inferred facts); its recursive rule probes `isTransitive` once
+        per row and finds nothing;
+      * `areStatements(?0,?1,i)` holds (k,p2) (1 access, 1 inferred
+        fact);
+      * the domain rule probes isOProperty(p1,...) and isOProperty(q1,...)
+        (1 access, c1 again), the range rule isOProperty(p2,...) (1
+        access: c3, 1 inferred fact), the datatype rule isDProperty(p1,...)
+        and isDProperty(q1,...) (1 access, c1 again), and the
+        allValuesFrom rule allValuesFrom(...,p2,...) (nothing).
+    That is 5 inferred facts and 8 EOB accesses, and 2 answers. The
+    written order, which scans the property facts and makes one call per
+    property, makes 11 tables at 6 inferred facts and 14 accesses."""
+    base = OntologyBase.from_facts(map(parse_atom, [
+        "isOProperty(p1,c1,c2)", "isOProperty(p2,c2,c3)",
+        "isOProperty(p3,c3,c1)", "isDProperty(q1,c1)", "isDProperty(q2,c2)",
+        "isStatement(i,p1,j)", "isStatement(i,q1,v)", "isStatement(k,p2,i)",
+        "isIndividual(i,c1)",
+    ]))
+    memo = MemoTable()
+    atom = parse_atom("areIndividuals(i,X)")
+    result = solve(base, atom, memo)
+    assert sorted(map(str, result.answers)) == [
+        "areIndividuals(i,c1)", "areIndividuals(i,c3)",
+    ]
+    assert {str(a) for a in result.answers} == {
+        str(a) for a in bottom_up_oracle(base)
+        if a.predicate == "areIndividuals" and a.args[0].value == "i"
+    }
+    assert _counts(result) == (5, 8)
+    assert _tables(base, memo) == {
+        "areIndividuals(i,?0)", "areSubClasses(c1,?0)",
+        "areStatements(i,?0,?1)", "areStatements(?0,?1,i)",
+    }
+
+
+def test_areindividuals_fully_bound_reads_no_individual_without_allvaluesfrom():
+    """areIndividuals(j,c) probes its `allValuesFrom` rule's atoms
+    bound-first: allValuesFrom(C1,P,c) comes first and finds nothing,
+    so no `isIndividual` row is read for it, where the written order
+    read all three before it."""
+    base = OntologyBase.from_facts(map(parse_atom, [
+        *(f"isIndividual(x{k},d)" for k in range(3)),
+        "isStatement(x0,p,j)", "isClass(c,o)",
+    ]))
+    memo = MemoTable()
+    result = solve(base, parse_atom("areIndividuals(j,c)"), memo)
+    assert len(result.answers) == 0
+    assert _counts(result) == (0, 0)
+    assert _tables(base, memo) == {"areIndividuals(j,c)"}
 
 
 @pytest.mark.parametrize("body", [

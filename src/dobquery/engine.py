@@ -86,9 +86,10 @@ turns query atoms into steps, interning their constants through a memo,
 and `evaluate` runs steps on a batch of substitutions. `solve`,
 `solve_sequence` and the executor are built on these two, and `solve`
 and the executor return one `EvaluationResult` whose `Answers` hold the
-distinct head id rows and build text only when iterated. One bound
-holds for all of them: each step is sized before it is built and refused
-past `MAX_BATCH_ROWS` substitutions (`check_batch`).
+distinct head id rows and build text only when iterated, from the
+base's constant pool, which decodes each constant once per base. One
+bound holds for all of them: each step is sized before it is built and
+refused past `MAX_BATCH_ROWS` substitutions (`check_batch`).
 
 Two work counters are carried through evaluation:
   * inferred facts  - one per distinct answer added to a table; a memo
@@ -105,7 +106,6 @@ import linecache
 import sys
 from collections.abc import Collection, Iterator
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable, NamedTuple
 
 from .model import (
@@ -114,7 +114,6 @@ from .model import (
     PredicateKind,
     Rule,
     SchemaError,
-    Term,
     _r,
     builtin_iob_program,
     schema_for,
@@ -167,8 +166,10 @@ class Answers:
     the collection; `rows` sorts it by id once and keeps that tuple, and
     equality with another `Answers` of the same symbol table and head
     compares those; any other `Answers` compares by its atoms. Iteration
-    builds the `Atom`s, in the order of their text, from one shared
-    `Term` per constant.
+    builds the `Atom`s, in the order of their text, from the constant
+    pool of the symbol table (`SymbolTable.terms` and `printed`): one
+    `Term` and one printed text per id, built when the base's answers
+    are first iterated and shared by every later iteration.
     """
 
     __slots__ = ("_rows", "_sorted", "symbols", "head")
@@ -209,18 +210,8 @@ class Answers:
 
     def __iter__(self) -> Iterator[Atom]:
         head = self.head
-        rows = self._rows
-        text = self.symbols.text
-        # One `Term` per distinct id of the rows. Ranking each id by its
-        # text sorts the answers as their text would: an argument is
-        # followed by `,` or `)`, which sort below every character that
-        # may continue an unquoted constant, and quoted constants are
-        # prefix-free.
-        ids = set(chain.from_iterable(rows))
-        terms = {v: Term.const(text(v)) for v in ids}
-        by_text = sorted(terms, key=lambda v: str(terms[v]))
-        rank = dict(zip(by_text, range(len(by_text)))).__getitem__
-        term = list(map(terms.__getitem__, by_text)).__getitem__
+        term = self.symbols.terms().__getitem__
+        printed = self.symbols.printed().__getitem__
         # `arrange(values + head constants)` is in head argument order.
         head_consts = tuple(t for t in head.args if not t.is_var)
         n_vars = len(head.args) - len(head_consts)
@@ -230,8 +221,13 @@ class Answers:
             next(var_at) if t.is_var else next(const_at) for t in head.args
         ])
         pred = head.predicate
-        for ranks in sorted(tuple(map(rank, row)) for row in rows):
-            yield Atom(pred, arrange(tuple(map(term, ranks)) + head_consts))
+        # Sorting rows by their ids' printed texts sorts the answers as
+        # their text would: an argument is followed by `,` or `)`, which
+        # sort below every character that may continue an unquoted
+        # constant, and quoted constants are prefix-free.
+        by_text = sorted(self._rows, key=lambda row: tuple(map(printed, row)))
+        for row in by_text:
+            yield Atom(pred, arrange(tuple(map(term, row)) + head_consts))
 
     def __eq__(self, other) -> bool:
         if (isinstance(other, Answers) and other.symbols is self.symbols

@@ -10,7 +10,6 @@ probes, each rebuilt when next asked for. Append-only, set semantics.
 
 from __future__ import annotations
 
-from functools import cache
 from operator import itemgetter
 from typing import Callable
 
@@ -40,11 +39,19 @@ def _same_rows(rows, same) -> list[tuple[int, ...]]:
 
 
 class SymbolTable:
-    """Bidirectional mapping between constant text and integer ids."""
+    """Bidirectional mapping between constant text and integer ids.
+
+    Also the base's constant pool: `terms` and `printed` list each id's
+    `Term` and printed text, `str(Term)`. Each list is extended to the
+    table's size when read and never rebuilt, since ids are only
+    appended, so each constant is decoded once per base.
+    """
 
     def __init__(self):
         self._ids: dict[str, int] = {}
         self._texts: list[str] = []
+        self._terms: list[Term] = []
+        self._printed: list[str] = []
 
     def intern(self, text: str) -> int:
         cid = self._ids.get(text)
@@ -59,6 +66,21 @@ class SymbolTable:
 
     def text(self, cid: int) -> str:
         return self._texts[cid]
+
+    def terms(self) -> list[Term]:
+        """The `Term` of each id, indexed by id. Do not mutate."""
+        terms = self._terms
+        if len(terms) < len(self._texts):
+            terms.extend(map(Term.const, self._texts[len(terms):]))
+        return terms
+
+    def printed(self) -> list[str]:
+        """The printed text of each id, `str(Term)`, indexed by id; ids
+        sort as their answers' text does. Do not mutate."""
+        printed = self._printed
+        if len(printed) < len(self._texts):
+            printed.extend(map(str, self.terms()[len(printed):]))
+        return printed
 
     def __len__(self) -> int:
         return len(self._texts)
@@ -161,9 +183,9 @@ class OntologyBase:
         return self._pools[domain]
 
     def facts(self):
-        """All facts as ground atoms, in global assertion order, with one
-        `Term` per distinct constant."""
-        term = cache(lambda cid: Term.const(self.symbols.text(cid)))
+        """All facts as ground atoms, in global assertion order, built
+        from the symbol table's pooled `Term`s (never its printed texts)."""
+        term = self.symbols.terms().__getitem__
         for pred, row in self._facts:
             yield Atom(pred, tuple(map(term, row)))
 

@@ -199,10 +199,12 @@ def _refuse_answers(*_args):
 
 def test_experiments_read_no_answers(tiny_corpus, monkeypatch):
     """The harness and its catalogs count answers but never sort or
-    iterate them."""
+    iterate them, and never read the constant pool answers iterate from."""
     bases, queries = tiny_corpus
     monkeypatch.setattr(Answers, "rows", property(_refuse_answers))
     monkeypatch.setattr(Answers, "__iter__", _refuse_answers)
+    monkeypatch.setattr(SymbolTable, "terms", _refuse_answers)
+    monkeypatch.setattr(SymbolTable, "printed", _refuse_answers)
     ratio = run_ratio(bases, queries, SamplingConfig(seed=1))
     corr = run_correlation(bases, queries, SamplingConfig(seed=1))
     assert len(ratio.ratios) == 2

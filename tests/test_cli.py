@@ -801,9 +801,20 @@ q(vehicle2,'Head K',vehicle2,vehicle)
 """
 
 
+PINNED_QUOTED_CLASSES = r"""q('Car')
+q('SUV Model')
+q('a, b')
+q('back\\slash')
+q('x\'y')
+q(vehicle)
+q(vehicle2)
+"""
+
+
 def test_query_stdout_pin_with_quoted_constants(tmp_path, capsys):
-    """`dobq query` prints answers in text order, byte for byte; the head
-    carries a constant and a repeated variable."""
+    """`dobq query` prints answers in text order, byte for byte: rows of
+    four columns whose head carries a constant and a repeated variable,
+    and rows of one column, where `vehicle` precedes `vehicle2`."""
     dob = tmp_path / "quoted.dob"
     dob.write_text(QUOTED_DOB, encoding="utf-8")
     catalog = tmp_path / "quoted.cat"
@@ -817,6 +828,14 @@ def test_query_stdout_pin_with_quoted_constants(tmp_path, capsys):
     assert code == 0, err
     assert out == PINNED_QUOTED_OUT
     assert "answers: 18" in err
+    code, out, err = run(
+        capsys,
+        "query", str(dob), "--catalog", str(catalog),
+        "-q", "q(C):-isClass(C,O).",
+    )
+    assert code == 0, err
+    assert out == PINNED_QUOTED_CLASSES
+    assert "answers: 7" in err
 
 
 @pytest.mark.parametrize("config, message", [

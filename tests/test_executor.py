@@ -1,8 +1,9 @@
 import random
 import time
 import tracemalloc
+from collections import Counter
 from itertools import compress, repeat
-from operator import itemgetter
+from operator import is_, itemgetter
 
 import pytest
 from hypothesis import example, given, settings
@@ -707,6 +708,78 @@ def test_answers_read_by_need_match_the_eager_answers(width, data):
     second = substs()
     _assert_answers_match_eager(base, head, var_slot, first)
     _assert_answers_match_eager(base, head, var_slot, second)
+
+
+def _count_term_const(monkeypatch) -> Counter:
+    """Counts, per constant text, the `Term.const` calls made from now on."""
+    built: Counter = Counter()
+    const = Term.const
+
+    def counting_const(value):
+        built[value] += 1
+        return const(value)
+
+    monkeypatch.setattr(Term, "const", staticmethod(counting_const))
+    return built
+
+
+def test_answers_and_facts_share_the_pooled_terms():
+    """Two iterations of one `Answers`, and the base's facts, hold one
+    and the same `Term` object per constant."""
+    base = random_base(random.Random(7))
+    answers = solve(base, parse_atom("areSubClasses(C,D)")).answers
+    first, second = list(answers), list(answers)
+    assert first == second and len(first) > 1
+    pooled: dict[str, Term] = {}
+    for fact in base.facts():
+        for t in fact.args:
+            assert pooled.setdefault(t.value, t) is t
+    for a, b in zip(first, second):
+        for s, t in zip(a.args, b.args):
+            assert s is t is pooled[s.value]
+
+
+def test_iterating_answers_twice_builds_each_term_once(monkeypatch):
+    """The pool builds one `Term` per constant of the base, when answers
+    are first iterated; a second iteration, and the facts, build none."""
+    base = random_base(random.Random(7))
+    answers = solve(base, parse_atom("areSubClasses(C,D)")).answers
+    built = _count_term_const(monkeypatch)
+    first = list(answers)
+    texts = [base.symbols.text(i) for i in range(len(base.symbols))]
+    assert built == Counter(texts)
+    assert list(answers) == first
+    assert len(list(base.facts())) == len(base)
+    assert built == Counter(texts)
+
+
+def test_new_constants_extend_the_pool(monkeypatch):
+    """After facts add k new constants, the next iteration builds exactly
+    k more `Term`s, keeps the earlier entries as they were, and sorts the
+    new constants among the old ones."""
+    base = OntologyBase.from_facts(
+        parse_atom(f"isOntology({o})") for o in ("b", "'Zed'", "d")
+    )
+    head = parse_atom("isOntology(O)")
+    assert [str(a) for a in solve(base, head).answers] == [
+        "isOntology('Zed')", "isOntology(b)", "isOntology(d)",
+    ]
+    terms = list(base.symbols.terms())
+    printed = list(base.symbols.printed())
+    new = [parse_atom(f"isOntology({o})") for o in ("c", "'a b'", "dd")]
+    built = _count_term_const(monkeypatch)
+    for fact in new:
+        base.assert_fact(fact)
+    answers = solve(base, head).answers
+    got = list(answers)
+    assert built == Counter(["c", "a b", "dd"])
+    assert all(map(is_, base.symbols.terms()[:3], terms))
+    assert all(map(is_, base.symbols.printed()[:3], printed))
+    assert got == _eager_atoms(base.symbols, head, answers.rows)
+    assert [str(a) for a in got] == [
+        "isOntology('Zed')", "isOntology('a b')", "isOntology(b)",
+        "isOntology(c)", "isOntology(d)", "isOntology(dd)",
+    ]
 
 
 def _eager_equi_join(base, memo, counters, atom, batch, var_slot):

@@ -34,6 +34,7 @@ from dobquery.stats import (
     load_catalog,
     pattern_cardinality,
 )
+from dobquery.store import SymbolTable
 from conftest import bottom_up_oracle, random_base, scaled_config
 
 
@@ -482,10 +483,13 @@ def _refuse_answer_text(*_args):
 
 def test_catalogs_build_no_answer_text(cars_base, monkeypatch):
     """The analyzer reads answer counts and id rows only: building either
-    catalog makes no answer `Atom`."""
+    catalog makes no answer `Atom` and reads no pooled `Term` or printed
+    text, so it builds no constant pool."""
     bases = [cars_base, random_base(random.Random(5))]
     monkeypatch.setattr(OntologyBase, "facts", _refuse_answer_text)
     monkeypatch.setattr(Answers, "__iter__", _refuse_answer_text)
+    monkeypatch.setattr(SymbolTable, "terms", _refuse_answer_text)
+    monkeypatch.setattr(SymbolTable, "printed", _refuse_answer_text)
     for base in bases:
         build_catalog(base, SamplingConfig())
         build_exact_catalog(base)

@@ -6,28 +6,26 @@ per-pattern table. The memo keeps one table dict, `memo.tables`, and a
 table is complete if and only if its call is not in `memo._active`,
 which plays the completion stack of the SLG-WAM. A call whose rules read
 only complete tables is complete after one pass over its rules. A call
-that read an active (incomplete) table, itself included, is re-expanded
-until its table stops growing, and it stays active while a table it read
-is active; the query step that made the outermost call then re-expands
-the whole active group until no table grows and completes the group by
-clearing the active set (SLG-style completion, Chen & Warren, JACM
-1996). This terminates on cyclic subclass/import graphs and never
-returns an incomplete answer set.
+that read an active (incomplete) table, itself included, stays active
+after its pass; the query step that made the outermost call then re-runs
+every active call until no table grows and completes the whole group by
+clearing the active set (SLG-style completion, Chen & Warren, JACM 1996,
+by naive iteration, Bancilhon & Ramakrishnan, 1986). This terminates on
+cyclic subclass/import graphs and never returns an incomplete answer set.
 
-The one-pass call is the common one (building a catalog, nearly every
-table completes in one pass and stays empty), so it is the cheap path: a
-call with a complete table is read straight from the memo, and a rule
-kernel completes a one-pass call in place (early completion, as in the
-SLG-WAM; Sagonas & Swift, TOPLAS 1998). It creates the callee's table,
-marks it active and runs the callee's kernel directly. A kernel returns
-None, or the set of active calls it read; if the callee returned None,
-it read only complete tables, and its call leaves the active set. Only a
-first pass that read an active table leaves the kernel, for `_complete`,
-which holds the revision loop. A call made in a kernel never leads a
-recursive group, since its caller is still running, so is active and is
-older; only a query step's call can, so the group loop is in `evaluate`
-alone. No call keeps cleanup of its own: an evaluation that raises drops
-the active tables at its entry (`evaluate`).
+The one-pass call is the common one (building a catalog, every table
+completes in one pass and most stay empty), so it is the cheap
+path: a call with a complete table is read straight from the memo, and a
+rule kernel completes a one-pass call in place (early completion, as in
+the SLG-WAM; Sagonas & Swift, TOPLAS 1998). It creates the callee's
+table, marks it active and runs the callee's kernel directly. A kernel
+returns None if it read only complete tables, and its call then leaves
+the active set, or True if it read an active table, and its call stays
+active. A call made in a kernel never leads a recursive group, since its
+caller is still running, so is active and is older; only a query step's
+call can, so the one fixpoint loop is in `evaluate`. No call keeps
+cleanup of its own: an evaluation that raises drops the active tables at
+its entry (`evaluate`).
 
 The built-in rule program is compiled once per process into rule
 kernels: one generated Python function per IOB predicate and call shape
@@ -95,9 +93,10 @@ Two work counters are carried through evaluation:
   * inferred facts  - one per distinct answer added to a table; a memo
     hit contributes nothing,
   * EOB accesses    - one per extensional fact returned by a match.
-Their sum is the actual evaluation cost used by the experiments. Each
-call pattern is expanded once unless it is part of a recursive group, so
-the counters carry no re-evaluation of complete tables.
+Their sum is the actual evaluation cost used by the experiments. A call
+pattern is expanded once, and a member of a recursive group once more per
+round of its query step's loop, so the counters carry no re-evaluation
+of complete tables.
 """
 
 from __future__ import annotations
@@ -447,9 +446,8 @@ def _tuple(items) -> str:
 
 def _kernel_source(pred: str, shape: tuple) -> tuple[str, dict, dict]:
     """Source of the kernel of `pred` for calls of `shape`, the globals
-    it reads but its callees (row getters `g<i>` and `_complete`), and
-    the global `c<i>` it calls each callee by, keyed by the callee's
-    (predicate, shape).
+    it reads but its callees (row getters `g<i>`), and the global `c<i>`
+    it calls each callee by, keyed by the callee's (predicate, shape).
 
     Each rule runs once, as nested loops over its EOB atoms, with every
     variable in a local: `k<i>` is the constant at call argument i, read
@@ -471,11 +469,11 @@ def _kernel_source(pred: str, shape: tuple) -> tuple[str, dict, dict]:
     table gets a fresh one, is marked active and runs its callee's
     kernel `c<i>` directly. A callee that returns None read only
     complete tables, and its call leaves the active set here; one that
-    returns the active calls it read is finished by `_complete`. Then a
-    table whose call is not in `memo._active` is complete and read as it
-    is; an active one, found so or left so by its callee, is added to
-    the active calls this kernel read, `deps`, which it returns, and is
-    read as a snapshot list, since evaluation may still add to it.
+    returns True stays active. Then a table whose call is not in
+    `memo._active` is complete and read as it is; an active one, found
+    so or left so by its callee, is read as a snapshot list, since
+    evaluation may still add to it, and sets `deps`, the kernel's
+    return value, to True.
     """
     head = [f"p{p[1:]}" for p in dict.fromkeys(p for p in shape if p)]
     getters: dict[str, Callable] = {}
@@ -556,18 +554,12 @@ def _kernel_source(pred: str, shape: tuple) -> tuple[str, dict, dict]:
                     f"{indent}if {rows} is None:",
                     f"{indent}    {rows} = tables[call] = {{}}",
                     f"{indent}    active[call] = {callee}",
-                    f"{indent}    entries = memo._entries",
-                    f"{indent}    read = {callee}(base, memo, counters, call)",
-                    f"{indent}    if read is None:",
+                    f"{indent}    if {callee}(base, memo, counters, call)"
+                    " is None:",
                     f"{indent}        del active[call]",
-                    f"{indent}    else:",
-                    f"{indent}        _complete(base, memo, counters, call,"
-                    f" entries, read)",
                     f"{indent}if call in active:",
                     f"{indent}    {rows} = list({rows})",
-                    f"{indent}    if deps is None:",
-                    f"{indent}        deps = set()",
-                    f"{indent}    deps.add(call)",
+                    f"{indent}    deps = True",
                     f"{indent}if {rows}:",
                 ]
                 # an IOB row holds the values of the variables it binds
@@ -611,8 +603,7 @@ def _kernel_source(pred: str, shape: tuple) -> tuple[str, dict, dict]:
                 f"{rounds}memo._added(len(delta), counters)",
             ]
     lines += ["    counters.eob_accesses += eob", "    return deps"]
-    namespace = {"_complete": _complete, **getters}
-    return "\n".join(lines) + "\n", namespace, callees
+    return "\n".join(lines) + "\n", getters, callees
 
 
 # (pred, shape) -> its kernel, for every shape compiled in this process
@@ -625,8 +616,8 @@ def _plan(pred: str, shape: tuple) -> Callable:
     A shape marks each constant argument None and each free argument
     with its placeholder. The kernel, `kernel(base, memo, counters,
     key)`, runs every rule of `pred` once for the call `key` of that
-    shape, adds the new rows to its table and returns None or the
-    active calls it read (see `_kernel_source`). Its code names no
+    shape, adds the new rows to its table and returns None, or True if
+    it read an active table (see `_kernel_source`). Its code names no
     constant, so one kernel serves every memo and base. Building it
     builds the kernels of the calls it can make; it is cached before
     they are bound, so recursive kernels find each other.
@@ -654,7 +645,8 @@ class MemoTable:
         self.tables: dict[tuple, dict[tuple[int, ...], None]] = {}
         self._active: dict[tuple, Callable] = {}
         # Answers in all tables. It falls only when `_drop_active` drops an
-        # aborted evaluation's tables, so within a call it measures growth.
+        # aborted evaluation's tables, so within a query step it measures
+        # growth.
         self._entries = 0
         self._base: OntologyBase | None = None
         self._unseen: dict[str, int] = {}
@@ -712,13 +704,13 @@ def evaluate(base, memo, counters, steps, substs):
     does it build its substitutions. An EOB step's rows are its probe
     buckets after the repeated-variable filter. An IOB step answers a
     call from its table in `memo.tables`, and a call with no table gets
-    one and a first pass of its kernel, finished by `_complete` if that
-    pass read an active table. No kernel calls `evaluate`, so
+    one and a pass of its kernel. No kernel calls `evaluate`, so
     `memo._active` is empty whenever a step looks a call up: a call the
     step starts is the oldest active call, and every call still active
     after it returns is in its recursive group. The step re-runs them
-    all until no table grows and completes them by clearing the active
-    set. A table a step finds is therefore complete.
+    all until no table grows, the engine's one fixpoint loop, and
+    completes them by clearing the active set. A table a step finds is
+    therefore complete.
 
     If evaluation raises (say, at the entry cap), the tables it left
     active are dropped, so the memo can still be used; tabled calls keep
@@ -745,15 +737,9 @@ def evaluate(base, memo, counters, steps, substs):
                     if rows is None:
                         rows = tables[key] = {}
                         active[key] = kernel
-                        size = memo._entries
-                        deps = kernel(base, memo, counters, key)
-                        if deps is None:
+                        if kernel(base, memo, counters, key) is None:
                             del active[key]
-                        else:
-                            _complete(base, memo, counters, key, size, deps)
-                        # saturate the recursive group the call leads,
-                        # re-running members whose inputs grew after they
-                        # stabilized
+                        # saturate the recursive group the call leads
                         while active:
                             size = memo._entries
                             for other, other_kernel in list(active.items()):
@@ -780,33 +766,6 @@ def evaluate(base, memo, counters, steps, substs):
     except BaseException:
         memo._drop_active()
         raise
-
-
-def _complete(base, memo, counters, key, size, deps):
-    """Finish the call `key` after the first pass of its kernel, which
-    read the active calls `deps`; `size` is `memo._entries` before that
-    pass.
-
-    The call is re-expanded until its table stops growing. If it read
-    no active call but itself, it is complete and leaves `memo._active`;
-    otherwise it stays active, in the recursive group that the query
-    step saturates (`evaluate`), and its table stays in `memo.tables`
-    either way.
-
-    No table this call read while it was active completes during its
-    loop: active tables complete only when the query step's call
-    returns, and that call is an ancestor of every running call. So the
-    dependencies need no completeness test, and a later pass reads the
-    same active calls as the first: the base does not change, so each
-    pass makes the same calls, and every call the first pass made now
-    has a table.
-    """
-    kernel = memo._active[key]
-    while memo._entries != size:
-        size = memo._entries
-        kernel(base, memo, counters, key)
-    if not deps - {key}:
-        del memo._active[key]
 
 
 def compile_query(memo, atoms, var_slot: dict[str, int]) -> tuple[_Step, ...]:

@@ -25,7 +25,7 @@ from dobquery import (
     parse_query,
 )
 from dobquery.engine import EvaluationResult
-from dobquery.model import BUILTIN_SCHEMA, Term, schema_for
+from dobquery.model import BUILTIN_SCHEMA, IOB_PREDICATES, Term, schema_for
 from dobquery.optimizer import Plan
 from dobquery.stats import EobStats, IobStats, StatisticsCatalog, all_patterns
 
@@ -144,6 +144,27 @@ def binding_patterns(arity: int) -> list[tuple]:
             )))
         ]
     return out
+
+
+def random_calls(rng: random.Random, base: OntologyBase):
+    """One call of every IOB predicate under every binding pattern, in
+    `binding_patterns` order: a bound argument is a constant drawn with
+    `rng` from the base's values of its domain ("zz" if it has none), and
+    free argument n is the variable `V<n>`."""
+    text = base.symbols.text
+    for pred in IOB_PREDICATES:
+        domains = BUILTIN_SCHEMA[pred].arg_domains
+        for pattern in binding_patterns(len(domains)):
+            args = []
+            for domain, v in zip(domains, pattern):
+                if v is None:
+                    pool = base.domain_values(domain)
+                    args.append(Term.const(
+                        text(rng.choice(pool)) if pool else "zz"
+                    ))
+                else:
+                    args.append(Term.var(f"V{v}"))
+            yield Atom(pred, tuple(args))
 
 
 def random_query(rng, base) -> Query:

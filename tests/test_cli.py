@@ -324,6 +324,37 @@ def test_gen_and_bench_pipeline(tmp_path, capsys):
     assert len(ratio_report.read_text().strip().splitlines()) == 1 + 2 * 6
 
 
+def test_bench_of_one_replica_directory_is_its_rows_of_the_corpus(
+    tmp_path, capsys
+):
+    """`bench correlate` on one replica's directory, which holds
+    `base.dob` itself, runs that replica alone: its CSV is the
+    replica's rows of the whole corpus's CSV, with `base1` in its base
+    and query labels read as `base0`."""
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({
+        "ontologies": 2, "classes_per_ontology": 5, "subclass_edges": 6,
+        "object_properties": 2, "datatype_properties": 2,
+        "transitive_properties": 1, "individuals": 10, "statements": 12,
+        "import_edges": 1, "seed": 5,
+    }))
+    corpus = tmp_path / "corpus"
+    assert run(capsys, "gen", str(config), "-o", str(corpus),
+               "--replicas", "2")[0] == 0
+    whole, single = tmp_path / "whole.csv", tmp_path / "single.csv"
+    assert run(capsys, "bench", "correlate", str(corpus),
+               "-o", str(whole))[0] == 0
+    assert run(capsys, "bench", "correlate", str(corpus / "rep001"),
+               "-o", str(single))[0] == 0
+    header, *rows = whole.read_text().splitlines()
+    second = [
+        row.replace("base1", "base0") for row in rows
+        if row.startswith("base1,")
+    ]
+    assert len(second) == 6 * 6  # 6 queries x 3! orderings
+    assert single.read_text().splitlines() == [header, *second]
+
+
 def test_query_deep_chain_hits_table_cap_cleanly(workspace, tmp_path, capsys):
     # With both arguments free, areSubClasses keeps one table of every
     # (subclass, ancestor) pair, which on a 3000-deep chain is about 4.5M

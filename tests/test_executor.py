@@ -254,8 +254,8 @@ def test_nested_loop_counts_as_solve_sequence(seed):
 
 
 @pytest.mark.parametrize("seed, counts", [
-    (9000, (20, 257)),
-    (9011, (37, 389)),
+    (9000, (20, 201)),
+    (9011, (37, 290)),
 ])
 def test_recursive_group_counts_pinned(seed, counts):
     """(inferred facts, EOB accesses) of `_CYCLE_Q` on two bases where a

@@ -19,6 +19,7 @@ import csv
 import math
 import time
 from dataclasses import dataclass, field
+from statistics import median_low
 
 from .costmodel import default_strategies
 from .executor import execute, shared_prefixes
@@ -80,12 +81,6 @@ def pearson(xs, ys) -> float | None:
     if sxx == 0 or syy == 0:
         return None
     return sxy / math.sqrt(sxx * syy)
-
-
-def _median_low(values) -> int:
-    """Lower middle element of an even-length list (deterministic)."""
-    ordered = sorted(values)
-    return ordered[(len(ordered) - 1) // 2]
 
 
 def _query_orderings(bases, queries, config, strategies, catalogs):
@@ -188,7 +183,7 @@ def run_ratio(
         report.rows += rows
         actuals = [r.actual_cost for r in rows]
         optimal = _chosen_cost(rows, query, catalog, strategies)
-        worst, median = max(actuals), _median_low(actuals)
+        worst, median = max(actuals), median_low(actuals)
         report.ratios.append(
             RatioRow(
                 base_id=rows[0].base_id,

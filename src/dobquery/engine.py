@@ -166,9 +166,10 @@ class Answers:
     equality with another `Answers` of the same symbol table and head
     compares those; any other `Answers` compares by its atoms. Iteration
     builds the `Atom`s, in the order of their text, from the constant
-    pool of the symbol table (`SymbolTable.terms` and `printed`): one
-    `Term` and one printed text per id, built when the base's answers
-    are first iterated and shared by every later iteration.
+    pool of the symbol table: the `Term` the loader interned for each
+    id (`SymbolTable.terms`), and its printed text (`printed`), made
+    the first time any answer reads that id and shared by every later
+    iteration.
     """
 
     __slots__ = ("_rows", "_sorted", "symbols", "head")
@@ -209,8 +210,8 @@ class Answers:
 
     def __iter__(self) -> Iterator[Atom]:
         head = self.head
-        term = self.symbols.terms().__getitem__
-        printed = self.symbols.printed().__getitem__
+        term = self.symbols.terms.__getitem__
+        printed = self.symbols.printed.__getitem__
         # `arrange(values + head constants)` is in head argument order.
         head_consts = tuple(t for t in head.args if not t.is_var)
         n_vars = len(head.args) - len(head_consts)
@@ -671,6 +672,19 @@ class MemoTable:
             local = -(len(self._unseen) + 1)
             self._unseen[text] = local
         return local
+
+    def mark(self) -> tuple[int, int, int]:
+        """The memo's table count, unseen-constant count and entry count,
+        for a later `rewind`."""
+        return len(self.tables), len(self._unseen), self._entries
+
+    def rewind(self, mark: tuple[int, int, int]):
+        """Drop the tables and unseen constants added since `mark`, the
+        last ones of each dict, and restore its entry count."""
+        tables, unseen, self._entries = mark
+        for grown, length in ((self.tables, tables), (self._unseen, unseen)):
+            for _ in range(len(grown) - length):
+                grown.popitem()
 
     def _drop_active(self):
         """Forget the tables an aborted evaluation left active.

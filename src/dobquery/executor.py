@@ -181,29 +181,21 @@ def _equi_join(base, memo, counters, atom, batch, var_slot):
 
 class _State(NamedTuple):
     """What an execution holds after a step: the step, its batch and
-    counters, the lengths of the memo's tables and unseen constants and
-    of the variable slots, and the memo's entry and counter totals."""
+    counters, the memo's `mark`, the number of variable slots and the
+    counter totals."""
 
     atom: Atom | None
     strategy: JoinStrategy | None
     batch: _Batch
     counters: Counters | None
-    tables: int
-    unseen: int
+    memo: tuple[int, int, int]
     slots: int
-    entries: int
     inferred: int
     eob: int
 
 
-_START = _State(None, None, _Batch([()], 0), None, 0, 0, 0, 0, 0, 0)
+_START = _State(None, None, _Batch([()], 0), None, (0, 0, 0), 0, 0, 0)
 _FIRST = JoinStrategy(JoinMethod.NESTED_LOOP)  # the first step's strategy
-
-
-def _cut(grown: dict, length: int):
-    """Drop the entries `grown` gained after it had `length` of them."""
-    for _ in range(len(grown) - length):
-        grown.popitem()
 
 
 class _Run:
@@ -230,11 +222,9 @@ class _Run:
             n += 1
         del self.states[n + 1:]
         state = self.states[n]
-        memo = self.memo
-        _cut(memo.tables, state.tables)
-        _cut(memo._unseen, state.unseen)
-        _cut(self.var_slot, state.slots)
-        memo._entries = state.entries
+        self.memo.rewind(state.memo)
+        for _ in range(len(self.var_slot) - state.slots):
+            self.var_slot.popitem()
         return state
 
 
@@ -308,8 +298,7 @@ def execute(base, plan: Plan) -> EvaluationResult:
                     total.eob_accesses - eob0,
                 )
             states.append(_State(
-                atom, strategy, batch, counters, len(memo.tables),
-                len(memo._unseen), len(var_slot), memo._entries,
+                atom, strategy, batch, counters, memo.mark(), len(var_slot),
                 total.inferred_facts, total.eob_accesses,
             ))
     except EngineLimitError as err:

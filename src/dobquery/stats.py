@@ -181,14 +181,12 @@ def _evaluate_sample(base, predicate, bound: dict[int, int], cache):
     hit = cache.get(key)
     if hit is not None:
         return hit[:2]
-    arity = schema_for(predicate).arity
-    args = []
-    for i in range(arity):
-        if i in bound:
-            args.append(Term.const(base.symbols.text(bound[i])))
-        else:
-            args.append(Term.var(f"V{i}"))
-    result = engine.solve(base, Atom(predicate, tuple(args)), engine.MemoTable())
+    term = base.symbols.terms
+    args = [
+        term[bound[i]] if i in bound else Term.var(f"V{i}")
+        for i in range(schema_for(predicate).arity)
+    ]
+    result = engine.solve(base, Atom(predicate, args), engine.MemoTable())
     card, cost = float(len(result.answers)), float(result.actual_cost)
     cache[key] = (
         card, cost, result.inferred_fact_count, result.eob_access_count

@@ -38,52 +38,49 @@ def _same_rows(rows, same) -> list[tuple[int, ...]]:
     return [row for row in rows if all(row[i] == row[j] for i, j in same)]
 
 
-class SymbolTable:
-    """Bidirectional mapping between constant text and integer ids.
+class _PrintedTexts(dict):
+    """Printed text of each id read so far, `str(Term)`, keyed by id;
+    an id's text is made the first time it is read."""
 
-    Also the base's constant pool: `terms` and `printed` list each id's
-    `Term` and printed text, `str(Term)`. Each list is extended to the
-    table's size when read and never rebuilt, since ids are only
-    appended, so each constant is decoded once per base.
+    def __init__(self, terms: list[Term]):
+        self.terms = terms
+
+    def __missing__(self, cid: int) -> str:
+        text = self[cid] = str(self.terms[cid])
+        return text
+
+
+class SymbolTable:
+    """Bidirectional mapping between constants and integer ids.
+
+    Also the base's constant pool: `terms` lists, by id, the `Term` the
+    loader interned, and `printed` maps an id to its printed text,
+    `str(Term)`, made when an answer first reads it. Ids are only
+    appended, so each constant has one `Term` and at most one printed
+    text per base. Do not mutate either.
     """
 
     def __init__(self):
         self._ids: dict[str, int] = {}
-        self._texts: list[str] = []
-        self._terms: list[Term] = []
-        self._printed: list[str] = []
+        self.terms: list[Term] = []
+        self.printed = _PrintedTexts(self.terms)
 
-    def intern(self, text: str) -> int:
-        cid = self._ids.get(text)
+    def intern(self, term: Term) -> int:
+        """Id of constant `term`; a new constant's id holds `term` itself."""
+        cid = self._ids.get(term.value)
         if cid is None:
-            cid = len(self._texts)
-            self._ids[text] = cid
-            self._texts.append(text)
+            cid = self._ids[term.value] = len(self.terms)
+            self.terms.append(term)
         return cid
 
     def lookup(self, text: str) -> int | None:
         return self._ids.get(text)
 
     def text(self, cid: int) -> str:
-        return self._texts[cid]
-
-    def terms(self) -> list[Term]:
-        """The `Term` of each id, indexed by id. Do not mutate."""
-        terms = self._terms
-        if len(terms) < len(self._texts):
-            terms.extend(map(Term.const, self._texts[len(terms):]))
-        return terms
-
-    def printed(self) -> list[str]:
-        """The printed text of each id, `str(Term)`, indexed by id; ids
-        sort as their answers' text does. Do not mutate."""
-        printed = self._printed
-        if len(printed) < len(self._texts):
-            printed.extend(map(str, self.terms()[len(printed):]))
-        return printed
+        return self.terms[cid].value
 
     def __len__(self) -> int:
-        return len(self._texts)
+        return len(self.terms)
 
 
 class OntologyBase:
@@ -121,10 +118,11 @@ class OntologyBase:
                 if schema_for(pred, len(args)).kind is not PredicateKind.EOB:
                     raise SchemaError(f"cannot assert intensional fact: {fact}")
                 checked.add((pred, len(args)))
-            texts = [t.value for t in args if t.kind == "const"]
-            if len(texts) != len(args):
+            if any(t.kind != "const" for t in args):
                 raise NonGroundFactError(f"fact contains variables: {fact}")
-            row = tuple([ids[t] if t in ids else intern(t) for t in texts])
+            row = tuple([
+                ids[t.value] if t.value in ids else intern(t) for t in args
+            ])
             if (pred, row) not in self._facts:
                 self._facts[pred, row] = None
                 self._rows.setdefault(pred, []).append(row)
@@ -183,9 +181,9 @@ class OntologyBase:
         return self._pools[domain]
 
     def facts(self):
-        """All facts as ground atoms, in global assertion order, built
-        from the symbol table's pooled `Term`s (never its printed texts)."""
-        term = self.symbols.terms().__getitem__
+        """All facts as ground atoms, in global assertion order, holding
+        the `Term`s the loader interned."""
+        term = self.symbols.terms.__getitem__
         for pred, row in self._facts:
             yield Atom(pred, tuple(map(term, row)))
 

@@ -13,6 +13,7 @@ type-coherent, and every query contains at least one intensional subgoal.
 from __future__ import annotations
 
 import json
+import math
 import random
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
@@ -138,13 +139,16 @@ def _generate_facts(config: SynthConfig, rng: random.Random) -> list[Atom]:
     for o in onts:
         facts.append(_fact("isOntology", o))
 
-    # Imports only point from higher to lower index, keeping the graph acyclic.
-    pairs = [
-        (onts[i], onts[j])
-        for i in range(config.ontologies)
-        for j in range(i)
-    ]
-    for src, dst in sorted(rng.sample(pairs, config.import_edges)):
+    # Imports only point from higher to lower index, keeping the graph
+    # acyclic. Edges are drawn as indices into the i-major list of pairs
+    # (i, j), j < i, without building it, as `_subclass_pairs` does.
+    def import_pair(k: int) -> tuple[str, str]:
+        i = (1 + math.isqrt(1 + 8 * k)) // 2
+        return onts[i], onts[k - i * (i - 1) // 2]
+
+    n_pairs = len(onts) * (len(onts) - 1) // 2
+    drawn = rng.sample(range(n_pairs), config.import_edges)
+    for src, dst in sorted(map(import_pair, drawn)):
         facts.append(_fact("impOntology", src, dst))
 
     classes: list[str] = []

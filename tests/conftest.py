@@ -288,6 +288,17 @@ def refuse_text(_symbols, _cid):
     raise AssertionError("constant text built")
 
 
+def refuse_terms_and_printing(patch):
+    """Make every later `Term.const` call and every `str(Term)`, so every
+    printed text of the constant pool, fail under `patch`."""
+
+    def refuse(*_args):
+        raise AssertionError("constant Term or printed text built")
+
+    patch.setattr(Term, "const", staticmethod(refuse))
+    patch.setattr(Term, "__str__", refuse)
+
+
 def bottom_up_oracle(base: OntologyBase) -> set[Atom]:
     """Naive fixpoint of the IOB program over the EOB facts: the reference
     the top-down engine is compared against."""
@@ -295,14 +306,14 @@ def bottom_up_oracle(base: OntologyBase) -> set[Atom]:
     compiled = []
     for rule in builtin_iob_program():
         head_args = tuple(
-            t.value if t.is_var else base.symbols.intern(t.value)
+            t.value if t.is_var else base.symbols.intern(t)
             for t in rule.head.args
         )
         body = []
         for atom in rule.body:
             schema = schema_for(atom.predicate, len(atom.args))
             args = tuple(
-                t.value if t.is_var else base.symbols.intern(t.value)
+                t.value if t.is_var else base.symbols.intern(t)
                 for t in atom.args
             )
             body.append((atom.predicate, args, schema.kind is PredicateKind.EOB))

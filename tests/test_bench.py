@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import statistics
 import weakref
 
 import pytest
@@ -24,7 +25,6 @@ from dobquery import (
 )
 from dobquery.bench import (
     BenchError,
-    _median_low,
     write_correlation_csv,
     write_ratio_csv,
 )
@@ -35,7 +35,7 @@ from dobquery.optimizer import exhaustive_orderings
 from dobquery.store import SymbolTable
 from conftest import (
     random_base, random_catalog, random_catalog_query, random_query,
-    refuse_text,
+    refuse_terms_and_printing, refuse_text,
 )
 
 NLJ = (JoinStrategy(JoinMethod.NESTED_LOOP),)
@@ -61,11 +61,6 @@ def test_pearson_rejects_mismatched_lengths():
         pearson([1, 2], [1, 2, 3])
     with pytest.raises(BenchError):
         pearson([1], [1])
-
-
-def test_median_low_is_lower_middle():
-    assert _median_low([4, 1, 3, 2]) == 2
-    assert _median_low([5, 1, 9]) == 5
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +100,7 @@ def test_run_ratio_fields_consistent(tiny_corpus):
                 if r.query_id == row.query_id
             ]
             assert row.worst_cost == max(actuals)
-            assert row.median_cost == _median_low(actuals)
+            assert row.median_cost == statistics.median_low(actuals)
             if row.worst_cost:
                 assert row.opt_worst_ratio == pytest.approx(
                     row.optimal_cost / row.worst_cost
@@ -199,12 +194,11 @@ def _refuse_answers(*_args):
 
 def test_experiments_read_no_answers(tiny_corpus, monkeypatch):
     """The harness and its catalogs count answers but never sort or
-    iterate them, and never read the constant pool answers iterate from."""
+    iterate them, and build no constant `Term` and no printed text."""
     bases, queries = tiny_corpus
     monkeypatch.setattr(Answers, "rows", property(_refuse_answers))
     monkeypatch.setattr(Answers, "__iter__", _refuse_answers)
-    monkeypatch.setattr(SymbolTable, "terms", _refuse_answers)
-    monkeypatch.setattr(SymbolTable, "printed", _refuse_answers)
+    refuse_terms_and_printing(monkeypatch)
     ratio = run_ratio(bases, queries, SamplingConfig(seed=1))
     corr = run_correlation(bases, queries, SamplingConfig(seed=1))
     assert len(ratio.ratios) == 2

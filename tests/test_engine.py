@@ -41,7 +41,9 @@ from conftest import (
 
 def test_other_modules_use_only_the_engines_public_names():
     """No module but the engine imports or reads an underscore name of
-    `engine`: the executor and the analyzer run on its public core."""
+    `engine`, or reads or writes a single-underscore attribute through
+    any name but `self` or `cls` (say, a memo's private field): the
+    executor and the analyzer run on its public core."""
     private = []
     for path in sorted(Path(engine.__file__).parent.glob("*.py")):
         if path.name == "engine.py":
@@ -51,12 +53,20 @@ def test_other_modules_use_only_the_engines_public_names():
                     and (node.module or "").split(".")[-1] == "engine"):
                 names = [a.name for a in node.names]
             elif (isinstance(node, ast.Attribute)
-                    and isinstance(node.value, ast.Name)
-                    and node.value.id == "engine"):
-                names = [node.attr]
+                    and isinstance(node.value, ast.Name)):
+                if node.value.id == "engine":
+                    names = [node.attr]
+                elif (node.value.id not in ("self", "cls")
+                        and not node.attr.startswith("__")):
+                    names = [f"{node.value.id}.{node.attr}"]
+                else:
+                    continue
             else:
                 continue
-            private += [f"{path.name}: {n}" for n in names if n.startswith("_")]
+            private += [
+                f"{path.name}:{getattr(node, 'lineno', '')}: {n}"
+                for n in names if n.split(".")[-1].startswith("_")
+            ]
     assert private == []
 
 

@@ -1,7 +1,6 @@
 import random
 import time
 import tracemalloc
-from collections import Counter
 from itertools import compress, repeat
 from operator import is_, itemgetter
 
@@ -710,17 +709,13 @@ def test_answers_read_by_need_match_the_eager_answers(width, data):
     _assert_answers_match_eager(base, head, var_slot, second)
 
 
-def _count_term_const(monkeypatch) -> Counter:
-    """Counts, per constant text, the `Term.const` calls made from now on."""
-    built: Counter = Counter()
-    const = Term.const
+def _refuse_terms(patch):
+    """Make building any `Term` fail under `patch`."""
 
-    def counting_const(value):
-        built[value] += 1
-        return const(value)
+    def refuse(*_args):
+        raise AssertionError("Term built")
 
-    monkeypatch.setattr(Term, "const", staticmethod(counting_const))
-    return built
+    patch.setattr(Term, "__init__", refuse)
 
 
 def test_answers_and_facts_share_the_pooled_terms():
@@ -739,24 +734,54 @@ def test_answers_and_facts_share_the_pooled_terms():
             assert s is t is pooled[s.value]
 
 
-def test_iterating_answers_twice_builds_each_term_once(monkeypatch):
-    """The pool builds one `Term` per constant of the base, when answers
-    are first iterated; a second iteration, and the facts, build none."""
+def test_the_pool_holds_the_loaded_terms(monkeypatch):
+    """Loading a base with `from_facts` and `assert_fact` builds no
+    `Term`: each id's pool entry is the `Term` object of the first fact
+    that held its constant."""
+    rng = random.Random(7)
+    facts = [
+        Atom(f.predicate, [Term.const(t.value) for t in f.args])
+        for f in random_base(rng).facts()
+    ]
+    more = [parse_atom(f"isOntology({o})") for o in ("new1", "'New 2'")]
+    with monkeypatch.context() as patch:
+        _refuse_terms(patch)
+        base = OntologyBase.from_facts(facts)
+        for fact in more:
+            base.assert_fact(fact)
+    first: dict[str, Term] = {}
+    for fact in facts + more:
+        for t in fact.args:
+            first.setdefault(t.value, t)
+    assert len(base.symbols) == len(first)
+    assert all(map(is_, base.symbols.terms, first.values()))
+
+
+def test_iterating_answers_prints_only_their_ids(monkeypatch):
+    """Iterating answers builds no `Term` and makes the printed text of
+    the ids their rows hold and of no other; a second iteration, and
+    the facts, make none."""
     base = random_base(random.Random(7))
     answers = solve(base, parse_atom("areSubClasses(C,D)")).answers
-    built = _count_term_const(monkeypatch)
-    first = list(answers)
-    texts = [base.symbols.text(i) for i in range(len(base.symbols))]
-    assert built == Counter(texts)
-    assert list(answers) == first
-    assert len(list(base.facts())) == len(base)
-    assert built == Counter(texts)
+    printed = base.symbols.printed
+    assert not printed
+    held = {cid for row in answers.rows for cid in row}
+    with monkeypatch.context() as patch:
+        _refuse_terms(patch)
+        first = list(answers)
+        texts = dict(printed)
+        assert list(answers) == first
+        assert len(list(base.facts())) == len(base)
+    assert len(first) > 1 and len(held) < len(base.symbols)
+    assert texts.keys() == printed.keys() == held
+    assert all(printed[c] is texts[c] for c in held)
+    assert texts == {c: str(base.symbols.terms[c]) for c in held}
 
 
 def test_new_constants_extend_the_pool(monkeypatch):
-    """After facts add k new constants, the next iteration builds exactly
-    k more `Term`s, keeps the earlier entries as they were, and sorts the
-    new constants among the old ones."""
+    """Facts that add new constants append their own `Term`s to the
+    pool, keep the earlier entries and printed texts as the same
+    objects, and the new constants sort among the old ones."""
     base = OntologyBase.from_facts(
         parse_atom(f"isOntology({o})") for o in ("b", "'Zed'", "d")
     )
@@ -764,17 +789,21 @@ def test_new_constants_extend_the_pool(monkeypatch):
     assert [str(a) for a in solve(base, head).answers] == [
         "isOntology('Zed')", "isOntology(b)", "isOntology(d)",
     ]
-    terms = list(base.symbols.terms())
-    printed = list(base.symbols.printed())
+    terms = list(base.symbols.terms)
+    texts = dict(base.symbols.printed)
     new = [parse_atom(f"isOntology({o})") for o in ("c", "'a b'", "dd")]
-    built = _count_term_const(monkeypatch)
-    for fact in new:
-        base.assert_fact(fact)
+    with monkeypatch.context() as patch:
+        _refuse_terms(patch)
+        for fact in new:
+            base.assert_fact(fact)
     answers = solve(base, head).answers
-    got = list(answers)
-    assert built == Counter(["c", "a b", "dd"])
-    assert all(map(is_, base.symbols.terms()[:3], terms))
-    assert all(map(is_, base.symbols.printed()[:3], printed))
+    with monkeypatch.context() as patch:
+        _refuse_terms(patch)
+        got = list(answers)
+    pool = base.symbols.terms
+    assert len(pool) == 6
+    assert all(map(is_, pool, terms + [fact.args[0] for fact in new]))
+    assert all(base.symbols.printed[c] is t for c, t in texts.items())
     assert got == _eager_atoms(base.symbols, head, answers.rows)
     assert [str(a) for a in got] == [
         "isOntology('Zed')", "isOntology('a b')", "isOntology(b)",

@@ -394,8 +394,13 @@ def test_parse_query_constant_binding():
 
 
 def test_parse_atom_roundtrip():
+    """An atom reads back from its text, with or without one trailing
+    period."""
     atom = parse_atom("isStatement(s1,price,'12 000')")
     assert parse_atom(str(atom)) == atom
+    assert parse_atom(f"{atom}.") == atom
+    with pytest.raises(ParseError, match="expected 'end', found '.'"):
+        parse_atom(f"{atom}..")
 
 
 def test_parse_atom_without_a_predicate_name_is_refused_at_its_start():

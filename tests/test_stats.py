@@ -34,8 +34,9 @@ from dobquery.stats import (
     load_catalog,
     pattern_cardinality,
 )
-from dobquery.store import SymbolTable
-from conftest import bottom_up_oracle, random_base, scaled_config
+from conftest import (
+    bottom_up_oracle, random_base, refuse_terms_and_printing, scaled_config,
+)
 
 
 def test_binding_pattern_parse_and_format():
@@ -209,6 +210,27 @@ def test_catalog_roundtrip(cars_base):
     assert catalog_from_text(text) == catalog
     # a second serialization of the parsed catalog is byte-identical
     assert catalog_to_text(catalog_from_text(text)) == text
+
+
+def test_blank_catalog_lines_are_skipped(cars_base):
+    text = catalog_to_text(build_exact_catalog(cars_base))
+    lines = text.splitlines()
+    spaced = "\n".join([*lines[:3], "", "  ", *lines[3:5], "", *lines[5:]])
+    assert catalog_from_text(spaced) == catalog_from_text(text)
+
+
+def test_a_catalog_lacking_a_predicate_does_not_round_trip(cars_base):
+    """`catalog_to_text` writes no row for a predicate the catalog lacks,
+    and reading that text back is refused, naming the predicate."""
+    catalog = build_exact_catalog(cars_base)
+    entries = dict(catalog.entries)
+    del entries["areSubClasses"]
+    text = catalog_to_text(StatisticsCatalog(entries, catalog.config))
+    assert "areSubClasses" not in text
+    with pytest.raises(
+        AnalyzerError, match="^catalog has no entry for areSubClasses$"
+    ):
+        catalog_from_text(text)
 
 
 @pytest.mark.parametrize("clt", ["0", "1"])
@@ -483,13 +505,12 @@ def _refuse_answer_text(*_args):
 
 def test_catalogs_build_no_answer_text(cars_base, monkeypatch):
     """The analyzer reads answer counts and id rows only: building either
-    catalog makes no answer `Atom` and reads no pooled `Term` or printed
-    text, so it builds no constant pool."""
+    catalog makes no answer `Atom`, no constant `Term` (its draws read
+    the pooled ones) and no printed text."""
     bases = [cars_base, random_base(random.Random(5))]
     monkeypatch.setattr(OntologyBase, "facts", _refuse_answer_text)
     monkeypatch.setattr(Answers, "__iter__", _refuse_answer_text)
-    monkeypatch.setattr(SymbolTable, "terms", _refuse_answer_text)
-    monkeypatch.setattr(SymbolTable, "printed", _refuse_answer_text)
+    refuse_terms_and_printing(monkeypatch)
     for base in bases:
         build_catalog(base, SamplingConfig())
         build_exact_catalog(base)

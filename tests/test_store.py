@@ -229,7 +229,7 @@ def _loaded_state(base):
     """What loading decides: the symbol ids, the rows of each predicate
     and the order of the facts."""
     return (
-        list(base.symbols._texts), dict(base.symbols._ids),
+        list(base.symbols.terms), dict(base.symbols._ids),
         [(pred, list(rows)) for pred, rows in base._rows.items()],
         list(base._facts),
     )

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -168,6 +169,35 @@ def test_subclass_pairs_by_index_match_the_pair_list(seed):
         drawn = by_index.sample(range(n_pairs), k)
         assert [pair(i) for i in drawn] == by_list.sample(reference, k)
         assert by_index.random() == by_list.random()
+
+
+@pytest.mark.parametrize("ontologies, edges", [(2, 1), (7, 5), (12, 66)])
+def test_import_edges_are_those_of_sampling_the_pair_list(ontologies, edges):
+    """Import edges are drawn first, as a sample of the i-major list of
+    ontology pairs (i, j), j < i, would draw them."""
+    config = SynthConfig(ontologies=ontologies, import_edges=edges, seed=5)
+    base, _ = generate_synthetic(config)
+    pairs = [(f"ont{i}", f"ont{j}") for i in range(ontologies)
+             for j in range(i)]
+    want = sorted(random.Random(5).sample(pairs, edges))
+    got = [tuple(map(base.symbols.text, row))
+           for row in base.rows("impOntology")]
+    assert got == want
+
+
+def test_import_edges_are_drawn_without_listing_every_pair():
+    """2,000 ontologies have 1,999,000 pairs; drawing 2,000 import edges
+    from them allocates a few MB, not a list of every pair."""
+    config = SynthConfig(ontologies=2000, classes_per_ontology=1,
+                         import_edges=2000, seed=3)
+    tracemalloc.start()
+    try:
+        base, _ = generate_synthetic(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(base.rows("impOntology")) == 2000
+    assert peak < 20_000_000
 
 
 _CORPUS_DIGEST = """

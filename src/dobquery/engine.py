@@ -84,7 +84,9 @@ turns query atoms into steps, interning their constants through a memo,
 and `evaluate` runs steps on a batch of substitutions. `solve`,
 `solve_sequence` and the executor are built on these two, and `solve`
 and the executor return one `EvaluationResult` whose `Answers` hold the
-distinct head id rows and build text only when iterated, from the
+last `Batch` of substitutions (flat for `solve`, factorized where the
+executor deferred steps), build the distinct head id rows from it when
+they are first read, and build text only when iterated, from the
 base's constant pool, which decodes each constant once per base. One
 bound holds for all of them: each step is sized before it is built and
 refused past `MAX_BATCH_ROWS` substitutions (`check_batch`).
@@ -105,6 +107,9 @@ import linecache
 import sys
 from collections.abc import Collection, Iterator
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain, compress, repeat
+from operator import add, mul
 from typing import Callable, NamedTuple
 
 from .model import (
@@ -113,6 +118,7 @@ from .model import (
     PredicateKind,
     Rule,
     SchemaError,
+    _atom,
     _r,
     builtin_iob_program,
     schema_for,
@@ -157,77 +163,176 @@ class Counters:
         return self.inferred_facts + self.eob_accesses
 
 
-class Answers:
-    """The distinct instantiations of a head, built on demand.
+class Batch:
+    """The substitutions of the query steps run so far, in factorized
+    form (Olteanu & Závodný, TODS 2015).
 
-    Holds one id row per answer (the interned id at each variable
-    position of the head), unsorted until first read. `len()` reads only
-    the collection; `rows` sorts it by id once and keeps that tuple, and
-    equality with another `Answers` of the same symbol table and head
-    compares those; any other `Answers` compares by its atoms. Iteration
-    builds the `Atom`s, in the order of their text, from the constant
-    pool of the symbol table: the `Term` the loader interned for each
-    id (`SymbolTable.terms`), and its printed text (`printed`), made
-    the first time any answer reads that id and shared by every later
-    iteration.
+    `rows` hold the prefix rows, whose slots are those below `width`. A
+    deferred equi-join step keeps in `lists` one match list per prefix
+    row: the subgoal rows that row joins with. A substitution is a prefix
+    row followed by one row of each of its match lists, so a prefix row
+    stands for `counts`, the product of their lengths. A row whose count
+    is 0 is dropped, so the batch is empty when it has no prefix row. A
+    batch with no deferred step is flat: its rows are its substitutions.
+    A batch is never changed once built."""
+
+    __slots__ = ("rows", "width", "lists", "counts")
+
+    def __init__(self, rows, width, lists=(), counts=None):
+        self.rows = rows
+        self.width = width
+        self.lists = lists
+        self.counts = counts  # None: one substitution per row
+
+    def __bool__(self) -> bool:
+        return bool(self.rows)
+
+    def __len__(self) -> int:
+        """The number of substitutions, read without building them."""
+        return len(self.rows) if self.counts is None else sum(self.counts)
+
+    def expanded(self, project=None) -> list[tuple]:
+        """The substitutions, in the order eager steps build them: by
+        prefix row, then by the row of each deferred step in turn. Given
+        `project`, each substitution is passed through it as it is built,
+        and none is kept whole."""
+        rows, lists = self.rows, self.lists
+        if project is not None and not lists:
+            return list(map(project, rows))
+        last = len(lists) - 1
+        reps = None  # rows built so far per prefix row: one each
+        for i, matches in enumerate(lists):
+            per_row = matches
+            if reps is not None:  # each built row takes its prefix's list
+                per_row = chain.from_iterable(map(repeat, matches, reps))
+            if i < last or project is None:
+                rows = [s + r for s, rs in zip(rows, per_row) for r in rs]
+            else:
+                rows = [
+                    project(s + r) for s, rs in zip(rows, per_row) for r in rs
+                ]
+            if i < last:
+                lengths = map(len, matches)
+                if reps is not None:
+                    lengths = map(mul, reps, lengths)
+                reps = list(lengths)
+        return rows
+
+    def joined(self, matches, counts) -> Batch:
+        """The batch with one more deferred step: `matches` holds its
+        match list of each prefix row and `counts` the rows' new products.
+        Rows that match nothing are dropped."""
+        batch = Batch(self.rows, self.width, (*self.lists, matches), counts)
+        return batch.filtered(counts) if 0 in counts else batch
+
+    def filtered(self, keep) -> Batch:
+        """The prefix rows flagged in `keep`, with their match lists."""
+        rows = list(compress(self.rows, keep))
+        if self.counts is None:
+            return Batch(rows, self.width)
+        counts = list(compress(self.counts, keep))
+        lists = [list(compress(rs, keep)) for rs in self.lists]
+        return Batch(rows, self.width, lists, counts)
+
+
+class Answers:
+    """The distinct instantiations of a head over a batch, built on demand.
+
+    Holds the batch of complete substitutions as it was evaluated,
+    factorized if the executor deferred steps, and the slots the head's
+    variables read, taken when the answers are made. The id rows (the
+    interned id at each variable position of the head) are built the
+    first time they are read, through `rows`, iteration or equality, and
+    the batch is then dropped. Substitutions are distinct
+    (test_evaluated_rows_are_distinct), so when the head keeps every
+    slot, `len()` is the batch's count and builds no row; a head that
+    drops a slot builds its rows to count them. `rows` sorts them by id
+    once and keeps that tuple, and equality with another `Answers` of
+    the same symbol table and head compares those; any other `Answers`
+    compares by its atoms. Iteration builds the `Atom`s, in the order of
+    their text, from the constant pool of the symbol table: the `Term`
+    the loader interned for each id (`SymbolTable.terms`), and its
+    printed text (`printed`), made the first time any answer reads that
+    id and shared by every later iteration.
     """
 
-    __slots__ = ("_rows", "_sorted", "symbols", "head")
+    __slots__ = ("symbols", "head", "_batch", "_slots", "_full", "_rows",
+                 "_sorted")
     __hash__ = None
 
-    def __init__(self, rows: Collection[tuple[int, ...]], symbols, head: Atom):
-        """`rows` holds the distinct id rows in any order."""
-        self._rows = rows
-        self._sorted: tuple[tuple[int, ...], ...] | None = None
+    def __init__(self, symbols, head: Atom, var_slot: dict[str, int],
+                 batch: Batch):
+        """The answers `head` takes over the complete substitutions of
+        `batch`, whose variables sit at the slots of `var_slot`."""
         self.symbols = symbols
         self.head = head
+        self._batch: Batch | None = None
+        self._rows: Collection[tuple[int, ...]] = []
+        self._sorted: tuple[tuple[int, ...], ...] | None = None
+        if batch:  # an empty batch may not have bound every head variable
+            self._batch = batch
+            self._slots = [var_slot[t.value] for t in head.args if t.is_var]
+            self._full = len(set(self._slots)) == len(var_slot)
 
-    @classmethod
-    def of(cls, symbols, head: Atom, var_slot: dict[str, int], substs):
-        """The answers `head` takes over complete substitutions `substs`,
-        whose variables sit at the slots of `var_slot`."""
-        rows: list | set = []
-        if substs:
-            slots = [var_slot[t.value] for t in head.args if t.is_var]
-            projected = map(_getter(slots), substs)
-            # Substitutions are distinct (test_evaluated_rows_are_distinct),
-            # so a head that keeps every slot projects no two alike.
-            if len(set(slots)) < len(var_slot):
-                rows = set(projected)
+    def _built(self) -> Collection[tuple[int, ...]]:
+        """The id rows in any order, projected from the batch the first
+        time they are read."""
+        batch = self._batch
+        if batch is not None:
+            slots = self._slots
+            project = _getter(slots)
+            if self._full:
+                # A head that keeps every slot projects no two alike.
+                if slots == list(range(len(slots))):
+                    project = None
+                rows = batch.expanded(project)
+            elif all(s < batch.width for s in slots):
+                # Prefix rows with count 0 are dropped, so the distinct
+                # prefix projections are the distinct projections.
+                rows = set(map(project, batch.rows))
             else:
-                rows = list(projected)
-        return cls(rows, symbols, head)
+                rows = set(batch.expanded(project))
+            self._rows, self._batch = rows, None
+        return self._rows
 
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:
         """The id rows, sorted by id once, when first read."""
         if self._sorted is None:
-            self._sorted = self._rows = tuple(sorted(self._rows))
+            self._sorted = self._rows = tuple(sorted(self._built()))
         return self._sorted
 
     def __len__(self) -> int:
-        return len(self._rows)
+        if self._batch is None:
+            return len(self._rows)
+        if self._full:
+            return len(self._batch)
+        return len(self._built())
 
     def __iter__(self) -> Iterator[Atom]:
         head = self.head
         term = self.symbols.terms.__getitem__
         printed = self.symbols.printed.__getitem__
-        # `arrange(values + head constants)` is in head argument order.
-        head_consts = tuple(t for t in head.args if not t.is_var)
-        n_vars = len(head.args) - len(head_consts)
-        var_at = iter(range(n_vars))
-        const_at = iter(range(n_vars, len(head.args)))
-        arrange = _getter([
-            next(var_at) if t.is_var else next(const_at) for t in head.args
-        ])
-        pred = head.predicate
         # Sorting rows by their ids' printed texts sorts the answers as
         # their text would: an argument is followed by `,` or `)`, which
         # sort below every character that may continue an unquoted
         # constant, and quoted constants are prefix-free.
-        by_text = sorted(self._rows, key=lambda row: tuple(map(printed, row)))
-        for row in by_text:
-            yield Atom(pred, arrange(tuple(map(term, row)) + head_consts))
+        by_text = sorted(
+            self._built(), key=lambda row: tuple(map(printed, row))
+        )
+        args = map(tuple, map(partial(map, term), by_text))
+        head_consts = tuple(t for t in head.args if not t.is_var)
+        if head_consts:
+            # `arrange(values + head constants)` is in head argument order.
+            n_vars = len(head.args) - len(head_consts)
+            var_at = iter(range(n_vars))
+            const_at = iter(range(n_vars, len(head.args)))
+            arrange = _getter([
+                next(var_at) if t.is_var else next(const_at)
+                for t in head.args
+            ])
+            args = map(arrange, map(add, args, repeat(head_consts)))
+        return map(_atom, repeat(head.predicate), args)
 
     def __eq__(self, other) -> bool:
         if (isinstance(other, Answers) and other.symbols is self.symbols
@@ -843,7 +948,7 @@ def solve(
     """
     substs, var_slot, counters = _solve_body(base, [atom], memo)
     return EvaluationResult(
-        Answers.of(base.symbols, atom, var_slot, substs),
+        Answers(base.symbols, atom, var_slot, Batch(substs, len(var_slot))),
         counters.inferred_facts, counters.eob_accesses, [counters],
     )
 

@@ -19,16 +19,16 @@ with it at once. A step that binds no new variable is a semi-join: it
 keeps the table's key set and filters the batch by it. The batch keeps
 its order and the subgoal is solved and counted once, so the counters
 do not depend on how the batch is probed.
-A hash join is deferred: the batch keeps the rows built so far (the
-prefix rows) and, per deferred step, one match list per prefix row, the
-table rows that row joins with. A prefix row stands for the product of
-its match-list lengths, its count, and a row whose count is 0 is
-dropped. A later hash join whose key reads only prefix slots is
-deferred in turn, and a semi-join on prefix slots filters the prefix
-rows with their lists. Any other step first expands the batch, in the
-order eager steps would have built it: by prefix row, then by the first
-deferred step's row, then the next. Those are a nested-loop step, a
-step whose key reads a deferred slot, and the head projection.
+A hash join is deferred: the batch (the engine's `Batch`) keeps the
+rows built so far (the prefix rows) and, per deferred step, one match
+list per prefix row, the table rows that row joins with. A prefix row
+stands for the product of its match-list lengths, its count, and a row
+whose count is 0 is dropped. A later hash join whose key reads only
+prefix slots is deferred in turn, and a semi-join on prefix slots
+filters the prefix rows with their lists. Any other step first expands
+the batch, in the order eager steps would have built it: by prefix row,
+then by the first deferred step's row, then the next. Those are a
+nested-loop step and a step whose key reads a deferred slot.
 No step's batch may pass the engine's `MAX_BATCH_ROWS` rows, and each
 step is sized before it is built: a nested-loop step is one `evaluate`,
 which sizes its own output, and a hash join adds up each row's match
@@ -40,8 +40,13 @@ Past the limit, execution raises `EngineLimitError`, and `execute`
 names the plan step in it, as it does for the memo's entry cap. The
 limit is on the batch, which keeps every variable, not on the answers:
 a head of few variables over a big batch is refused too.
-Execution ends with the engine's `Answers` of the query head and an
-`EvaluationResult` with per-step counters, as `solve` does.
+Execution ends with the engine's `Answers` of the query head over the
+last batch, still factorized, and an `EvaluationResult` with per-step
+counters, as `solve` does. The answers take the head's slots when they
+are made and expand and project the batch only when their rows are
+first read; the count of a head that keeps every variable is the
+batch's. So the experiments, which read only counters, expand no last
+batch.
 
 Inside a `shared_prefixes()` scope, an execution resumes from the state
 that the previous execution on the same base and query left after their
@@ -62,13 +67,14 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from itertools import chain, compress, repeat
+from itertools import repeat
 from operator import itemgetter, mul
 from typing import NamedTuple
 
 from .costmodel import JoinMethod, JoinStrategy
 from .engine import (
     Answers,
+    Batch,
     Counters,
     EngineLimitError,
     EvaluationResult,
@@ -82,61 +88,6 @@ from .optimizer import Plan
 from .store import OntologyBase, _getter
 
 
-class _Batch:
-    """The substitutions of the steps run so far, some steps deferred.
-
-    `rows` hold the prefix rows, whose slots are those below `width`. A
-    deferred equi-join step keeps in `lists` one match list per prefix
-    row: the subgoal rows that row joins with. A substitution is a prefix
-    row followed by one row of each of its match lists, so a prefix row
-    stands for `counts`, the product of their lengths. A row whose count
-    is 0 is dropped, so the batch is empty when it has no prefix row."""
-
-    __slots__ = ("rows", "width", "lists", "counts")
-
-    def __init__(self, rows, width, lists=(), counts=None):
-        self.rows = rows
-        self.width = width
-        self.lists = lists
-        self.counts = counts  # None: one substitution per row
-
-    def __bool__(self) -> bool:
-        return bool(self.rows)
-
-    def expanded(self) -> list[tuple]:
-        """The substitutions, in the order eager steps build them: by
-        prefix row, then by the row of each deferred step in turn."""
-        rows, lists = self.rows, self.lists
-        reps = None  # rows built so far per prefix row: one each
-        for i, matches in enumerate(lists):
-            per_row = matches
-            if reps is not None:  # each built row takes its prefix's list
-                per_row = chain.from_iterable(map(repeat, matches, reps))
-            rows = [s + r for s, rs in zip(rows, per_row) for r in rs]
-            if i + 1 < len(lists):
-                lengths = map(len, matches)
-                if reps is not None:
-                    lengths = map(mul, reps, lengths)
-                reps = list(lengths)
-        return rows
-
-    def joined(self, matches, counts) -> _Batch:
-        """The batch with one more deferred step: `matches` holds its
-        match list of each prefix row and `counts` the rows' new products.
-        Rows that match nothing are dropped."""
-        batch = _Batch(self.rows, self.width, (*self.lists, matches), counts)
-        return batch.filtered(counts) if 0 in counts else batch
-
-    def filtered(self, keep) -> _Batch:
-        """The prefix rows flagged in `keep`, with their match lists."""
-        rows = list(compress(self.rows, keep))
-        if self.counts is None:
-            return _Batch(rows, self.width)
-        counts = list(compress(self.counts, keep))
-        lists = [list(compress(rs, keep)) for rs in self.lists]
-        return _Batch(rows, self.width, lists, counts)
-
-
 def _equi_join(base, memo, counters, atom, batch, var_slot):
     """Join `batch` with the atom's answers, solving it once.
 
@@ -148,7 +99,7 @@ def _equi_join(base, memo, counters, atom, batch, var_slot):
     shared = [v for v in own if v in var_slot]
     ext = [i for v, i in own.items() if v not in var_slot]
     if any(var_slot[v] >= batch.width for v in shared):
-        batch = _Batch(batch.expanded(), len(var_slot))
+        batch = Batch(batch.expanded(), len(var_slot))
     if len(shared) == 1:  # key by the scalar, not a 1-tuple
         row_key = itemgetter(own[shared[0]])
         subst_key = itemgetter(var_slot[shared[0]])
@@ -186,7 +137,7 @@ class _State(NamedTuple):
 
     atom: Atom | None
     strategy: JoinStrategy | None
-    batch: _Batch
+    batch: Batch
     counters: Counters | None
     memo: tuple[int, int, int]
     slots: int
@@ -194,7 +145,7 @@ class _State(NamedTuple):
     eob: int
 
 
-_START = _State(None, None, _Batch([()], 0), None, (0, 0, 0), 0, 0, 0)
+_START = _State(None, None, Batch([()], 0), None, (0, 0, 0), 0, 0, 0)
 _FIRST = JoinStrategy(JoinMethod.NESTED_LOOP)  # the first step's strategy
 
 
@@ -287,7 +238,7 @@ def execute(base, plan: Plan) -> EvaluationResult:
                 inferred0, eob0 = total.inferred_facts, total.eob_accesses
                 if strategy.method is JoinMethod.NESTED_LOOP:
                     compiled = compile_query(memo, [atom], var_slot)
-                    batch = _Batch(
+                    batch = Batch(
                         evaluate(base, memo, total, compiled, batch.expanded()),
                         len(var_slot),
                     )
@@ -308,7 +259,7 @@ def execute(base, plan: Plan) -> EvaluationResult:
     if scope is not None:
         scope.run = run
     return EvaluationResult(
-        Answers.of(base.symbols, plan.query.head, var_slot, batch.expanded()),
+        Answers(base.symbols, plan.query.head, var_slot, batch),
         total.inferred_facts, total.eob_accesses,
         [s.counters for s in states[1:]],
     )

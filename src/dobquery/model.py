@@ -111,6 +111,21 @@ class Atom:
         return f"{self.predicate}({','.join(str(t) for t in self.args)})"
 
 
+_new = object.__new__
+_set_predicate = Atom.predicate.__set__
+_set_args = Atom.args.__set__
+
+
+def _atom(predicate: str, args: tuple[Term, ...]) -> Atom:
+    """`Atom(predicate, args)` of an already-built `args` tuple, set
+    through the slots without `Atom.__init__`'s copy and frozen-field
+    writes; the atom is the same value as the public constructor's."""
+    atom = _new(Atom)
+    _set_predicate(atom, predicate)
+    _set_args(atom, args)
+    return atom
+
+
 @dataclass(frozen=True, slots=True)
 class Rule:
     """A safe Horn rule: every head variable occurs in the body."""

@@ -289,14 +289,20 @@ def refuse_text(_symbols, _cid):
 
 
 def refuse_terms_and_printing(patch):
-    """Make every later `Term.const` call and every `str(Term)`, so every
-    printed text of the constant pool, fail under `patch`."""
+    """Make every later `Term.const` call and every `str()` of a constant
+    `Term`, so every printed text of the constant pool, fail under
+    `patch`. Variables still print: a process's first kernel compile
+    writes the rule program, which holds no constant, into its source."""
+    printed = Term.__str__
 
     def refuse(*_args):
         raise AssertionError("constant Term or printed text built")
 
+    def print_variable(term):
+        return printed(term) if term.is_var else refuse()
+
     patch.setattr(Term, "const", staticmethod(refuse))
-    patch.setattr(Term, "__str__", refuse)
+    patch.setattr(Term, "__str__", print_variable)
 
 
 def bottom_up_oracle(base: OntologyBase) -> set[Atom]:

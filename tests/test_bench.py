@@ -193,9 +193,11 @@ def _refuse_answers(*_args):
 
 
 def test_experiments_read_no_answers(tiny_corpus, monkeypatch):
-    """The harness and its catalogs count answers but never sort or
-    iterate them, and build no constant `Term` and no printed text."""
+    """The harness and its catalogs count answers but never build, sort
+    or iterate their rows, and build no constant `Term` and no printed
+    text."""
     bases, queries = tiny_corpus
+    monkeypatch.setattr(Answers, "_built", _refuse_answers)
     monkeypatch.setattr(Answers, "rows", property(_refuse_answers))
     monkeypatch.setattr(Answers, "__iter__", _refuse_answers)
     refuse_terms_and_printing(monkeypatch)
@@ -288,7 +290,7 @@ def made(monkeypatch):
             super().__init__()
             refs["memos"].append(weakref.ref(self))
 
-    class Batch(executor._Batch):
+    class Batch(engine.Batch):
         __slots__ = ("__weakref__",)
 
         def __init__(self, *args):
@@ -296,7 +298,8 @@ def made(monkeypatch):
             refs["batches"].append(weakref.ref(self))
 
     monkeypatch.setattr(executor, "MemoTable", Memo)
-    monkeypatch.setattr(executor, "_Batch", Batch)
+    monkeypatch.setattr(engine, "Batch", Batch)
+    monkeypatch.setattr(executor, "Batch", Batch)
     return refs
 
 

@@ -1,7 +1,7 @@
 import random
 import time
 import tracemalloc
-from itertools import compress, repeat
+from itertools import compress, permutations, repeat
 from operator import is_, itemgetter
 
 import pytest
@@ -23,9 +23,10 @@ from dobquery import (
 )
 from dobquery import engine
 from dobquery.engine import (
-    Answers, Counters, EvaluationResult, check_batch, compile_query, evaluate,
+    Answers, Batch, Counters, EvaluationResult, check_batch, compile_query,
+    evaluate,
 )
-from dobquery.executor import _Batch, _equi_join
+from dobquery.executor import _equi_join, shared_prefixes
 from dobquery.model import (
     BUILTIN_SCHEMA, EOB_PREDICATES, IOB_PREDICATES, ArgDomain, Atom, Query,
     Term,
@@ -119,6 +120,11 @@ def test_uniform_plan_has_no_estimate(cars_base, cars_exact_catalog):
     assert execute(cars_base, plan) == execute(cars_base, estimated)
 
 
+def _flat_answers(symbols, head, var_slot, substs):
+    """The answers of `head` over a flat batch of `substs`."""
+    return Answers(symbols, head, var_slot, Batch(substs, len(var_slot)))
+
+
 @settings(max_examples=300)
 @given(st.integers(0, 4), st.data())
 def test_answer_rows_are_the_sorted_distinct_projection(width, data):
@@ -142,7 +148,7 @@ def test_answer_rows_are_the_sorted_distinct_projection(width, data):
         Term.const(a) if a == "k" else Term.var(a) for a in args
     ))
     slots = [var_slot[t.value] for t in head.args if t.is_var]
-    assert Answers.of(None, head, var_slot, substs).rows == tuple(
+    assert _flat_answers(None, head, var_slot, substs).rows == tuple(
         sorted(set(map(_getter(slots), substs)))
     )
 
@@ -372,6 +378,56 @@ def test_answers_compare_by_id_rows(cars_base, monkeypatch):
     assert other.answers != first.answers
 
 
+def _refuse_rows(_answers):
+    raise AssertionError("answer rows built")
+
+
+def test_len_of_a_full_head_builds_no_row(cars_base, monkeypatch):
+    """The hash plan defers its second step; the count of a head that
+    keeps every variable is the batch's count, read with no answer row
+    built, and it is the count of the rows once they are built."""
+    query = parse_query("q(C,O,P):-areClasses(C,O),isDProperty(P,C).")
+    report = execute(cars_base, uniform_plan(query, _HASH))
+    assert report.answers._batch.lists  # the deferred step's match lists
+    with monkeypatch.context() as patch:
+        patch.setattr(Answers, "_built", _refuse_rows)
+        assert len(report.answers) == 9
+    assert len(report.answers.rows) == len(report.answers) == 9
+    assert report.answers == execute(
+        cars_base, uniform_plan(query, _NLJ)
+    ).answers
+
+
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_answers_kept_from_a_shared_prefix_scope_read_as_fresh(seed, data):
+    """Answers made inside a `shared_prefixes()` scope and read only
+    after it has run every ordering, while later orderings rewound and
+    extended the run's variable slots, have the rows, count and text of
+    a fresh execution of their plan, under both strategies. Heads keep
+    every variable or drop some, in any order."""
+    rng = random.Random(seed)
+    base = random_base(rng, max_facts=120)
+    query = random_query(rng, base)
+    names = [t.value for t in query.head.args]
+    if data.draw(st.booleans()):
+        names = data.draw(st.permutations(names))
+    else:
+        names = data.draw(st.lists(
+            st.sampled_from(names), min_size=1, unique=True
+        ))
+    query = Query(Atom("q", tuple(map(Term.var, names))), query.body)
+    orders = list(permutations(range(len(query.body))))
+    for strategy in (_NLJ, _HASH):
+        plans = [uniform_plan(query, strategy, order) for order in orders]
+        with shared_prefixes():
+            kept = [execute(base, plan).answers for plan in plans]
+        for plan, answers in zip(plans, kept):
+            fresh = execute(base, plan).answers
+            assert len(answers) == len(fresh.rows)
+            assert [str(a) for a in answers] == [str(a) for a in fresh]
+            assert answers.rows == fresh.rows
+
+
 # Constant texts, plain or quoted: spaces, commas, quotes, backslashes and
 # plain texts that are prefixes of one another.
 _TEXTS = st.text(alphabet="ab1_.:, '\\Z(", min_size=1, max_size=4)
@@ -440,7 +496,7 @@ def _expanded_equi_join(base, memo, counters, atom, batch, var_slot):
     """`_equi_join` of a batch of whole substitutions, its deferred
     result expanded to substitutions."""
     joined = _equi_join(
-        base, memo, counters, atom, _Batch(batch, len(var_slot)), var_slot
+        base, memo, counters, atom, Batch(batch, len(var_slot)), var_slot
     )
     return joined.expanded()
 
@@ -625,8 +681,8 @@ def test_batch_limit_per_strategy(serve_base, monkeypatch, strategy):
 
 
 def _eager_rows(head, var_slot, substs):
-    """The sorted distinct head projections, as `Answers.of` built them
-    before answers were sorted on first read."""
+    """The sorted distinct head projections, as answers were built from
+    expanded substitutions before they were sorted on first read."""
     rows: tuple = ()
     if substs:
         slots = [var_slot[t.value] for t in head.args if t.is_var]
@@ -662,12 +718,14 @@ def _eager_atoms(symbols, head, rows):
 
 
 def _assert_answers_match_eager(base, head, var_slot, substs):
-    answers = Answers.of(base.symbols, head, var_slot, substs)
+    answers = _flat_answers(base.symbols, head, var_slot, substs)
     rows = _eager_rows(head, var_slot, substs)
     atoms = _eager_atoms(base.symbols, head, rows)
     assert len(answers) == len(rows)
     assert list(answers) == atoms
-    assert answers == Answers.of(base.symbols, head, var_slot, substs[::-1])
+    assert answers == _flat_answers(
+        base.symbols, head, var_slot, substs[::-1]
+    )
     assert list(answers) == atoms
     assert answers.rows == rows
     assert len(answers) == len(rows)
@@ -870,7 +928,7 @@ def _eager_execute(base, plan):
         err.args = (f"plan step {step}: {err}",)
         raise
     return EvaluationResult(
-        Answers.of(base.symbols, plan.query.head, var_slot, batch),
+        _flat_answers(base.symbols, plan.query.head, var_slot, batch),
         total.inferred_facts, total.eob_accesses, per_step,
     )
 

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from dobquery import (
@@ -11,7 +13,7 @@ from dobquery import (
     UnsafeRuleError,
     builtin_iob_program,
 )
-from dobquery.model import ArgDomain, PredicateSchema, schema_for
+from dobquery.model import ArgDomain, PredicateSchema, _atom, schema_for
 
 
 def test_term_kinds():
@@ -37,6 +39,23 @@ def test_atom_variables_first_occurrence_order():
     atom = Atom("q", (Term.var("B"), Term.const("k"), Term.var("A"), Term.var("B")))
     assert atom.variables == ("B", "A")
     assert not atom.is_ground
+
+
+def test_atom_from_a_built_tuple_is_the_same_value():
+    """The slot-setting constructor makes the value `Atom(...)` makes:
+    equal both ways, the same hash and repr, and as immutable."""
+    args = (Term.const("carsOnt"), Term.var("X"), Term.const("a b"))
+    made, public = _atom("q", args), Atom("q", list(args))
+    assert type(made) is Atom
+    assert made == public and public == made
+    assert made != _atom("r", args) and made != _atom("q", args[:2])
+    assert hash(made) == hash(public)
+    assert repr(made) == repr(public) and str(made) == str(public)
+    assert made.args is args and made.variables == ("X",)
+    for field, value in (("predicate", "r"), ("args", ())):
+        with pytest.raises(FrozenInstanceError):
+            setattr(made, field, value)
+    assert (made.predicate, made.args) == ("q", args)
 
 
 def test_rule_safety_enforced():

@@ -107,9 +107,8 @@ import linecache
 import sys
 from collections.abc import Collection, Iterator
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain, compress, repeat
-from operator import add, mul
+from operator import mul
 from typing import Callable, NamedTuple
 
 from .model import (
@@ -194,29 +193,25 @@ class Batch:
     def expanded(self, project=None) -> list[tuple]:
         """The substitutions, in the order eager steps build them: by
         prefix row, then by the row of each deferred step in turn. Given
-        `project`, each substitution is passed through it as it is built,
-        and none is kept whole."""
+        `project`, each is passed through it as the last step builds it,
+        so no list of whole substitutions is made beside the projected
+        one."""
         rows, lists = self.rows, self.lists
-        if project is not None and not lists:
-            return list(map(project, rows))
-        last = len(lists) - 1
         reps = None  # rows built so far per prefix row: one each
         for i, matches in enumerate(lists):
             per_row = matches
             if reps is not None:  # each built row takes its prefix's list
                 per_row = chain.from_iterable(map(repeat, matches, reps))
-            if i < last or project is None:
-                rows = [s + r for s, rs in zip(rows, per_row) for r in rs]
-            else:
-                rows = [
-                    project(s + r) for s, rs in zip(rows, per_row) for r in rs
-                ]
-            if i < last:
+            if i + 1 == len(lists) and project is not None:
+                return [project(s + r) for s, rs in zip(rows, per_row)
+                        for r in rs]
+            rows = [s + r for s, rs in zip(rows, per_row) for r in rs]
+            if i + 1 < len(lists):
                 lengths = map(len, matches)
                 if reps is not None:
                     lengths = map(mul, reps, lengths)
                 reps = list(lengths)
-        return rows
+        return rows if project is None else list(map(project, rows))
 
     def joined(self, matches, counts) -> Batch:
         """The batch with one more deferred step: `matches` holds its
@@ -243,10 +238,13 @@ class Answers:
     variables read, taken when the answers are made. The id rows (the
     interned id at each variable position of the head) are built the
     first time they are read, through `rows`, iteration or equality, and
-    the batch is then dropped. Substitutions are distinct
-    (test_evaluated_rows_are_distinct), so when the head keeps every
-    slot, `len()` is the batch's count and builds no row; a head that
-    drops a slot builds its rows to count them. `rows` sorts them by id
+    the batch is then dropped. Until then the batch is held whole, up to
+    `MAX_BATCH_ROWS` substitutions with their match lists, even when the
+    head drops variables and has far fewer distinct rows: answers kept
+    unread hold every batch they were made from. Substitutions are
+    distinct (test_evaluated_rows_are_distinct), so when the head keeps
+    every slot, `len()` is the batch's count and builds no row; a head
+    that drops a slot builds its rows to count them. `rows` sorts them by id
     once and keeps that tuple, and equality with another `Answers` of
     the same symbol table and head compares those; any other `Answers`
     compares by its atoms. Iteration builds the `Atom`s, in the order of
@@ -280,18 +278,13 @@ class Answers:
         batch = self._batch
         if batch is not None:
             slots = self._slots
-            project = _getter(slots)
-            if self._full:
-                # A head that keeps every slot projects no two alike.
-                if slots == list(range(len(slots))):
-                    project = None
-                rows = batch.expanded(project)
-            elif all(s < batch.width for s in slots):
-                # Prefix rows with count 0 are dropped, so the distinct
-                # prefix projections are the distinct projections.
-                rows = set(map(project, batch.rows))
+            if not self._full:
+                rows = set(batch.expanded(_getter(slots)))
+            elif slots == list(range(len(slots))):
+                rows = batch.expanded()
             else:
-                rows = set(batch.expanded(project))
+                # A head that keeps every slot projects no two alike.
+                rows = batch.expanded(_getter(slots))
             self._rows, self._batch = rows, None
         return self._rows
 
@@ -313,17 +306,11 @@ class Answers:
         head = self.head
         term = self.symbols.terms.__getitem__
         printed = self.symbols.printed.__getitem__
-        # Sorting rows by their ids' printed texts sorts the answers as
-        # their text would: an argument is followed by `,` or `)`, which
-        # sort below every character that may continue an unquoted
-        # constant, and quoted constants are prefix-free.
-        by_text = sorted(
-            self._built(), key=lambda row: tuple(map(printed, row))
-        )
-        args = map(tuple, map(partial(map, term), by_text))
+        # `arrange(values + head constants)` is in head argument order; a
+        # head of variables only takes the values' tuple as it is.
         head_consts = tuple(t for t in head.args if not t.is_var)
+        arrange = tuple
         if head_consts:
-            # `arrange(values + head constants)` is in head argument order.
             n_vars = len(head.args) - len(head_consts)
             var_at = iter(range(n_vars))
             const_at = iter(range(n_vars, len(head.args)))
@@ -331,8 +318,16 @@ class Answers:
                 next(var_at) if t.is_var else next(const_at)
                 for t in head.args
             ])
-            args = map(arrange, map(add, args, repeat(head_consts)))
-        return map(_atom, repeat(head.predicate), args)
+        pred = head.predicate
+        # Sorting rows by their ids' printed texts sorts the answers as
+        # their text would: an argument is followed by `,` or `)`, which
+        # sort below every character that may continue an unquoted
+        # constant, and quoted constants are prefix-free.
+        by_text = sorted(
+            self._built(), key=lambda row: tuple(map(printed, row))
+        )
+        for row in by_text:
+            yield _atom(pred, arrange(tuple(map(term, row)) + head_consts))
 
     def __eq__(self, other) -> bool:
         if (isinstance(other, Answers) and other.symbols is self.symbols

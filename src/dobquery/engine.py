@@ -117,14 +117,16 @@ from .model import (
     PredicateKind,
     Rule,
     SchemaError,
-    _atom,
     _r,
     builtin_iob_program,
     schema_for,
 )
 from .store import OntologyBase, _getter, _same_rows
 
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
+# Each nested call of CPython 3.10 also takes C stack, which an 8 MB
+# stack runs out of at about 20,000 nested calls; 3.11 and later do not.
+sys.setrecursionlimit(max(sys.getrecursionlimit(),
+                          100_000 if sys.version_info >= (3, 11) else 10_000))
 
 # Most answers a memo's tables may hold in all, and most substitutions
 # an evaluation step may make; both are read at call time.
@@ -234,27 +236,28 @@ class Answers:
     """The distinct instantiations of a head over a batch, built on demand.
 
     Holds the batch of complete substitutions as it was evaluated,
-    factorized if the executor deferred steps, and the slots the head's
-    variables read, taken when the answers are made. The id rows (the
+    factorized if the executor deferred steps, and the head's projection
+    of a substitution, fixed when the answers are made. The id rows (the
     interned id at each variable position of the head) are built the
-    first time they are read, through `rows`, iteration or equality, and
-    the batch is then dropped. Until then the batch is held whole, up to
-    `MAX_BATCH_ROWS` substitutions with their match lists, even when the
-    head drops variables and has far fewer distinct rows: answers kept
-    unread hold every batch they were made from. Substitutions are
-    distinct (test_evaluated_rows_are_distinct), so when the head keeps
-    every slot, `len()` is the batch's count and builds no row; a head
-    that drops a slot builds its rows to count them. `rows` sorts them by id
-    once and keeps that tuple, and equality with another `Answers` of
-    the same symbol table and head compares those; any other `Answers`
-    compares by its atoms. Iteration builds the `Atom`s, in the order of
-    their text, from the constant pool of the symbol table: the `Term`
-    the loader interned for each id (`SymbolTable.terms`), and its
-    printed text (`printed`), made the first time any answer reads that
-    id and shared by every later iteration.
+    first time they are read, through `rows`, iteration or equality, by
+    one expansion of the batch, which is then dropped. Until then the
+    batch is held whole, up to `MAX_BATCH_ROWS` substitutions with their
+    match lists, even when the head drops variables and has far fewer
+    distinct rows: answers kept unread hold every batch they were made
+    from. Substitutions are distinct (test_evaluated_rows_are_distinct),
+    so when the head keeps every slot, `len()` is the batch's count and
+    builds no row; a head that drops a slot builds its rows to count
+    them. `rows` sorts them by id once and keeps that tuple, and equality
+    with another `Answers` of the same symbol table and head compares
+    those; any other `Answers` compares by its atoms. Iteration builds
+    the `Atom`s, in the order of their text, from the constant pool of
+    the symbol table: the `Term` the loader interned for each id
+    (`SymbolTable.terms`), and its printed text (`printed`), made the
+    first time any answer reads that id and shared by every later
+    iteration.
     """
 
-    __slots__ = ("symbols", "head", "_batch", "_slots", "_full", "_rows",
+    __slots__ = ("symbols", "head", "_batch", "_project", "_full", "_rows",
                  "_sorted")
     __hash__ = None
 
@@ -269,23 +272,20 @@ class Answers:
         self._sorted: tuple[tuple[int, ...], ...] | None = None
         if batch:  # an empty batch may not have bound every head variable
             self._batch = batch
-            self._slots = [var_slot[t.value] for t in head.args if t.is_var]
-            self._full = len(set(self._slots)) == len(var_slot)
+            slots = [var_slot[t.value] for t in head.args if t.is_var]
+            self._full = len(set(slots)) == len(var_slot)
+            # None: each substitution is its id row as it is.
+            self._project = (None if slots == list(range(len(var_slot)))
+                             else _getter(slots))
 
     def _built(self) -> Collection[tuple[int, ...]]:
         """The id rows in any order, projected from the batch the first
-        time they are read."""
-        batch = self._batch
-        if batch is not None:
-            slots = self._slots
-            if not self._full:
-                rows = set(batch.expanded(_getter(slots)))
-            elif slots == list(range(len(slots))):
-                rows = batch.expanded()
-            else:
-                # A head that keeps every slot projects no two alike.
-                rows = batch.expanded(_getter(slots))
-            self._rows, self._batch = rows, None
+        time they are read; a head that keeps every slot projects no two
+        alike."""
+        if self._batch is not None:
+            rows = self._batch.expanded(self._project)
+            self._rows = rows if self._full else set(rows)
+            self._batch = None
         return self._rows
 
     @property
@@ -327,7 +327,7 @@ class Answers:
             self._built(), key=lambda row: tuple(map(printed, row))
         )
         for row in by_text:
-            yield _atom(pred, arrange(tuple(map(term, row)) + head_consts))
+            yield Atom(pred, arrange(tuple(map(term, row)) + head_consts))
 
     def __eq__(self, other) -> bool:
         if (isinstance(other, Answers) and other.symbols is self.symbols
@@ -515,8 +515,6 @@ def _rules_for(pred: str, shape: tuple) -> list[Rule]:
     if len(rules) != 2 or len(shape) < 2 or not (lone[0] or lone[-1]):
         return rules
     base, rec = sorted(rules, key=lambda r: len(r.body))
-    if len(base.body) != 1 or len(rec.body) < 2:
-        return rules
     x, *m, y = rec.head.args
     *guards, step, call = rec.body
     z = call.args[0]

@@ -91,8 +91,10 @@ class Atom:
     args: tuple[Term, ...]
 
     def __init__(self, predicate: str, args):
-        object.__setattr__(self, "predicate", predicate)
-        object.__setattr__(self, "args", tuple(args))
+        # Set through the slot descriptors, past the frozen `__setattr__`;
+        # `tuple(args)` of a tuple is that tuple, so it is kept, not copied.
+        _set_predicate(self, predicate)
+        _set_args(self, tuple(args))
 
     @property
     def is_ground(self) -> bool:
@@ -111,19 +113,8 @@ class Atom:
         return f"{self.predicate}({','.join(str(t) for t in self.args)})"
 
 
-_new = object.__new__
 _set_predicate = Atom.predicate.__set__
 _set_args = Atom.args.__set__
-
-
-def _atom(predicate: str, args: tuple[Term, ...]) -> Atom:
-    """`Atom(predicate, args)` of an already-built `args` tuple, set
-    through the slots without `Atom.__init__`'s copy and frozen-field
-    writes; the atom is the same value as the public constructor's."""
-    atom = _new(Atom)
-    _set_predicate(atom, predicate)
-    _set_args(atom, args)
-    return atom
 
 
 @dataclass(frozen=True, slots=True)

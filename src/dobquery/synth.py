@@ -248,8 +248,6 @@ def _inject_constant(atoms, const_pools, rng, probability):
                 and const_pools.get(domains[pos])
             ):
                 candidates.append((ai, pos, domains[pos]))
-    if not candidates:
-        return atoms
     ai, pos, domain = candidates[rng.randrange(len(candidates))]
     value = rng.choice(const_pools[domain])
     atom = atoms[ai]

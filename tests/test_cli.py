@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -399,6 +401,38 @@ def test_query_past_the_recursion_limit_is_a_data_error(
     assert out == ""
     assert "calls nest deeper than the recursion limit of 1000" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "query"])
+def test_a_chain_deeper_than_the_c_stack_answers_or_exits_2(
+    workspace, tmp_path, command
+):
+    """In a child process with the engine's own recursion limit, the
+    nested fully bound calls of a 30,000-deep chain, made by the
+    catalog's draws and by the query, answer or exit 2 naming the limit,
+    and never end by a signal: CPython 3.10 also nests each call in C,
+    and overflows an 8 MB stack at about 20,000."""
+    _dob, catalog = workspace
+    chain = tmp_path / "chain.dob"
+    chain.write_text("isOntology(o).\n" + "".join(
+        f"isClass(c{i},o).\nsubClassOf(c{i},c{i + 1}).\n"
+        for i in range(30_000)
+    ))
+    args = {
+        "analyze": ["-o", str(tmp_path / "chain.cat")],
+        "query": ["--catalog", str(catalog),
+                  "-q", "q(c0):-areSubClasses(c0,c30000)."],
+    }[command]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "dobquery.cli", command, str(chain), *args],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, timeout=300,
+    )
+    assert proc.returncode in (0, 2), (proc.returncode, proc.stderr[-500:])
+    if proc.returncode == 2:
+        assert "calls nest deeper than the recursion limit of" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.fixture()

@@ -11,7 +11,9 @@ from dobquery import (
     JoinMethod,
     JoinStrategy,
     SamplingConfig,
+    SchemaError,
     join_estimate,
+    optimize,
     parse_atom,
     parse_query,
     plan_estimate,
@@ -192,6 +194,31 @@ def test_plan_estimate_single_atom(cars_exact_catalog):
     assert plan_estimate(cars_exact_catalog, [atom], []) == predicate_estimate(
         cars_exact_catalog, atom
     )
+
+
+def test_plan_estimate_refuses_a_plan_of_the_wrong_shape(cars_exact_catalog):
+    atom = parse_atom("areClasses(C,O)")
+    with pytest.raises(SchemaError, match="^plan_estimate requires at least"):
+        plan_estimate(cars_exact_catalog, [], [])
+    with pytest.raises(SchemaError, match=(
+        "^expected 1 join strategies, got 0$"
+    )):
+        plan_estimate(cars_exact_catalog, [atom, atom], [])
+
+
+def test_optimize_refuses_a_catalog_without_a_body_predicate(
+    cars_exact_catalog,
+):
+    """A catalog built by hand without one of the query's predicates
+    names it, rather than costing the query without it."""
+    entries = dict(cars_exact_catalog.entries)
+    del entries["isDProperty"]
+    catalog = StatisticsCatalog(entries, cars_exact_catalog.config)
+    query = parse_query("q(O):-areClasses(C,O),isDProperty(traction,C).")
+    with pytest.raises(SchemaError, match=(
+        "^catalog has no entry for isDProperty$"
+    )):
+        optimize(query, catalog)
 
 
 def test_plan_estimate_orders_cars_query(cars_exact_catalog):

@@ -376,6 +376,7 @@ def test_answers_compare_by_id_rows(cars_base, monkeypatch):
     ))
     assert other.answers.rows == first.answers.rows
     assert other.answers != first.answers
+    assert not first.answers == 3 and first.answers != 3
 
 
 def _refuse_rows(_answers):
@@ -396,6 +397,34 @@ def test_len_of_a_full_head_builds_no_row(cars_base, monkeypatch):
     assert report.answers == execute(
         cars_base, uniform_plan(query, _NLJ)
     ).answers
+
+
+@pytest.mark.parametrize("head, in_order", [
+    ("q(C,O,P)", True), ("q(P,C,O)", False), ("q(O)", False),
+    ("q(C,k,C,P,O)", False),
+])
+def test_the_head_projection_is_fixed_when_the_answers_are_made(
+        cars_base, monkeypatch, head, in_order):
+    """Reading the rows of the hash plan's deferred batch builds no
+    projection: it is one `Batch.expanded` call with the projection made
+    with the answers, none for a head that reads every slot in order."""
+    body = "areClasses(C,O),isDProperty(P,C)."
+    query = parse_query(f"{head}:-{body}")
+    want = execute(cars_base, uniform_plan(query, _NLJ)).answers.rows
+    answers = execute(cars_base, uniform_plan(query, _HASH)).answers
+    calls = []
+    expanded = Batch.expanded
+
+    def counted(batch, project=None):
+        calls.append(project)
+        return expanded(batch, project)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "_getter", _refuse_rows)
+        patch.setattr(Batch, "expanded", counted)
+        assert answers.rows == want
+    assert list(answers) == list(answers)
+    assert len(calls) == 1 and (calls[0] is None) == in_order
 
 
 @given(st.integers(0, 2**32 - 1), st.data())

@@ -13,7 +13,7 @@ from dobquery import (
     UnsafeRuleError,
     builtin_iob_program,
 )
-from dobquery.model import ArgDomain, PredicateSchema, _atom, schema_for
+from dobquery.model import ArgDomain, PredicateSchema, schema_for
 
 
 def test_term_kinds():
@@ -42,16 +42,20 @@ def test_atom_variables_first_occurrence_order():
 
 
 def test_atom_from_a_built_tuple_is_the_same_value():
-    """The slot-setting constructor makes the value `Atom(...)` makes:
-    equal both ways, the same hash and repr, and as immutable."""
+    """`Atom` keeps a tuple of terms as the same object and copies a list
+    or a generator into a tuple; each is the same value: equal both ways,
+    the same hash, repr and text, and as immutable."""
     args = (Term.const("carsOnt"), Term.var("X"), Term.const("a b"))
-    made, public = _atom("q", args), Atom("q", list(args))
-    assert type(made) is Atom
-    assert made == public and public == made
-    assert made != _atom("r", args) and made != _atom("q", args[:2])
-    assert hash(made) == hash(public)
-    assert repr(made) == repr(public) and str(made) == str(public)
+    made = Atom("q", args)
     assert made.args is args and made.variables == ("X",)
+    for other in (list(args), (t for t in args)):
+        public = Atom("q", other)
+        assert type(public.args) is tuple and public.args == args
+        assert made == public and public == made
+        assert hash(made) == hash(public)
+        assert repr(made) == repr(public) and str(made) == str(public)
+    assert str(made) == "q(carsOnt,X,'a b')"
+    assert made != Atom("r", args) and made != Atom("q", args[:2])
     for field, value in (("predicate", "r"), ("args", ())):
         with pytest.raises(FrozenInstanceError):
             setattr(made, field, value)

@@ -152,7 +152,7 @@ _patterns = st.sampled_from(sorted(_ARITY)).flatmap(
 )
 
 
-def _atom(pred, args):
+def _fact(pred, args):
     return Atom(pred, tuple(
         Term.var(a) if a[0].isupper() else Term.const(a) for a in args
     ))
@@ -183,13 +183,13 @@ def _naive_match(base, pred, pattern, same):
     st.lists(_patterns, min_size=1, max_size=6),
 )
 def test_probes_match_a_naive_scan(before, after, patterns):
-    early = OntologyBase.from_facts(_atom(p, a) for p, a in before)
+    early = OntologyBase.from_facts(_fact(p, a) for p, a in before)
     for pred, arity in _ARITY.items():
         for positions in _position_sets(arity):
             early.probe_index(pred, positions)
     for pred, args in after:  # each probe built above must see these rows
-        early.assert_fact(_atom(pred, args))
-    late = OntologyBase.from_facts(_atom(p, a) for p, a in before + after)
+        early.assert_fact(_fact(pred, args))
+    late = OntologyBase.from_facts(_fact(p, a) for p, a in before + after)
     for base in (early, late):
         for pred, arity in _ARITY.items():
             for positions in _position_sets(arity):
@@ -210,7 +210,7 @@ def test_probes_match_a_naive_scan(before, after, patterns):
                     pattern.append(-1 if cid is None else cid)
             got = base.match_rows(pred, tuple(pattern), same)
             assert got == _naive_match(base, pred, pattern, same)
-            assert match_eob(base, _atom(pred, args)) == [
+            assert match_eob(base, _fact(pred, args)) == [
                 to_atom(base, pred, row) for row in got
             ]
 
@@ -259,7 +259,7 @@ def test_a_refused_fact_leaves_the_base_unchanged(pred, args, error, facts):
     state, probes = _loaded_state(base), dict(base.probes)
     pools = {d: base.domain_values(d) for d in ArgDomain}
     with pytest.raises(error):
-        base.assert_fact(_atom(pred, args))
+        base.assert_fact(_fact(pred, args))
     assert _loaded_state(base) == state
     assert base.probes.keys() == probes.keys()
     assert all(base.probes[key] is probe for key, probe in probes.items())

@@ -117,6 +117,23 @@ def test_queries_mix_eob_and_iob():
         assert kinds == {PredicateKind.EOB, PredicateKind.IOB}
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_a_base_without_individuals_draws_no_statement(seed):
+    """With no individuals no statement is drawn and no query reads an
+    individual; a chain link no IOB predicate takes is drawn from every
+    predicate instead, and each query still mixes EOB and IOB subgoals."""
+    config = SynthConfig(seed=seed, individuals=0)
+    base, queries = generate_synthetic(config)
+    without = {"isIndividual", "isStatement", "areIndividuals",
+               "areStatements"}
+    assert not without & {fact.predicate for fact in base.facts()}
+    assert len(queries) == config.chain_queries + config.star_queries
+    for q in queries:
+        assert not without & {a.predicate for a in q.body}
+        kinds = {BUILTIN_SCHEMA[a.predicate].kind for a in q.body}
+        assert kinds == {PredicateKind.EOB, PredicateKind.IOB}
+
+
 def test_config_validation_errors():
     with pytest.raises(SynthError):
         generate_synthetic(SynthConfig(ontologies=2, import_edges=5))
